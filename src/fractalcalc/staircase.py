@@ -5,10 +5,21 @@ transcription: ternary digits of the argument are copied to binary digits of
 the value, ``0 -> 0`` and ``2 -> 1``, stopping at the first ternary ``1``
 (which is emitted as a final binary ``1``).  The quantile (a measurable right
 inverse of the staircase) runs the same transcription backwards, binary to
-ternary.  All digit work is done on exact integers, so results are correct to
-the configured digit depth for any rational argument.  Floats are taken at
-their exact binary value; pass :class:`fractions.Fraction` for points such as
-1/3 that binary floats cannot represent.
+ternary.  Floats are taken at their exact binary value; pass
+:class:`fractions.Fraction` for points such as 1/3 that binary floats cannot
+represent.
+
+The kernels read digits in blocks of eight.  For the staircase and the
+membership test, ``divmod(num * 3**8, den)`` yields the next eight ternary
+digits as one integer ``q < 3**8`` together with the exact remainder; a table
+built once at import maps ``q`` to the position of its first ternary ``1``,
+the binary digits transcribed from the ``0``/``2`` digits before it, and
+whether the digits after that ``1`` are all zero.  For the quantile, one
+``(num << depth) // den`` yields all ``depth`` binary digits, and a 256-entry
+table maps each byte to its eight ``{0, 2}`` ternary digits.  Every step is
+integer division with remainder, so the digits, and hence the results, are
+exactly those of reading one digit at a time: correct to the configured digit
+depth for any rational argument.
 
 Outside the unit interval the staircase is extended, by default, through the
 self-similar tiling ``S(x + 1) = S(x) + 1`` for ``x >= 0`` and the odd
@@ -60,74 +71,82 @@ def _pow3(n: int) -> int:
     return 3**n
 
 
-def _as_fraction(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
+#: Digits read per kernel step.
+_BLOCK = 8
+_BLOCK_POW3 = 3**_BLOCK
+
+
+def _trit_block_table() -> list[tuple[int, int, bool]]:
+    """Entry q describes the eight ternary digits of q, most significant first.
+
+    It is ``(first, bits, tail_zero)``: ``first`` is the position of the first
+    digit 1 (8 when there is none), ``bits`` the ``first`` binary digits
+    transcribed from the digits before it, and ``tail_zero`` whether every
+    digit after that 1 is 0.  Built by prepending one digit at a time.
+    """
+    table = [(0, 0, True)]
+    for _ in range(_BLOCK):
+        zero = [(first + 1, bits, tail) for first, bits, tail in table]
+        one = [(0, 0, rest == 0) for rest in range(len(table))]
+        two = [(first + 1, (1 << first) | bits, tail) for first, bits, tail in table]
+        table = zero + one + two
+    return table
+
+
+_TRIT_BLOCKS = _trit_block_table()
+
+#: Byte b read as eight binary digits, written as the ternary digits 2*bit.
+_BYTE_TRITS = [2 * int(f"{b:08b}", 3) for b in range(1 << _BLOCK)]
+
+
+def _ratio(x) -> tuple[int, int]:
+    """x as (numerator, denominator) Python ints, the denominator positive.
+
+    Rationals (``int``, ``bool``, ``Fraction``, numpy integers) are taken as
+    they are, anything else at the exact binary value of ``float(x)``.
+    """
     if isinstance(x, numbers.Rational):
-        return Fraction(x)
+        return int(x.numerator), int(x.denominator)
     f = float(x)
     if not math.isfinite(f):
         raise DomainError(f"argument is not finite: {x!r}")
-    return Fraction(*f.as_integer_ratio())
+    return f.as_integer_ratio()
 
 
 def _unit_staircase_scaled(num: int, den: int, depth: int) -> int:
     """floor(S(num/den) * 2**depth) for 0 <= num < den.
 
-    Transcribes ternary digits to binary ones; the first ternary 1 is emitted
-    and terminates the expansion, matching the staircase being constant on
-    the removed middle-third gaps.
+    Transcribes ternary digits to binary ones, eight per step; the first
+    ternary 1 is emitted and terminates the expansion, matching the staircase
+    being constant on the removed middle-third gaps.  A zero remainder means
+    every later digit is 0, so the rest of the value is zero bits.
     """
     acc = 0
-    if den & (den - 1) == 0:
-        # terminating binary expansion: digit extraction is shift/mask
-        k = den.bit_length() - 1
-        mask = den - 1
-        for i in range(depth):
-            num *= 3
-            d = num >> k
-            num &= mask
-            if d == 1:
-                return (acc << (depth - i)) | (1 << (depth - i - 1))
-            acc = (acc << 1) | (d >> 1)
-            if not num:
-                return acc << (depth - i - 1)
-        return acc
-    for i in range(depth):
-        num *= 3
-        d, num = divmod(num, den)
-        if d == 1:
-            return (acc << (depth - i)) | (1 << (depth - i - 1))
-        acc = (acc << 1) | (d >> 1)
+    for left in range(depth, 0, -_BLOCK):
+        q, num = divmod(num * _BLOCK_POW3, den)
+        first, bits, _ = _TRIT_BLOCKS[q]
+        n = left if left < _BLOCK else _BLOCK
+        if first < n:
+            return ((((acc << first) | bits) << 1) | 1) << (left - first - 1)
+        acc = (acc << n) | (bits >> (first - n))
         if not num:
-            return acc << (depth - i - 1)
+            return acc << (left - n)
     return acc
 
 
 def _unit_membership(num: int, den: int, depth: int) -> bool:
     """Membership in the depth-digit prefractal of num/den in [0, 1).
 
-    A ternary 1 disqualifies unless the expansion terminates right there, in
-    which case the standard rewrite ...1 = ...0222... applies and the point
-    is a gap endpoint belonging to the set.
+    A ternary 1 among the first ``depth`` digits disqualifies unless the
+    expansion terminates right there, in which case the standard rewrite
+    ...1 = ...0222... applies and the point is a gap endpoint belonging to
+    the set.  Digits are read eight per step as in the staircase kernel.
     """
-    if den & (den - 1) == 0:
-        k = den.bit_length() - 1
-        mask = den - 1
-        for _ in range(depth):
-            num *= 3
-            d = num >> k
-            num &= mask
-            if d == 1:
-                return num == 0
-            if not num:
-                return True
-        return True
-    for _ in range(depth):
-        num *= 3
-        d, num = divmod(num, den)
-        if d == 1:
-            return num == 0
+    for left in range(depth, 0, -_BLOCK):
+        q, num = divmod(num * _BLOCK_POW3, den)
+        first, _, tail_zero = _TRIT_BLOCKS[q]
+        if first < left and first < _BLOCK:
+            return tail_zero and not num
         if not num:
             return True
     return True
@@ -136,20 +155,14 @@ def _unit_membership(num: int, den: int, depth: int) -> bool:
 def _unit_quantile_scaled(num: int, den: int, depth: int) -> int:
     """quantile(num/den) * 3**depth for 0 <= num/den < 1.
 
-    Binary digits of the argument become ternary digits {0, 2} of the result.
-    Dyadic arguments use their terminating binary expansion, which selects the
-    right endpoint of the corresponding staircase plateau.
+    Binary digits of the argument become ternary digits {0, 2} of the result,
+    one byte per step.  Dyadic arguments use their terminating binary
+    expansion, which selects the right endpoint of the corresponding
+    staircase plateau.
     """
     acc = 0
-    for i in range(depth):
-        num *= 2
-        if num >= den:
-            acc = acc * 3 + 2
-            num -= den
-        else:
-            acc *= 3
-        if not num:
-            return acc * _pow3(depth - i - 1)
+    for byte in ((num << depth) // den).to_bytes((depth + _BLOCK - 1) // _BLOCK, "big"):
+        acc = acc * _BLOCK_POW3 + _BYTE_TRITS[byte]
     return acc
 
 
@@ -166,20 +179,21 @@ class StaircaseFn:
                 "the triadic staircase has dimension ln 2/ln 3; " f"got alpha={self.alpha!r}"
             )
 
+    def _parts(self, x) -> tuple[bool, int, int, int]:
+        """x as (negative, whole, num, den) with |x| = whole + num/den, num < den."""
+        num, den = _ratio(x)
+        if self.spec.extension_rule is ExtensionRule.UNIT_INTERVAL and not 0 <= num <= den:
+            raise DomainError(f"argument {x!r} outside [0, 1] under the unit-interval rule")
+        whole, num_frac = divmod(abs(num), den)
+        return num < 0, whole, num_frac, den
+
     # -- staircase ---------------------------------------------------------
 
     def eval_exact(self, x) -> Fraction:
-        fr = _as_fraction(x)
-        rule = self.spec.extension_rule
+        negative, whole, num, den = self._parts(x)
         depth = self.spec.digit_depth
-        if rule is ExtensionRule.UNIT_INTERVAL:
-            if fr < 0 or fr > 1:
-                raise DomainError(f"argument {x!r} outside [0, 1] under the unit-interval rule")
-        if fr < 0:
-            return -self.eval_exact(-fr)
-        n, frac = divmod(fr.numerator, fr.denominator)
-        scaled = _unit_staircase_scaled(frac, fr.denominator, depth)
-        return n + Fraction(scaled, 1 << depth)
+        scaled = (whole << depth) + _unit_staircase_scaled(num, den, depth)
+        return Fraction(-scaled if negative else scaled, 1 << depth)
 
     def eval(self, x) -> float:
         return float(self.eval_exact(x))
@@ -189,17 +203,11 @@ class StaircaseFn:
     # -- quantile ----------------------------------------------------------
 
     def quantile_exact(self, u) -> Fraction:
-        fr = _as_fraction(u)
-        rule = self.spec.extension_rule
+        negative, whole, num, den = self._parts(u)
         depth = self.spec.digit_depth
-        if rule is ExtensionRule.UNIT_INTERVAL:
-            if fr < 0 or fr > 1:
-                raise DomainError(f"quantile argument {u!r} outside [0, 1] under the unit-interval rule")
-        if fr < 0:
-            return -self.quantile_exact(-fr)
-        n, frac = divmod(fr.numerator, fr.denominator)
-        scaled = _unit_quantile_scaled(frac, fr.denominator, depth)
-        return n + Fraction(scaled, _pow3(depth))
+        scale = _pow3(depth)
+        scaled = whole * scale + _unit_quantile_scaled(num, den, depth)
+        return Fraction(-scaled if negative else scaled, scale)
 
     def quantile(self, u) -> float:
         return float(self.quantile_exact(u))
@@ -207,15 +215,8 @@ class StaircaseFn:
     # -- membership --------------------------------------------------------
 
     def membership(self, x) -> bool:
-        fr = _as_fraction(x)
-        rule = self.spec.extension_rule
-        if rule is ExtensionRule.UNIT_INTERVAL:
-            if fr < 0 or fr > 1:
-                raise DomainError(f"argument {x!r} outside [0, 1] under the unit-interval rule")
-        if fr < 0:
-            return self.membership(-fr)
-        n, frac = divmod(fr.numerator, fr.denominator)
-        return _unit_membership(frac, fr.denominator, self.spec.digit_depth)
+        _, _, num, den = self._parts(x)
+        return _unit_membership(num, den, self.spec.digit_depth)
 
 
 @dataclass(frozen=True)
@@ -229,7 +230,7 @@ class IdentityMap:
     alpha: float = 1.0
 
     def eval_exact(self, x) -> Fraction:
-        return _as_fraction(x)
+        return Fraction(*_ratio(x))
 
     def eval(self, x) -> float:
         return float(x)

@@ -3,6 +3,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,6 +20,12 @@ from fractalcalc import (
     cantor_quantile,
     prefractal_intervals,
 )
+from fractalcalc.staircase import (
+    _pow3,
+    _unit_membership,
+    _unit_quantile_scaled,
+    _unit_staircase_scaled,
+)
 
 
 @pytest.fixture(scope="module")
@@ -27,6 +34,122 @@ def sf():
 
 
 rationals_01 = st.fractions(min_value=0, max_value=1)
+
+
+# -- reference kernels ---------------------------------------------------------
+# The one-digit-per-step loops the block kernels replaced, kept unchanged as the
+# oracle the block kernels must match exactly.
+
+
+def _reference_staircase_scaled(num: int, den: int, depth: int) -> int:
+    acc = 0
+    if den & (den - 1) == 0:
+        # terminating binary expansion: digit extraction is shift/mask
+        k = den.bit_length() - 1
+        mask = den - 1
+        for i in range(depth):
+            num *= 3
+            d = num >> k
+            num &= mask
+            if d == 1:
+                return (acc << (depth - i)) | (1 << (depth - i - 1))
+            acc = (acc << 1) | (d >> 1)
+            if not num:
+                return acc << (depth - i - 1)
+        return acc
+    for i in range(depth):
+        num *= 3
+        d, num = divmod(num, den)
+        if d == 1:
+            return (acc << (depth - i)) | (1 << (depth - i - 1))
+        acc = (acc << 1) | (d >> 1)
+        if not num:
+            return acc << (depth - i - 1)
+    return acc
+
+
+def _reference_membership(num: int, den: int, depth: int) -> bool:
+    if den & (den - 1) == 0:
+        k = den.bit_length() - 1
+        mask = den - 1
+        for _ in range(depth):
+            num *= 3
+            d = num >> k
+            num &= mask
+            if d == 1:
+                return num == 0
+            if not num:
+                return True
+        return True
+    for _ in range(depth):
+        num *= 3
+        d, num = divmod(num, den)
+        if d == 1:
+            return num == 0
+        if not num:
+            return True
+    return True
+
+
+def _reference_quantile_scaled(num: int, den: int, depth: int) -> int:
+    acc = 0
+    for i in range(depth):
+        num *= 2
+        if num >= den:
+            acc = acc * 3 + 2
+            num -= den
+        else:
+            acc *= 3
+        if not num:
+            return acc * _pow3(depth - i - 1)
+    return acc
+
+
+def _ternary(trits: list[int]) -> tuple[int, int]:
+    """0.t1 t2 ... tn in base 3, as (numerator, 3**n)."""
+    num = 0
+    for t in trits:
+        num = 3 * num + t
+    return num, 3 ** len(trits)
+
+
+# Float inputs reach the kernels with denominators up to 2**1074 (denormal u
+# from tanh-sinh); quantile outputs have denominators 3**k; the rest covers
+# arbitrary rationals.
+denominators = st.one_of(
+    st.integers(0, 1100).map(lambda k: 2**k),
+    st.integers(0, 120).map(lambda k: 3**k),
+    st.tuples(st.integers(0, 80), st.integers(1, 10**6)).map(lambda km: 3 ** km[0] * km[1]),
+    st.integers(1, 10**30),
+)
+unit_ratios = st.one_of(
+    denominators.flatmap(lambda den: st.tuples(st.integers(0, den - 1), st.just(den))),
+    # terminating ternary expansions: gap endpoints, points of the set, ones
+    # followed by zeros
+    st.lists(st.integers(0, 2), max_size=90).map(_ternary),
+)
+depths = st.integers(1, 80)
+
+
+class TestBlockKernels:
+    @given(ratio=unit_ratios, depth=depths)
+    @settings(max_examples=1000, deadline=None)
+    def test_match_one_digit_reference(self, ratio, depth):
+        num, den = ratio
+        assert _unit_staircase_scaled(num, den, depth) == _reference_staircase_scaled(num, den, depth)
+        assert _unit_membership(num, den, depth) is _reference_membership(num, den, depth)
+        assert _unit_quantile_scaled(num, den, depth) == _reference_quantile_scaled(num, den, depth)
+
+    @given(
+        x=st.one_of(
+            st.floats(-4.0, 4.0, allow_nan=False),
+            st.fractions(min_value=-4, max_value=4, max_denominator=10**30),
+        )
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_float_wrappers_round_the_exact_values(self, sf, x):
+        assert sf.eval(x) == float(sf.eval_exact(x))
+        assert sf.quantile(x) == float(sf.quantile_exact(x))
 
 
 class TestEvalExact:
@@ -140,6 +263,47 @@ class TestExtensions:
     def test_non_finite_rejected(self, sf):
         with pytest.raises(DomainError):
             sf.eval(math.inf)
+
+    @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf, np.float64(math.nan)])
+    @pytest.mark.parametrize("method", ["eval_exact", "quantile_exact", "membership"])
+    def test_non_finite_rejected_by_every_entry(self, sf, method, x):
+        with pytest.raises(DomainError):
+            getattr(sf, method)(x)
+
+    @pytest.mark.parametrize("x", [-0.25, Fraction(-1, 3), -1])
+    @pytest.mark.parametrize("method", ["eval_exact", "quantile_exact", "membership"])
+    def test_unit_interval_rule_rejects_negatives(self, method, x):
+        sf = StaircaseFn(CantorSpec(extension_rule=ExtensionRule.UNIT_INTERVAL))
+        with pytest.raises(DomainError):
+            getattr(sf, method)(x)
+
+    @given(x=st.fractions(min_value=0, max_value=5, max_denominator=10**12))
+    @settings(max_examples=200, deadline=None)
+    def test_tiling_is_odd(self, sf, x):
+        assert sf.eval_exact(-x) == -sf.eval_exact(x)
+        assert sf.quantile_exact(-x) == -sf.quantile_exact(x)
+        assert sf.membership(-x) is sf.membership(x)
+
+
+class TestInputTypes:
+    @pytest.mark.parametrize(
+        "given_x, plain_x",
+        [
+            (np.int64(2), 2),
+            (np.int64(-3), -3),
+            (np.int32(1), 1),
+            (np.float64(0.25), 0.25),
+            (np.float64(1.7), 1.7),
+            (True, 1),
+            (False, 0),
+        ],
+    )
+    def test_numpy_and_bool_match_python_numbers(self, sf, given_x, plain_x):
+        for method in (sf.eval_exact, sf.quantile_exact, IdentityMap().eval_exact):
+            got = method(given_x)
+            assert got == method(plain_x)
+            assert type(got.numerator) is int and type(got.denominator) is int
+        assert sf.membership(given_x) is sf.membership(plain_x)
 
 
 class TestSpecValidation:
