@@ -16,21 +16,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import (
-    ConvergenceError,
-    DomainError,
-    PoleError,
-    ShapeError,
-    TailBoundError,
-)
+from .exceptions import ConvergenceError, DomainError, PoleError, TailBoundError
 from .exprgrammar import ExprError, parse_expression
+from .figures import format_csv
 from .laplace import laplace_numeric
-from .nonlocal_ops import (
-    KernelConvention,
-    OperatorKind,
-    OperatorSpec,
-    evaluate,
-)
+from .nonlocal_ops import OperatorKind, OperatorSpec, evaluate
 from .special import (
     GammaMode,
     beta_fractal,
@@ -40,6 +30,7 @@ from .special import (
     mittag_leffler,
 )
 from .staircase import CantorSpec, IdentityMap, StaircaseFn
+from .svg import Series, render_svg
 
 _COMMANDS = (
     "staircase",
@@ -54,11 +45,6 @@ _COMMANDS = (
     "figures",
     "verify",
 )
-
-_KERNELS = {
-    "beta1": KernelConvention.CONJUGACY_BETA1,
-    "shifted": KernelConvention.DIMENSION_SHIFTED,
-}
 
 _DEFAULT_GRIDS = {
     "staircase": (0.0, 1.0, 201),
@@ -79,7 +65,6 @@ class CliConfig:
     alpha_mode: str = "cantor"
     depth: int | None = None
     grid: tuple[float, float, int] | None = None
-    kernel: str = "beta1"
     tol: float | None = None
     output: str | None = None
     format: str = "csv"
@@ -104,11 +89,7 @@ def _grid_points(config: CliConfig) -> np.ndarray:
     grid = config.grid or _DEFAULT_GRIDS.get(config.command)
     if grid is None:
         raise DomainError("this command needs an explicit --grid")
-    start, stop, count = grid
-    count = int(count)
-    if count < 1:
-        raise DomainError(f"grid count must be positive, got {count}")
-    return np.linspace(start, stop, count)
+    return np.linspace(*grid)
 
 
 def _parsed_function(config: CliConfig, default: str | None = None):
@@ -124,40 +105,22 @@ def _parsed_function(config: CliConfig, default: str | None = None):
     return fn, sf
 
 
-def _write_csv(config: CliConfig, header, rows) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(repr(float(v)) for v in row))
-    text = "\n".join(lines) + "\n"
-    if config.output:
-        with open(config.output, "w", newline="") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
-def _write_svg(config: CliConfig, header, rows, title: str) -> None:
-    from .svg import Series, render_svg
-
-    rows = list(rows)
-    xs = tuple(float(r[0]) for r in rows)
-    series = []
-    for col in range(1, len(header)):
-        ys = tuple(float(r[col]) for r in rows)
-        series.append(Series(xs, ys, label=header[col]))
-    text = render_svg(series, title=title, xlabel=header[0])
-    if config.output:
-        with open(config.output, "w", newline="") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
 def _emit(config: CliConfig, header, rows, title: str) -> None:
     if config.format == "svg":
-        _write_svg(config, header, rows, title)
+        rows = list(rows)
+        xs = tuple(float(r[0]) for r in rows)
+        series = [
+            Series(xs, tuple(float(r[col]) for r in rows), label=header[col])
+            for col in range(1, len(header))
+        ]
+        text = render_svg(series, title=title, xlabel=header[0])
     else:
-        _write_csv(config, header, rows)
+        text = format_csv(header, rows)
+    if config.output:
+        with open(config.output, "w", newline="") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
 
 
 def _operator_rows(config: CliConfig, xs):
@@ -168,12 +131,7 @@ def _operator_rows(config: CliConfig, xs):
     }[config.command]
     default = "x^2" if config.alpha_mode == "identity" else "S(x)^2"
     fn, sf = _parsed_function(config, default)
-    spec = OperatorSpec(
-        kind,
-        config.beta,
-        terminal=config.terminal,
-        convention=_KERNELS[config.kernel],
-    )
+    spec = OperatorSpec(kind, config.beta, terminal=config.terminal)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         return [(x, evaluate(spec, fn, sf, x)) for x in xs]
@@ -302,7 +260,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar=("START", "STOP", "COUNT"),
         default=None,
     )
-    parser.add_argument("--kernel", choices=tuple(_KERNELS), default="beta1")
     parser.add_argument(
         "--tol",
         type=float,
@@ -332,13 +289,15 @@ def config_from_args(args: argparse.Namespace) -> CliConfig:
                 raise ExprError(f"bad FRACTAL_CALC_TOL value {env!r}") from exc
     grid = None
     if args.grid is not None:
-        grid = (args.grid[0], args.grid[1], int(args.grid[2]))
+        start, stop, count = args.grid
+        if not (count >= 1 and count.is_integer()):
+            raise ExprError(f"grid COUNT must be a positive integer, got {count!r}")
+        grid = (start, stop, int(count))
     return CliConfig(
         command=args.command,
         alpha_mode=args.alpha_mode,
         depth=args.depth,
         grid=grid,
-        kernel=args.kernel,
         tol=tol,
         output=args.output,
         format=args.format,
@@ -366,7 +325,6 @@ def main(argv=None) -> int:
         PoleError,
         ConvergenceError,
         TailBoundError,
-        ShapeError,
         ZeroDivisionError,
         OverflowError,
     ) as exc:

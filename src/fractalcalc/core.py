@@ -11,7 +11,7 @@ not launder digits through a lossy float round trip.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -70,6 +70,27 @@ def _u_bounds(sf) -> tuple[float, float]:
     return 0.0, math.inf
 
 
+def difference(g, v: float, h: float, n: int, s: float) -> float:
+    """Second-order n-th difference of g at v (n = 1 or 2), step h.
+
+    s = 0 gives the central form; s = +1 or -1 the one-sided form reaching
+    forward or backward. The one-sided first difference multiplies each
+    coefficient by s, not their sum, so a stencil that cancels exactly gives
+    +0.0 on either side.
+    """
+    if s == 0.0:
+        if n == 1:
+            return (g(v + h) - g(v - h)) / (2.0 * h)
+        return (g(v + h) - 2.0 * g(v) + g(v - h)) / (h * h)
+    if n == 1:
+        return (
+            -3.0 * s * g(v) + 4.0 * s * g(v + s * h) - s * g(v + 2.0 * s * h)
+        ) / (2.0 * h)
+    return (
+        2.0 * g(v) - 5.0 * g(v + s * h) + 4.0 * g(v + 2.0 * s * h) - g(v + 3.0 * s * h)
+    ) / (h * h)
+
+
 def f_alpha_derivative(f, sf, x, h: float = 1e-6) -> float:
     """Staircase derivative of f at x: dg/du at u = S(x), zero off the set."""
     if not h > 0:
@@ -77,14 +98,14 @@ def f_alpha_derivative(f, sf, x, h: float = 1e-6) -> float:
     if not sf.membership(x):
         return 0.0
     u = sf.eval(x)
-    g = conjugate(f, sf)
     lo, hi = _u_bounds(sf)
     if u - h < lo:
-        val = (-3.0 * g(u) + 4.0 * g(u + h) - g(u + 2.0 * h)) / (2.0 * h)
+        s = 1.0
     elif u + h > hi:
-        val = (3.0 * g(u) - 4.0 * g(u - h) + g(u - 2.0 * h)) / (2.0 * h)
+        s = -1.0
     else:
-        val = (g(u + h) - g(u - h)) / (2.0 * h)
+        s = 0.0
+    val = difference(conjugate(f, sf), u, h, 1, s)
     if not math.isfinite(val):
         raise DomainError(f"non-finite function values near x={x!r}")
     return val
@@ -141,8 +162,8 @@ def f_alpha_integral(f, sf, a, b, n: int = 64, method: str = "auto") -> float:
     in the staircase coordinate, evaluating f at real-line nodes; it is the
     right tool when f is smooth in x (the conjugated integrand then has a
     jump at every dyadic level and u-space panels converge only linearly).
-    "gauss", "trapezoid" and "tanh-sinh" integrate the conjugated function
-    in u and are exact for integrands that are smooth functions of S(x).
+    "gauss" integrates the conjugated function in u with Gauss-Legendre
+    panels and is exact for integrands that are smooth functions of S(x).
     "auto" picks "measure" for a fractal staircase and "gauss" otherwise.
     """
     ua = sf.eval(a)
@@ -158,31 +179,7 @@ def f_alpha_integral(f, sf, a, b, n: int = 64, method: str = "auto") -> float:
             raise DomainError("measure quadrature requires a fractal staircase")
         depth = max(8, min(15, n.bit_length() + 5))
         return _measure_integral(f, sf, ua, ub, depth)
-    g = conjugate(f, sf)
     if method == "gauss":
-        return quadrature.gauss_composite(g, ua, ub, n)
-    if method == "trapezoid":
-        return quadrature.trapezoid_composite(g, ua, ub, n)
-    if method == "tanh-sinh":
-        return quadrature.tanh_sinh(g, ua, ub)
+        return quadrature.gauss_composite(conjugate(f, sf), ua, ub, n)
     raise DomainError(f"unknown quadrature method {method!r}")
 
-
-def stieltjes_sum(f, sf, a, b, n: int = 4096) -> float:
-    """Direct Riemann-Stieltjes midpoint sum of f against S on an x-partition.
-
-    Converges far slower than the conjugated quadrature; kept as an
-    independent cross-check of the substitution.
-    """
-    xs = np.linspace(float(a), float(b), n + 1)
-    s_vals = np.array([sf.eval(x) for x in xs])
-    mids = 0.5 * (xs[:-1] + xs[1:])
-    f_vals = np.array([float(f(x)) for x in mids])
-    if not np.isfinite(f_vals).all():
-        raise ValueError("integrand returned a non-finite value")
-    return float(f_vals @ np.diff(s_vals))
-
-
-def fractal_exp(sf, t) -> float:
-    """exp(-S(t)), the staircase-composed exponential weight."""
-    return math.exp(-sf.eval(t))

@@ -19,9 +19,5 @@ class TailBoundError(RuntimeError):
     """A truncated improper integral cannot certify the requested accuracy."""
 
 
-class ShapeError(ValueError):
-    """A symbolic transform expression is outside the supported rule table."""
-
-
 class DifferentiationNoiseWarning(UserWarning):
     """Richardson levels of a numerical derivative disagree suspiciously."""

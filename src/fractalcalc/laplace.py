@@ -12,7 +12,6 @@ to plain staircase powers.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -66,14 +65,6 @@ class LaplaceTerm:
             raise DomainError(f"transform pole at sigma = {sigma!r}")
         return self.coeff * sigma ** float(self.p) / denom
 
-    def describe(self) -> str:
-        head = f"{self.coeff!r} * s^({self.p})"
-        if self.unknown:
-            head += " * F"
-        if self.is_pure_power:
-            return head
-        return f"{head} / (s^({self.q}) - {self.lam!r})"
-
 
 @dataclass(frozen=True)
 class LaplaceExpr:
@@ -117,22 +108,6 @@ class LaplaceExpr:
 
     def __sub__(self, other: "LaplaceExpr") -> "LaplaceExpr":
         return self + other.scaled(-1.0)
-
-    @property
-    def has_unknown(self) -> bool:
-        return any(t.unknown for t in self.terms)
-
-    def describe(self) -> str:
-        if not self.terms:
-            return "0"
-        return " + ".join(t.describe() for t in self.terms)
-
-
-class TransformRule(enum.Enum):
-    POWER = "power"
-    RL_INTEGRAL = "rl-integral"
-    RL_DERIVATIVE = "rl-derivative"
-    CAPUTO_DERIVATIVE = "caputo"
 
 
 def transform_power(eta) -> LaplaceExpr:
@@ -199,16 +174,6 @@ def transform_caputo(expr: LaplaceExpr, beta, data=()) -> LaplaceExpr:
     return out
 
 
-def apply_rule(rule: TransformRule, expr: LaplaceExpr, order, data=()) -> LaplaceExpr:
-    if rule is TransformRule.POWER:
-        return transform_power(order)
-    if rule is TransformRule.RL_INTEGRAL:
-        return transform_rl_integral(expr, order)
-    if rule is TransformRule.RL_DERIVATIVE:
-        return transform_rl_derivative(expr, order, data)
-    return transform_caputo(expr, order, data)
-
-
 def solve_resolvent(numerator: LaplaceExpr, q, lam: float) -> LaplaceExpr:
     """Divide a sum of pure powers by (sigma^q - lam)."""
     q_f = _as_power(q)
@@ -247,12 +212,6 @@ class InverseTerm:
             return base
         z = self.lam * u ** float(self.ml_eta)
         return base * mittag_leffler(float(self.ml_eta), float(self.ml_nu), z)
-
-    def describe(self) -> str:
-        head = f"{self.coeff!r} * S^({self.power})"
-        if self.ml_eta is None:
-            return head
-        return f"{head} * E[{self.ml_eta},{self.ml_nu}]({self.lam!r} * S^({self.ml_eta}))"
 
 
 def invert_terms(expr: LaplaceExpr) -> tuple[InverseTerm, ...]:

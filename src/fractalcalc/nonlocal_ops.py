@@ -1,10 +1,8 @@
 """Nonlocal staircase operators: RL integrals, RL and Caputo derivatives.
 
-All kernels act in the staircase coordinate u = S(x). Under the certified
-kernel convention (exponent beta - 1, classical Gamma normalization) the
-conjugated operators are exactly the classical fractional operators; the
-dimension-shifted convention replaces the 1 by the set dimension alpha and
-renormalizes, and is kept selectable for comparison.
+All kernels act in the staircase coordinate u = S(x), with exponent
+beta - 1 and the classical Gamma normalization, so the conjugated operators
+are exactly the classical fractional operators.
 
 Integrals use product integration: the conjugated integrand is interpolated
 piecewise-linearly on a mesh graded toward both endpoints while the kernel
@@ -24,11 +22,13 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import quadrature
-from .core import conjugate
+from .core import conjugate, difference
 from .exceptions import DifferentiationNoiseWarning, DomainError
 from .special import gamma_classical, rgamma
 
 DELTA_BOUNDARY = 1e-9  # offset for one-sided limits at a terminal
+_TAYLOR_STEP = 1e-5  # difference step for Taylor coefficients at a terminal
+_INNER_SAMPLES = 161  # inner-operator samples per composition residual
 
 
 class OperatorKind(enum.Enum):
@@ -42,26 +42,15 @@ class Side(enum.Enum):
     RIGHT = "right"
 
 
-class KernelConvention(enum.Enum):
-    """Exponent placement in the staircase power kernel."""
-
-    CONJUGACY_BETA1 = "beta1"
-    DIMENSION_SHIFTED = "shifted"
-
-
 @dataclass(frozen=True)
 class OperatorSpec:
-    """Operator kind, order, terminal, side, kernel convention, numerics."""
+    """Operator kind, order, terminal, side and mesh density."""
 
     kind: OperatorKind
     beta: float
     terminal: float
     side: Side = Side.LEFT
-    convention: KernelConvention = KernelConvention.CONJUGACY_BETA1
     nodes_per_unit: int = 256
-    grading: float = 3.0
-    h_outer: float | None = None
-    h_inner: float | None = None
 
     def __post_init__(self) -> None:
         if not self.beta > 0.0:
@@ -73,21 +62,11 @@ class OperatorSpec:
             )
         if self.nodes_per_unit < 8:
             raise DomainError("nodes_per_unit must be at least 8")
-        if not self.grading >= 1.0:
-            raise DomainError("grading must be at least 1")
 
     @property
     def n(self) -> int:
         """Smallest integer dominating the order (equal for integer orders)."""
         return math.ceil(self.beta)
-
-
-def _kernel_terms(spec: OperatorSpec, sf, order: float) -> tuple[float, float]:
-    """Kernel exponent and Gamma normalization for an integral of `order`."""
-    if spec.convention is KernelConvention.CONJUGACY_BETA1:
-        return order - 1.0, gamma_classical(order)
-    alpha = float(sf.alpha)
-    return order - alpha, gamma_classical(order - alpha + 1.0)
 
 
 def _node_count(spec: OperatorSpec, span: float) -> int:
@@ -97,7 +76,7 @@ def _node_count(spec: OperatorSpec, span: float) -> int:
 def _integral_u(g, spec: OperatorSpec, sf, order: float, u: float, fixed_nodes: int | None = None) -> float:
     """Product-integrated fractional integral of g in the u coordinate."""
     ua = sf.eval(spec.terminal)
-    mu, norm = _kernel_terms(spec, sf, order)
+    norm = gamma_classical(order)
     if spec.side is Side.LEFT:
         lo, hi = ua, u
         anchor = "hi"
@@ -111,24 +90,8 @@ def _integral_u(g, spec: OperatorSpec, sf, order: float, u: float, fixed_nodes: 
     if hi == lo:
         return 0.0
     cells = fixed_nodes if fixed_nodes is not None else _node_count(spec, hi - lo)
-    mesh = quadrature.graded_mesh_two_sided(lo, hi, cells, spec.grading)
-    return quadrature.product_integrate(g, mesh, mu, singular_at=anchor) / norm
-
-
-def _forward_diff(F, u: float, h: float, n: int, direction: float) -> float:
-    """Second-order one-sided difference; direction +1 forward, -1 backward."""
-    s = direction
-    if n == 1:
-        return s * (-3.0 * F(u) + 4.0 * F(u + s * h) - F(u + 2.0 * s * h)) / (2.0 * h)
-    return (
-        2.0 * F(u) - 5.0 * F(u + s * h) + 4.0 * F(u + 2.0 * s * h) - F(u + 3.0 * s * h)
-    ) / (h * h)
-
-
-def _central_diff(F, u: float, h: float, n: int) -> float:
-    if n == 1:
-        return (F(u + h) - F(u - h)) / (2.0 * h)
-    return (F(u + h) - 2.0 * F(u) + F(u - h)) / (h * h)
+    mesh = quadrature.graded_mesh_two_sided(lo, hi, cells)
+    return quadrature.product_integrate(g, mesh, order - 1.0, singular_at=anchor) / norm
 
 
 def _richardson_stencil(
@@ -136,13 +99,13 @@ def _richardson_stencil(
 ) -> float:
     """(4 D(h/2) - D(h)) / 3 with one-sided fallback near the domain edges."""
     if u - 1.01 * h < lo_limit:
-        diff = lambda step: _forward_diff(F, u, step, n, +1.0)
+        s = 1.0
     elif u + (n + 1.01) * h > hi_limit:
-        diff = lambda step: _forward_diff(F, u, step, n, -1.0)
+        s = -1.0
     else:
-        diff = lambda step: _central_diff(F, u, step, n)
-    coarse = diff(h)
-    fine = diff(h / 2.0)
+        s = 0.0
+    coarse = difference(F, u, h, n, s)
+    fine = difference(F, u, h / 2.0, n, s)
     value = (4.0 * fine - coarse) / 3.0
     drift = abs(fine - coarse) / 3.0
     if drift > 0.05 * max(abs(value), 1e-9):
@@ -155,14 +118,18 @@ def _richardson_stencil(
     return value
 
 
-def _derivative_u(g, spec: OperatorSpec, sf, u: float) -> float:
-    """RL derivative in u: n plain derivatives of the order n - beta integral."""
+def _derivative_u(g, spec: OperatorSpec, sf, u: float, h: float | None = None) -> float:
+    """RL derivative in u: n plain derivatives of the order n - beta integral.
+
+    The difference step h defaults to 1e-4 for n = 1 and 1e-3 otherwise.
+    """
     ua = sf.eval(spec.terminal)
     n = spec.n
     span = abs(u - ua)
     if span == 0.0:
         raise DomainError("derivative is not defined at the terminal itself")
-    h = spec.h_outer if spec.h_outer is not None else (1e-4 if n == 1 else 1e-3)
+    if h is None:
+        h = 1e-4 if n == 1 else 1e-3
     h = min(h, span / 4.0)
     cells = _node_count(spec, span)
 
@@ -187,14 +154,8 @@ def _nth_derivative(
     elif v + (n + 0.01) * h > hi_limit:
         s = -1.0
     else:
-        if n == 1:
-            return (g(v + h) - g(v - h)) / (2.0 * h)
-        return (g(v + h) - 2.0 * g(v) + g(v - h)) / (h * h)
-    if n == 1:
-        return s * (-3.0 * g(v) + 4.0 * g(v + s * h) - g(v + 2.0 * s * h)) / (2.0 * h)
-    return (
-        2.0 * g(v) - 5.0 * g(v + s * h) + 4.0 * g(v + 2.0 * s * h) - g(v + 3.0 * s * h)
-    ) / (h * h)
+        s = 0.0
+    return difference(g, v, h, n, s)
 
 
 def _caputo_u(g, spec: OperatorSpec, sf, u: float) -> float:
@@ -206,14 +167,13 @@ def _caputo_u(g, spec: OperatorSpec, sf, u: float) -> float:
     machinery sees the bounded remainder instead of a singular derivative.
     """
     n = spec.n
-    h = spec.h_inner if spec.h_inner is not None else 1e-5
     ua = sf.eval(spec.terminal)
     coeffs = [g(ua)]
     for j in range(1, n):
         if spec.side is Side.LEFT:
-            coeffs.append(_nth_derivative(g, ua, h, j, lo_limit=ua))
+            coeffs.append(_nth_derivative(g, ua, _TAYLOR_STEP, j, lo_limit=ua))
         else:
-            coeffs.append(_nth_derivative(g, ua, h, j, hi_limit=ua))
+            coeffs.append(_nth_derivative(g, ua, _TAYLOR_STEP, j, hi_limit=ua))
 
     def remainder(v: float) -> float:
         w = v - ua
@@ -311,15 +271,10 @@ def _rl_boundary_terms(g, spec: OperatorSpec, sf, w: float) -> float:
     for j in range(1, spec.n + 1):
         order_j = beta - j
         if order_j > 0.0:
-            dspec = replace(
-                spec,
-                beta=order_j,
-                kind=OperatorKind.RL_DERIVATIVE,
-                h_outer=DELTA_BOUNDARY / 8.0,
-            )
+            dspec = replace(spec, beta=order_j, kind=OperatorKind.RL_DERIVATIVE)
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", DifferentiationNoiseWarning)
-                limit = _derivative_u(g, dspec, sf, probe)
+                limit = _derivative_u(g, dspec, sf, probe, h=DELTA_BOUNDARY / 8.0)
         elif order_j == 0.0:
             limit = g(probe)
         else:
@@ -335,18 +290,17 @@ def _caputo_boundary_terms(g, spec: OperatorSpec, sf, w: float) -> float:
     side (the Taylor expansion runs in the inward direction).
     """
     ua = sf.eval(spec.terminal)
-    h = 1e-5
     if spec.side is Side.LEFT:
         probe = ua + DELTA_BOUNDARY
         total = g(probe)
         for j in range(1, spec.n):
-            d = _nth_derivative(g, probe, h, j, lo_limit=ua)
+            d = _nth_derivative(g, probe, _TAYLOR_STEP, j, lo_limit=ua)
             total += d / math.factorial(j) * w ** j
     else:
         probe = ua - DELTA_BOUNDARY
         total = g(probe)
         for j in range(1, spec.n):
-            d = _nth_derivative(g, probe, h, j, hi_limit=ua)
+            d = _nth_derivative(g, probe, _TAYLOR_STEP, j, hi_limit=ua)
             total += (-1.0) ** j * d / math.factorial(j) * w ** j
     return total
 
@@ -357,17 +311,14 @@ def composition_residual(
     beta: float,
     sf,
     interval: tuple[float, float],
-    grid=None,
-    convention: KernelConvention = KernelConvention.CONJUGACY_BETA1,
-    nodes_per_unit: int = 256,
-    inner_grid: int = 161,
 ) -> float:
     """Max defect of integral-after-derivative against its identity.
 
     The inner derivative is sampled once on a grid clustered toward the
     terminal (where it is generically singular) and interpolated, so the
     outer integral does not re-run the derivative machinery at every
-    quadrature node. Returns the sup of the absolute residual over the grid.
+    quadrature node. Returns the sup of the absolute residual over 16 points
+    evenly spaced in u, away from the terminal.
     """
     a, b = float(interval[0]), float(interval[1])
     left = kind in (CompositionKind.RL_LEFT, CompositionKind.CAPUTO_LEFT)
@@ -379,8 +330,6 @@ def composition_residual(
         beta=beta,
         terminal=terminal,
         side=side,
-        convention=convention,
-        nodes_per_unit=nodes_per_unit,
     )
     g = conjugate(f, sf)
     ua = sf.eval(a)
@@ -388,19 +337,13 @@ def composition_residual(
     if not ub > ua:
         raise DomainError("interval has empty staircase measure")
 
-    if grid is None:
-        us = np.linspace(ua + 0.1 * (ub - ua), ub, 16) if left else np.linspace(
-            ua, ub - 0.1 * (ub - ua), 16
-        )
-    else:
-        us = np.array([sf.eval(x) for x in grid], dtype=float)
-        uterm = ua if left else ub
-        if np.any(np.abs(us - uterm) < 1e-6):
-            raise DomainError("grid points must keep clear of the terminal")
+    us = np.linspace(ua + 0.1 * (ub - ua), ub, 16) if left else np.linspace(
+        ua, ub - 0.1 * (ub - ua), 16
+    )
 
     # Sample the inner operator on a grid clustered at the terminal.
     pad = 8.0 * DELTA_BOUNDARY
-    frac = (np.arange(inner_grid) / (inner_grid - 1.0)) ** 4.0
+    frac = (np.arange(_INNER_SAMPLES) / (_INNER_SAMPLES - 1.0)) ** 4.0
     if left:
         ugrid = (ua + pad) + (float(us.max()) - ua - pad) * frac
     else:
@@ -420,7 +363,7 @@ def composition_residual(
     # exponents beta-1 and -beta integrate to Gamma(beta)Gamma(1-beta)).
     head_coeff = 0.0
     uterm = ua if left else ub
-    if not caputo and spec.n == 1 and convention is KernelConvention.CONJUGACY_BETA1:
+    if not caputo and spec.n == 1:
         g_term = g(uterm)
         if math.isfinite(g_term):
             head_coeff = g_term * rgamma(1.0 - beta)

@@ -4,7 +4,7 @@ Smooth integrands go through composite Gauss-Legendre panels aligned to unit
 intervals. Endpoint-singular integrands (integrable power singularities) go
 through tanh-sinh, whose nodes never touch the endpoints. Weakly singular
 convolution kernels are integrated by product rules: the integrand is
-interpolated piecewise-linearly on a (possibly graded) mesh and the kernel
+interpolated piecewise-linearly on a graded mesh and the kernel
 moments are taken exactly.
 """
 
@@ -48,17 +48,6 @@ def gauss_composite(g, lo: float, hi: float, nodes: int = 64) -> float:
             raise ValueError("integrand returned a non-finite value")
         total += c * float(wg @ vals)
     return total
-
-
-def trapezoid_composite(g, lo: float, hi: float, nodes: int = 64) -> float:
-    if hi == lo:
-        return 0.0
-    n = max(2, math.ceil(nodes * (hi - lo)))
-    xs = np.linspace(lo, hi, n + 1)
-    vals = np.array([g(x) for x in xs], dtype=float)
-    if not np.isfinite(vals).all():
-        raise ValueError("integrand returned a non-finite value")
-    return float(np.trapezoid(vals, xs))
 
 
 def tanh_sinh(g, lo: float, hi: float, tol: float = 1e-12, max_level: int = 11) -> float:
@@ -143,23 +132,17 @@ def tanh_sinh(g, lo: float, hi: float, tol: float = 1e-12, max_level: int = 11) 
 # -- product integration against weakly singular kernels ---------------------
 
 
-def graded_mesh(lo: float, hi: float, n: int, grading: float = 3.0) -> np.ndarray:
-    """Ascending mesh of n cells on [lo, hi], refined toward lo for grading > 1."""
-    j = np.arange(n + 1, dtype=float) / n
-    return lo + (hi - lo) * j**grading
-
-
-def graded_mesh_two_sided(lo: float, hi: float, n: int, grading: float = 3.0) -> np.ndarray:
-    """Mesh of ~n cells refined toward both endpoints.
+def graded_mesh_two_sided(lo: float, hi: float, n: int) -> np.ndarray:
+    """Mesh of ~n cells refined toward both endpoints, with cubic grading.
 
     Kernel singularities sit at one endpoint and integrand curvature usually
     concentrates at the other, so both ends get clustered cells.
     """
     half = max(1, n // 2)
     mid = 0.5 * (lo + hi)
-    jl = (np.arange(half + 1, dtype=float) / half) ** grading
+    jl = (np.arange(half + 1, dtype=float) / half) ** 3.0
     left = lo + (mid - lo) * jl
-    jr = (np.arange(half, dtype=float) / half)[::-1] ** grading
+    jr = (np.arange(half, dtype=float) / half)[::-1] ** 3.0
     right = hi - (hi - mid) * jr
     return np.concatenate([left, right])
 

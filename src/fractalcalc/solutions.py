@@ -59,7 +59,6 @@ class ExampleProblem:
     operator: OperatorSpec
     order: Fraction
     rhs_terms: tuple[tuple[float, Fraction], ...]
-    rhs_text: str
     initial_data: tuple[InitialDatum, ...]
     lam: float
 
@@ -72,12 +71,12 @@ class SolutionReport:
     solution: GridFunction
     residual: GridFunction
     max_residual: float
-    variant_solution: GridFunction | None
+    variant_solution: GridFunction
     variant_discrepancy: float
     variant_max_residual: float
     transform: LaplaceExpr
     derived_terms: tuple[InverseTerm, ...]
-    variant_terms: tuple[InverseTerm, ...] | None
+    variant_terms: tuple[InverseTerm, ...]
     notes: tuple[str, ...]
     solution_fn: object
     variant_fn: object
@@ -98,7 +97,6 @@ def example_problem(example_id: int, lam: float = -0.5) -> ExampleProblem:
             OperatorSpec(OperatorKind.CAPUTO, 0.5, terminal=0.0, side=Side.LEFT),
             _HALF,
             ((2.0, Fraction(0)),),
-            "2",
             (InitialDatum(Fraction(1), 0.0, 1.0, fits_rule_slot=False),),
             0.0,
         )
@@ -108,7 +106,6 @@ def example_problem(example_id: int, lam: float = -0.5) -> ExampleProblem:
             OperatorSpec(OperatorKind.CAPUTO, 0.5, terminal=1.0, side=Side.LEFT),
             _HALF,
             ((-1.0, Fraction(1)),),
-            "1 - S(x)",
             (InitialDatum(Fraction(1), 1.0, 0.0, fits_rule_slot=False),),
             0.0,
         )
@@ -118,7 +115,6 @@ def example_problem(example_id: int, lam: float = -0.5) -> ExampleProblem:
             OperatorSpec(OperatorKind.RL_DERIVATIVE, 0.5, terminal=0.0, side=Side.LEFT),
             _HALF,
             (),
-            "y(x)",
             (InitialDatum(Fraction(-1, 2), 0.0, 1.0),),
             1.0,
         )
@@ -132,7 +128,6 @@ def example_problem(example_id: int, lam: float = -0.5) -> ExampleProblem:
             ),
             Fraction(4, 3),
             ((1.0, Fraction(2)),),
-            "lam * y(x) + S(x)^2",
             (
                 InitialDatum(Fraction(1, 3), 0.0, 1.0),
                 InitialDatum(Fraction(-1, 6), 0.0, 2.0, fits_rule_slot=False),
@@ -142,9 +137,7 @@ def example_problem(example_id: int, lam: float = -0.5) -> ExampleProblem:
     raise DomainError(f"example id must be 1..4, got {example_id!r}")
 
 
-def _derive_transform(
-    problem: ExampleProblem, scale_rhs: float, scale_data: float
-) -> tuple[LaplaceExpr, tuple[str, ...]]:
+def _derive_transform(problem: ExampleProblem) -> tuple[LaplaceExpr, tuple[str, ...]]:
     """Transform the equation and solve for the unknown image symbolically.
 
     Works in the coordinate w = S(x) - S(terminal), so the standard
@@ -156,7 +149,7 @@ def _derive_transform(
 
     rhs = LaplaceExpr.zero()
     for coeff, eta in problem.rhs_terms:
-        rhs = rhs + transform_power(eta).scaled(coeff * scale_rhs)
+        rhs = rhs + transform_power(eta).scaled(coeff)
 
     data_terms = LaplaceExpr.zero()
     if problem.example_id == 1:
@@ -169,7 +162,7 @@ def _derive_transform(
             "its value is consumed as the terminal value of y, the slot the "
             "transform rule actually has"
         )
-        y0 = problem.initial_data[0].value * scale_data
+        y0 = problem.initial_data[0].value
         data_terms = data_terms + LaplaceExpr.of(LaplaceTerm(y0, beta - 1))
     elif problem.example_id == 2:
         notes.append(
@@ -177,13 +170,13 @@ def _derive_transform(
             "solution family; the terminal value y = 0 is the choice that "
             "closes the problem and it reproduces the variant closed form"
         )
-        y0 = problem.initial_data[0].value * scale_data
+        y0 = problem.initial_data[0].value
         data_terms = data_terms + LaplaceExpr.of(LaplaceTerm(y0, beta - 1))
     elif problem.example_id == 3:
-        c1 = problem.initial_data[0].value * scale_data
+        c1 = problem.initial_data[0].value
         data_terms = data_terms + LaplaceExpr.of(LaplaceTerm(c1, Fraction(0)))
     else:
-        c1 = problem.initial_data[0].value * scale_data
+        c1 = problem.initial_data[0].value
         data_terms = data_terms + LaplaceExpr.of(LaplaceTerm(c1, Fraction(0)))
         # The order -1/6 datum fits no slot of the order 4/3 rule (slots are
         # at orders 1/3 and -2/3). It is excluded; a zero-coefficient term at
@@ -203,7 +196,7 @@ def _derive_transform(
     return image, tuple(notes)
 
 
-def _variant_terms(problem: ExampleProblem) -> tuple[tuple[InverseTerm, ...], str] | None:
+def _variant_terms(problem: ExampleProblem) -> tuple[tuple[InverseTerm, ...], str]:
     """Closed forms in circulation for these problems, for comparison only."""
     if problem.example_id == 1:
         terms = (
@@ -223,21 +216,19 @@ def _variant_terms(problem: ExampleProblem) -> tuple[tuple[InverseTerm, ...], st
             "the transform algebra fixes a positive Mittag-Leffler argument; "
             "the sign-flipped variant fails the residual check"
         )
-    if problem.example_id == 4:
-        q = Fraction(4, 3)
-        lam = problem.lam
-        terms = (
-            InverseTerm(1.0, q, q, q, lam),
-            InverseTerm(2.0, Fraction(-1, 6), q, Fraction(5, 6), lam),
-            InverseTerm(2.0, Fraction(10, 3), q, Fraction(13, 3), lam),
-        )
-        return terms, (
-            "the variant formula carries coefficient 2 on the middle term "
-            "and power 4/3 on the leading term; the rule-based inversion "
-            "gives coefficient 0 and power 1/3, and the residual check "
-            "confirms the derived form"
-        )
-    return None
+    q = Fraction(4, 3)
+    lam = problem.lam
+    terms = (
+        InverseTerm(1.0, q, q, q, lam),
+        InverseTerm(2.0, Fraction(-1, 6), q, Fraction(5, 6), lam),
+        InverseTerm(2.0, Fraction(10, 3), q, Fraction(13, 3), lam),
+    )
+    return terms, (
+        "the variant formula carries coefficient 2 on the middle term "
+        "and power 4/3 on the leading term; the rule-based inversion "
+        "gives coefficient 0 and power 1/3, and the residual check "
+        "confirms the derived form"
+    )
 
 
 def default_grid(example_id: int, sf, count: int = 25):
@@ -261,7 +252,7 @@ def example_solution_fn(example_id: int, sf=None, lam: float = -0.5):
     if sf is None:
         sf = default_staircase()
     problem = example_problem(example_id, lam)
-    image, _ = _derive_transform(problem, 1.0, 1.0)
+    image, _ = _derive_transform(problem)
     terms = invert_terms(image)
     ua = sf.eval(problem.operator.terminal)
     return _terms_fn(terms, sf, ua)
@@ -272,8 +263,6 @@ def solve_example(
     sf=None,
     lam: float = -0.5,
     grid=None,
-    scale_rhs: float = 1.0,
-    scale_data: float = 1.0,
 ) -> SolutionReport:
     """Derive, evaluate, and residual-check one example problem."""
     if sf is None:
@@ -283,14 +272,14 @@ def solve_example(
         grid = default_grid(example_id, sf)
     xs = list(grid)
 
-    image, notes = _derive_transform(problem, scale_rhs, scale_data)
+    image, notes = _derive_transform(problem)
     terms = invert_terms(image)
     ua = sf.eval(problem.operator.terminal)
     solution_fn = _terms_fn(terms, sf, ua)
 
     def rhs_fn(x) -> float:
         w = sf.eval(x) - ua
-        return scale_rhs * sum(c * w ** float(eta) for c, eta in problem.rhs_terms)
+        return sum(c * w ** float(eta) for c, eta in problem.rhs_terms)
 
     xs_float = np.array([float(x) for x in xs])
     sol_vals = np.array([solution_fn(x) for x in xs])
@@ -302,34 +291,25 @@ def solve_example(
     solution = GridFunction(xs_float, sol_vals, label=f"example-{example_id}")
     residual = GridFunction(xs_float, res_vals, label=f"residual-{example_id}")
 
-    variant_solution = None
-    variant_terms_out = None
-    variant_fn = None
-    variant_discrepancy = 0.0
+    variant_terms_out, variant_note = _variant_terms(problem)
+    notes = notes + (variant_note,)
+    variant_fn = _terms_fn(variant_terms_out, sf, ua)
+    var_vals = np.array([variant_fn(x) for x in xs])
+    variant_solution = GridFunction(xs_float, var_vals, label=f"variant-{example_id}")
+    variant_discrepancy = float(np.max(np.abs(var_vals - sol_vals)))
     variant_max_residual = 0.0
-    if scale_rhs == 1.0 and scale_data == 1.0:
-        variant = _variant_terms(problem)
-        if variant is not None:
-            variant_terms_out, variant_note = variant
-            notes = notes + (variant_note,)
-            variant_fn = _terms_fn(variant_terms_out, sf, ua)
-            var_vals = np.array([variant_fn(x) for x in xs])
-            variant_solution = GridFunction(
-                xs_float, var_vals, label=f"variant-{example_id}"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for i, x in enumerate(xs):
+            rhs = problem.lam * var_vals[i] + rhs_fn(x)
+            try:
+                lhs = evaluate(problem.operator, variant_fn, sf, x)
+            except (ArithmeticError, ValueError, RuntimeError):
+                variant_max_residual = math.inf
+                break
+            variant_max_residual = max(
+                variant_max_residual, abs(lhs - rhs) / max(1.0, abs(rhs))
             )
-            variant_discrepancy = float(np.max(np.abs(var_vals - sol_vals)))
-            worst = 0.0
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                for i, x in enumerate(xs):
-                    rhs = problem.lam * var_vals[i] + rhs_fn(x)
-                    try:
-                        lhs = evaluate(problem.operator, variant_fn, sf, x)
-                    except (ArithmeticError, ValueError, RuntimeError):
-                        worst = math.inf
-                        break
-                    worst = max(worst, abs(lhs - rhs) / max(1.0, abs(rhs)))
-            variant_max_residual = worst
 
     return SolutionReport(
         problem=problem,

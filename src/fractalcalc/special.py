@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -113,23 +112,6 @@ def beta_fractal_quadrature(r: float, s: float) -> float:
     return half(r, s) + half(s, r)
 
 
-@dataclass(frozen=True)
-class MLParams:
-    """Series controls for the two-parameter Mittag-Leffler function."""
-
-    eta: float
-    nu: float
-    tol: float = 1e-15
-    max_terms: int = 512
-    z_max: float = 50.0
-
-    def __post_init__(self) -> None:
-        if not self.eta > 0.0:
-            raise DomainError(f"first parameter must be positive, got {self.eta!r}")
-        if not (self.tol > 0.0 and self.max_terms >= 1 and self.z_max > 0.0):
-            raise DomainError("invalid series controls")
-
-
 def mittag_leffler(
     eta: float,
     nu: float,
@@ -145,10 +127,13 @@ def mittag_leffler(
     skipped. Raises ConvergenceError when the truncated series cannot be
     trusted at the requested tolerance.
     """
-    params = MLParams(eta, nu, tol=tol, max_terms=max_terms, z_max=z_max)
+    if not eta > 0.0:
+        raise DomainError(f"first parameter must be positive, got {eta!r}")
+    if not (tol > 0.0 and max_terms >= 1 and z_max > 0.0):
+        raise DomainError("invalid series controls")
     z = float(z)
-    if abs(z) > params.z_max:
-        raise DomainError(f"|z| = {abs(z)!r} exceeds the series cap {params.z_max!r}")
+    if abs(z) > z_max:
+        raise DomainError(f"|z| = {abs(z)!r} exceeds the series cap {z_max!r}")
     if z == 0.0:
         return rgamma(nu)
 
@@ -156,7 +141,7 @@ def mittag_leffler(
     sign_z = 1.0 if z > 0.0 else -1.0
     acc = 0.0
     tail_small = 0
-    for k in range(params.max_terms):
+    for k in range(max_terms):
         a = eta * k + nu
         if a <= 0.0 and a == math.floor(a):
             continue
@@ -167,14 +152,14 @@ def mittag_leffler(
             )
         term = (sign_z ** k) * _sign_gamma(a) * math.exp(log_term)
         acc += term
-        if k >= 16 and abs(term) <= params.tol * max(abs(acc), 1.0):
+        if k >= 16 and abs(term) <= tol * max(abs(acc), 1.0):
             tail_small += 1
             if tail_small >= 2:
                 return acc
         else:
             tail_small = 0
     raise ConvergenceError(
-        f"series did not settle in {params.max_terms} terms for z={z!r}"
+        f"series did not settle in {max_terms} terms for z={z!r}"
     )
 
 

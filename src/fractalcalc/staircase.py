@@ -247,27 +247,6 @@ class IdentityMap:
         return True
 
 
-def cantor_eval(sf: StaircaseFn, x) -> float:
-    """Staircase value S(x), truncated (one-sided) at the digit depth."""
-    return sf.eval(x)
-
-
-def cantor_quantile(sf: StaircaseFn, u) -> float:
-    """A Cantor-set point t with S(t) = u, as a float.
-
-    The exact rational representative is available from
-    ``sf.quantile_exact(u)``; round-tripping through this float loses digits
-    past about 2**-33 because the ternary expansion is re-read from a binary
-    approximation.
-    """
-    return sf.quantile(u)
-
-
-def cantor_membership(sf: StaircaseFn, x) -> bool:
-    """Membership of x in the depth-digit prefractal of the Cantor set."""
-    return sf.membership(x)
-
-
 def prefractal_intervals(depth: int) -> list[tuple[Fraction, Fraction]]:
     """Closed intervals of the depth-th prefractal iterate, left to right."""
     if not isinstance(depth, int) or depth < 0 or depth > 20:

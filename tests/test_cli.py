@@ -86,6 +86,13 @@ class TestExitCodes:
         code, _, _ = run_cli(["gamma", "--grid", "0", "0", "1"])
         assert code == 1
 
+    @pytest.mark.parametrize("count", ["nan", "inf", "2.7", "0", "-3"])
+    def test_bad_grid_count_is_a_usage_error(self, count):
+        code, out, err = run_cli(["staircase", "--grid", "0", "1", count])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
 
 class TestFigures:
     def test_svg_output(self, tmp_path):
@@ -125,8 +132,8 @@ class TestConfig:
 
     def test_kernel_and_alpha_flags(self):
         parser = cli.build_parser()
-        config = cli.config_from_args(
-            parser.parse_args(["rl-int", "--kernel", "shifted", "--alpha-mode", "identity"])
-        )
-        assert config.kernel == "shifted"
+        config = cli.config_from_args(parser.parse_args(["rl-int", "--alpha-mode", "identity"]))
         assert config.alpha_mode == "identity"
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["rl-int", "--kernel", "shifted"])
+        assert exc.value.code == 2

@@ -14,8 +14,6 @@ from fractalcalc import (
     LaplaceTerm,
     StaircaseFn,
     TailBoundError,
-    TransformRule,
-    apply_rule,
     convolve,
     evaluate_inverse,
     gamma_classical,
@@ -113,16 +111,6 @@ class TestRules:
     def test_too_much_data_rejected(self):
         with pytest.raises(DomainError):
             transform_caputo(unknown_transform(), Fraction(1, 2), data=(1.0, 2.0))
-
-    def test_apply_rule_dispatch(self):
-        e1 = apply_rule(TransformRule.POWER, LaplaceExpr.zero(), Fraction(2))
-        assert e1.terms == transform_power(2).terms
-        e2 = apply_rule(TransformRule.RL_INTEGRAL, transform_power(0), Fraction(1, 2))
-        assert e2.terms[0].p == Fraction(-3, 2)
-        e3 = apply_rule(
-            TransformRule.CAPUTO_DERIVATIVE, unknown_transform(), Fraction(4, 3), (1.0, 2.0)
-        )
-        assert len(e3.terms) == 3
 
     def test_nonpositive_order_rejected(self):
         with pytest.raises(DomainError):

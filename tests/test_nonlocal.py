@@ -12,7 +12,6 @@ from fractalcalc import (
     DifferentiationNoiseWarning,
     DomainError,
     IdentityMap,
-    KernelConvention,
     OperatorKind,
     OperatorSpec,
     Side,
@@ -59,8 +58,6 @@ class TestSpecValidation:
     def test_mesh_controls(self):
         with pytest.raises(DomainError):
             OperatorSpec(OperatorKind.RL_INTEGRAL, 0.5, 0.0, nodes_per_unit=0)
-        with pytest.raises(DomainError):
-            OperatorSpec(OperatorKind.RL_INTEGRAL, 0.5, 0.0, grading=0.5)
 
     def test_n_is_the_integer_ceiling(self):
         assert OperatorSpec(OperatorKind.RL_DERIVATIVE, 0.5, 0.0).n == 1
@@ -84,17 +81,6 @@ class TestClassicalValuesOnIdentity:
         spec = OperatorSpec(OperatorKind.CAPUTO, 1.5, 0.0)
         got = quiet(caputo_derivative, spec, lambda t: float(t) ** 2, ident, 0.8)
         assert got == pytest.approx(2.018506017616128, rel=1e-3)
-
-    def test_conventions_coincide(self, ident):
-        # the exponent and normalization agree when the walk dimension is 1
-        f = lambda t: float(t) ** 2
-        for kind in (OperatorKind.RL_INTEGRAL, OperatorKind.RL_DERIVATIVE):
-            specs = [
-                OperatorSpec(kind, 0.5, 0.0, convention=conv)
-                for conv in KernelConvention
-            ]
-            vals = [quiet(evaluate, s, f, ident, 0.8) for s in specs]
-            assert vals[0] == pytest.approx(vals[1], rel=1e-12)
 
 
 class TestPowerRules:

@@ -139,11 +139,6 @@ class TestResiduals:
         for rep in reports.values():
             assert gap_plateau_spread(rep) == 0.0
 
-    def test_trivial_scaling_gives_zero_solution(self, sf):
-        rep = solve_example(1, sf, scale_rhs=0.0, scale_data=0.0)
-        assert rep.solution.max_abs() == 0.0
-        assert rep.max_residual == 0.0
-
 
 class TestDegeneration:
     def test_alpha_one_matches_classical_solutions(self):

@@ -9,7 +9,6 @@ from fractalcalc import (
     ConvergenceError,
     DomainError,
     GammaMode,
-    MLParams,
     PoleError,
     StaircaseFn,
     beta_fractal,
@@ -149,10 +148,11 @@ class TestMittagLeffler:
 
     def test_params_validation(self):
         with pytest.raises(DomainError):
-            MLParams(eta=0.0, nu=1.0)
+            mittag_leffler(0.0, 1.0, 0.5)
         with pytest.raises(DomainError):
-            MLParams(eta=0.5, nu=1.0, tol=-1.0)
+            mittag_leffler(0.5, 1.0, 0.5, tol=-1.0)
         with pytest.raises(DomainError):
-            MLParams(eta=0.5, nu=1.0, max_terms=0)
-        p = MLParams(eta=0.5, nu=0.5)
-        assert p.eta == 0.5
+            mittag_leffler(0.5, 1.0, 0.5, max_terms=0)
+        with pytest.raises(DomainError):
+            mittag_leffler(0.5, 1.0, 0.5, z_max=0.0)
+        assert mittag_leffler(0.5, 0.5, 0.0) == pytest.approx(1.0 / math.sqrt(math.pi))

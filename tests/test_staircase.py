@@ -15,9 +15,6 @@ from fractalcalc import (
     ExtensionRule,
     IdentityMap,
     StaircaseFn,
-    cantor_eval,
-    cantor_membership,
-    cantor_quantile,
     prefractal_intervals,
 )
 from fractalcalc.staircase import (
@@ -225,8 +222,8 @@ class TestQuantile:
 
     def test_float_round_trip_tolerance(self, sf):
         u = 0.7
-        x = cantor_quantile(sf, u)
-        assert cantor_eval(sf, x) == pytest.approx(u, abs=2**-33)
+        x = sf.quantile(u)
+        assert sf.eval(x) == pytest.approx(u, abs=2**-33)
 
 
 class TestMembership:
@@ -238,7 +235,7 @@ class TestMembership:
         assert sf.membership(Fraction(1, 4))
         assert not sf.membership(Fraction(1, 2))
         assert not sf.membership(Fraction(2, 5))
-        assert cantor_membership(sf, Fraction(3, 4))
+        assert sf.membership(Fraction(3, 4))
 
     def test_gap_endpoint_rewrite(self, sf):
         # 1/3 = 0.1_3 = 0.0222..._3: the terminating-1 rewrite keeps it inside
