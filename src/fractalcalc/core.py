@@ -49,13 +49,19 @@ class GridFunction:
 
 @dataclass(frozen=True)
 class ConjugatedFn:
-    """f seen in the staircase coordinate: evaluates f(quantile(u))."""
+    """f seen in the staircase coordinate: evaluates f(quantile(u)).
+
+    f is opaque, so an array of u is evaluated one element at a time.
+    """
 
     underlying: object
     sf: StaircaseFn
 
-    def __call__(self, u) -> float:
-        return float(self.underlying(self.sf.quantile_exact(u)))
+    def __call__(self, u):
+        f, quantile = self.underlying, self.sf.quantile_exact
+        if isinstance(u, np.ndarray):
+            return np.array([float(f(quantile(v))) for v in u.flat]).reshape(u.shape)
+        return float(f(quantile(u)))
 
 
 def conjugate(f, sf) -> ConjugatedFn:

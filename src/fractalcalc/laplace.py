@@ -16,6 +16,8 @@ import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
+import numpy as np
+
 from . import quadrature
 from .core import conjugate
 from .exceptions import DomainError, TailBoundError
@@ -199,15 +201,18 @@ class InverseTerm:
     ml_nu: Fraction | None = None
     lam: float = 0.0
 
-    def evaluate_u(self, u: float) -> float:
-        u = float(u)
+    def evaluate_u(self, u):
+        """The term at staircase distance u (a float or a float array)."""
         pw = float(self.power)
-        if u == 0.0:
-            if pw < 0.0:
-                raise DomainError("inverse term diverges at the terminal")
-            base = self.coeff * (1.0 if pw == 0.0 else 0.0)
+        if np.ndim(u) == 0:
+            u = float(u)
+            at_terminal = u == 0.0
         else:
-            base = self.coeff * u ** pw
+            u = np.asarray(u, dtype=float)
+            at_terminal = (u == 0.0).any()
+        if at_terminal and pw < 0.0:
+            raise DomainError("inverse term diverges at the terminal")
+        base = self.coeff * u ** pw
         if self.ml_eta is None:
             return base
         z = self.lam * u ** float(self.ml_eta)
@@ -236,7 +241,8 @@ def invert_terms(expr: LaplaceExpr) -> tuple[InverseTerm, ...]:
     return tuple(out)
 
 
-def evaluate_inverse(terms, u: float) -> float:
+def evaluate_inverse(terms, u):
+    """Sum of the inverse terms at u (a float or a float array)."""
     return sum(t.evaluate_u(u) for t in terms)
 
 
@@ -279,15 +285,15 @@ def laplace_numeric(
             f"tail bound {bound:.3e} at truncation u={upper!r} exceeds tol={tol!r}"
         )
 
-    def integrand(u: float) -> float:
-        return math.exp(-sigma * u) * g(u)
+    def integrand(u):
+        return np.exp(-sigma * u) * g(u)
 
     split = min(1.0, upper)
     head = quadrature.tanh_sinh(integrand, 0.0, split)
     rest = 0.0
     if upper > split:
         rest = quadrature.gauss_composite(integrand, split, upper, nodes_per_unit)
-    return head + rest
+    return float(head + rest)
 
 
 def convolve(f1, f2, sf, x: float) -> float:

@@ -10,6 +10,15 @@ is integrated in closed form cell by cell. Derivatives wrap a Richardson
 difference stencil around the lower-order integral, holding the mesh size
 fixed across the stencil so quadrature error varies smoothly in the offset
 and cancels in the extrapolation.
+
+Every operator works on an integrand g of u under the protocol of
+`quadrature`: g takes a float or a float ndarray of u and returns the same
+shape, and each product integral evaluates its whole mesh interior in one
+call. `evaluate_u` applies an operator to such a g directly; the x-space
+entries (`evaluate`, `rl_integral`, `rl_derivative`, `caputo_derivative`)
+wrap f as `conjugate(f, sf)`, which reaches f through the quantile one
+element at a time. An integrand known in closed form in u, such as a
+solution built from staircase powers, skips the quantile altogether.
 """
 
 from __future__ import annotations
@@ -73,9 +82,11 @@ def _node_count(spec: OperatorSpec, span: float) -> int:
     return min(4096, max(32, int(math.ceil(spec.nodes_per_unit * span))))
 
 
-def _integral_u(g, spec: OperatorSpec, sf, order: float, u: float, fixed_nodes: int | None = None) -> float:
-    """Product-integrated fractional integral of g in the u coordinate."""
-    ua = sf.eval(spec.terminal)
+def _integral_u(g, spec: OperatorSpec, ua: float, order: float, u: float, fixed_nodes: int | None = None) -> float:
+    """Product-integrated fractional integral of g in the u coordinate.
+
+    ua is the terminal's staircase coordinate, S(spec.terminal).
+    """
     norm = gamma_classical(order)
     if spec.side is Side.LEFT:
         lo, hi = ua, u
@@ -118,12 +129,11 @@ def _richardson_stencil(
     return value
 
 
-def _derivative_u(g, spec: OperatorSpec, sf, u: float, h: float | None = None) -> float:
+def _derivative_u(g, spec: OperatorSpec, ua: float, u: float, h: float | None = None) -> float:
     """RL derivative in u: n plain derivatives of the order n - beta integral.
 
     The difference step h defaults to 1e-4 for n = 1 and 1e-3 otherwise.
     """
-    ua = sf.eval(spec.terminal)
     n = spec.n
     span = abs(u - ua)
     if span == 0.0:
@@ -134,7 +144,7 @@ def _derivative_u(g, spec: OperatorSpec, sf, u: float, h: float | None = None) -
     cells = _node_count(spec, span)
 
     def F(w: float) -> float:
-        return _integral_u(g, spec, sf, n - spec.beta, w, fixed_nodes=cells)
+        return _integral_u(g, spec, ua, n - spec.beta, w, fixed_nodes=cells)
 
     if spec.side is Side.LEFT:
         value = _richardson_stencil(F, u, h, n, lo_limit=ua, hi_limit=math.inf)
@@ -158,7 +168,7 @@ def _nth_derivative(
     return difference(g, v, h, n, s)
 
 
-def _caputo_u(g, spec: OperatorSpec, sf, u: float) -> float:
+def _caputo_u(g, spec: OperatorSpec, ua: float, u: float) -> float:
     """Caputo derivative in u, as the RL derivative of the Taylor remainder.
 
     Equivalent to kernel-integrating the inner n-th derivative, but stays
@@ -167,7 +177,6 @@ def _caputo_u(g, spec: OperatorSpec, sf, u: float) -> float:
     machinery sees the bounded remainder instead of a singular derivative.
     """
     n = spec.n
-    ua = sf.eval(spec.terminal)
     coeffs = [g(ua)]
     for j in range(1, n):
         if spec.side is Side.LEFT:
@@ -175,18 +184,18 @@ def _caputo_u(g, spec: OperatorSpec, sf, u: float) -> float:
         else:
             coeffs.append(_nth_derivative(g, ua, _TAYLOR_STEP, j, hi_limit=ua))
 
-    def remainder(v: float) -> float:
+    def remainder(v):
         w = v - ua
         acc = g(v)
         fact = 1.0
         for j, c in enumerate(coeffs):
             if j:
                 fact *= j
-            acc -= c * w**j / fact
+            acc = acc - c * w**j / fact
         return acc
 
     dspec = replace(spec, kind=OperatorKind.RL_DERIVATIVE)
-    return _derivative_u(remainder, dspec, sf, u)
+    return _derivative_u(remainder, dspec, ua, u)
 
 
 def _require_kind(spec: OperatorSpec, kind: OperatorKind) -> None:
@@ -194,30 +203,41 @@ def _require_kind(spec: OperatorSpec, kind: OperatorKind) -> None:
         raise DomainError(f"operator spec is {spec.kind.value}, expected {kind.value}")
 
 
+def evaluate_u(spec: OperatorSpec, g, sf, u: float) -> float:
+    """The operator of spec applied to the u-space integrand g, at u.
+
+    g follows the integrand protocol (a float or a float array of u in, the
+    same shape out); sf only locates the terminal, at u = S(spec.terminal).
+    """
+    ua = sf.eval(spec.terminal)
+    if spec.kind is OperatorKind.RL_INTEGRAL:
+        return _integral_u(g, spec, ua, spec.beta, u)
+    if spec.kind is OperatorKind.RL_DERIVATIVE:
+        return _derivative_u(g, spec, ua, u)
+    return _caputo_u(g, spec, ua, u)
+
+
+def evaluate(spec: OperatorSpec, f, sf, x) -> float:
+    """The operator of spec applied to f, at x."""
+    return evaluate_u(spec, conjugate(f, sf), sf, sf.eval(x))
+
+
 def rl_integral(spec: OperatorSpec, f, sf, x) -> float:
     """Staircase RL integral of f at x, order spec.beta from spec.terminal."""
     _require_kind(spec, OperatorKind.RL_INTEGRAL)
-    return _integral_u(conjugate(f, sf), spec, sf, spec.beta, sf.eval(x))
+    return evaluate(spec, f, sf, x)
 
 
 def rl_derivative(spec: OperatorSpec, f, sf, x) -> float:
     """Staircase RL derivative of f at x."""
     _require_kind(spec, OperatorKind.RL_DERIVATIVE)
-    return _derivative_u(conjugate(f, sf), spec, sf, sf.eval(x))
+    return evaluate(spec, f, sf, x)
 
 
 def caputo_derivative(spec: OperatorSpec, f, sf, x) -> float:
     """Staircase Caputo derivative of f at x."""
     _require_kind(spec, OperatorKind.CAPUTO)
-    return _caputo_u(conjugate(f, sf), spec, sf, sf.eval(x))
-
-
-def evaluate(spec: OperatorSpec, f, sf, x) -> float:
-    if spec.kind is OperatorKind.RL_INTEGRAL:
-        return rl_integral(spec, f, sf, x)
-    if spec.kind is OperatorKind.RL_DERIVATIVE:
-        return rl_derivative(spec, f, sf, x)
-    return caputo_derivative(spec, f, sf, x)
+    return evaluate(spec, f, sf, x)
 
 
 def power_rule_integral(beta: float, eta: float, sf, a, x) -> float:
@@ -257,14 +277,13 @@ class CompositionKind(enum.Enum):
     CAPUTO_RIGHT = "caputo-right"
 
 
-def _rl_boundary_terms(g, spec: OperatorSpec, sf, w: float) -> float:
+def _rl_boundary_terms(g, spec: OperatorSpec, ua: float, w: float) -> float:
     """RL composition corrections at staircase distance w from the terminal.
 
     Term j carries the limit of the order beta - j derivative at the
     terminal (an integral when beta - j < 0), divided by Gamma(beta + 1 - j).
     """
     beta = spec.beta
-    ua = sf.eval(spec.terminal)
     sgn = 1.0 if spec.side is Side.LEFT else -1.0
     probe = ua + sgn * DELTA_BOUNDARY
     total = 0.0
@@ -274,22 +293,21 @@ def _rl_boundary_terms(g, spec: OperatorSpec, sf, w: float) -> float:
             dspec = replace(spec, beta=order_j, kind=OperatorKind.RL_DERIVATIVE)
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", DifferentiationNoiseWarning)
-                limit = _derivative_u(g, dspec, sf, probe, h=DELTA_BOUNDARY / 8.0)
+                limit = _derivative_u(g, dspec, ua, probe, h=DELTA_BOUNDARY / 8.0)
         elif order_j == 0.0:
             limit = g(probe)
         else:
-            limit = _integral_u(g, spec, sf, -order_j, probe)
+            limit = _integral_u(g, spec, ua, -order_j, probe)
         total += limit * rgamma(beta - j + 1.0) * w ** (beta - j)
     return total
 
 
-def _caputo_boundary_terms(g, spec: OperatorSpec, sf, w: float) -> float:
+def _caputo_boundary_terms(g, spec: OperatorSpec, ua: float, w: float) -> float:
     """Caputo composition corrections: the Taylor head at the terminal.
 
     Degrees 0 through n - 1, with the sign-adjusted derivative on the right
     side (the Taylor expansion runs in the inward direction).
     """
-    ua = sf.eval(spec.terminal)
     if spec.side is Side.LEFT:
         probe = ua + DELTA_BOUNDARY
         total = g(probe)
@@ -337,6 +355,7 @@ def composition_residual(
     if not ub > ua:
         raise DomainError("interval has empty staircase measure")
 
+    uterm = ua if left else ub
     us = np.linspace(ua + 0.1 * (ub - ua), ub, 16) if left else np.linspace(
         ua, ub - 0.1 * (ub - ua), 16
     )
@@ -351,9 +370,9 @@ def composition_residual(
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", DifferentiationNoiseWarning)
         if caputo:
-            inner_vals = np.array([_caputo_u(g, spec, sf, float(w)) for w in ugrid])
+            inner_vals = np.array([_caputo_u(g, spec, uterm, float(w)) for w in ugrid])
         else:
-            inner_vals = np.array([_derivative_u(g, spec, sf, float(w)) for w in ugrid])
+            inner_vals = np.array([_derivative_u(g, spec, uterm, float(w)) for w in ugrid])
     if not np.isfinite(inner_vals).all():
         raise DomainError("inner operator produced non-finite samples")
 
@@ -362,25 +381,24 @@ def composition_residual(
     # its exact recomposition, which is g(terminal) itself (Beta identity,
     # exponents beta-1 and -beta integrate to Gamma(beta)Gamma(1-beta)).
     head_coeff = 0.0
-    uterm = ua if left else ub
     if not caputo and spec.n == 1:
         g_term = g(uterm)
         if math.isfinite(g_term):
             head_coeff = g_term * rgamma(1.0 - beta)
             inner_vals = inner_vals - head_coeff * np.abs(uterm - ugrid) ** -beta
-    inner_fn = lambda v: float(np.interp(v, ugrid, inner_vals))
+    inner_fn = lambda v: np.interp(v, ugrid, inner_vals)
 
     ispec = replace(spec, kind=OperatorKind.RL_INTEGRAL)
     worst = 0.0
     for u in us:
         u = float(u)
-        recomposed = _integral_u(inner_fn, ispec, sf, beta, u)
+        recomposed = _integral_u(inner_fn, ispec, uterm, beta, u)
         if head_coeff != 0.0:
             recomposed += head_coeff * gamma_classical(1.0 - beta)
-        w = abs(u - (ua if left else ub))
+        w = abs(u - uterm)
         if caputo:
-            expected = g(u) - _caputo_boundary_terms(g, spec, sf, w)
+            expected = g(u) - _caputo_boundary_terms(g, spec, uterm, w)
         else:
-            expected = g(u) - _rl_boundary_terms(g, spec, sf, w)
+            expected = g(u) - _rl_boundary_terms(g, spec, uterm, w)
         worst = max(worst, abs(recomposed - expected))
     return worst

@@ -6,6 +6,12 @@ through tanh-sinh, whose nodes never touch the endpoints. Weakly singular
 convolution kernels are integrated by product rules: the integrand is
 interpolated piecewise-linearly on a graded mesh and the kernel
 moments are taken exactly.
+
+Integrand protocol: an integrand g takes a float or a float ndarray of u and
+returns a float or an ndarray of the same shape. Gauss-Legendre evaluates
+each panel's nodes in one call and product integration the whole mesh
+interior in one call; tanh-sinh and the product rule's two endpoints call g
+on single floats.
 """
 
 from __future__ import annotations
@@ -43,7 +49,7 @@ def gauss_composite(g, lo: float, hi: float, nodes: int = 64) -> float:
     edges = _panel_edges(lo, hi)
     for a, b in zip(edges[:-1], edges[1:]):
         c, m = 0.5 * (b - a), 0.5 * (a + b)
-        vals = np.array([g(m + c * t) for t in xg], dtype=float)
+        vals = np.asarray(g(m + c * xg), dtype=float)
         if not np.isfinite(vals).all():
             raise ValueError("integrand returned a non-finite value")
         total += c * float(wg @ vals)
@@ -201,7 +207,7 @@ def product_integrate(g, mesh: np.ndarray, mu: float, singular_at: str) -> float
     vals = np.empty(len(mesh), dtype=float)
     vals[0] = _endpoint(mesh[0])
     vals[-1] = _endpoint(mesh[-1])
-    vals[1:-1] = [g(v) for v in mesh[1:-1]]
+    vals[1:-1] = g(mesh[1:-1])
     contrib = vals[:-1] * (M0 - M1 / h) + vals[1:] * (M1 / h)
     if not math.isfinite(vals[0]):
         contrib[0] = g(0.5 * (mesh[0] + mesh[1])) * M0[0]

@@ -31,7 +31,7 @@ from .laplace import (
     solve_resolvent,
     transform_power,
 )
-from .nonlocal_ops import OperatorKind, OperatorSpec, Side, evaluate
+from .nonlocal_ops import OperatorKind, OperatorSpec, Side, evaluate_u
 from .special import mittag_leffler, ml_half_half_closed, rgamma
 from .staircase import CantorSpec, StaircaseFn
 
@@ -151,7 +151,12 @@ def _derive_transform(problem: ExampleProblem) -> tuple[LaplaceExpr, tuple[str, 
     for coeff, eta in problem.rhs_terms:
         rhs = rhs + transform_power(eta).scaled(coeff)
 
-    data_terms = LaplaceExpr.zero()
+    # The first datum takes the first slot of the operator's rule: the
+    # terminal value, at sigma^(beta - 1), for Caputo (examples 1 and 2); the
+    # order beta - 1 limit, at sigma^0, for RL (examples 3 and 4).
+    datum = problem.initial_data[0].value
+    slot = beta - 1 if problem.operator.kind is OperatorKind.CAPUTO else Fraction(0)
+    data_terms = LaplaceExpr.of(LaplaceTerm(datum, slot))
     if problem.example_id == 1:
         # The stated datum is the first staircase derivative at the terminal,
         # which no solution of this equation has finite; the rule's only slot
@@ -162,22 +167,13 @@ def _derive_transform(problem: ExampleProblem) -> tuple[LaplaceExpr, tuple[str, 
             "its value is consumed as the terminal value of y, the slot the "
             "transform rule actually has"
         )
-        y0 = problem.initial_data[0].value
-        data_terms = data_terms + LaplaceExpr.of(LaplaceTerm(y0, beta - 1))
     elif problem.example_id == 2:
         notes.append(
             "the supplied derivative datum holds identically for the whole "
             "solution family; the terminal value y = 0 is the choice that "
             "closes the problem and it reproduces the variant closed form"
         )
-        y0 = problem.initial_data[0].value
-        data_terms = data_terms + LaplaceExpr.of(LaplaceTerm(y0, beta - 1))
-    elif problem.example_id == 3:
-        c1 = problem.initial_data[0].value
-        data_terms = data_terms + LaplaceExpr.of(LaplaceTerm(c1, Fraction(0)))
-    else:
-        c1 = problem.initial_data[0].value
-        data_terms = data_terms + LaplaceExpr.of(LaplaceTerm(c1, Fraction(0)))
+    elif problem.example_id == 4:
         # The order -1/6 datum fits no slot of the order 4/3 rule (slots are
         # at orders 1/3 and -2/3). It is excluded; a zero-coefficient term at
         # its would-be image keeps the three-term basis explicit.
@@ -239,10 +235,20 @@ def default_grid(example_id: int, sf, count: int = 25):
     return [sf.quantile_exact(u) for u in us]
 
 
+def _terms_u(terms, ua: float):
+    """The inverse terms as an integrand of u: no quantile, and arrays of u."""
+
+    def g(u):
+        return evaluate_inverse(terms, u - ua)
+
+    return g
+
+
 def _terms_fn(terms, sf, ua: float):
+    g = _terms_u(terms, ua)
+
     def fn(x):
-        w = sf.eval(x) - ua
-        return evaluate_inverse(terms, w)
+        return g(sf.eval(x))
 
     return fn
 
@@ -275,35 +281,38 @@ def solve_example(
     image, notes = _derive_transform(problem)
     terms = invert_terms(image)
     ua = sf.eval(problem.operator.terminal)
-    solution_fn = _terms_fn(terms, sf, ua)
+    solution_u = _terms_u(terms, ua)
 
-    def rhs_fn(x) -> float:
-        w = sf.eval(x) - ua
+    def rhs_fn(u: float) -> float:
+        w = u - ua
         return sum(c * w ** float(eta) for c, eta in problem.rhs_terms)
 
+    # The residual applies the operator to the solution formula in u, so the
+    # integrands never go through the quantile.
     xs_float = np.array([float(x) for x in xs])
-    sol_vals = np.array([solution_fn(x) for x in xs])
+    us = [sf.eval(x) for x in xs]
+    sol_vals = np.array([solution_u(u) for u in us])
     res_vals = np.empty_like(sol_vals)
-    for i, x in enumerate(xs):
-        lhs = evaluate(problem.operator, solution_fn, sf, x)
-        rhs = problem.lam * sol_vals[i] + rhs_fn(x)
+    for i, u in enumerate(us):
+        lhs = evaluate_u(problem.operator, solution_u, sf, u)
+        rhs = problem.lam * sol_vals[i] + rhs_fn(u)
         res_vals[i] = abs(lhs - rhs) / max(1.0, abs(rhs))
     solution = GridFunction(xs_float, sol_vals, label=f"example-{example_id}")
     residual = GridFunction(xs_float, res_vals, label=f"residual-{example_id}")
 
     variant_terms_out, variant_note = _variant_terms(problem)
     notes = notes + (variant_note,)
-    variant_fn = _terms_fn(variant_terms_out, sf, ua)
-    var_vals = np.array([variant_fn(x) for x in xs])
+    variant_u = _terms_u(variant_terms_out, ua)
+    var_vals = np.array([variant_u(u) for u in us])
     variant_solution = GridFunction(xs_float, var_vals, label=f"variant-{example_id}")
     variant_discrepancy = float(np.max(np.abs(var_vals - sol_vals)))
     variant_max_residual = 0.0
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        for i, x in enumerate(xs):
-            rhs = problem.lam * var_vals[i] + rhs_fn(x)
+        for i, u in enumerate(us):
+            rhs = problem.lam * var_vals[i] + rhs_fn(u)
             try:
-                lhs = evaluate(problem.operator, variant_fn, sf, x)
+                lhs = evaluate_u(problem.operator, variant_u, sf, u)
             except (ArithmeticError, ValueError, RuntimeError):
                 variant_max_residual = math.inf
                 break
@@ -323,8 +332,8 @@ def solve_example(
         derived_terms=terms,
         variant_terms=variant_terms_out,
         notes=notes,
-        solution_fn=solution_fn,
-        variant_fn=variant_fn,
+        solution_fn=_terms_fn(terms, sf, ua),
+        variant_fn=_terms_fn(variant_terms_out, sf, ua),
     )
 
 

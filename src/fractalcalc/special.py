@@ -76,12 +76,12 @@ def gamma_fractal_quadrature(t: float, upper: float | None = None, nodes: int = 
     if upper is None:
         upper = 36.0 + 6.0 * max(t, 1.0)
 
-    def integrand(u: float) -> float:
-        return u ** (t - 1.0) * math.exp(-u)
+    def integrand(u):
+        return u ** (t - 1.0) * np.exp(-u)
 
     head = quadrature.tanh_sinh(integrand, 0.0, 1.0)
     tail = quadrature.gauss_composite(integrand, 1.0, upper, nodes)
-    return head + tail
+    return float(head + tail)
 
 
 def beta_fractal(r: float, s: float) -> float:
@@ -115,22 +115,28 @@ def beta_fractal_quadrature(r: float, s: float) -> float:
 def mittag_leffler(
     eta: float,
     nu: float,
-    z: float,
+    z,
     tol: float = 1e-15,
     max_terms: int = 512,
     z_max: float = 50.0,
-) -> float:
+):
     """Two-parameter Mittag-Leffler series, sum of z^k / Gamma(eta k + nu).
 
     Terms are built in log space so large intermediate magnitudes cancel
     instead of overflowing; terms landing on Gamma poles vanish and are
     skipped. Raises ConvergenceError when the truncated series cannot be
     trusted at the requested tolerance.
+
+    z may be a float or a float array; an array runs the same series with
+    the same stopping rule for each element, returns an array of z's shape,
+    and raises if any element would raise on its own.
     """
     if not eta > 0.0:
         raise DomainError(f"first parameter must be positive, got {eta!r}")
     if not (tol > 0.0 and max_terms >= 1 and z_max > 0.0):
         raise DomainError("invalid series controls")
+    if np.ndim(z) != 0:
+        return _mittag_leffler_array(eta, nu, np.asarray(z, dtype=float), tol, max_terms, z_max)
     z = float(z)
     if abs(z) > z_max:
         raise DomainError(f"|z| = {abs(z)!r} exceeds the series cap {z_max!r}")
@@ -160,6 +166,64 @@ def mittag_leffler(
             tail_small = 0
     raise ConvergenceError(
         f"series did not settle in {max_terms} terms for z={z!r}"
+    )
+
+
+def _mittag_leffler_array(
+    eta: float, nu: float, z: np.ndarray, tol: float, max_terms: int, z_max: float
+) -> np.ndarray:
+    """The scalar series run on every element of z at once.
+
+    Elements leave the working set as soon as their own stopping rule
+    fires, so each keeps exactly the terms the scalar loop would sum.
+    """
+    mag = np.abs(z)
+    if (mag > z_max).any():
+        raise DomainError(f"|z| = {float(mag.max())!r} exceeds the series cap {z_max!r}")
+    out = np.full(z.shape, rgamma(nu))
+    flat = out.reshape(-1)
+    live = np.flatnonzero(z)
+    zs = z.reshape(-1)[live]
+    log_abs_z = np.log(np.abs(zs))
+    sign_z = np.sign(zs)
+    acc = np.zeros(len(live))
+    # whether each element's previous term was already small: two small
+    # terms in a row stop it, as tail_small >= 2 does in the scalar loop
+    was_small = np.zeros(len(live), dtype=bool)
+    # k * log|z| - lgamma(a) grows with |z|: the largest |z| overflows first
+    top = int(log_abs_z.argmax()) if len(live) else 0
+    for k in range(max_terms):
+        if not len(live):
+            return out
+        a = eta * k + nu
+        if a <= 0.0 and a == math.floor(a):
+            continue
+        lg = math.lgamma(a)
+        if k * log_abs_z[top] - lg > _LOG_HUGE:
+            raise ConvergenceError(
+                f"series term at k={k} overflows for z={float(zs[top])!r}, eta={eta!r}, nu={nu!r}"
+            )
+        term = np.exp(k * log_abs_z - lg)
+        if k % 2:
+            term *= sign_z
+        if _sign_gamma(a) < 0.0:
+            term = -term
+        acc += term
+        if k < 16:
+            continue
+        small = np.abs(term) <= tol * np.maximum(np.abs(acc), 1.0)
+        done = small & was_small
+        was_small = small
+        if done.any():
+            flat[live[done]] = acc[done]
+            keep = ~done
+            live, zs, log_abs_z, sign_z = live[keep], zs[keep], log_abs_z[keep], sign_z[keep]
+            acc, was_small = acc[keep], was_small[keep]
+            top = int(log_abs_z.argmax()) if len(live) else 0
+    if not len(live):
+        return out
+    raise ConvergenceError(
+        f"series did not settle in {max_terms} terms for z={float(zs[0])!r}"
     )
 
 

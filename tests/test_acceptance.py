@@ -7,8 +7,6 @@ Run with `pytest -s` to see the lines interleaved; plain runs capture them.
 
 import sys
 
-import pytest
-
 from fractalcalc import cli
 from fractalcalc.verify import (
     check_beta_identities,

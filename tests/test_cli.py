@@ -2,8 +2,6 @@
 
 import contextlib
 import io
-import os
-from pathlib import Path
 
 import pytest
 

@@ -10,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fractalcalc import (
-    ALPHA_CANTOR,
     CantorSpec,
     ConjugatedFn,
     DomainError,
@@ -21,6 +20,7 @@ from fractalcalc import (
     f_alpha_derivative,
     f_alpha_integral,
 )
+from fractalcalc import quadrature
 from fractalcalc.core import difference
 from fractalcalc.nonlocal_ops import _nth_derivative
 
@@ -156,6 +156,14 @@ class TestConjugate:
         g = conjugate(lambda x: float(sf.eval_exact(x)) ** 2, sf)
         assert g(Fraction(1, 4)) == pytest.approx(1.0 / 16.0, abs=1e-12)
 
+    def test_array_call_is_the_elementwise_call(self, sf):
+        g = conjugate(lambda x: math.sin(float(x)), sf)
+        u = np.array([[0.0, 0.1, 0.5], [0.75, 1.0, 1.9]])
+        got = g(u)
+        assert got.shape == u.shape
+        for v, value in zip(u.flat, got.flat):
+            assert _same_bits(value, g(float(v)))
+
 
 class TestGridFunction:
     def test_validation(self):
@@ -266,3 +274,60 @@ class TestDifferenceStencil:
 
         for s in (1.0, -1.0, 0.0):
             assert _same_bits(difference(g, 0.5, 1e-3, 1, s), 0.0)
+
+
+# -- quadrature on whole meshes --------------------------------------------------
+# The per-node loops that array evaluation replaced, kept as the reference: an
+# opaque x-space f still goes through the quantile one node at a time, so the
+# array calls must give the same bits.
+
+
+def _ref_gauss_composite(g, lo, hi, nodes=64):
+    xg, wg = quadrature._leggauss(max(2, int(nodes)))
+    total = 0.0
+    edges = quadrature._panel_edges(lo, hi)
+    for a, b in zip(edges[:-1], edges[1:]):
+        c, m = 0.5 * (b - a), 0.5 * (a + b)
+        vals = np.array([g(m + c * t) for t in xg], dtype=float)
+        total += c * float(wg @ vals)
+    return total
+
+
+def _ref_product_integrate(g, mesh, mu, singular_at):
+    if singular_at == "hi":
+        M0, M1, h = quadrature.product_weights_left(mesh, mu)
+    else:
+        M0, M1, h = quadrature.product_weights_right(mesh, mu)
+    vals = np.empty(len(mesh), dtype=float)
+    vals[0] = float(g(mesh[0]))
+    vals[-1] = float(g(mesh[-1]))
+    vals[1:-1] = [g(v) for v in mesh[1:-1]]
+    contrib = vals[:-1] * (M0 - M1 / h) + vals[1:] * (M1 / h)
+    return float(contrib.sum())
+
+
+class TestWholeMeshQuadrature:
+    @pytest.mark.parametrize("lo, hi, nodes", [(0.0, 1.0, 64), (0.3, 2.7, 16), (1.25, 1.5, 7)])
+    def test_gauss_composite_same_bits(self, sf, lo, hi, nodes):
+        g = conjugate(lambda x: math.sin(3.0 * float(x)) + float(sf.eval_exact(x)) ** 2, sf)
+        assert _same_bits(quadrature.gauss_composite(g, lo, hi, nodes), _ref_gauss_composite(g, lo, hi, nodes))
+
+    @pytest.mark.parametrize("mu", [-0.5, -0.25, 0.5, 1.0 / 3.0])
+    @pytest.mark.parametrize("singular_at", ["lo", "hi"])
+    def test_product_integrate_same_bits(self, sf, mu, singular_at):
+        g = conjugate(lambda x: math.exp(-float(x)) + float(sf.eval_exact(x)) ** 0.5, sf)
+        for lo, hi, n in ((0.0, 1.0, 256), (0.2, 0.9, 37), (1.1, 2.0, 64)):
+            mesh = quadrature.graded_mesh_two_sided(lo, hi, n)
+            got = quadrature.product_integrate(g, mesh, mu, singular_at)
+            assert _same_bits(got, _ref_product_integrate(g, mesh, mu, singular_at))
+
+    def test_product_integrate_calls_the_interior_once(self):
+        shapes = []
+
+        def g(u):
+            shapes.append(np.shape(u))
+            return np.cos(u)
+
+        mesh = quadrature.graded_mesh_two_sided(0.0, 1.0, 40)
+        quadrature.product_integrate(g, mesh, -0.5, "hi")
+        assert sorted(shapes) == [(), (), (len(mesh) - 2,)]

@@ -3,13 +3,13 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from fractalcalc import (
     CantorSpec,
     DomainError,
     IdentityMap,
-    InverseTerm,
     LaplaceExpr,
     LaplaceTerm,
     StaircaseFn,
@@ -168,6 +168,24 @@ class TestResolventAndInversion:
     def test_inverse_laplace_returns_callable(self):
         fn = inverse_laplace(transform_power(2))
         assert fn(0.5) == pytest.approx(0.25, rel=1e-12)
+
+    def test_evaluate_inverse_on_arrays(self):
+        # power and resolvent terms, as example 4 inverts them
+        q = Fraction(4, 3)
+        terms = invert_terms(
+            solve_resolvent(transform_power(2) + transform_constant(1.0).shifted(1), q, -0.5)
+        ) + invert_terms(transform_power(Fraction(1, 2)))
+        u = np.array([0.0, 1e-9, 0.01, 0.3, 0.99, 1.7])
+        got = evaluate_inverse(terms, u)
+        assert got.shape == u.shape
+        for v, value in zip(u, got):
+            assert value == pytest.approx(evaluate_inverse(terms, float(v)), rel=1e-13)
+
+    def test_evaluate_inverse_array_at_zero(self):
+        singular = invert_terms(LaplaceExpr.of(LaplaceTerm(1.0, Fraction(-1, 2))))
+        with pytest.raises(DomainError):
+            evaluate_inverse(singular, np.array([0.5, 0.0]))
+        assert np.isfinite(evaluate_inverse(singular, np.array([0.5, 1e-300]))).all()
 
 
 class TestNumericTransform:

@@ -4,6 +4,7 @@ import math
 import warnings
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from fractalcalc import (
@@ -18,7 +19,9 @@ from fractalcalc import (
     StaircaseFn,
     caputo_derivative,
     composition_residual,
+    conjugate,
     evaluate,
+    evaluate_u,
     power_rule_derivative,
     power_rule_integral,
     rl_derivative,
@@ -81,6 +84,39 @@ class TestClassicalValuesOnIdentity:
         spec = OperatorSpec(OperatorKind.CAPUTO, 1.5, 0.0)
         got = quiet(caputo_derivative, spec, lambda t: float(t) ** 2, ident, 0.8)
         assert got == pytest.approx(2.018506017616128, rel=1e-3)
+
+
+class TestUSpaceEntry:
+    @pytest.mark.parametrize(
+        "kind, beta, rule",
+        [
+            (OperatorKind.RL_INTEGRAL, 0.5, power_rule_integral),
+            (OperatorKind.RL_DERIVATIVE, 0.5, power_rule_derivative),
+            (OperatorKind.RL_DERIVATIVE, 1.5, power_rule_derivative),
+            (OperatorKind.CAPUTO, 0.5, power_rule_derivative),
+        ],
+    )
+    def test_u_native_power_against_rule(self, sf, kind, beta, rule):
+        # g(u) = u^2 in closed form: no quantile, arrays evaluated in one call
+        calls = []
+
+        def g(u):
+            calls.append(np.ndim(u))
+            return u**2
+
+        spec = OperatorSpec(kind, beta, 0.0)
+        x = sf.quantile_exact(Fraction(4, 5))
+        got = quiet(evaluate_u, spec, g, sf, sf.eval(x))
+        assert got == pytest.approx(rule(beta, 2.0, sf, 0.0, x), rel=1e-3)
+        assert 1 in calls
+
+    def test_evaluate_is_evaluate_u_of_the_conjugate(self, sf):
+        f = lambda t: float(sf.eval_exact(t)) ** 1.5
+        x = sf.quantile_exact(Fraction(3, 5))
+        for kind in OperatorKind:
+            spec = OperatorSpec(kind, 0.5, 0.0)
+            want = quiet(evaluate_u, spec, conjugate(f, sf), sf, sf.eval(x))
+            assert quiet(evaluate, spec, f, sf, x) == want
 
 
 class TestPowerRules:

@@ -1,6 +1,8 @@
 """Worked equation reproductions: transforms, residuals, variants."""
 
+import hashlib
 import math
+import struct
 from fractions import Fraction
 
 import pytest
@@ -9,7 +11,6 @@ from fractalcalc import (
     CantorSpec,
     DomainError,
     OperatorKind,
-    Side,
     StaircaseFn,
     alpha_one_degeneration,
     example_problem,
@@ -18,6 +19,7 @@ from fractalcalc import (
     mittag_leffler,
     solve_example,
 )
+from fractalcalc.solutions import _derive_transform
 
 
 @pytest.fixture(scope="module")
@@ -158,3 +160,37 @@ class TestParameterPassthrough:
         rep = solve_example(1, sf, grid=xs)
         assert len(rep.solution) == 3
         assert rep.max_residual < 1e-2
+
+
+def _digest(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()[:16]
+
+
+# Recorded on default grids before the residual loops moved to a u-native
+# integrand: max_residual, a digest of the solution values' IEEE bytes, and a
+# digest of repr((image, notes)) from _derive_transform. The solution values
+# and the derivation take the same path as before and must keep every bit.
+# The residual integrand no longer truncates u to digit_depth bits and its
+# series runs on arrays, so residuals may move at rounding level only.
+_RECORDED = {
+    1: (0.0003131045372454233, "4362bb1fb038429c", "cc736fc1541ed38f"),
+    2: (4.789479160083321e-05, "1ae75374aabf0fdc", "65507bfa9a3be9df"),
+    3: (0.00021556254569155044, "03e1521dc7c7330c", "38af0ea928b5e25c"),
+    4: (0.00017312011894299317, "2d9474b94eda372d", "835dc223779550fb"),
+}
+
+
+class TestRecordedReports:
+    @pytest.mark.parametrize("example_id", sorted(_RECORDED))
+    def test_default_grid_report(self, reports, example_id):
+        max_residual, values_digest, derivation_digest = _RECORDED[example_id]
+        rep = reports[example_id]
+        assert abs(rep.max_residual - max_residual) <= 1e-9
+        packed = b"".join(struct.pack("<d", v) for v in rep.solution.values)
+        assert _digest(packed) == values_digest
+        derivation = _derive_transform(example_problem(example_id))
+        assert _digest(repr(derivation).encode()) == derivation_digest
+        assert derivation == (rep.transform, rep.notes[:-1])
+
+    def test_example1_variant_stays_rejected(self, reports):
+        assert reports[1].variant_max_residual == math.inf

@@ -2,7 +2,11 @@
 
 import math
 
+import mpmath
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fractalcalc import (
     CantorSpec,
@@ -156,3 +160,102 @@ class TestMittagLeffler:
         with pytest.raises(DomainError):
             mittag_leffler(0.5, 1.0, 0.5, z_max=0.0)
         assert mittag_leffler(0.5, 0.5, 0.0) == pytest.approx(1.0 / math.sqrt(math.pi))
+
+
+# (eta, nu) pairs of the worked examples (3: (1/2, 1/2); 4: eta = 4/3 with
+# nu = 4/3, 5/6, 13/3) and the exp and sinh-ratio cases.
+_ML_PARAMS = ((0.5, 0.5), (4 / 3, 4 / 3), (4 / 3, 5 / 6), (4 / 3, 13 / 3), (1.0, 1.0), (2.0, 2.0))
+
+
+def _abs_term_sum(eta, nu, z):
+    """Sum of |z^k / Gamma(eta k + nu)| over the first 512 terms."""
+    if z == 0.0:
+        return abs(rgamma(nu))
+    total = 0.0
+    for k in range(512):
+        a = eta * k + nu
+        if a <= 0.0 and a == math.floor(a):
+            continue
+        total += math.exp(k * math.log(abs(z)) - math.lgamma(a))
+    return total
+
+
+def _rounding_bound(eta, nu, z):
+    # eight units of the last place of the largest partial sums
+    return 8.0 * 2.0**-52 * _abs_term_sum(eta, nu, z)
+
+
+def _ml_mpmath(eta, nu, z):
+    """The series at 60 digits, summed until the terms fall below 1e-65."""
+    with mpmath.workdps(60):
+        eta, nu, z = mpmath.mpf(eta), mpmath.mpf(nu), mpmath.mpf(z)
+        acc = mpmath.mpf(0)
+        k = 0
+        while True:
+            term = z**k * mpmath.rgamma(eta * k + nu)
+            acc += term
+            if k > 20 and abs(term) < mpmath.mpf(10) ** -65:
+                return float(acc)
+            k += 1
+
+
+class TestMittagLefflerArray:
+    @given(
+        params=st.sampled_from(_ML_PARAMS),
+        zs=st.lists(st.floats(min_value=-10.5, max_value=3.0), min_size=1, max_size=24),
+        zero_at=st.integers(min_value=0, max_value=24),
+        # a loose tol makes the tail terms the stopping rule drops large
+        # enough to see, so a different rule cannot hide under rounding
+        tol=st.sampled_from((1e-15, 1e-9, 1e-4)),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_scalar_loop(self, params, zs, zero_at, tol):
+        eta, nu = params
+        zs.insert(zero_at % (len(zs) + 1), 0.0)
+        got = mittag_leffler(eta, nu, np.array(zs), tol=tol)
+        assert got.shape == (len(zs),)
+        for z, value in zip(zs, got):
+            want = mittag_leffler(eta, nu, z, tol=tol)
+            assert abs(value - want) <= _rounding_bound(eta, nu, z)
+
+    @pytest.mark.parametrize(
+        "eta, nu, lo, hi",
+        [(0.5, 0.5, -1.0, 1.0)] + [(4 / 3, nu, -10.5, 3.0) for nu in (4 / 3, 5 / 6, 13 / 3)],
+    )
+    def test_against_mpmath_on_example_ranges(self, eta, nu, lo, hi):
+        # example 3 reaches z = -+S^(1/2) <= 1 in size; example 4 z = lam S^(4/3)
+        # with lam in [-10, 2]. The series stops once two terms in a row fall
+        # below tol * max(|sum|, 1), so truncation adds up to tol * max(|E|, 1).
+        zs = np.append(np.linspace(lo, hi, 41), 0.0)
+        got = mittag_leffler(eta, nu, zs)
+        for z, value in zip(zs, got):
+            want = _ml_mpmath(eta, nu, z)
+            bound = _rounding_bound(eta, nu, z) + 1e-15 * max(1.0, abs(want))
+            assert abs(value - want) <= bound
+
+    def test_shape_is_kept(self):
+        z = np.array([[0.0, -0.5], [0.25, 1.5]])
+        got = mittag_leffler(4 / 3, 4 / 3, z)
+        assert got.shape == (2, 2)
+        assert got[0, 0] == rgamma(4 / 3)
+        assert isinstance(mittag_leffler(4 / 3, 4 / 3, -0.5), float)
+
+    def test_one_element_past_the_cap_raises(self):
+        z = np.array([0.0, 1.0, -50.5, 2.0])
+        with pytest.raises(DomainError):
+            mittag_leffler(0.5, 0.5, z)
+        assert np.isfinite(mittag_leffler(0.5, 0.5, z[[0, 1, 3]])).all()
+
+    def test_one_element_that_overflows_raises(self):
+        # the scalar loop overflows at z = 30 with these controls; 0.5 does not
+        assert math.isfinite(mittag_leffler(0.05, 1.0, 0.5, z_max=50.0))
+        with pytest.raises(ConvergenceError, match="overflows"):
+            mittag_leffler(0.05, 1.0, 30.0, z_max=50.0)
+        with pytest.raises(ConvergenceError, match="overflows for z=30.0"):
+            mittag_leffler(0.05, 1.0, np.array([0.5, 30.0]), z_max=50.0)
+
+    def test_one_element_that_does_not_settle_raises(self):
+        with pytest.raises(ConvergenceError, match="did not settle"):
+            mittag_leffler(0.05, 1.0, 30.0, max_terms=8, z_max=50.0)
+        with pytest.raises(ConvergenceError, match="did not settle"):
+            mittag_leffler(0.05, 1.0, np.array([0.0, 30.0]), max_terms=8, z_max=50.0)
