@@ -82,8 +82,10 @@ def difference(g, v: float, h: float, n: int, s: float) -> float:
     s = 0 gives the central form; s = +1 or -1 the one-sided form reaching
     forward or backward. The one-sided first difference multiplies each
     coefficient by s, not their sum, so a stencil that cancels exactly gives
-    +0.0 on either side.
+    +0.0 on either side. Any other n raises ValueError.
     """
+    if n not in (1, 2):
+        raise ValueError(f"difference order must be 1 or 2, got {n!r}")
     if s == 0.0:
         if n == 1:
             return (g(v + h) - g(v - h)) / (2.0 * h)

@@ -19,6 +19,14 @@ entries (`evaluate`, `rl_integral`, `rl_derivative`, `caputo_derivative`)
 wrap f as `conjugate(f, sf)`, which reaches f through the quantile one
 element at a time. An integrand known in closed form in u, such as a
 solution built from staircase powers, skips the quantile altogether.
+
+Right-sided operators are the left-sided ones conjugated by the reflection
+t -> -t: the right operator at u with terminal ua, acting on g, is the left
+operator at -u with terminal -ua, acting on t -> g(-t). Because -d/du is
+d/dt, derivatives need no (-1)^n factor. `evaluate_u` and
+`composition_residual` reflect once; every helper below them is left-sided.
+Derivative orders go up to 2 (n = ceil(beta) is 1 or 2), the reach of the
+second-order difference stencils.
 """
 
 from __future__ import annotations
@@ -69,6 +77,8 @@ class OperatorSpec:
                 "integer-order differentiation is the iterated staircase "
                 f"derivative, not a kernel operator (order {self.beta!r})"
             )
+        if self.kind is not OperatorKind.RL_INTEGRAL and self.beta > 2.0:
+            raise DomainError(f"derivative orders above 2 are not supported, got {self.beta!r}")
         if self.nodes_per_unit < 8:
             raise DomainError("nodes_per_unit must be at least 8")
 
@@ -82,41 +92,30 @@ def _node_count(spec: OperatorSpec, span: float) -> int:
     return min(4096, max(32, int(math.ceil(spec.nodes_per_unit * span))))
 
 
+def _reflected(g):
+    """t -> g(-t), which carries a right-sided problem to a left-sided one."""
+    return lambda t: g(-t)
+
+
 def _integral_u(g, spec: OperatorSpec, ua: float, order: float, u: float, fixed_nodes: int | None = None) -> float:
-    """Product-integrated fractional integral of g in the u coordinate.
+    """Left-sided product-integrated fractional integral of g in u, u >= ua.
 
-    ua is the terminal's staircase coordinate, S(spec.terminal).
+    ua is the terminal's staircase coordinate.
     """
-    norm = gamma_classical(order)
-    if spec.side is Side.LEFT:
-        lo, hi = ua, u
-        anchor = "hi"
-        if hi < lo:
-            raise DomainError("evaluation point precedes the left terminal")
-    else:
-        lo, hi = u, ua
-        anchor = "lo"
-        if hi < lo:
-            raise DomainError("evaluation point follows the right terminal")
-    if hi == lo:
+    if u == ua:
         return 0.0
-    cells = fixed_nodes if fixed_nodes is not None else _node_count(spec, hi - lo)
-    mesh = quadrature.graded_mesh_two_sided(lo, hi, cells)
-    return quadrature.product_integrate(g, mesh, order - 1.0, singular_at=anchor) / norm
+    cells = fixed_nodes if fixed_nodes is not None else _node_count(spec, u - ua)
+    mesh = quadrature.graded_mesh_two_sided(ua, u, cells)
+    return quadrature.product_integrate(g, mesh, order - 1.0) / gamma_classical(order)
 
 
-def _richardson_stencil(
-    F, u: float, h: float, n: int, lo_limit: float, hi_limit: float
-) -> float:
-    """(4 D(h/2) - D(h)) / 3 with one-sided fallback near the domain edges."""
-    if u - 1.01 * h < lo_limit:
-        s = 1.0
-    elif u + (n + 1.01) * h > hi_limit:
-        s = -1.0
-    else:
-        s = 0.0
-    coarse = difference(F, u, h, n, s)
-    fine = difference(F, u, h / 2.0, n, s)
+def _richardson_stencil(F, u: float, h: float, n: int) -> float:
+    """(4 D(h/2) - D(h)) / 3 with central differences D.
+
+    Callers keep h <= span / 4, so the stencil never reaches the terminal.
+    """
+    coarse = difference(F, u, h, n, 0.0)
+    fine = difference(F, u, h / 2.0, n, 0.0)
     value = (4.0 * fine - coarse) / 3.0
     drift = abs(fine - coarse) / 3.0
     if drift > 0.05 * max(abs(value), 1e-9):
@@ -130,12 +129,12 @@ def _richardson_stencil(
 
 
 def _derivative_u(g, spec: OperatorSpec, ua: float, u: float, h: float | None = None) -> float:
-    """RL derivative in u: n plain derivatives of the order n - beta integral.
+    """Left RL derivative in u: n plain derivatives of the order n - beta integral.
 
     The difference step h defaults to 1e-4 for n = 1 and 1e-3 otherwise.
     """
     n = spec.n
-    span = abs(u - ua)
+    span = u - ua
     if span == 0.0:
         raise DomainError("derivative is not defined at the terminal itself")
     if h is None:
@@ -146,43 +145,18 @@ def _derivative_u(g, spec: OperatorSpec, ua: float, u: float, h: float | None = 
     def F(w: float) -> float:
         return _integral_u(g, spec, ua, n - spec.beta, w, fixed_nodes=cells)
 
-    if spec.side is Side.LEFT:
-        value = _richardson_stencil(F, u, h, n, lo_limit=ua, hi_limit=math.inf)
-    else:
-        value = _richardson_stencil(F, u, h, n, lo_limit=-math.inf, hi_limit=ua)
-        if n % 2 == 1:
-            value = -value
-    return value
-
-
-def _nth_derivative(
-    g, v: float, h: float, n: int, lo_limit: float = -math.inf, hi_limit: float = math.inf
-) -> float:
-    """Second-order n-th difference (n = 1 or 2), one-sided near the limits."""
-    if v - (n + 0.01) * h < lo_limit:
-        s = 1.0
-    elif v + (n + 0.01) * h > hi_limit:
-        s = -1.0
-    else:
-        s = 0.0
-    return difference(g, v, h, n, s)
+    return _richardson_stencil(F, u, h, n)
 
 
 def _caputo_u(g, spec: OperatorSpec, ua: float, u: float) -> float:
-    """Caputo derivative in u, as the RL derivative of the Taylor remainder.
+    """Left Caputo derivative in u, as the RL derivative of the Taylor remainder.
 
     Equivalent to kernel-integrating the inner n-th derivative, but stays
     accurate when that derivative blows up at the terminal (as it does for
     solutions carrying fractional powers of the staircase): the integral
     machinery sees the bounded remainder instead of a singular derivative.
     """
-    n = spec.n
-    coeffs = [g(ua)]
-    for j in range(1, n):
-        if spec.side is Side.LEFT:
-            coeffs.append(_nth_derivative(g, ua, _TAYLOR_STEP, j, lo_limit=ua))
-        else:
-            coeffs.append(_nth_derivative(g, ua, _TAYLOR_STEP, j, hi_limit=ua))
+    coeffs = [g(ua)] + [difference(g, ua, _TAYLOR_STEP, j, 1.0) for j in range(1, spec.n)]
 
     def remainder(v):
         w = v - ua
@@ -208,8 +182,15 @@ def evaluate_u(spec: OperatorSpec, g, sf, u: float) -> float:
 
     g follows the integrand protocol (a float or a float array of u in, the
     same shape out); sf only locates the terminal, at u = S(spec.terminal).
+    A right-sided spec is evaluated as the left operator at -u of t -> g(-t).
     """
     ua = sf.eval(spec.terminal)
+    if spec.side is Side.RIGHT:
+        if u > ua:
+            raise DomainError("evaluation point follows the right terminal")
+        g, ua, u = _reflected(g), -ua, -u
+    elif u < ua:
+        raise DomainError("evaluation point precedes the left terminal")
     if spec.kind is OperatorKind.RL_INTEGRAL:
         return _integral_u(g, spec, ua, spec.beta, u)
     if spec.kind is OperatorKind.RL_DERIVATIVE:
@@ -278,14 +259,13 @@ class CompositionKind(enum.Enum):
 
 
 def _rl_boundary_terms(g, spec: OperatorSpec, ua: float, w: float) -> float:
-    """RL composition corrections at staircase distance w from the terminal.
+    """Left RL composition corrections at staircase distance w from the terminal.
 
     Term j carries the limit of the order beta - j derivative at the
     terminal (an integral when beta - j < 0), divided by Gamma(beta + 1 - j).
     """
     beta = spec.beta
-    sgn = 1.0 if spec.side is Side.LEFT else -1.0
-    probe = ua + sgn * DELTA_BOUNDARY
+    probe = ua + DELTA_BOUNDARY
     total = 0.0
     for j in range(1, spec.n + 1):
         order_j = beta - j
@@ -303,23 +283,11 @@ def _rl_boundary_terms(g, spec: OperatorSpec, ua: float, w: float) -> float:
 
 
 def _caputo_boundary_terms(g, spec: OperatorSpec, ua: float, w: float) -> float:
-    """Caputo composition corrections: the Taylor head at the terminal.
-
-    Degrees 0 through n - 1, with the sign-adjusted derivative on the right
-    side (the Taylor expansion runs in the inward direction).
-    """
-    if spec.side is Side.LEFT:
-        probe = ua + DELTA_BOUNDARY
-        total = g(probe)
-        for j in range(1, spec.n):
-            d = _nth_derivative(g, probe, _TAYLOR_STEP, j, lo_limit=ua)
-            total += d / math.factorial(j) * w ** j
-    else:
-        probe = ua - DELTA_BOUNDARY
-        total = g(probe)
-        for j in range(1, spec.n):
-            d = _nth_derivative(g, probe, _TAYLOR_STEP, j, hi_limit=ua)
-            total += (-1.0) ** j * d / math.factorial(j) * w ** j
+    """Left Caputo composition corrections: the Taylor head, degrees 0 to n - 1."""
+    probe = ua + DELTA_BOUNDARY
+    total = g(probe)
+    for j in range(1, spec.n):
+        total += difference(g, probe, _TAYLOR_STEP, j, 1.0) / math.factorial(j) * w ** j
     return total
 
 
@@ -337,42 +305,43 @@ def composition_residual(
     outer integral does not re-run the derivative machinery at every
     quadrature node. Returns the sup of the absolute residual over 16 points
     evenly spaced in u, away from the terminal.
+
+    A right-sided kind reflects g and the interval first. An RL kind with
+    1 < beta < 2 raises DomainError unless g vanishes at the terminal: its
+    inner derivative then carries a non-integrable g(terminal) * w^(-beta)
+    head that the interpolation cannot follow.
     """
     a, b = float(interval[0]), float(interval[1])
     left = kind in (CompositionKind.RL_LEFT, CompositionKind.CAPUTO_LEFT)
     caputo = kind in (CompositionKind.CAPUTO_LEFT, CompositionKind.CAPUTO_RIGHT)
-    side = Side.LEFT if left else Side.RIGHT
-    terminal = a if left else b
     spec = OperatorSpec(
         kind=OperatorKind.CAPUTO if caputo else OperatorKind.RL_DERIVATIVE,
         beta=beta,
-        terminal=terminal,
-        side=side,
+        terminal=a if left else b,
     )
     g = conjugate(f, sf)
     ua = sf.eval(a)
     ub = sf.eval(b)
     if not ub > ua:
         raise DomainError("interval has empty staircase measure")
+    if not left:
+        g, ua, ub = _reflected(g), -ub, -ua
+    g_term = 0.0 if caputo else g(ua)
+    if spec.n == 2 and g_term != 0.0:
+        raise DomainError(
+            "RL composition of order above 1 needs f to vanish at the terminal, "
+            f"got f = {g_term!r} there"
+        )
 
-    uterm = ua if left else ub
-    us = np.linspace(ua + 0.1 * (ub - ua), ub, 16) if left else np.linspace(
-        ua, ub - 0.1 * (ub - ua), 16
-    )
-
+    us = np.linspace(ua + 0.1 * (ub - ua), ub, 16)
     # Sample the inner operator on a grid clustered at the terminal.
     pad = 8.0 * DELTA_BOUNDARY
     frac = (np.arange(_INNER_SAMPLES) / (_INNER_SAMPLES - 1.0)) ** 4.0
-    if left:
-        ugrid = (ua + pad) + (float(us.max()) - ua - pad) * frac
-    else:
-        ugrid = np.sort((ub - pad) - (ub - pad - float(us.min())) * frac)
+    ugrid = (ua + pad) + (float(us.max()) - ua - pad) * frac
+    inner = _caputo_u if caputo else _derivative_u
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", DifferentiationNoiseWarning)
-        if caputo:
-            inner_vals = np.array([_caputo_u(g, spec, uterm, float(w)) for w in ugrid])
-        else:
-            inner_vals = np.array([_derivative_u(g, spec, uterm, float(w)) for w in ugrid])
+        inner_vals = np.array([inner(g, spec, ua, float(w)) for w in ugrid])
     if not np.isfinite(inner_vals).all():
         raise DomainError("inner operator produced non-finite samples")
 
@@ -381,24 +350,18 @@ def composition_residual(
     # its exact recomposition, which is g(terminal) itself (Beta identity,
     # exponents beta-1 and -beta integrate to Gamma(beta)Gamma(1-beta)).
     head_coeff = 0.0
-    if not caputo and spec.n == 1:
-        g_term = g(uterm)
-        if math.isfinite(g_term):
-            head_coeff = g_term * rgamma(1.0 - beta)
-            inner_vals = inner_vals - head_coeff * np.abs(uterm - ugrid) ** -beta
+    if g_term != 0.0 and math.isfinite(g_term):
+        head_coeff = g_term * rgamma(1.0 - beta)
+        inner_vals = inner_vals - head_coeff * (ugrid - ua) ** -beta
     inner_fn = lambda v: np.interp(v, ugrid, inner_vals)
 
-    ispec = replace(spec, kind=OperatorKind.RL_INTEGRAL)
+    boundary_terms = _caputo_boundary_terms if caputo else _rl_boundary_terms
     worst = 0.0
     for u in us:
         u = float(u)
-        recomposed = _integral_u(inner_fn, ispec, uterm, beta, u)
+        recomposed = _integral_u(inner_fn, spec, ua, beta, u)
         if head_coeff != 0.0:
             recomposed += head_coeff * gamma_classical(1.0 - beta)
-        w = abs(u - uterm)
-        if caputo:
-            expected = g(u) - _caputo_boundary_terms(g, spec, uterm, w)
-        else:
-            expected = g(u) - _rl_boundary_terms(g, spec, uterm, w)
+        expected = g(u) - boundary_terms(g, spec, ua, u - ua)
         worst = max(worst, abs(recomposed - expected))
     return worst

@@ -5,7 +5,9 @@ intervals. Endpoint-singular integrands (integrable power singularities) go
 through tanh-sinh, whose nodes never touch the endpoints. Weakly singular
 convolution kernels are integrated by product rules: the integrand is
 interpolated piecewise-linearly on a graded mesh and the kernel
-moments are taken exactly.
+moments are taken exactly. The product rule has a single kernel anchor, the
+mesh's last node; a kernel singular at the lower end is reached by
+reflecting the integrand (see `nonlocal_ops`).
 
 Integrand protocol: an integrand g takes a float or a float ndarray of u and
 returns a float or an ndarray of the same shape. Gauss-Legendre evaluates
@@ -170,32 +172,14 @@ def product_weights_left(mesh: np.ndarray, mu: float) -> tuple[np.ndarray, np.nd
     return M0, M1, np.diff(mesh)
 
 
-def product_weights_right(mesh: np.ndarray, mu: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Moment data for ∫ g(v) (v - X)^mu dv with X = mesh[0], mu > -1."""
-    X = mesh[0]
-    w = mesh - X
-    m1, m2 = mu + 1.0, mu + 2.0
-    pw1 = np.power(w, m1)
-    pw2 = np.power(w, m2)
-    M0 = (pw1[1:] - pw1[:-1]) / m1
-    M1 = (pw2[1:] - pw2[:-1]) / m2 - w[:-1] * M0
-    return M0, M1, np.diff(mesh)
+def product_integrate(g, mesh: np.ndarray, mu: float) -> float:
+    """∫ g(v) (X - v)^mu dv over the mesh span, with the anchor X = mesh[-1].
 
-
-def product_integrate(g, mesh: np.ndarray, mu: float, singular_at: str) -> float:
-    """∫ g(v) k(v) dv over the mesh span, k(v) = (X - v)^mu or (v - X)^mu.
-
-    ``singular_at`` names the kernel anchor: "hi" integrates against
-    (mesh[-1] - v)^mu, "lo" against (v - mesh[0])^mu. Non-finite g at the far
-    endpoint (a blow-up of the integrand away from the kernel anchor) demotes
-    that single cell to a midpoint rule.
+    Non-finite g at an endpoint (a blow-up at the very edge) demotes that
+    single cell to a midpoint rule.
     """
-    if singular_at == "hi":
-        M0, M1, h = product_weights_left(mesh, mu)
-    elif singular_at == "lo":
-        M0, M1, h = product_weights_right(mesh, mu)
-    else:
-        raise ValueError(f"singular_at must be 'lo' or 'hi', got {singular_at!r}")
+    M0, M1, h = product_weights_left(mesh, mu)
+
     def _endpoint(v: float) -> float:
         # A blow-up at the very edge shows up as inf/nan or as a raised
         # arithmetic error; both demote the edge cell to the midpoint rule.

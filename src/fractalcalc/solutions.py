@@ -31,7 +31,7 @@ from .laplace import (
     solve_resolvent,
     transform_power,
 )
-from .nonlocal_ops import OperatorKind, OperatorSpec, Side, evaluate_u
+from .nonlocal_ops import OperatorKind, OperatorSpec, evaluate_u
 from .special import mittag_leffler, ml_half_half_closed, rgamma
 from .staircase import CantorSpec, StaircaseFn
 
@@ -94,7 +94,7 @@ def example_problem(example_id: int, lam: float = -0.5) -> ExampleProblem:
     if example_id == 1:
         return ExampleProblem(
             1,
-            OperatorSpec(OperatorKind.CAPUTO, 0.5, terminal=0.0, side=Side.LEFT),
+            OperatorSpec(OperatorKind.CAPUTO, 0.5, terminal=0.0),
             _HALF,
             ((2.0, Fraction(0)),),
             (InitialDatum(Fraction(1), 0.0, 1.0, fits_rule_slot=False),),
@@ -103,7 +103,7 @@ def example_problem(example_id: int, lam: float = -0.5) -> ExampleProblem:
     if example_id == 2:
         return ExampleProblem(
             2,
-            OperatorSpec(OperatorKind.CAPUTO, 0.5, terminal=1.0, side=Side.LEFT),
+            OperatorSpec(OperatorKind.CAPUTO, 0.5, terminal=1.0),
             _HALF,
             ((-1.0, Fraction(1)),),
             (InitialDatum(Fraction(1), 1.0, 0.0, fits_rule_slot=False),),
@@ -112,7 +112,7 @@ def example_problem(example_id: int, lam: float = -0.5) -> ExampleProblem:
     if example_id == 3:
         return ExampleProblem(
             3,
-            OperatorSpec(OperatorKind.RL_DERIVATIVE, 0.5, terminal=0.0, side=Side.LEFT),
+            OperatorSpec(OperatorKind.RL_DERIVATIVE, 0.5, terminal=0.0),
             _HALF,
             (),
             (InitialDatum(Fraction(-1, 2), 0.0, 1.0),),
@@ -123,9 +123,7 @@ def example_problem(example_id: int, lam: float = -0.5) -> ExampleProblem:
             raise DomainError(f"lambda must be finite, got {lam!r}")
         return ExampleProblem(
             4,
-            OperatorSpec(
-                OperatorKind.RL_DERIVATIVE, 4.0 / 3.0, terminal=0.0, side=Side.LEFT
-            ),
+            OperatorSpec(OperatorKind.RL_DERIVATIVE, 4.0 / 3.0, terminal=0.0),
             Fraction(4, 3),
             ((1.0, Fraction(2)),),
             (

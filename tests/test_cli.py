@@ -80,6 +80,13 @@ class TestExitCodes:
         assert code == 1
         assert err.strip()
 
+    @pytest.mark.parametrize("command", ["rl-der", "caputo"])
+    def test_derivative_order_above_two(self, command):
+        code, out, err = run_cli([command, "--beta", "2.5", "--f", "S(x)^3", "--grid", "0.5", "1", "2"])
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_gamma_pole(self):
         code, _, _ = run_cli(["gamma", "--grid", "0", "0", "1"])
         assert code == 1

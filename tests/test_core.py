@@ -22,7 +22,6 @@ from fractalcalc import (
 )
 from fractalcalc import quadrature
 from fractalcalc.core import difference
-from fractalcalc.nonlocal_ops import _nth_derivative
 
 
 @pytest.fixture(scope="module")
@@ -209,22 +208,6 @@ def _ref_central_diff(F, u, h, n):
     return (F(u + h) - 2.0 * F(u) + F(u - h)) / (h * h)
 
 
-def _ref_nth_derivative(g, v, h, n, lo_limit=-math.inf, hi_limit=math.inf):
-    if v - (n + 0.01) * h < lo_limit:
-        s = 1.0
-    elif v + (n + 0.01) * h > hi_limit:
-        s = -1.0
-    else:
-        if n == 1:
-            return (g(v + h) - g(v - h)) / (2.0 * h)
-        return (g(v + h) - 2.0 * g(v) + g(v - h)) / (h * h)
-    if n == 1:
-        return s * (-3.0 * g(v) + 4.0 * g(v + s * h) - g(v + 2.0 * s * h)) / (2.0 * h)
-    return (
-        2.0 * g(v) - 5.0 * g(v + s * h) + 4.0 * g(v + 2.0 * s * h) - g(v + 3.0 * s * h)
-    ) / (h * h)
-
-
 def _same_bits(got, want, zero_sign_may_differ=False):
     # The nonlocal copies negated the sum of the backward first difference,
     # so an exactly cancelling stencil gave -0.0 there and +0.0 in core.
@@ -234,7 +217,6 @@ def _same_bits(got, want, zero_sign_may_differ=False):
 
 
 coefficients = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
-limits = st.one_of(st.just(math.inf), st.floats(min_value=-3.0, max_value=3.0))
 
 
 class TestDifferenceStencil:
@@ -244,11 +226,9 @@ class TestDifferenceStencil:
         v=st.floats(min_value=-3.0, max_value=3.0),
         h=st.floats(min_value=1e-7, max_value=0.5),
         n=st.sampled_from((1, 2)),
-        lo_gap=limits,
-        hi_gap=limits,
     )
     @settings(max_examples=400, deadline=None)
-    def test_matches_the_replaced_copies(self, c, k, v, h, n, lo_gap, hi_gap):
+    def test_matches_the_replaced_copies(self, c, k, v, h, n):
         def g(w):
             return c[0] + c[1] * w + c[2] * math.sin(k * w) + c[3] * math.exp(-w * w)
 
@@ -263,10 +243,6 @@ class TestDifferenceStencil:
         if n == 1:
             for s in (1.0, -1.0, 0.0):
                 assert _same_bits(difference(g, v, h, 1, s), _ref_core(g, v, h, s))
-        lo, hi = v - lo_gap, v + hi_gap
-        got = _nth_derivative(g, v, h, n, lo_limit=lo, hi_limit=hi)
-        want = _ref_nth_derivative(g, v, h, n, lo_limit=lo, hi_limit=hi)
-        assert _same_bits(got, want, zero_sign_may_differ=backward_first)
 
     def test_exact_cancellation_gives_positive_zero(self):
         def g(w):
@@ -274,6 +250,11 @@ class TestDifferenceStencil:
 
         for s in (1.0, -1.0, 0.0):
             assert _same_bits(difference(g, 0.5, 1e-3, 1, s), 0.0)
+
+    @pytest.mark.parametrize("n", [0, 3, 4])
+    def test_other_orders_rejected(self, n):
+        with pytest.raises(ValueError):
+            difference(math.sin, 0.5, 1e-3, n, 0.0)
 
 
 # -- quadrature on whole meshes --------------------------------------------------
@@ -293,11 +274,8 @@ def _ref_gauss_composite(g, lo, hi, nodes=64):
     return total
 
 
-def _ref_product_integrate(g, mesh, mu, singular_at):
-    if singular_at == "hi":
-        M0, M1, h = quadrature.product_weights_left(mesh, mu)
-    else:
-        M0, M1, h = quadrature.product_weights_right(mesh, mu)
+def _ref_product_integrate(g, mesh, mu):
+    M0, M1, h = quadrature.product_weights_left(mesh, mu)
     vals = np.empty(len(mesh), dtype=float)
     vals[0] = float(g(mesh[0]))
     vals[-1] = float(g(mesh[-1]))
@@ -312,14 +290,14 @@ class TestWholeMeshQuadrature:
         g = conjugate(lambda x: math.sin(3.0 * float(x)) + float(sf.eval_exact(x)) ** 2, sf)
         assert _same_bits(quadrature.gauss_composite(g, lo, hi, nodes), _ref_gauss_composite(g, lo, hi, nodes))
 
-    @pytest.mark.parametrize("mu", [-0.5, -0.25, 0.5, 1.0 / 3.0])
-    @pytest.mark.parametrize("singular_at", ["lo", "hi"])
-    def test_product_integrate_same_bits(self, sf, mu, singular_at):
+    # "hi": the kernel is anchored at the mesh's last node
+    @pytest.mark.parametrize("mu", [-0.5, -0.25, 0.5, 1.0 / 3.0], ids=lambda mu: f"hi-{mu}")
+    def test_product_integrate_same_bits(self, sf, mu):
         g = conjugate(lambda x: math.exp(-float(x)) + float(sf.eval_exact(x)) ** 0.5, sf)
         for lo, hi, n in ((0.0, 1.0, 256), (0.2, 0.9, 37), (1.1, 2.0, 64)):
             mesh = quadrature.graded_mesh_two_sided(lo, hi, n)
-            got = quadrature.product_integrate(g, mesh, mu, singular_at)
-            assert _same_bits(got, _ref_product_integrate(g, mesh, mu, singular_at))
+            got = quadrature.product_integrate(g, mesh, mu)
+            assert _same_bits(got, _ref_product_integrate(g, mesh, mu))
 
     def test_product_integrate_calls_the_interior_once(self):
         shapes = []
@@ -329,5 +307,5 @@ class TestWholeMeshQuadrature:
             return np.cos(u)
 
         mesh = quadrature.graded_mesh_two_sided(0.0, 1.0, 40)
-        quadrature.product_integrate(g, mesh, -0.5, "hi")
+        quadrature.product_integrate(g, mesh, -0.5)
         assert sorted(shapes) == [(), (), (len(mesh) - 2,)]

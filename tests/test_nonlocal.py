@@ -1,5 +1,6 @@
 """Kernel-based nonlocal operators on the staircase coordinate."""
 
+import hashlib
 import math
 import warnings
 from fractions import Fraction
@@ -61,6 +62,13 @@ class TestSpecValidation:
     def test_mesh_controls(self):
         with pytest.raises(DomainError):
             OperatorSpec(OperatorKind.RL_INTEGRAL, 0.5, 0.0, nodes_per_unit=0)
+
+    def test_derivative_orders_above_two_rejected(self):
+        # the difference stencils stop at n = 2
+        for kind in (OperatorKind.RL_DERIVATIVE, OperatorKind.CAPUTO):
+            with pytest.raises(DomainError):
+                OperatorSpec(kind, 2.5, 0.0)
+        assert OperatorSpec(OperatorKind.RL_INTEGRAL, 2.5, 0.0).n == 3
 
     def test_n_is_the_integer_ceiling(self):
         assert OperatorSpec(OperatorKind.RL_DERIVATIVE, 0.5, 0.0).n == 1
@@ -199,11 +207,17 @@ class TestOperatorBasics:
 
     def test_mirror_symmetry(self, ident):
         # left acting on f(t) at x equals right acting on f(1 - t) at 1 - x
-        left = OperatorSpec(OperatorKind.RL_DERIVATIVE, 0.5, 0.0, side=Side.LEFT)
-        right = OperatorSpec(OperatorKind.RL_DERIVATIVE, 0.5, 1.0, side=Side.RIGHT)
-        dl = quiet(rl_derivative, left, lambda t: float(t) ** 2, ident, 0.3)
-        dr = quiet(rl_derivative, right, lambda t: (1.0 - float(t)) ** 2, ident, 0.7)
-        assert dl == pytest.approx(dr, rel=1e-10)
+        f = lambda t: 1.0 + float(t) ** 2
+        for kind in OperatorKind:
+            for beta in (0.3, 0.7, 1.4):
+                left = OperatorSpec(kind, beta, 0.0, side=Side.LEFT)
+                right = OperatorSpec(kind, beta, 1.0, side=Side.RIGHT)
+                dl = quiet(evaluate, left, f, ident, 0.3)
+                dr = quiet(evaluate, right, lambda t: f(1.0 - float(t)), ident, 0.7)
+                # 1 - 0.7 is not 0.3 exactly, and for n = 2 one unit in the last
+                # place of a stencil sample moves the result by about 1e-9
+                floor = 1e-8 if beta > 1.0 else 1e-12
+                assert dl == pytest.approx(dr, rel=1e-10, abs=floor), (kind, beta)
 
     def test_caputo_matches_rl_when_zero_at_terminal(self, sf):
         f = lambda t: float(sf.eval_exact(t)) ** 2
@@ -232,6 +246,44 @@ class TestOperatorBasics:
         got = rl_integral(spec, lambda t: 1.0, sf, x)
         assert got == pytest.approx(0.75**0.5 / math.gamma(1.5), rel=1e-6)
 
+    @pytest.mark.parametrize(
+        "kind, beta, eta",
+        [
+            (OperatorKind.RL_INTEGRAL, 0.5, 2.0),
+            (OperatorKind.RL_INTEGRAL, 1.4, 1.5),
+            (OperatorKind.RL_DERIVATIVE, 0.5, 2.0),
+            (OperatorKind.RL_DERIVATIVE, 1.5, 2.5),
+            (OperatorKind.CAPUTO, 0.7, 2.0),
+            (OperatorKind.CAPUTO, 1.4, 2.5),
+        ],
+    )
+    def test_right_side_power_rules(self, sf, kind, beta, eta):
+        # I_{b-}^beta (S(b) - S)^eta = G(eta+1)/G(eta+beta+1) (S(b) - S(x))^(eta+beta),
+        # with -beta for the derivatives; Caputo agrees with RL here because
+        # the power and its first derivative vanish at the terminal
+        order = beta if kind is OperatorKind.RL_INTEGRAL else -beta
+        spec = OperatorSpec(kind, beta, 1.0, side=Side.RIGHT)
+        f = lambda t: (1.0 - float(sf.eval_exact(t))) ** eta
+        for u in (Fraction(1, 4), Fraction(3, 5)):
+            x = sf.quantile_exact(u)
+            want = math.gamma(eta + 1.0) / math.gamma(eta + order + 1.0) * float(1 - u) ** (eta + order)
+            assert quiet(evaluate, spec, f, sf, x) == pytest.approx(want, rel=1e-3)
+
+    def test_left_sided_values_keep_their_bits(self, sf, ident):
+        # SHA-256 of the reprs, recorded before right-sided operators became
+        # reflections of the left-sided ones: the left path keeps every bit
+        values = []
+        for m in (sf, ident):
+            f = lambda t, m=m: 1.0 + float(m.eval(t)) ** 2.5
+            for kind in OperatorKind:
+                for beta in (0.6, 1.3):
+                    spec = OperatorSpec(kind, beta, 0.0)
+                    for x in (0.25, 0.8):
+                        values.append(quiet(evaluate, spec, f, m, x))
+                    values.append(quiet(evaluate_u, spec, lambda u: 1.0 + u**2.5, m, 0.7))
+        digest = hashlib.sha256(repr(values).encode()).hexdigest()
+        assert digest == "3a9dbcb46cce72cc428062c809e22b50880750e5988668325d64e88d90c0feb1"
+
 
 class TestCompositions:
     def test_rl_left_round_trip(self, sf):
@@ -243,3 +295,12 @@ class TestCompositions:
         f = lambda t: float(sf.eval_exact(t)) ** 2
         res = composition_residual(CompositionKind.CAPUTO_LEFT, f, 0.5, sf, (0.0, 1.0))
         assert res < 5e-3
+
+    def test_rl_above_order_one_needs_zero_at_terminal(self, sf):
+        # S^2 vanishes at 0, so the left identity holds; at the right terminal
+        # S(1)^2 = 1 leaves a non-integrable head
+        f = lambda t: float(sf.eval_exact(t)) ** 2
+        res = composition_residual(CompositionKind.RL_LEFT, f, 1.5, sf, (0.0, 1.0))
+        assert res < 5e-3
+        with pytest.raises(DomainError):
+            composition_residual(CompositionKind.RL_RIGHT, f, 1.5, sf, (0.0, 1.0))
