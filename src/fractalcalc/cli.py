@@ -102,7 +102,7 @@ def _parsed_function(config: CliConfig, default: str | None = None):
     def fn(x):
         return expr(x, sf)
 
-    return fn, sf
+    return fn, sf, expr
 
 
 def _emit(config: CliConfig, header, rows, title: str) -> None:
@@ -130,7 +130,17 @@ def _operator_rows(config: CliConfig, xs):
         "caputo": OperatorKind.CAPUTO,
     }[config.command]
     default = "x^2" if config.alpha_mode == "identity" else "S(x)^2"
-    fn, sf = _parsed_function(config, default)
+    fn, sf, expr = _parsed_function(config, default)
+    if (
+        kind is not OperatorKind.RL_INTEGRAL
+        and expr.x_outside_staircase
+        and not isinstance(sf, IdentityMap)
+    ):
+        # f(quantile(u)) jumps at every dyadic u, so its u-derivatives diverge
+        raise ExprError(
+            f"{config.command} on the Cantor staircase needs --f in terms of S(x) only; "
+            f"x appears outside S(...) in {expr.source!r}"
+        )
     spec = OperatorSpec(kind, config.beta, terminal=config.terminal)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
@@ -228,7 +238,7 @@ def run(config: CliConfig) -> int:
 
     if config.command == "laplace":
         default = "x" if config.alpha_mode == "identity" else "S(x)"
-        fn, sf = _parsed_function(config, default)
+        fn, sf, _ = _parsed_function(config, default)
         tol = config.tol if config.tol is not None else 1e-9
         rows = [(s, laplace_numeric(fn, sf, s, tol=tol)) for s in xs]
         _emit(config, ("x", "value"), rows, "transform (x = sigma)")

@@ -51,7 +51,11 @@ class GridFunction:
 class ConjugatedFn:
     """f seen in the staircase coordinate: evaluates f(quantile(u)).
 
-    f is opaque, so an array of u is evaluated one element at a time.
+    f is opaque, so an array of u is evaluated one element at a time, each
+    element passed to the quantile as a Python float.  An integrand built on
+    S(x), such as ``lambda x: sf.eval(x) ** eta``, costs one quantile per
+    node: the staircase of the quantile's own result is known without
+    reading its digits (see :mod:`fractalcalc.staircase`).
     """
 
     underlying: object
@@ -60,7 +64,7 @@ class ConjugatedFn:
     def __call__(self, u):
         f, quantile = self.underlying, self.sf.quantile_exact
         if isinstance(u, np.ndarray):
-            return np.array([float(f(quantile(v))) for v in u.flat]).reshape(u.shape)
+            return np.array([float(f(quantile(v))) for v in u.ravel().tolist()]).reshape(u.shape)
         return float(f(quantile(u)))
 
 

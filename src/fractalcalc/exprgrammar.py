@@ -3,6 +3,10 @@
 Supported: the variable x, the staircase value S(x), numeric literals, the
 named constants pi and e, the operators + - * / ^ (right-associative power),
 unary sign, parentheses, and the functions exp, sin, cos.
+
+x is used as a float everywhere except as the bare argument of S: ``S(x)``
+gets x unchanged, so an exact quantile output reaches the staircase exactly
+instead of through a float.
 """
 
 from __future__ import annotations
@@ -45,16 +49,25 @@ def _tokenize(text: str) -> list[str]:
 
 @dataclass(frozen=True)
 class ParsedExpr:
-    """Callable expression; needs a staircase only when it references S."""
+    """Callable expression; needs a staircase only when it references S.
+
+    ``x_outside_staircase`` says whether x appears anywhere but inside
+    ``S(...)``, i.e. whether the expression can be smooth in x but not in S(x).
+    """
 
     source: str
     _eval: object
     uses_staircase: bool
+    x_outside_staircase: bool
 
     def __call__(self, x, sf=None) -> float:
         if self.uses_staircase and sf is None:
             raise ExprError("expression references S(x) but no staircase given")
-        return self._eval(float(x), sf)
+        return self._eval(x, sf)
+
+
+def _variable(x, sf):
+    return float(x)
 
 
 class _Parser:
@@ -62,6 +75,8 @@ class _Parser:
         self.tokens = tokens
         self.pos = 0
         self.uses_staircase = False
+        self.x_outside_staircase = False
+        self.staircase_nesting = 0
 
     def peek(self) -> str | None:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -127,12 +142,18 @@ class _Parser:
             value = float(tok)
             return lambda x, sf: value
         if tok == "x":
-            return lambda x, sf: x
+            if not self.staircase_nesting:
+                self.x_outside_staircase = True
+            return _variable
         if tok == "S":
             self.expect("(")
+            self.staircase_nesting += 1
             inner = self.expr()
+            self.staircase_nesting -= 1
             self.expect(")")
             self.uses_staircase = True
+            if inner is _variable:
+                return lambda x, sf: sf.eval(x)
             return lambda x, sf: sf.eval(inner(x, sf))
         if tok in _FUNCTIONS:
             fn = _FUNCTIONS[tok]
@@ -163,4 +184,4 @@ def parse_expression(text: str) -> ParsedExpr:
         raise ExprError("empty expression")
     parser = _Parser(_tokenize(text))
     evaluator = parser.parse()
-    return ParsedExpr(text, evaluator, parser.uses_staircase)
+    return ParsedExpr(text, evaluator, parser.uses_staircase, parser.x_outside_staircase)

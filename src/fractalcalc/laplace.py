@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -201,9 +202,16 @@ class InverseTerm:
     ml_nu: Fraction | None = None
     lam: float = 0.0
 
+    @cached_property
+    def _float_exponents(self) -> tuple:
+        """(power, ml_eta, ml_nu) as floats, converted once per term."""
+        if self.ml_eta is None:
+            return float(self.power), None, None
+        return float(self.power), float(self.ml_eta), float(self.ml_nu)
+
     def evaluate_u(self, u):
         """The term at staircase distance u (a float or a float array)."""
-        pw = float(self.power)
+        pw, eta, nu = self._float_exponents
         if np.ndim(u) == 0:
             u = float(u)
             at_terminal = u == 0.0
@@ -215,8 +223,8 @@ class InverseTerm:
         base = self.coeff * u ** pw
         if self.ml_eta is None:
             return base
-        z = self.lam * u ** float(self.ml_eta)
-        return base * mittag_leffler(float(self.ml_eta), float(self.ml_nu), z)
+        z = self.lam * u ** eta
+        return base * mittag_leffler(eta, nu, z)
 
 
 def invert_terms(expr: LaplaceExpr) -> tuple[InverseTerm, ...]:

@@ -21,6 +21,20 @@ integer division with remainder, so the digits, and hence the results, are
 exactly those of reading one digit at a time: correct to the configured digit
 depth for any rational argument.
 
+The quantile's output needs no digit reading at all.  For u = whole + num/den
+the quantile is whole + sum_i 2 b_i 3**-i over the binary digits b_i of
+``bits = (num << depth) // den``: it has ternary digits 0 and 2 only, up to
+``depth``, and none after.  So its staircase value is exactly
+``(whole * 2**depth + bits) / 2**depth``, with the sign of u -- the round trip
+S(Q(u)) is u truncated to ``depth`` binary digits.  ``quantile_exact``
+remembers its last result together with that signed scaled value in one
+per-instance slot, one tuple written at once; ``eval_exact`` and ``eval``
+read the slot once and, when their argument *is* that result object, return
+the value without reading a digit.  Identity, not equality, decides: the slot
+holds a reference, so the object cannot have been replaced by another with
+the same id.  Any other argument, equal or not, goes through the kernel, and
+both paths give the same bits.
+
 Outside the unit interval the staircase is extended, by default, through the
 self-similar tiling ``S(x + 1) = S(x) + 1`` for ``x >= 0`` and the odd
 reflection ``S(-x) = -S(x)``, which is the extension the transform and
@@ -103,8 +117,15 @@ def _ratio(x) -> tuple[int, int]:
     """x as (numerator, denominator) Python ints, the denominator positive.
 
     Rationals (``int``, ``bool``, ``Fraction``, numpy integers) are taken as
-    they are, anything else at the exact binary value of ``float(x)``.
+    they are, anything else at the exact binary value of ``float(x)``.  Exact
+    ``Fraction`` and finite ``float`` arguments, the common ones, are tested
+    first by type, before the slower ``numbers.Rational`` check.
     """
+    cls = type(x)
+    if cls is Fraction:
+        return int(x.numerator), int(x.denominator)
+    if cls is float and math.isfinite(x):
+        return x.as_integer_ratio()
     if isinstance(x, numbers.Rational):
         return int(x.numerator), int(x.denominator)
     f = float(x)
@@ -152,8 +173,9 @@ def _unit_membership(num: int, den: int, depth: int) -> bool:
     return True
 
 
-def _unit_quantile_scaled(num: int, den: int, depth: int) -> int:
-    """quantile(num/den) * 3**depth for 0 <= num/den < 1.
+def _unit_quantile_scaled(bits: int, depth: int) -> int:
+    """quantile(num/den) * 3**depth for 0 <= num/den < 1, given
+    ``bits = (num << depth) // den``, the first ``depth`` binary digits.
 
     Binary digits of the argument become ternary digits {0, 2} of the result,
     one byte per step.  Dyadic arguments use their terminating binary
@@ -161,9 +183,13 @@ def _unit_quantile_scaled(num: int, den: int, depth: int) -> int:
     staircase plateau.
     """
     acc = 0
-    for byte in ((num << depth) // den).to_bytes((depth + _BLOCK - 1) // _BLOCK, "big"):
+    for byte in bits.to_bytes((depth + _BLOCK - 1) // _BLOCK, "big"):
         acc = acc * _BLOCK_POW3 + _BYTE_TRITS[byte]
     return acc
+
+
+#: Initial value of the quantile slot: a key no caller can pass.
+_NO_QUANTILE = (object(), 0)
 
 
 @dataclass(frozen=True)
@@ -172,6 +198,8 @@ class StaircaseFn:
 
     spec: CantorSpec = field(default_factory=CantorSpec)
     alpha: float = ALPHA_CANTOR
+    #: (last quantile_exact result, its staircase value times 2**depth).
+    _last_quantile: tuple = field(default=_NO_QUANTILE, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if abs(self.alpha - ALPHA_CANTOR) > 1e-12:
@@ -189,14 +217,22 @@ class StaircaseFn:
 
     # -- staircase ---------------------------------------------------------
 
-    def eval_exact(self, x) -> Fraction:
+    def _scaled(self, x) -> int:
+        """S(x) * 2**depth, an integer: the last quantile's, or by digits."""
+        key, scaled = self._last_quantile
+        if x is key:
+            return scaled
         negative, whole, num, den = self._parts(x)
         depth = self.spec.digit_depth
         scaled = (whole << depth) + _unit_staircase_scaled(num, den, depth)
-        return Fraction(-scaled if negative else scaled, 1 << depth)
+        return -scaled if negative else scaled
+
+    def eval_exact(self, x) -> Fraction:
+        return Fraction(self._scaled(x), 1 << self.spec.digit_depth)
 
     def eval(self, x) -> float:
-        return float(self.eval_exact(x))
+        # int true division rounds correctly, as Fraction.__float__ does
+        return self._scaled(x) / (1 << self.spec.digit_depth)
 
     __call__ = eval
 
@@ -205,9 +241,13 @@ class StaircaseFn:
     def quantile_exact(self, u) -> Fraction:
         negative, whole, num, den = self._parts(u)
         depth = self.spec.digit_depth
+        bits = (num << depth) // den
         scale = _pow3(depth)
-        scaled = whole * scale + _unit_quantile_scaled(num, den, depth)
-        return Fraction(-scaled if negative else scaled, scale)
+        scaled = whole * scale + _unit_quantile_scaled(bits, depth)
+        x = Fraction(-scaled if negative else scaled, scale)
+        s = (whole << depth) + bits
+        object.__setattr__(self, "_last_quantile", (x, -s if negative else s))
+        return x
 
     def quantile(self, u) -> float:
         return float(self.quantile_exact(u))

@@ -2,10 +2,12 @@
 
 import contextlib
 import io
+from fractions import Fraction
 
 import pytest
 
 from fractalcalc import cli
+from fractalcalc.exprgrammar import parse_expression
 
 
 def run_cli(argv):
@@ -87,6 +89,21 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("command", ["rl-der", "caputo"])
+    @pytest.mark.parametrize("expr", ["x^2", "exp(-S(x)) * (1 + x^2)", "S(x) + x"])
+    def test_derivative_of_f_smooth_in_x_is_refused(self, command, expr):
+        code, out, err = run_cli([command, "--f", expr, "--grid", "0.7", "0.9", "3"])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "outside S(...)" in err
+
+    @pytest.mark.parametrize("command", ["rl-der", "caputo"])
+    def test_derivative_of_f_in_s_or_on_identity_is_accepted(self, command):
+        assert run_cli([command, "--f", "exp(-S(x))", "--grid", "0.7", "0.9", "3"])[0] == 0
+        identity = ["--alpha-mode", "identity", "--f", "x^2", "--grid", "0.7", "0.9", "3"]
+        assert run_cli([command] + identity)[0] == 0
+
     def test_gamma_pole(self):
         code, _, _ = run_cli(["gamma", "--grid", "0", "0", "1"])
         assert code == 1
@@ -142,3 +159,28 @@ class TestConfig:
         with pytest.raises(SystemExit) as exc:
             run_cli(["rl-int", "--kernel", "shifted"])
         assert exc.value.code == 2
+
+
+class TestGrammar:
+    def test_bare_staircase_argument_is_passed_unchanged(self):
+        seen = []
+
+        class Recording:
+            def eval(self, v):
+                seen.append(v)
+                return 0.5
+
+        x = Fraction(2, 9)
+        assert parse_expression("S(x)^2")(x, Recording()) == 0.25
+        assert parse_expression("S((x))")(x, Recording()) == 0.5
+        assert seen[0] is x and seen[1] is x
+        parse_expression("S(x + 0) + x")(x, Recording())
+        assert type(seen[2]) is float
+
+    @pytest.mark.parametrize(
+        "text, outside",
+        [("S(x)^2", False), ("exp(-S(x))", False), ("S(S(x))", False), ("2", False),
+         ("x", True), ("S(x) * x", True), ("exp(x)", True), ("S(x^2) + -x", True)],
+    )
+    def test_tracks_x_outside_the_staircase(self, text, outside):
+        assert parse_expression(text).x_outside_staircase is outside

@@ -20,7 +20,7 @@ from fractalcalc import (
     f_alpha_derivative,
     f_alpha_integral,
 )
-from fractalcalc import quadrature
+from fractalcalc import quadrature, staircase
 from fractalcalc.core import difference
 
 
@@ -154,6 +154,31 @@ class TestConjugate:
     def test_round_trip_on_staircase_values(self, sf):
         g = conjugate(lambda x: float(sf.eval_exact(x)) ** 2, sf)
         assert g(Fraction(1, 4)) == pytest.approx(1.0 / 16.0, abs=1e-12)
+
+    def test_staircase_integrand_reads_no_digits(self, sf, monkeypatch):
+        calls = []
+        kernel = staircase._unit_staircase_scaled
+        monkeypatch.setattr(
+            staircase, "_unit_staircase_scaled", lambda *a: calls.append(a) or kernel(*a)
+        )
+        u = np.array([[0.0, 0.1, 0.5], [2.0 / 3.0, 1.0, 1.9]])
+        got = conjugate(lambda x: sf.eval(x) ** 1.5, sf)(u)
+        assert not calls
+        # the same integrand on equal but distinct Fractions reads the digits
+        want = [sf.eval(Fraction(sf.quantile_exact(v))) ** 1.5 for v in u.flat]
+        assert len(calls) == u.size
+        assert all(_same_bits(a, b) for a, b in zip(got.flat, want))
+
+    def test_array_elements_reach_the_quantile_as_floats(self, sf):
+        seen = []
+
+        class Recording:
+            def quantile_exact(self, v):
+                seen.append(type(v))
+                return sf.quantile_exact(v)
+
+        ConjugatedFn(lambda x: float(x), Recording())(np.linspace(0.0, 1.0, 6).reshape(2, 3))
+        assert seen == [float] * 6
 
     def test_array_call_is_the_elementwise_call(self, sf):
         g = conjugate(lambda x: math.sin(float(x)), sf)

@@ -181,6 +181,21 @@ class TestResolventAndInversion:
         for v, value in zip(u, got):
             assert value == pytest.approx(evaluate_inverse(terms, float(v)), rel=1e-13)
 
+    def test_inverse_terms_keep_exact_exponents_and_their_bits(self):
+        q = Fraction(4, 3)
+        terms = invert_terms(
+            solve_resolvent(transform_power(2) + transform_constant(1.0).shifted(1), q, -0.5)
+        ) + invert_terms(transform_power(Fraction(1, 2)))
+        for t in terms:
+            assert all(type(v) is Fraction for v in (t.power, t.ml_eta, t.ml_nu) if v is not None)
+            for u in (0.01, 0.3, 1.7, np.array([0.2, 0.9])):
+                # the per-call conversion the term used to make
+                want = t.coeff * u ** float(t.power)
+                if t.ml_eta is not None:
+                    z = t.lam * u ** float(t.ml_eta)
+                    want = want * mittag_leffler(float(t.ml_eta), float(t.ml_nu), z)
+                assert np.array_equal(t.evaluate_u(u), want)
+
     def test_evaluate_inverse_array_at_zero(self):
         singular = invert_terms(LaplaceExpr.of(LaplaceTerm(1.0, Fraction(-1, 2))))
         with pytest.raises(DomainError):

@@ -1,6 +1,9 @@
 """Staircase digit algorithms: exactness, properties, extensions."""
 
+import contextlib
 import math
+import sys
+import threading
 from fractions import Fraction
 
 import numpy as np
@@ -17,6 +20,7 @@ from fractalcalc import (
     StaircaseFn,
     prefractal_intervals,
 )
+from fractalcalc import staircase
 from fractalcalc.staircase import (
     _pow3,
     _unit_membership,
@@ -135,7 +139,7 @@ class TestBlockKernels:
         num, den = ratio
         assert _unit_staircase_scaled(num, den, depth) == _reference_staircase_scaled(num, den, depth)
         assert _unit_membership(num, den, depth) is _reference_membership(num, den, depth)
-        assert _unit_quantile_scaled(num, den, depth) == _reference_quantile_scaled(num, den, depth)
+        assert _unit_quantile_scaled((num << depth) // den, depth) == _reference_quantile_scaled(num, den, depth)
 
     @given(
         x=st.one_of(
@@ -226,6 +230,133 @@ class TestQuantile:
         assert sf.eval(x) == pytest.approx(u, abs=2**-33)
 
 
+@contextlib.contextmanager
+def _kernel_calls():
+    """Record every call of the staircase digit kernel made inside the block."""
+    calls = []
+    kernel = staircase._unit_staircase_scaled
+
+    def counted(*args):
+        calls.append(args)
+        return kernel(*args)
+
+    staircase._unit_staircase_scaled = counted
+    try:
+        yield calls
+    finally:
+        staircase._unit_staircase_scaled = kernel
+
+
+def _same_bits(a: float, b: float) -> bool:
+    return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
+
+
+def _truncated(u, depth: int) -> Fraction:
+    """u truncated toward zero to depth binary digits: S(quantile(u))."""
+    u = Fraction(u)
+    scaled = math.floor(abs(u) * 2**depth)
+    return Fraction(-scaled if u < 0 else scaled, 2**depth)
+
+
+class TestQuantileRoundTrip:
+    """S of a quantile output is read from the quantile, not from its digits."""
+
+    @given(
+        u=st.one_of(
+            st.floats(-6.0, 6.0, allow_nan=False),
+            st.fractions(min_value=-6, max_value=6, max_denominator=10**30),
+            st.integers(-5, 5),
+        ),
+        depth=depths,
+        rule=st.sampled_from(list(ExtensionRule)),
+    )
+    @settings(max_examples=500, deadline=None)
+    def test_fresh_output_matches_the_kernel(self, u, depth, rule):
+        if rule is ExtensionRule.UNIT_INTERVAL:
+            u = abs(u) % 1
+        sf = StaircaseFn(CantorSpec(depth, rule))
+        x = sf.quantile_exact(u)
+        copy = Fraction(x.numerator, x.denominator)
+        assert copy is not x
+        with _kernel_calls() as calls:
+            fast_exact, fast = sf.eval_exact(x), sf.eval(x)
+        assert not calls
+        with _kernel_calls() as calls:
+            slow_exact, slow = sf.eval_exact(copy), sf.eval(copy)
+        assert len(calls) == 2
+        assert type(fast_exact) is Fraction
+        assert fast_exact == slow_exact == _truncated(u, depth)
+        assert _same_bits(fast, slow)
+        assert _same_bits(fast, float(fast_exact))
+        assert _same_bits(slow, float(slow_exact))
+
+    def test_interleaved_quantiles(self, sf):
+        a = sf.quantile_exact(Fraction(1, 3))
+        b = sf.quantile_exact(0.7)
+        with _kernel_calls() as calls:
+            assert sf.eval_exact(a) == _truncated(Fraction(1, 3), 53)
+            assert sf.eval(a) == float(_truncated(Fraction(1, 3), 53))
+        assert len(calls) == 2
+        with _kernel_calls() as calls:
+            assert sf.eval_exact(b) == Fraction(0.7)
+        assert not calls
+
+    def test_instances_never_share_a_value(self):
+        deep, shallow = StaircaseFn(CantorSpec(60)), StaircaseFn(CantorSpec(5))
+        u = Fraction(5, 7)
+        x_deep = deep.quantile_exact(u)
+        x_shallow = shallow.quantile_exact(u)
+        with _kernel_calls() as calls:
+            assert shallow.eval_exact(x_deep) == shallow.eval_exact(Fraction(x_deep))
+            assert deep.eval_exact(x_shallow) == deep.eval_exact(Fraction(x_shallow))
+        assert len(calls) == 4
+        assert deep.eval_exact(x_deep) == _truncated(u, 60)
+        assert shallow.eval_exact(x_shallow) == _truncated(u, 5)
+        assert StaircaseFn(CantorSpec(60))._last_quantile is not deep._last_quantile
+
+    def test_threads_sharing_one_instance(self):
+        sf = StaircaseFn(CantorSpec())
+        us = [Fraction(k, 97) for k in range(1, 9)]
+        errors = []
+
+        def work(u):
+            try:
+                for _ in range(300):
+                    x = sf.quantile_exact(u)
+                    if sf.eval_exact(x) != _truncated(u, 53):
+                        errors.append(u)
+            except Exception as exc:  # surfaced by the assertion below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(u,)) for u in us]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+
+    def test_slot_is_not_part_of_the_value(self, sf):
+        fresh = StaircaseFn(CantorSpec())
+        sf.quantile_exact(Fraction(2, 9))
+        assert sf == fresh and hash(sf) == hash(fresh)
+        assert repr(sf) == repr(fresh)
+
+    @pytest.mark.parametrize("depth", [1, 53, 54, 80])
+    @pytest.mark.parametrize("u", [Fraction(1, 3), -2.6, Fraction(-41, 7), 3, 0.0, 1e-300])
+    def test_float_is_the_rounded_exact_value_on_both_paths(self, depth, u):
+        sf = StaircaseFn(CantorSpec(depth))
+        x = sf.quantile_exact(u)
+        assert _same_bits(sf.eval(x), float(sf.eval_exact(x)))
+        copy = Fraction(x)
+        assert _same_bits(sf.eval(copy), float(sf.eval_exact(copy)))
+
+
 class TestMembership:
     def test_known_points(self, sf):
         assert sf.membership(Fraction(0))
@@ -301,6 +432,19 @@ class TestInputTypes:
             assert got == method(plain_x)
             assert type(got.numerator) is int and type(got.denominator) is int
         assert sf.membership(given_x) is sf.membership(plain_x)
+
+
+    def test_subclasses_take_the_general_path(self, sf):
+        class Half(Fraction):
+            pass
+
+        class Real(float):
+            pass
+
+        assert sf.eval_exact(Half(1, 4)) == sf.eval_exact(Fraction(1, 4))
+        assert sf.quantile_exact(Real(0.3)) == sf.quantile_exact(0.3)
+        with pytest.raises(DomainError, match="not finite"):
+            sf.eval(Real("inf"))
 
 
 class TestSpecValidation:
