@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -131,20 +130,21 @@ def _operator_rows(config: CliConfig, xs):
     }[config.command]
     default = "x^2" if config.alpha_mode == "identity" else "S(x)^2"
     fn, sf, expr = _parsed_function(config, default)
-    if (
-        kind is not OperatorKind.RL_INTEGRAL
-        and expr.x_outside_staircase
-        and not isinstance(sf, IdentityMap)
-    ):
-        # f(quantile(u)) jumps at every dyadic u, so its u-derivatives diverge
-        raise ExprError(
-            f"{config.command} on the Cantor staircase needs --f in terms of S(x) only; "
-            f"x appears outside S(...) in {expr.source!r}"
-        )
+    if kind is not OperatorKind.RL_INTEGRAL and not isinstance(sf, IdentityMap):
+        # f(quantile(u)) jumps at every dyadic u unless f is a smooth function
+        # of S(x), and the product rule's accuracy rests on a smooth integrand
+        problem = None
+        if expr.x_outside_staircase:
+            problem = "x appears outside S(...)"
+        elif expr.x_in_staircase_expression:
+            problem = "S(...) takes an argument other than x"
+        if problem:
+            raise ExprError(
+                f"{config.command} on the Cantor staircase needs --f in terms of S(x) only; "
+                f"{problem} in {expr.source!r}"
+            )
     spec = OperatorSpec(kind, config.beta, terminal=config.terminal)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        return [(x, evaluate(spec, fn, sf, x)) for x in xs]
+    return [(x, evaluate(spec, fn, sf, x)) for x in xs]
 
 
 def run(config: CliConfig) -> int:

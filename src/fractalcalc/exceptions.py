@@ -20,4 +20,5 @@ class TailBoundError(RuntimeError):
 
 
 class DifferentiationNoiseWarning(UserWarning):
-    """Richardson levels of a numerical derivative disagree suspiciously."""
+    """Nothing in the library raises this warning; the name stays importable
+    for callers that filter it."""

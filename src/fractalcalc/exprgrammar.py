@@ -53,12 +53,16 @@ class ParsedExpr:
 
     ``x_outside_staircase`` says whether x appears anywhere but inside
     ``S(...)``, i.e. whether the expression can be smooth in x but not in S(x).
+    ``x_in_staircase_expression`` says whether some ``S(...)`` takes an
+    argument that depends on x but is not x itself, such as ``S(x^2)``: the
+    staircase of anything but x is not a smooth function of S(x).
     """
 
     source: str
     _eval: object
     uses_staircase: bool
     x_outside_staircase: bool
+    x_in_staircase_expression: bool
 
     def __call__(self, x, sf=None) -> float:
         if self.uses_staircase and sf is None:
@@ -76,6 +80,8 @@ class _Parser:
         self.pos = 0
         self.uses_staircase = False
         self.x_outside_staircase = False
+        self.x_in_staircase_expression = False
+        self.x_uses = 0
         self.staircase_nesting = 0
 
     def peek(self) -> str | None:
@@ -142,18 +148,22 @@ class _Parser:
             value = float(tok)
             return lambda x, sf: value
         if tok == "x":
+            self.x_uses += 1
             if not self.staircase_nesting:
                 self.x_outside_staircase = True
             return _variable
         if tok == "S":
             self.expect("(")
             self.staircase_nesting += 1
+            x_uses = self.x_uses
             inner = self.expr()
             self.staircase_nesting -= 1
             self.expect(")")
             self.uses_staircase = True
             if inner is _variable:
                 return lambda x, sf: sf.eval(x)
+            if self.x_uses > x_uses:
+                self.x_in_staircase_expression = True
             return lambda x, sf: sf.eval(inner(x, sf))
         if tok in _FUNCTIONS:
             fn = _FUNCTIONS[tok]
@@ -184,4 +194,10 @@ def parse_expression(text: str) -> ParsedExpr:
         raise ExprError("empty expression")
     parser = _Parser(_tokenize(text))
     evaluator = parser.parse()
-    return ParsedExpr(text, evaluator, parser.uses_staircase, parser.x_outside_staircase)
+    return ParsedExpr(
+        text,
+        evaluator,
+        parser.uses_staircase,
+        parser.x_outside_staircase,
+        parser.x_in_staircase_expression,
+    )

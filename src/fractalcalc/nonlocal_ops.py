@@ -4,12 +4,14 @@ All kernels act in the staircase coordinate u = S(x), with exponent
 beta - 1 and the classical Gamma normalization, so the conjugated operators
 are exactly the classical fractional operators.
 
-Integrals use product integration: the conjugated integrand is interpolated
-piecewise-linearly on a mesh graded toward both endpoints while the kernel
-is integrated in closed form cell by cell. Derivatives wrap a Richardson
-difference stencil around the lower-order integral, holding the mesh size
-fixed across the stencil so quadrature error varies smoothly in the offset
-and cancels in the extrapolation.
+Every operator value is one product integral (`quadrature.product_integrate`)
+of g against (u - v)^(order - 1) / Gamma(order), with order = beta for an
+integral and order = -beta for a derivative:
+D^beta g(u) = f.p.∫ g(v) (u - v)^(-beta - 1) dv / Gamma(-beta), a Hadamard
+finite part. The rule interpolates g quadratically on pairs of cells of a
+mesh graded toward both endpoints and integrates the kernel against each
+interpolant in closed form; an integrand that blows up at the terminal is
+met by subtracting a fitted power (see `quadrature`).
 
 Every operator works on an integrand g of u under the protocol of
 `quadrature`: g takes a float or a float ndarray of u and returns the same
@@ -25,27 +27,31 @@ t -> -t: the right operator at u with terminal ua, acting on g, is the left
 operator at -u with terminal -ua, acting on t -> g(-t). Because -d/du is
 d/dt, derivatives need no (-1)^n factor. `evaluate_u` and
 `composition_residual` reflect once; every helper below them is left-sided.
-Derivative orders go up to 2 (n = ceil(beta) is 1 or 2), the reach of the
-second-order difference stencils.
+Derivative orders go up to 2 (n = ceil(beta) is 1 or 2): the quadratic
+rule needs -beta - 1 > -3, and the Caputo Taylor coefficients come from the
+first- and second-order difference stencils of `core.difference`.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import quadrature
 from .core import conjugate, difference
-from .exceptions import DifferentiationNoiseWarning, DomainError
+from .exceptions import DomainError
 from .special import gamma_classical, rgamma
 
 DELTA_BOUNDARY = 1e-9  # offset for one-sided limits at a terminal
 _TAYLOR_STEP = 1e-5  # difference step for Taylor coefficients at a terminal
 _INNER_SAMPLES = 161  # inner-operator samples per composition residual
+# Derivative orders closer than this to an integer are refused: the kernel
+# exponent -beta - 1 keeps only their first digits, and the finite part's
+# pole term, of size 1/(n - beta), loses about 1e-16 / |n - beta| relative.
+_INTEGER_GAP = 1e-9
 
 
 class OperatorKind(enum.Enum):
@@ -72,10 +78,11 @@ class OperatorSpec:
     def __post_init__(self) -> None:
         if not self.beta > 0.0:
             raise DomainError(f"order must be positive, got {self.beta!r}")
-        if self.kind is not OperatorKind.RL_INTEGRAL and self.beta == int(self.beta):
+        if self.kind is not OperatorKind.RL_INTEGRAL and abs(self.beta - round(self.beta)) < _INTEGER_GAP:
             raise DomainError(
                 "integer-order differentiation is the iterated staircase "
-                f"derivative, not a kernel operator (order {self.beta!r})"
+                f"derivative, not a kernel operator (order {self.beta!r}, "
+                f"within {_INTEGER_GAP} of an integer)"
             )
         if self.kind is not OperatorKind.RL_INTEGRAL and self.beta > 2.0:
             raise DomainError(f"derivative orders above 2 are not supported, got {self.beta!r}")
@@ -97,55 +104,21 @@ def _reflected(g):
     return lambda t: g(-t)
 
 
-def _integral_u(g, spec: OperatorSpec, ua: float, order: float, u: float, fixed_nodes: int | None = None) -> float:
-    """Left-sided product-integrated fractional integral of g in u, u >= ua.
+def _rl_u(g, spec: OperatorSpec, ua: float, order: float, u: float) -> float:
+    """Left RL operator of g in u, u >= ua: an integral for order > 0 and a
+    derivative of order -order for order < 0 (not an integer), both one
+    product integral against (u - v)^(order - 1) / Gamma(order).
 
-    ua is the terminal's staircase coordinate.
+    ua is the terminal's staircase coordinate. For a derivative the integral
+    is a Hadamard finite part.
     """
-    if u == ua:
-        return 0.0
-    cells = fixed_nodes if fixed_nodes is not None else _node_count(spec, u - ua)
-    mesh = quadrature.graded_mesh_two_sided(ua, u, cells)
-    return quadrature.product_integrate(g, mesh, order - 1.0) / gamma_classical(order)
-
-
-def _richardson_stencil(F, u: float, h: float, n: int) -> float:
-    """(4 D(h/2) - D(h)) / 3 with central differences D.
-
-    Callers keep h <= span / 4, so the stencil never reaches the terminal.
-    """
-    coarse = difference(F, u, h, n, 0.0)
-    fine = difference(F, u, h / 2.0, n, 0.0)
-    value = (4.0 * fine - coarse) / 3.0
-    drift = abs(fine - coarse) / 3.0
-    if drift > 0.05 * max(abs(value), 1e-9):
-        warnings.warn(
-            f"difference stencil levels disagree by {drift:.3e} near u={u!r}; "
-            "the result may be dominated by quadrature noise",
-            DifferentiationNoiseWarning,
-            stacklevel=3,
-        )
-    return value
-
-
-def _derivative_u(g, spec: OperatorSpec, ua: float, u: float, h: float | None = None) -> float:
-    """Left RL derivative in u: n plain derivatives of the order n - beta integral.
-
-    The difference step h defaults to 1e-4 for n = 1 and 1e-3 otherwise.
-    """
-    n = spec.n
     span = u - ua
     if span == 0.0:
+        if order > 0.0:
+            return 0.0
         raise DomainError("derivative is not defined at the terminal itself")
-    if h is None:
-        h = 1e-4 if n == 1 else 1e-3
-    h = min(h, span / 4.0)
-    cells = _node_count(spec, span)
-
-    def F(w: float) -> float:
-        return _integral_u(g, spec, ua, n - spec.beta, w, fixed_nodes=cells)
-
-    return _richardson_stencil(F, u, h, n)
+    mesh = quadrature.graded_mesh_two_sided(ua, u, _node_count(spec, span))
+    return quadrature.product_integrate(g, mesh, order - 1.0) * rgamma(order)
 
 
 def _caputo_u(g, spec: OperatorSpec, ua: float, u: float) -> float:
@@ -168,8 +141,7 @@ def _caputo_u(g, spec: OperatorSpec, ua: float, u: float) -> float:
             acc = acc - c * w**j / fact
         return acc
 
-    dspec = replace(spec, kind=OperatorKind.RL_DERIVATIVE)
-    return _derivative_u(remainder, dspec, ua, u)
+    return _rl_u(remainder, spec, ua, -spec.beta, u)
 
 
 def _require_kind(spec: OperatorSpec, kind: OperatorKind) -> None:
@@ -192,9 +164,9 @@ def evaluate_u(spec: OperatorSpec, g, sf, u: float) -> float:
     elif u < ua:
         raise DomainError("evaluation point precedes the left terminal")
     if spec.kind is OperatorKind.RL_INTEGRAL:
-        return _integral_u(g, spec, ua, spec.beta, u)
+        return _rl_u(g, spec, ua, spec.beta, u)
     if spec.kind is OperatorKind.RL_DERIVATIVE:
-        return _derivative_u(g, spec, ua, u)
+        return _rl_u(g, spec, ua, -spec.beta, u)
     return _caputo_u(g, spec, ua, u)
 
 
@@ -269,15 +241,10 @@ def _rl_boundary_terms(g, spec: OperatorSpec, ua: float, w: float) -> float:
     total = 0.0
     for j in range(1, spec.n + 1):
         order_j = beta - j
-        if order_j > 0.0:
-            dspec = replace(spec, beta=order_j, kind=OperatorKind.RL_DERIVATIVE)
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", DifferentiationNoiseWarning)
-                limit = _derivative_u(g, dspec, ua, probe, h=DELTA_BOUNDARY / 8.0)
-        elif order_j == 0.0:
+        if order_j == 0.0:
             limit = g(probe)
         else:
-            limit = _integral_u(g, spec, ua, -order_j, probe)
+            limit = _rl_u(g, spec, ua, -order_j, probe)
         total += limit * rgamma(beta - j + 1.0) * w ** (beta - j)
     return total
 
@@ -338,10 +305,10 @@ def composition_residual(
     pad = 8.0 * DELTA_BOUNDARY
     frac = (np.arange(_INNER_SAMPLES) / (_INNER_SAMPLES - 1.0)) ** 4.0
     ugrid = (ua + pad) + (float(us.max()) - ua - pad) * frac
-    inner = _caputo_u if caputo else _derivative_u
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DifferentiationNoiseWarning)
-        inner_vals = np.array([inner(g, spec, ua, float(w)) for w in ugrid])
+    if caputo:
+        inner_vals = np.array([_caputo_u(g, spec, ua, float(w)) for w in ugrid])
+    else:
+        inner_vals = np.array([_rl_u(g, spec, ua, -beta, float(w)) for w in ugrid])
     if not np.isfinite(inner_vals).all():
         raise DomainError("inner operator produced non-finite samples")
 
@@ -359,7 +326,7 @@ def composition_residual(
     worst = 0.0
     for u in us:
         u = float(u)
-        recomposed = _integral_u(inner_fn, spec, ua, beta, u)
+        recomposed = _rl_u(inner_fn, spec, ua, beta, u)
         if head_coeff != 0.0:
             recomposed += head_coeff * gamma_classical(1.0 - beta)
         expected = g(u) - boundary_terms(g, spec, ua, u - ua)

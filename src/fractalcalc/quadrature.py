@@ -2,12 +2,21 @@
 
 Smooth integrands go through composite Gauss-Legendre panels aligned to unit
 intervals. Endpoint-singular integrands (integrable power singularities) go
-through tanh-sinh, whose nodes never touch the endpoints. Weakly singular
-convolution kernels are integrated by product rules: the integrand is
-interpolated piecewise-linearly on a graded mesh and the kernel
-moments are taken exactly. The product rule has a single kernel anchor, the
-mesh's last node; a kernel singular at the lower end is reached by
-reflecting the integrand (see `nonlocal_ops`).
+through tanh-sinh, whose nodes never touch the endpoints. Convolution
+kernels (X - v)^mu are integrated by a product rule: the integrand is
+interpolated quadratically on each pair of cells of a graded mesh and the
+kernel moments against each interpolant are taken exactly. For mu in
+(-3, -1) the integral is a Hadamard finite part, which the rule takes by
+dropping the divergent power at the anchor; that is how `nonlocal_ops`
+evaluates fractional derivatives. Moments are in closed form on pairs close
+to the anchor and by an 8-point Gauss rule on pairs far from it, where the
+closed form's differences of nearly equal powers would cancel. A graded
+mesh is an affine image of a reference mesh that depends only on its cell
+count, so its weights are cached reference weights times span^(mu + 1). An
+integrand that blows up at the terminal, the lower end, is met by
+subtracting a fitted power whose integral is exact. The product rule has a
+single kernel anchor, the mesh's last node; a kernel singular at the lower
+end is reached by reflecting the integrand (see `nonlocal_ops`).
 
 Integrand protocol: an integrand g takes a float or a float ndarray of u and
 returns a float or an ndarray of the same shape. Gauss-Legendre evaluates
@@ -140,49 +149,179 @@ def tanh_sinh(g, lo: float, hi: float, tol: float = 1e-12, max_level: int = 11) 
 # -- product integration against weakly singular kernels ---------------------
 
 
+_TERMINAL_GRADE = 3.5
+_ANCHOR_GRADE = 3.0
+_ANCHOR_FLOOR = 1e-4
+# Pairs whose width exceeds this fraction of their distance from the anchor
+# take their kernel moments in closed form; the rest, where the closed form's
+# differences of nearly equal powers would cancel, by Gauss-Legendre.
+_CLOSED_RATIO = 0.5
+_FAR_NODES = 8
+
+
+@lru_cache(maxsize=64)
+def _reference_mesh(cells: int) -> np.ndarray:
+    pairs = cells // 4
+    anchor_grade = _ANCHOR_GRADE
+    if pairs > 1:
+        anchor_grade = min(anchor_grade, -math.log(_ANCHOR_FLOOR) / math.log(pairs))
+    ramp = np.arange(pairs + 1, dtype=float) / pairs
+    edges = np.concatenate([0.5 * ramp**_TERMINAL_GRADE, 1.0 - 0.5 * ramp[-2::-1] ** anchor_grade])
+    mesh = np.empty(2 * len(edges) - 1)
+    mesh[::2] = edges
+    mesh[1::2] = 0.5 * (edges[:-1] + edges[1:])
+    mesh.flags.writeable = False
+    return mesh
+
+
 def graded_mesh_two_sided(lo: float, hi: float, n: int) -> np.ndarray:
-    """Mesh of ~n cells refined toward both endpoints, with cubic grading.
+    """Mesh of about n cells in pairs, graded toward both endpoints.
 
-    Kernel singularities sit at one endpoint and integrand curvature usually
-    concentrates at the other, so both ends get clustered cells.
+    The mesh is lo + (hi - lo) * ref with a reference mesh ref on [0, 1]
+    that depends on n alone. Each half gets P = n // 4 (at least 1) cell
+    pairs, each split at its midpoint. Pair edges are graded as (k/P)^3.5
+    toward lo, the terminal, where the integrand is usually singular, and
+    as (k/P)^3 toward hi, the kernel anchor. Near the anchor the grading is
+    relaxed so that no pair is narrower than 1e-4 of the half span: a
+    hypersingular kernel's finite-part weights, and their rounding error,
+    grow like the anchor pair's width to the power -beta.
     """
-    half = max(1, n // 2)
-    mid = 0.5 * (lo + hi)
-    jl = (np.arange(half + 1, dtype=float) / half) ** 3.0
-    left = lo + (mid - lo) * jl
-    jr = (np.arange(half, dtype=float) / half)[::-1] ** 3.0
-    right = hi - (hi - mid) * jr
-    return np.concatenate([left, right])
+    mesh = lo + (hi - lo) * _reference_mesh(4 * max(1, n // 4))
+    mesh[-1] = hi
+    return mesh
 
 
-def product_weights_left(mesh: np.ndarray, mu: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Moment data for ∫ g(v) (X - v)^mu dv with X = mesh[-1], mu > -1.
+@lru_cache(maxsize=None)
+def _far_rule() -> tuple[np.ndarray, np.ndarray]:
+    # Gauss-Legendre on [0, 1]: the nodes, and the weights times 1, t, t^2
+    x, w = _leggauss(_FAR_NODES)
+    t = 0.5 * (x + 1.0)
+    return t, 0.5 * w * np.stack([np.ones_like(t), t, t * t])
 
-    Returns (M0, M1, h) per cell: the kernel mass, the kernel first moment
-    about the cell's left node, and the cell widths. A piecewise-linear g is
-    then integrated exactly as g_left*(M0 - M1/h) + g_right*(M1/h).
+
+def _pair_moments(near: np.ndarray, width: np.ndarray, mu: float) -> np.ndarray:
+    """Kernel moments H ∫_0^1 (a + H t)^mu t^q dt, q = 0, 1, 2, per pair.
+
+    a is the pair's distance from the anchor and H its width. Shape (3, P).
+    At a = 0 the closed form is the Hadamard finite part: the anchor's
+    power a^(mu + q + 1) is dropped, which for mu + q + 1 > 0 is its value.
     """
-    X = mesh[-1]
-    w = X - mesh
-    m1, m2 = mu + 1.0, mu + 2.0
-    pw1 = np.power(w, m1)
-    pw2 = np.power(w, m2)
-    M0 = (pw1[:-1] - pw1[1:]) / m1
-    M1 = w[:-1] * M0 - (pw2[:-1] - pw2[1:]) / m2
-    return M0, M1, np.diff(mesh)
+    moments = np.empty((3, len(near)))
+    closed = width > _CLOSED_RATIO * near
+    a, h = near[closed], width[closed]
+    b = a + h
+    positive = a > 0.0
+    power = []
+    for q in range(3):
+        p = mu + q + 1.0
+        at_a = np.zeros_like(a)
+        np.power(a, p, out=at_a, where=positive)
+        power.append((np.power(b, p) - at_a) / p)
+    moments[0, closed] = power[0]
+    moments[1, closed] = (power[1] - a * power[0]) / h
+    moments[2, closed] = (power[2] - 2.0 * a * power[1] + a * a * power[0]) / (h * h)
+    far = ~closed
+    if far.any():
+        t, wt = _far_rule()
+        a, h = near[far], width[far]
+        kernel = np.power(a[:, None] + h[:, None] * t, mu)
+        # elementwise sums rather than a matrix product, whose BLAS
+        # summation order can change the last bits from machine to machine
+        moments[:, far] = (kernel * wt[:, None, :]).sum(axis=2) * h
+    return moments
+
+
+def product_weights(mesh: np.ndarray, mu: float) -> np.ndarray:
+    """Node weights of the piecewise-quadratic product rule.
+
+    The rule integrates f.p.∫ g(v) (X - v)^mu dv over the mesh span, with the
+    anchor X = mesh[-1], exactly when g is quadratic on each pair of cells
+    (mesh[2k], mesh[2k+1], mesh[2k+2]). mu > -3, except -1 and -2, whose
+    moments are logarithms; mu < -1 gives the Hadamard finite part.
+    """
+    if len(mesh) < 3 or len(mesh) % 2 == 0:
+        raise ValueError(f"the product rule needs an even number of cells, got {len(mesh) - 1}")
+    if not mu > -3.0 or mu in (-1.0, -2.0):
+        raise ValueError(f"kernel exponent must exceed -3 and not be -1 or -2, got {mu!r}")
+    w = mesh[-1] - mesh
+    near, mid = w[2::2], w[1::2]
+    width = w[:-2:2] - near
+    tm = (mid - near) / width
+    m0, m1, m2 = _pair_moments(near, width, mu)
+    weights = np.zeros(len(mesh))
+    weights[2::2] = (m2 - (1.0 + tm) * m1 + tm * m0) / tm
+    weights[1::2] = (m2 - m1) / (tm * (tm - 1.0))
+    weights[:-2:2] += (m2 - tm * m1) / (1.0 - tm)
+    return weights
+
+
+@lru_cache(maxsize=256)
+def _reference_weights(cells: int, mu: float) -> np.ndarray:
+    weights = product_weights(_reference_mesh(cells), mu)
+    weights.flags.writeable = False
+    return weights
+
+
+def _mesh_weights(mesh: np.ndarray, mu: float) -> np.ndarray:
+    """product_weights(mesh, mu), scaled from the cached reference weights
+    when the mesh is a graded mesh: those are span^(mu + 1) W_ref(n, mu)."""
+    cells = len(mesh) - 1
+    if cells % 4 == 0:
+        lo, span = mesh[0], mesh[-1] - mesh[0]
+        ref = _reference_mesh(cells)
+        if np.array_equal(mesh[:-1], lo + span * ref[:-1]):
+            return span ** (mu + 1.0) * _reference_weights(cells, mu)
+    return product_weights(mesh, mu)
+
+
+def _terminal_power(z: np.ndarray, g: np.ndarray) -> tuple[float, float, float] | None:
+    """(c, gamma, d) of the model c z^gamma + d through g at z[1], z[2], z[4].
+
+    gamma is found by bisection on (-1, 4), where the power is integrable
+    and the model's ratio of differences rises with gamma. None when the
+    three values fit no such model.
+    """
+    x1, x2, x3 = math.log(z[1]), math.log(z[2]), math.log(z[4])
+    g1, g2, g3 = g[1], g[2], g[4]
+    if not (g3 - g2) * (g2 - g1) > 0.0:
+        return None
+    target = (g3 - g2) / (g2 - g1)
+
+    def ratio(gamma: float) -> float:
+        p2 = math.exp(gamma * x2)
+        return (math.exp(gamma * x3) - p2) / (p2 - math.exp(gamma * x1))
+
+    lo, hi = -1.0, 4.0
+    if not ratio(lo) < target < ratio(hi):
+        return None
+    for _ in range(50):
+        gamma = 0.5 * (lo + hi)
+        if ratio(gamma) < target:
+            lo = gamma
+        else:
+            hi = gamma
+    gamma = 0.5 * (lo + hi)
+    c = (g2 - g1) / (z[2] ** gamma - z[1] ** gamma)
+    return c, gamma, g1 - c * z[1] ** gamma
 
 
 def product_integrate(g, mesh: np.ndarray, mu: float) -> float:
-    """∫ g(v) (X - v)^mu dv over the mesh span, with the anchor X = mesh[-1].
+    """f.p.∫ g(v) (X - v)^mu dv over the mesh span, with the anchor X = mesh[-1].
 
-    Non-finite g at an endpoint (a blow-up at the very edge) demotes that
-    single cell to a midpoint rule.
+    g is interpolated quadratically on each pair of cells (see
+    `product_weights`). A non-finite g at the terminal mesh[0] (an
+    integrable blow-up at the very edge) is met by singularity subtraction:
+    the model c z^gamma + d, z = v - mesh[0], is fitted to g at three nodes
+    next to the terminal, the power's integral is taken exactly (a Beta
+    function), and the rule integrates g minus the power, which is d at the
+    terminal. When no such model fits, g at the terminal is taken as g at
+    the next node.
     """
-    M0, M1, h = product_weights_left(mesh, mu)
+    weights = _mesh_weights(mesh, mu)
 
     def _endpoint(v: float) -> float:
         # A blow-up at the very edge shows up as inf/nan or as a raised
-        # arithmetic error; both demote the edge cell to the midpoint rule.
+        # arithmetic error; both call for the terminal treatment.
         try:
             return float(g(v))
         except (ArithmeticError, ValueError):
@@ -192,11 +331,23 @@ def product_integrate(g, mesh: np.ndarray, mu: float) -> float:
     vals[0] = _endpoint(mesh[0])
     vals[-1] = _endpoint(mesh[-1])
     vals[1:-1] = g(mesh[1:-1])
-    contrib = vals[:-1] * (M0 - M1 / h) + vals[1:] * (M1 / h)
+    head = 0.0
     if not math.isfinite(vals[0]):
-        contrib[0] = g(0.5 * (mesh[0] + mesh[1])) * M0[0]
-    if not math.isfinite(vals[-1]):
-        contrib[-1] = g(0.5 * (mesh[-2] + mesh[-1])) * M0[-1]
-    if not np.isfinite(contrib).all():
-        raise ValueError("integrand returned a non-finite value inside the mesh")
-    return float(contrib.sum())
+        z = mesh - mesh[0]
+        fit = _terminal_power(z, vals) if len(mesh) > 4 else None
+        if fit is None:
+            vals[0] = vals[1]
+        else:
+            c, gamma, vals[0] = fit
+            vals[1:] -= c * z[1:] ** gamma
+            # f.p.∫_0^span z^gamma (span - z)^mu dz = span^(s - 1) B(gamma + 1, mu + 1)
+            s = gamma + mu + 2.0
+            if s > 0.0 or s != math.floor(s):
+                beta_fn = math.gamma(gamma + 1.0) * math.gamma(mu + 1.0) / math.gamma(s)
+                head = c * z[-1] ** (s - 1.0) * beta_fn
+    if not np.isfinite(vals).all():
+        raise ValueError("integrand returned a non-finite value on the mesh")
+    total = float((weights * vals).sum()) + head
+    if not math.isfinite(total):
+        raise ValueError("integrand returned a non-finite value on the mesh")
+    return total

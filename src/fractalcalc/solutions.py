@@ -13,7 +13,6 @@ the same residual, never assumed.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -305,18 +304,16 @@ def solve_example(
     variant_solution = GridFunction(xs_float, var_vals, label=f"variant-{example_id}")
     variant_discrepancy = float(np.max(np.abs(var_vals - sol_vals)))
     variant_max_residual = 0.0
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        for i, u in enumerate(us):
-            rhs = problem.lam * var_vals[i] + rhs_fn(u)
-            try:
-                lhs = evaluate_u(problem.operator, variant_u, sf, u)
-            except (ArithmeticError, ValueError, RuntimeError):
-                variant_max_residual = math.inf
-                break
-            variant_max_residual = max(
-                variant_max_residual, abs(lhs - rhs) / max(1.0, abs(rhs))
-            )
+    for i, u in enumerate(us):
+        rhs = problem.lam * var_vals[i] + rhs_fn(u)
+        try:
+            lhs = evaluate_u(problem.operator, variant_u, sf, u)
+        except (ArithmeticError, ValueError, RuntimeError):
+            variant_max_residual = math.inf
+            break
+        variant_max_residual = max(
+            variant_max_residual, abs(lhs - rhs) / max(1.0, abs(rhs))
+        )
 
     return SolutionReport(
         problem=problem,

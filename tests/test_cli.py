@@ -2,6 +2,7 @@
 
 import contextlib
 import io
+import math
 from fractions import Fraction
 
 import pytest
@@ -40,7 +41,7 @@ class TestBasicCommands:
         )
         assert code == 0
         value = float(out.splitlines()[1].split(",")[1])
-        assert value == pytest.approx(1.5045266740550585, rel=1e-6)
+        assert value == pytest.approx(math.gamma(3.0) / math.gamma(2.5), rel=1e-6)
 
     def test_beta_table_consistency(self):
         code, out, _ = run_cli(["beta", "--beta", "0.5", "--eta", "1.5"])
@@ -99,8 +100,21 @@ class TestExitCodes:
         assert "outside S(...)" in err
 
     @pytest.mark.parametrize("command", ["rl-der", "caputo"])
+    @pytest.mark.parametrize("expr", ["S(x^2)", "S(S(x))", "exp(-S(2 * x))", "S(x) * S(x + 0)"])
+    def test_staircase_of_anything_but_x_is_refused(self, command, expr):
+        # S of anything but x jumps at every dyadic u, like an f smooth in x,
+        # and no error bound of the product rule covers such an integrand
+        code, out, err = run_cli([command, "--f", expr, "--grid", "0.7", "0.9", "3"])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "argument other than x" in err
+
+    @pytest.mark.parametrize("command", ["rl-der", "caputo"])
     def test_derivative_of_f_in_s_or_on_identity_is_accepted(self, command):
         assert run_cli([command, "--f", "exp(-S(x))", "--grid", "0.7", "0.9", "3"])[0] == 0
+        assert run_cli([command, "--f", "S(x)^0.5", "--grid", "0.7", "0.9", "3"])[0] == 0
+        assert run_cli([command, "--f", "S(0.5) * S(x)", "--grid", "0.7", "0.9", "3"])[0] == 0
         identity = ["--alpha-mode", "identity", "--f", "x^2", "--grid", "0.7", "0.9", "3"]
         assert run_cli([command] + identity)[0] == 0
 
@@ -184,3 +198,11 @@ class TestGrammar:
     )
     def test_tracks_x_outside_the_staircase(self, text, outside):
         assert parse_expression(text).x_outside_staircase is outside
+
+    @pytest.mark.parametrize(
+        "text, inside",
+        [("S(x)^2", False), ("S((x))", False), ("exp(-S(x))", False), ("S(1) + x", False),
+         ("x", False), ("S(x^2)", True), ("S(S(x))", True), ("S(x + 0)", True), ("x * S(2 * x)", True)],
+    )
+    def test_tracks_x_in_a_staircase_expression(self, text, inside):
+        assert parse_expression(text).x_in_staircase_expression is inside

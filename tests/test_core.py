@@ -4,6 +4,7 @@ import math
 import struct
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,6 +20,7 @@ from fractalcalc import (
     conjugate,
     f_alpha_derivative,
     f_alpha_integral,
+    rgamma,
 )
 from fractalcalc import quadrature, staircase
 from fractalcalc.core import difference
@@ -300,13 +302,11 @@ def _ref_gauss_composite(g, lo, hi, nodes=64):
 
 
 def _ref_product_integrate(g, mesh, mu):
-    M0, M1, h = quadrature.product_weights_left(mesh, mu)
     vals = np.empty(len(mesh), dtype=float)
     vals[0] = float(g(mesh[0]))
     vals[-1] = float(g(mesh[-1]))
     vals[1:-1] = [g(v) for v in mesh[1:-1]]
-    contrib = vals[:-1] * (M0 - M1 / h) + vals[1:] * (M1 / h)
-    return float(contrib.sum())
+    return float((quadrature._mesh_weights(mesh, mu) * vals).sum())
 
 
 class TestWholeMeshQuadrature:
@@ -334,3 +334,94 @@ class TestWholeMeshQuadrature:
         mesh = quadrature.graded_mesh_two_sided(0.0, 1.0, 40)
         quadrature.product_integrate(g, mesh, -0.5)
         assert sorted(shapes) == [(), (), (len(mesh) - 2,)]
+
+
+# -- the piecewise-quadratic product rule --------------------------------------
+
+
+def _fp_power_moment(k: int, mu: float, X: float, S: float) -> float:
+    """f.p.∫_{X-S}^X v^k (X - v)^mu dv, expanding v^k = (X - w)^k in w."""
+    return sum(
+        math.comb(k, j) * X ** (k - j) * (-1.0) ** j * S ** (mu + j + 1.0) / (mu + j + 1.0)
+        for j in range(k + 1)
+    )
+
+
+def _fp_cos(mu: float, X: float = 1.0) -> float:
+    """f.p.∫_0^X cos(v) (X - v)^mu dv, term by term at 30 digits.
+
+    With w = X - v, cos(v) = cos X cos w + sin X sin w; each power w^j of
+    their series has the finite part X^(mu + j + 1) / (mu + j + 1).
+    """
+    with mpmath.workdps(30):
+        X, mu = mpmath.mpf(X), mpmath.mpf(mu)
+        total = mpmath.mpf(0)
+        for m in range(30):
+            total += (-1) ** m * mpmath.cos(X) * X ** (mu + 2 * m + 1) / (mpmath.factorial(2 * m) * (mu + 2 * m + 1))
+            total += (-1) ** m * mpmath.sin(X) * X ** (mu + 2 * m + 2) / (mpmath.factorial(2 * m + 1) * (mu + 2 * m + 2))
+        return float(total)
+
+
+class TestProductRule:
+    @pytest.mark.parametrize("mu", [-2.5, -1.5, -1.2, -0.5, 0.5])
+    def test_exact_on_quadratics(self, mu):
+        # any mesh with an even cell count, graded or not, and the finite part for mu < -1
+        rng = np.random.default_rng(7)
+        meshes = [
+            quadrature.graded_mesh_two_sided(0.3, 1.1, 64),
+            np.concatenate([[0.3], np.sort(rng.uniform(0.3, 1.1, 19)), [1.1]]),
+        ]
+        for mesh in meshes:
+            X, S = mesh[-1], mesh[-1] - mesh[0]
+            for k in range(3):
+                got = quadrature.product_integrate(lambda v, k=k: v**k, mesh, mu)
+                want = _fp_power_moment(k, mu, X, S)
+                # rounding, amplified by the anchor pair's width^(mu + 1)
+                assert got == pytest.approx(want, rel=1e-8), (k, len(mesh))
+
+    @pytest.mark.parametrize("mu", [-2.5, -1.5, -0.5, 0.5])
+    def test_cosine_against_mpmath(self, mu):
+        mesh = quadrature.graded_mesh_two_sided(0.0, 1.0, 256)
+        assert quadrature.product_integrate(np.cos, mesh, mu) == pytest.approx(_fp_cos(mu), rel=1e-7)
+
+    @pytest.mark.parametrize("mu", [-1.5, -0.5])
+    @pytest.mark.parametrize("eta", [0.05, 0.25])
+    def test_far_pairs_keep_their_moments(self, mu, eta):
+        # v^eta changes fast over the tiny pairs at the terminal, where the
+        # closed-form moments would cancel catastrophically (2e-5 here)
+        mesh = quadrature.graded_mesh_two_sided(0.0, 0.7, 180)
+        want = math.gamma(eta + 1.0) * math.gamma(mu + 1.0) / math.gamma(eta + mu + 2.0) * 0.7 ** (eta + mu + 1.0)
+        assert quadrature.product_integrate(lambda v: v**eta, mesh, mu) == pytest.approx(want, rel=1e-6)
+
+    @pytest.mark.parametrize("mu", [-2.5, -1.5, -0.5, 0.5])
+    def test_terminal_blow_up_is_subtracted(self, mu):
+        # v^(-1/2) + 1 is the model c z^gamma + d itself, so only rounding is
+        # left, amplified next to the anchor as in test_exact_on_quadratics
+        def g(v):
+            return 1.0 / np.sqrt(v) + 1.0
+
+        mesh = quadrature.graded_mesh_two_sided(0.0, 0.6, 120)
+        want = math.gamma(0.5) * math.gamma(mu + 1.0) * rgamma(mu + 1.5) * 0.6 ** (mu + 0.5)
+        want += 0.6 ** (mu + 1.0) / (mu + 1.0)
+        with np.errstate(divide="ignore"):
+            got = quadrature.product_integrate(g, mesh, mu)
+        assert got == pytest.approx(want, rel=1e-7)
+
+    def test_graded_meshes_use_the_scaled_reference_weights(self):
+        for lo, hi, n in ((0.0, 1.0, 256), (-2.0, -0.3, 100), (0.0, 1e-9, 32)):
+            mesh = quadrature.graded_mesh_two_sided(lo, hi, n)
+            assert len(mesh) - 1 == 4 * (n // 4) and mesh[0] == lo and mesh[-1] == hi
+            for mu in (-1.7, -0.5, 0.3):
+                direct = quadrature.product_weights(mesh, mu)
+                scaled = quadrature._mesh_weights(mesh, mu)
+                assert np.allclose(scaled, direct, rtol=1e-9, atol=1e-12 * np.abs(direct).max())
+        # a mesh that is not graded gets its own weights
+        mesh = np.linspace(0.0, 1.0, 9)
+        assert np.array_equal(quadrature._mesh_weights(mesh, -0.5), quadrature.product_weights(mesh, -0.5))
+
+    def test_rejects_odd_cell_counts_and_log_exponents(self):
+        with pytest.raises(ValueError):
+            quadrature.product_weights(np.linspace(0.0, 1.0, 4), -0.5)
+        for mu in (-3.0, -2.0, -1.0):
+            with pytest.raises(ValueError):
+                quadrature.product_weights(np.linspace(0.0, 1.0, 5), mu)

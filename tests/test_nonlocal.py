@@ -5,13 +5,15 @@ import math
 import warnings
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fractalcalc import (
     CantorSpec,
     CompositionKind,
-    DifferentiationNoiseWarning,
     DomainError,
     IdentityMap,
     OperatorKind,
@@ -25,9 +27,11 @@ from fractalcalc import (
     evaluate_u,
     power_rule_derivative,
     power_rule_integral,
+    rgamma,
     rl_derivative,
     rl_integral,
 )
+from fractalcalc import quadrature
 
 
 @pytest.fixture(scope="module")
@@ -38,12 +42,6 @@ def sf():
 @pytest.fixture(scope="module")
 def ident():
     return IdentityMap()
-
-
-def quiet(fn, *args):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DifferentiationNoiseWarning)
-        return fn(*args)
 
 
 class TestSpecValidation:
@@ -59,12 +57,25 @@ class TestSpecValidation:
         with pytest.raises(DomainError):
             OperatorSpec(OperatorKind.CAPUTO, 2.0, 0.0)
 
+    @pytest.mark.parametrize("beta", [0.9999999999999999, 1.0 - 1e-12, 1.0 + 1e-10, 2.0 - 1e-15])
+    def test_orders_next_to_an_integer_rejected(self, beta):
+        # -beta - 1 rounds to an integer, or keeps too few of beta's digits
+        for kind in (OperatorKind.RL_DERIVATIVE, OperatorKind.CAPUTO):
+            with pytest.raises(DomainError):
+                OperatorSpec(kind, beta, 0.0)
+
+    @pytest.mark.parametrize("beta", [1.0 - 1e-8, 1.0 + 1e-8])
+    def test_orders_just_off_an_integer_keep_their_accuracy(self, sf, beta):
+        got = evaluate_u(OperatorSpec(OperatorKind.RL_DERIVATIVE, beta, 0.0), lambda v: v**2, sf, 0.5)
+        want = math.gamma(3.0) / math.gamma(3.0 - beta) * 0.5 ** (2.0 - beta)
+        assert got == pytest.approx(want, rel=1e-7)
+
     def test_mesh_controls(self):
         with pytest.raises(DomainError):
             OperatorSpec(OperatorKind.RL_INTEGRAL, 0.5, 0.0, nodes_per_unit=0)
 
     def test_derivative_orders_above_two_rejected(self):
-        # the difference stencils stop at n = 2
+        # the quadratic rule needs beta < 2, and the Caputo Taylor stencils stop at n = 2
         for kind in (OperatorKind.RL_DERIVATIVE, OperatorKind.CAPUTO):
             with pytest.raises(DomainError):
                 OperatorSpec(kind, 2.5, 0.0)
@@ -85,12 +96,12 @@ class TestClassicalValuesOnIdentity:
 
     def test_rl_derivative(self, ident):
         spec = OperatorSpec(OperatorKind.RL_DERIVATIVE, 0.5, 0.0)
-        got = quiet(rl_derivative, spec, lambda t: float(t) ** 2, ident, 0.8)
+        got = rl_derivative(spec, lambda t: float(t) ** 2, ident, 0.8)
         assert got == pytest.approx(1.0765365427286016, rel=1e-4)
 
     def test_caputo_above_order_one(self, ident):
         spec = OperatorSpec(OperatorKind.CAPUTO, 1.5, 0.0)
-        got = quiet(caputo_derivative, spec, lambda t: float(t) ** 2, ident, 0.8)
+        got = caputo_derivative(spec, lambda t: float(t) ** 2, ident, 0.8)
         assert got == pytest.approx(2.018506017616128, rel=1e-3)
 
 
@@ -114,7 +125,7 @@ class TestUSpaceEntry:
 
         spec = OperatorSpec(kind, beta, 0.0)
         x = sf.quantile_exact(Fraction(4, 5))
-        got = quiet(evaluate_u, spec, g, sf, sf.eval(x))
+        got = evaluate_u(spec, g, sf, sf.eval(x))
         assert got == pytest.approx(rule(beta, 2.0, sf, 0.0, x), rel=1e-3)
         assert 1 in calls
 
@@ -123,8 +134,8 @@ class TestUSpaceEntry:
         x = sf.quantile_exact(Fraction(3, 5))
         for kind in OperatorKind:
             spec = OperatorSpec(kind, 0.5, 0.0)
-            want = quiet(evaluate_u, spec, conjugate(f, sf), sf, sf.eval(x))
-            assert quiet(evaluate, spec, f, sf, x) == want
+            want = evaluate_u(spec, conjugate(f, sf), sf, sf.eval(x))
+            assert evaluate(spec, f, sf, x) == want
 
 
 class TestPowerRules:
@@ -142,7 +153,7 @@ class TestPowerRules:
         f = lambda t: float(sf.eval_exact(t)) ** eta
         spec = OperatorSpec(OperatorKind.RL_DERIVATIVE, beta, 0.0)
         x = sf.quantile_exact(Fraction(4, 5))
-        got = quiet(rl_derivative, spec, f, sf, x)
+        got = rl_derivative(spec, f, sf, x)
         want = power_rule_derivative(beta, eta, sf, 0.0, x)
         assert got == pytest.approx(want, rel=1e-3)
 
@@ -174,7 +185,7 @@ class TestOperatorBasics:
     def test_derivative_at_terminal_rejected(self, sf):
         spec = OperatorSpec(OperatorKind.RL_DERIVATIVE, 0.5, 0.0)
         with pytest.raises(DomainError):
-            quiet(rl_derivative, spec, lambda t: 1.0, sf, 0.0)
+            rl_derivative(spec, lambda t: 1.0, sf, 0.0)
 
     def test_left_operator_rejects_points_before_terminal(self, sf):
         spec = OperatorSpec(OperatorKind.RL_INTEGRAL, 0.5, 0.5)
@@ -192,7 +203,7 @@ class TestOperatorBasics:
             rl_integral(spec, lambda t: 1.0, sf, 0.5)
         ispec = OperatorSpec(OperatorKind.RL_INTEGRAL, 0.5, 0.0)
         with pytest.raises(DomainError):
-            quiet(rl_derivative, ispec, lambda t: 1.0, sf, 0.5)
+            rl_derivative(ispec, lambda t: 1.0, sf, 0.5)
 
     def test_evaluate_dispatch(self, sf):
         f = lambda t: float(sf.eval_exact(t)) ** 2
@@ -203,7 +214,7 @@ class TestOperatorBasics:
             (OperatorKind.CAPUTO, caputo_derivative),
         ):
             spec = OperatorSpec(kind, 0.5, 0.0)
-            assert quiet(evaluate, spec, f, sf, x) == quiet(direct, spec, f, sf, x)
+            assert evaluate(spec, f, sf, x) == direct(spec, f, sf, x)
 
     def test_mirror_symmetry(self, ident):
         # left acting on f(t) at x equals right acting on f(1 - t) at 1 - x
@@ -212,10 +223,11 @@ class TestOperatorBasics:
             for beta in (0.3, 0.7, 1.4):
                 left = OperatorSpec(kind, beta, 0.0, side=Side.LEFT)
                 right = OperatorSpec(kind, beta, 1.0, side=Side.RIGHT)
-                dl = quiet(evaluate, left, f, ident, 0.3)
-                dr = quiet(evaluate, right, lambda t: f(1.0 - float(t)), ident, 0.7)
-                # 1 - 0.7 is not 0.3 exactly, and for n = 2 one unit in the last
-                # place of a stencil sample moves the result by about 1e-9
+                dl = evaluate(left, f, ident, 0.3)
+                dr = evaluate(right, lambda t: f(1.0 - float(t)), ident, 0.7)
+                # 1 - 0.7 is not 0.3 exactly, and for n = 2 the finite-part
+                # weights next to the anchor, of size width^-beta, turn one
+                # unit in the last place of g into about 1e-9 (2.8e-9 here)
                 floor = 1e-8 if beta > 1.0 else 1e-12
                 assert dl == pytest.approx(dr, rel=1e-10, abs=floor), (kind, beta)
 
@@ -224,20 +236,24 @@ class TestOperatorBasics:
         x = sf.quantile_exact(Fraction(3, 4))
         rspec = OperatorSpec(OperatorKind.RL_DERIVATIVE, 0.5, 0.0)
         cspec = OperatorSpec(OperatorKind.CAPUTO, 0.5, 0.0)
-        rv = quiet(rl_derivative, rspec, f, sf, x)
-        cv = quiet(caputo_derivative, cspec, f, sf, x)
+        rv = rl_derivative(rspec, f, sf, x)
+        cv = caputo_derivative(cspec, f, sf, x)
         assert cv == pytest.approx(rv, rel=1e-3)
 
     def test_caputo_annihilates_constants(self, sf):
         spec = OperatorSpec(OperatorKind.CAPUTO, 0.5, 0.0)
-        got = quiet(caputo_derivative, spec, lambda t: 4.2, sf, sf.quantile_exact(Fraction(1, 2)))
+        got = caputo_derivative(spec, lambda t: 4.2, sf, sf.quantile_exact(Fraction(1, 2)))
         assert got == pytest.approx(0.0, abs=1e-8)
 
-    def test_smooth_paths_do_not_warn(self, ident):
-        spec = OperatorSpec(OperatorKind.RL_DERIVATIVE, 0.5, 0.0)
+    def test_smooth_paths_do_not_warn(self, sf, ident):
+        # no warning of any kind, on both maps, for every kind and both n
         with warnings.catch_warnings():
-            warnings.simplefilter("error", DifferentiationNoiseWarning)
-            rl_derivative(spec, lambda t: float(t) ** 2, ident, 0.8)
+            warnings.simplefilter("error")
+            for m in (sf, ident):
+                for kind in OperatorKind:
+                    for beta in (0.5, 1.5):
+                        spec = OperatorSpec(kind, beta, 0.0)
+                        evaluate(spec, lambda t, m=m: float(m.eval(t)) ** 2, m, 0.8)
 
     def test_right_side_integral(self, sf):
         # right integral of 1 is (S(1) - S(x))^beta / Gamma(beta + 1)
@@ -267,11 +283,12 @@ class TestOperatorBasics:
         for u in (Fraction(1, 4), Fraction(3, 5)):
             x = sf.quantile_exact(u)
             want = math.gamma(eta + 1.0) / math.gamma(eta + order + 1.0) * float(1 - u) ** (eta + order)
-            assert quiet(evaluate, spec, f, sf, x) == pytest.approx(want, rel=1e-3)
+            assert evaluate(spec, f, sf, x) == pytest.approx(want, rel=1e-3)
 
     def test_left_sided_values_keep_their_bits(self, sf, ident):
-        # SHA-256 of the reprs, recorded before right-sided operators became
-        # reflections of the left-sided ones: the left path keeps every bit
+        # SHA-256 of the reprs, recorded when every value became one
+        # finite-part product integral on the piecewise-quadratic rule; the
+        # closed rules are met to 1.3e-6 relative (1.4e-3 before)
         values = []
         for m in (sf, ident):
             f = lambda t, m=m: 1.0 + float(m.eval(t)) ** 2.5
@@ -279,10 +296,10 @@ class TestOperatorBasics:
                 for beta in (0.6, 1.3):
                     spec = OperatorSpec(kind, beta, 0.0)
                     for x in (0.25, 0.8):
-                        values.append(quiet(evaluate, spec, f, m, x))
-                    values.append(quiet(evaluate_u, spec, lambda u: 1.0 + u**2.5, m, 0.7))
+                        values.append(evaluate(spec, f, m, x))
+                    values.append(evaluate_u(spec, lambda u: 1.0 + u**2.5, m, 0.7))
         digest = hashlib.sha256(repr(values).encode()).hexdigest()
-        assert digest == "3a9dbcb46cce72cc428062c809e22b50880750e5988668325d64e88d90c0feb1"
+        assert digest == "42e2ea74663aab7956e3fc67b79ec207f5d163190b97d7900bccfecdc9786c30"
 
 
 class TestCompositions:
@@ -304,3 +321,112 @@ class TestCompositions:
         assert res < 5e-3
         with pytest.raises(DomainError):
             composition_residual(CompositionKind.RL_RIGHT, f, 1.5, sf, (0.0, 1.0))
+
+
+# -- the finite-part product rule against independent oracles -----------------
+
+orders = st.floats(min_value=0.01, max_value=1.9).filter(lambda b: abs(b - 1.0) >= 1e-9)
+
+
+def _exp_rule(order: float, u: float, skip: int = 0) -> float:
+    """sum_k u^(k + order) / Gamma(k + 1 + order), k >= skip, at 30 digits.
+
+    The RL operator of order `order` (negative for derivatives) of e^u from
+    0; skipping the first n terms gives the Caputo derivative.
+    """
+    with mpmath.workdps(30):
+        u = mpmath.mpf(u)
+        return float(mpmath.nsum(lambda k: u ** (k + order) / mpmath.gamma(k + 1 + order), [skip, mpmath.inf]))
+
+
+def _inner_integral(g, order: float, cells: int = 128):
+    """v -> I^order g(v) for arrays of v, one product rule per element.
+
+    Each mesh on [0, v] is v times one reference mesh, so the weights are
+    v^order times the reference weights and a whole array of v is one
+    broadcast product, not a loop over v.
+    """
+    ref = quadrature.graded_mesh_two_sided(0.0, 1.0, cells)
+    weights = quadrature.product_weights(ref, order - 1.0) / math.gamma(order)
+
+    def inner(v):
+        v = np.asarray(v, dtype=float)
+        return (g(v[..., None] * ref) * weights).sum(axis=-1) * v**order
+
+    return inner
+
+
+class TestFinitePartRule:
+    @given(
+        kind=st.sampled_from((OperatorKind.RL_INTEGRAL, OperatorKind.RL_DERIVATIVE)),
+        beta=orders,
+        eta=st.floats(min_value=0.0, max_value=3.0),
+        u=st.floats(min_value=0.2, max_value=1.0),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_u_native_powers_meet_the_closed_rules(self, sf, kind, beta, eta, u):
+        # I^{+-beta} u^eta = Gamma(eta + 1) / Gamma(eta +- beta + 1) u^(eta +- beta),
+        # on both sides of order 1. The floor is relative to the power before
+        # its reciprocal Gamma factor, which vanishes at the rule's poles.
+        order = beta if kind is OperatorKind.RL_INTEGRAL else -beta
+        got = evaluate_u(OperatorSpec(kind, beta, 0.0), lambda v: v**eta, sf, u)
+        power = math.gamma(eta + 1.0) * u ** (eta + order)
+        want = power * rgamma(eta + order + 1.0)
+        assert got == pytest.approx(want, rel=1e-4, abs=1e-5 * power)
+
+    @pytest.mark.parametrize("beta", [0.3, 0.5, 1.3, 1.5])
+    @pytest.mark.parametrize("kind", list(OperatorKind))
+    def test_exponential_against_its_series(self, ident, kind, beta):
+        # e^u is no power: its operators are the series of the term-wise rules
+        spec = OperatorSpec(kind, beta, 0.0)
+        order = beta if kind is OperatorKind.RL_INTEGRAL else -beta
+        skip = spec.n if kind is OperatorKind.CAPUTO else 0
+        for u in (0.2, 0.5, 1.0):
+            want = _exp_rule(order, u, skip)
+            assert evaluate_u(spec, np.exp, ident, u) == pytest.approx(want, rel=1e-5), u
+
+    def test_exponential_series_matches_mpmath_differint(self):
+        with mpmath.workdps(30):
+            other = mpmath.differint(mpmath.exp, mpmath.mpf("0.7"), mpmath.mpf("0.5"))
+        assert float(other) == pytest.approx(_exp_rule(-0.5, 0.7), rel=1e-15)
+
+    def test_known_integral_miss_is_met(self, sf):
+        # order 1.5 of S^2 at u = 1/5: 1.08e-3 relative under the linear rule
+        spec = OperatorSpec(OperatorKind.RL_INTEGRAL, 1.5, 0.0)
+        x = sf.quantile_exact(Fraction(1, 5))
+        got = rl_integral(spec, lambda t: sf.eval(t) ** 2, sf, x)
+        assert got == pytest.approx(power_rule_integral(1.5, 2.0, sf, 0.0, x), rel=1e-3)
+
+    @given(
+        a=st.floats(min_value=0.05, max_value=1.9),
+        b=st.floats(min_value=0.05, max_value=1.9),
+        c=st.lists(st.floats(min_value=-2.0, max_value=2.0), min_size=4, max_size=4),
+        u=st.floats(min_value=0.2, max_value=1.0),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_semigroup(self, ident, a, b, c, u):
+        # I^a I^b g = I^(a+b) g on a cubic; the inner integral carries a
+        # v^b head at the terminal, as a power u^eta does in the test above
+        def g(v):
+            return c[0] + v * (c[1] + v * (c[2] + v * c[3]))
+
+        outer = evaluate_u(OperatorSpec(OperatorKind.RL_INTEGRAL, a, 0.0), _inner_integral(g, b), ident, u)
+        whole = evaluate_u(OperatorSpec(OperatorKind.RL_INTEGRAL, a + b, 0.0), g, ident, u)
+        assert outer == pytest.approx(whole, rel=1e-4, abs=1e-5 * (1.0 + sum(map(abs, c))))
+
+    @given(
+        kind=st.sampled_from(list(OperatorKind)),
+        beta=orders,
+        p=st.floats(min_value=-3.0, max_value=3.0),
+        q=st.floats(min_value=-3.0, max_value=3.0),
+        u=st.floats(min_value=0.2, max_value=1.0),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_linearity(self, sf, kind, beta, p, q, u):
+        spec = OperatorSpec(kind, beta, 0.0)
+        f, g = np.cos, (lambda v: v**2.5)
+        both = evaluate_u(spec, lambda v: p * f(v) + q * g(v), sf, u)
+        parts = p * evaluate_u(spec, f, sf, u) + q * evaluate_u(spec, g, sf, u)
+        # exact but for rounding, which the finite-part weights next to the
+        # anchor amplify by up to about width^-beta
+        assert both == pytest.approx(parts, rel=1e-6, abs=1e-6)
