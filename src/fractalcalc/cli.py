@@ -221,7 +221,7 @@ def run(config: CliConfig) -> int:
 
     if config.command == "ml":
         tol = config.tol if config.tol is not None else 1e-15
-        rows = [(z, mittag_leffler(config.eta, config.nu, z, tol=tol)) for z in xs]
+        rows = zip(xs, mittag_leffler(config.eta, config.nu, xs, tol=tol))
         _emit(
             config,
             ("x", "value"),

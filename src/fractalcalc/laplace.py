@@ -210,21 +210,24 @@ class InverseTerm:
         return float(self.power), float(self.ml_eta), float(self.ml_nu)
 
     def evaluate_u(self, u):
-        """The term at staircase distance u (a float or a float array)."""
+        """The term at u: a float, a float array, or a list whose powers are
+        taken one float at a time (numpy's can differ in the last bit)."""
         pw, eta, nu = self._float_exponents
-        if np.ndim(u) == 0:
+        if isinstance(u, list):
+            at_terminal = 0.0 in u
+            power = lambda p: np.array([w**p for w in u])
+        elif np.ndim(u) == 0:
             u = float(u)
-            at_terminal = u == 0.0
+            at_terminal, power = u == 0.0, u.__pow__
         else:
             u = np.asarray(u, dtype=float)
-            at_terminal = (u == 0.0).any()
+            at_terminal, power = (u == 0.0).any(), u.__pow__
         if at_terminal and pw < 0.0:
             raise DomainError("inverse term diverges at the terminal")
-        base = self.coeff * u ** pw
+        base = self.coeff * power(pw)
         if self.ml_eta is None:
             return base
-        z = self.lam * u ** eta
-        return base * mittag_leffler(eta, nu, z)
+        return base * mittag_leffler(eta, nu, self.lam * power(eta))
 
 
 def invert_terms(expr: LaplaceExpr) -> tuple[InverseTerm, ...]:
@@ -250,7 +253,7 @@ def invert_terms(expr: LaplaceExpr) -> tuple[InverseTerm, ...]:
 
 
 def evaluate_inverse(terms, u):
-    """Sum of the inverse terms at u (a float or a float array)."""
+    """Sum of the inverse terms at u (a float, a float array or a list)."""
     return sum(t.evaluate_u(u) for t in terms)
 
 

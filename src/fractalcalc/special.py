@@ -8,8 +8,11 @@ definitions as an independent check of that collapse.
 
 from __future__ import annotations
 
+import bisect
 import enum
+import functools
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -38,13 +41,6 @@ def rgamma(z: float) -> float:
     if z > 171.0:
         return 0.0
     return 1.0 / math.gamma(z)
-
-
-def _sign_gamma(z: float) -> float:
-    # Gamma alternates sign between consecutive negative integers.
-    if z > 0.0:
-        return 1.0
-    return -1.0 if math.floor(z) % 2 != 0 else 1.0
 
 
 class GammaMode(enum.Enum):
@@ -112,6 +108,55 @@ def beta_fractal_quadrature(r: float, s: float) -> float:
     return half(r, s) + half(s, r)
 
 
+class _Series(NamedTuple):
+    coeffs: list  # 1/Gamma(eta k + nu), 0 at the poles
+    stop: np.ndarray  # ascending |z| thresholds of the stopping points
+    n_terms: np.ndarray  # terms summed per stop position (all past the end)
+    guard: np.ndarray  # guard[k]: the least |z| at which a term k' <= k overflows
+    lists: tuple  # stop, n_terms and guard as lists of the same floats, for scalars
+
+
+@functools.lru_cache(maxsize=64)
+def _series(eta: float, nu: float, max_terms: int, tol: float) -> _Series:
+    """Coefficients and |z| thresholds, built on first use.
+
+    Term k is at most tol for |z| <= exp((log tol + lgamma(eta k + nu)) / k)
+    and at most term k - 1 for |z| <= Gamma(eta k + nu) / Gamma(eta k - eta
+    + nu). Only terms of positive argument (lgamma convex: no later term
+    exceeds tol past the peak) stop the series. Each bound is monotone in
+    |z|, so one searchsorted in their prefix maximum finds every stopping
+    point. The table ends where 1/Gamma leaves the normal floats (171).
+    """
+    args = [a for a in (eta * k + nu for k in range(max_terms)) if a <= 171.0]
+    coeffs = [rgamma(a) for a in args]
+    lg = np.array([math.lgamma(a) if c else math.inf for a, c in zip(args, coeffs)])
+    k = np.arange(1, len(args))
+    with np.errstate(over="ignore", invalid="ignore"):
+        small = np.where(np.array(args[1:]) > 0.0, np.exp((math.log(tol) + lg[1:]) / k), 0.0)
+        past_peak = np.exp(lg[1:] - lg[:-1])
+        over = np.exp((_LOG_HUGE + lg[1:]) / k)
+    pair = np.fmin(np.fmin(small[15:-1], small[16:]), past_peak[16:])
+    stop = np.concatenate(([0.0], np.fmax.accumulate(pair)))
+    n_terms = np.concatenate(([1], np.arange(18, len(args) + 1), [len(args)]))[: len(stop) + 1]
+    guard = np.minimum.accumulate(np.concatenate(([math.inf], over)))
+    return _Series(coeffs, stop, n_terms, guard, (stop.tolist(), n_terms.tolist(), guard.tolist()))
+
+
+def _term_count(series: _Series, z: float, z_max: float) -> int:
+    """How many terms to sum for z; raises where the series cannot serve."""
+    mag = abs(z)
+    if not mag <= z_max:
+        raise DomainError(f"|z| = {mag!r} exceeds the series cap {z_max!r}")
+    stop, n_terms, guard = series.lists
+    at = bisect.bisect_left(stop, mag)
+    if mag > guard[n_terms[at] - 1]:
+        k = next(k for k in range(n_terms[at]) if mag > guard[k])
+        raise ConvergenceError(f"series term at k={k} overflows for z={z!r}")
+    if at == len(stop):
+        raise ConvergenceError(f"series did not settle in {n_terms[at]} terms for z={z!r}")
+    return n_terms[at]
+
+
 def mittag_leffler(
     eta: float,
     nu: float,
@@ -122,109 +167,60 @@ def mittag_leffler(
 ):
     """Two-parameter Mittag-Leffler series, sum of z^k / Gamma(eta k + nu).
 
-    Terms are built in log space so large intermediate magnitudes cancel
-    instead of overflowing; terms landing on Gamma poles vanish and are
-    skipped. Raises ConvergenceError when the truncated series cannot be
-    trusted at the requested tolerance.
+    The truncation is fixed from |z| before summing: the series stops at the
+    first k >= 17 where the bounds |z|^k / |Gamma(eta k + nu)| of terms k - 1
+    and k are both at most tol and term k is past the largest term. The
+    terms are summed by Horner's rule on a cached table of 1/Gamma(eta k +
+    nu), zero at the poles. Raises DomainError past z_max and for nu
+    outside [-170, 171], where 1/Gamma(nu) is not a normal float, and
+    ConvergenceError when a term would overflow or the stopping point lies
+    beyond max_terms or beyond the table, so small eta with large |z|
+    raises: E_{1/2,1/2}(z) needs |z| <= 7.16 at the defaults.
 
-    z may be a float or a float array; an array runs the same series with
-    the same stopping rule for each element, returns an array of z's shape,
-    and raises if any element would raise on its own.
+    tol bounds each dropped term, not the error of the value. For negative
+    z the terms can be far larger than the sum, which then loses about
+    log10(max|term| / |E|) digits to cancellation, and nothing detects it:
+    E_{1,1}(-20) gives -4.1e-9 where e^-20 is 2.06e-9.
+
+    z may be a float or a float array; an array returns an array of z's
+    shape, each element bit-identical to its scalar call, and raises what
+    its first element that cannot be summed raises on its own.
     """
-    if not eta > 0.0:
-        raise DomainError(f"first parameter must be positive, got {eta!r}")
+    if not (eta > 0.0 and -170.0 <= nu <= 171.0):
+        raise DomainError(f"need eta > 0 and -170 <= nu <= 171, got eta={eta!r}, nu={nu!r}")
     if not (tol > 0.0 and max_terms >= 1 and z_max > 0.0):
         raise DomainError("invalid series controls")
-    if np.ndim(z) != 0:
-        return _mittag_leffler_array(eta, nu, np.asarray(z, dtype=float), tol, max_terms, z_max)
-    z = float(z)
-    if abs(z) > z_max:
-        raise DomainError(f"|z| = {abs(z)!r} exceeds the series cap {z_max!r}")
-    if z == 0.0:
-        return rgamma(nu)
-
-    log_abs_z = math.log(abs(z))
-    sign_z = 1.0 if z > 0.0 else -1.0
-    acc = 0.0
-    tail_small = 0
-    for k in range(max_terms):
-        a = eta * k + nu
-        if a <= 0.0 and a == math.floor(a):
-            continue
-        log_term = k * log_abs_z - math.lgamma(a)
-        if log_term > _LOG_HUGE:
-            raise ConvergenceError(
-                f"series term at k={k} overflows for z={z!r}, eta={eta!r}, nu={nu!r}"
-            )
-        term = (sign_z ** k) * _sign_gamma(a) * math.exp(log_term)
-        acc += term
-        if k >= 16 and abs(term) <= tol * max(abs(acc), 1.0):
-            tail_small += 1
-            if tail_small >= 2:
-                return acc
-        else:
-            tail_small = 0
-    raise ConvergenceError(
-        f"series did not settle in {max_terms} terms for z={z!r}"
-    )
-
-
-def _mittag_leffler_array(
-    eta: float, nu: float, z: np.ndarray, tol: float, max_terms: int, z_max: float
-) -> np.ndarray:
-    """The scalar series run on every element of z at once.
-
-    Elements leave the working set as soon as their own stopping rule
-    fires, so each keeps exactly the terms the scalar loop would sum.
-    """
-    mag = np.abs(z)
-    if (mag > z_max).any():
-        raise DomainError(f"|z| = {float(mag.max())!r} exceeds the series cap {z_max!r}")
-    out = np.full(z.shape, rgamma(nu))
-    flat = out.reshape(-1)
-    live = np.flatnonzero(z)
-    zs = z.reshape(-1)[live]
-    log_abs_z = np.log(np.abs(zs))
-    sign_z = np.sign(zs)
-    acc = np.zeros(len(live))
-    # whether each element's previous term was already small: two small
-    # terms in a row stop it, as tail_small >= 2 does in the scalar loop
-    was_small = np.zeros(len(live), dtype=bool)
-    # k * log|z| - lgamma(a) grows with |z|: the largest |z| overflows first
-    top = int(log_abs_z.argmax()) if len(live) else 0
-    for k in range(max_terms):
-        if not len(live):
-            return out
-        a = eta * k + nu
-        if a <= 0.0 and a == math.floor(a):
-            continue
-        lg = math.lgamma(a)
-        if k * log_abs_z[top] - lg > _LOG_HUGE:
-            raise ConvergenceError(
-                f"series term at k={k} overflows for z={float(zs[top])!r}, eta={eta!r}, nu={nu!r}"
-            )
-        term = np.exp(k * log_abs_z - lg)
-        if k % 2:
-            term *= sign_z
-        if _sign_gamma(a) < 0.0:
-            term = -term
-        acc += term
-        if k < 16:
-            continue
-        small = np.abs(term) <= tol * np.maximum(np.abs(acc), 1.0)
-        done = small & was_small
-        was_small = small
-        if done.any():
-            flat[live[done]] = acc[done]
-            keep = ~done
-            live, zs, log_abs_z, sign_z = live[keep], zs[keep], log_abs_z[keep], sign_z[keep]
-            acc, was_small = acc[keep], was_small[keep]
-            top = int(log_abs_z.argmax()) if len(live) else 0
-    if not len(live):
-        return out
-    raise ConvergenceError(
-        f"series did not settle in {max_terms} terms for z={float(zs[0])!r}"
-    )
+    series = _series(float(eta), float(nu), int(max_terms), float(tol))
+    if np.ndim(z) == 0:
+        z = float(z)
+        acc = 0.0
+        for c in reversed(series.coeffs[: _term_count(series, z, z_max)]):
+            acc = acc * z + c
+        return acc
+    # The same rule and Horner sum on every element at once. Sorted by term
+    # count, the elements that take part in a Horner step are a suffix of
+    # the array; each sees the multiplies and adds of its scalar call.
+    zf = np.asarray(z, dtype=float).reshape(-1)
+    mag = np.abs(zf)
+    at = np.searchsorted(series.stop, mag)
+    n_terms = series.n_terms[at]
+    bad = ~(mag <= z_max) | (at == len(series.stop)) | (mag > series.guard[n_terms - 1])
+    if bad.any():
+        _term_count(series, float(zf[np.argmax(bad)]), z_max)
+    order = np.argsort(n_terms, kind="stable")
+    zs, n_terms = zf[order], n_terms[order]
+    acc = np.zeros(len(zs))
+    # the elements from s on take part in the steps below n_sorted[s]
+    starts = [0] + (np.flatnonzero(np.diff(n_terms)) + 1).tolist() if len(zs) else []
+    n_sorted = n_terms.tolist()
+    for s in reversed(starts):
+        part, w = acc[s:], zs[s:]
+        for c in reversed(series.coeffs[n_sorted[s - 1] if s else 0 : n_sorted[s]]):
+            part *= w
+            part += c
+    out = np.empty_like(acc)
+    out[order] = acc
+    return out.reshape(np.shape(z))
 
 
 def ml_half_half_closed(z: float) -> float:
@@ -247,10 +243,9 @@ def ml_special_case_residuals(zs) -> dict[str, float]:
     out: dict[str, float] = {}
 
     def worst(name: str, series, closed) -> None:
-        res = 0.0
-        for z in zs:
-            res = max(res, abs(series(float(z)) - closed(float(z))))
-        out[name] = res
+        # one array call of the series, with the bits of per-point calls
+        pairs = zip(series(zs).tolist(), zs.tolist())
+        out[name] = max([0.0] + [abs(value - closed(z)) for value, z in pairs])
 
     worst("exp", lambda z: mittag_leffler(1.0, 1.0, z), math.exp)
     worst(

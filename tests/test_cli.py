@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from fractalcalc import cli
+from fractalcalc import cli, mittag_leffler
 from fractalcalc.exprgrammar import parse_expression
 
 
@@ -32,6 +32,21 @@ class TestBasicCommands:
         code, out, _ = run_cli(["ml", "--eta", "0.5", "--nu", "0.5", "--grid", "0", "0", "1"])
         assert code == 0
         assert out.splitlines()[1] == "0.0,0.5641895835477563"
+
+    def test_ml_grid_is_one_array_call_with_the_point_bits(self):
+        code, out, _ = run_cli(["ml", "--eta", "1.3333333333333333", "--nu", "0.8333333333333334",
+                                "--grid", "-10", "3", "27"])
+        assert code == 0
+        for line in out.splitlines()[1:]:
+            z, value = (float(v) for v in line.split(","))
+            assert value == mittag_leffler(4 / 3, 5 / 6, z)
+
+    def test_ml_that_cannot_be_trusted_exits_1(self):
+        # E_{1/2,1/2}(-10) is 2.78e-3; the series' terms reach 1e43
+        code, out, err = run_cli(["ml", "--eta", "0.5", "--nu", "0.5", "--grid", "-10", "-10", "1"])
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_identity_derivative_power_rule(self):
         # classical D^(1/2) x^2 = Gamma(3)/Gamma(2.5) x^(3/2)

@@ -145,6 +145,8 @@ class TestMittagLeffler:
             mittag_leffler(-0.3, 1.0, 0.5)
         with pytest.raises(DomainError):
             mittag_leffler(0.5, 0.5, 100.0)
+        with pytest.raises(DomainError):
+            mittag_leffler(1.0, -180.5, 0.5)  # 1/Gamma(nu) overflows
 
     def test_convergence_guard(self):
         with pytest.raises(ConvergenceError):
@@ -210,28 +212,68 @@ class TestMittagLefflerArray:
     )
     @settings(max_examples=150, deadline=None)
     def test_matches_scalar_loop(self, params, zs, zero_at, tol):
+        # one rule and one Horner sum serve both: equal to the last bit, and
+        # the array raises exactly when some element's scalar call raises
         eta, nu = params
         zs.insert(zero_at % (len(zs) + 1), 0.0)
+        want = []
+        for z in zs:
+            try:
+                want.append(mittag_leffler(eta, nu, z, tol=tol))
+            except ConvergenceError:
+                want.append(None)
+        if None in want:
+            with pytest.raises(ConvergenceError):
+                mittag_leffler(eta, nu, np.array(zs), tol=tol)
+            return
         got = mittag_leffler(eta, nu, np.array(zs), tol=tol)
         assert got.shape == (len(zs),)
-        for z, value in zip(zs, got):
-            want = mittag_leffler(eta, nu, z, tol=tol)
-            assert abs(value - want) <= _rounding_bound(eta, nu, z)
+        assert got.tolist() == want
 
     @pytest.mark.parametrize(
         "eta, nu, lo, hi",
-        [(0.5, 0.5, -1.0, 1.0)] + [(4 / 3, nu, -10.5, 3.0) for nu in (4 / 3, 5 / 6, 13 / 3)],
+        [(0.5, 0.5, -1.0, 1.0)]
+        + [(4 / 3, nu, -10.5, 3.0) for nu in (4 / 3, 5 / 6, 13 / 3)]
+        + [(1.0, 1.0, -10.0, 3.0), (2.0, 1.0, -10.0, 3.0)],
     )
     def test_against_mpmath_on_example_ranges(self, eta, nu, lo, hi):
         # example 3 reaches z = -+S^(1/2) <= 1 in size; example 4 z = lam S^(4/3)
-        # with lam in [-10, 2]. The series stops once two terms in a row fall
-        # below tol * max(|sum|, 1), so truncation adds up to tol * max(|E|, 1).
+        # with lam in [-10, 2]; exp and cos(sqrt(-z)) on the same range. The
+        # dropped terms are each at most tol = 1e-15 in size.
         zs = np.append(np.linspace(lo, hi, 41), 0.0)
         got = mittag_leffler(eta, nu, zs)
         for z, value in zip(zs, got):
             want = _ml_mpmath(eta, nu, z)
             bound = _rounding_bound(eta, nu, z) + 1e-15 * max(1.0, abs(want))
             assert abs(value - want) <= bound
+
+    def test_cancellation_that_needs_too_many_terms_raises(self):
+        # E_{1/2,1/2}(-10) is 2.78e-3; its terms reach 1e43, and the running
+        # relative stop used to return -1.62e29 from the garbage partial sum
+        with pytest.raises(ConvergenceError):
+            mittag_leffler(0.5, 0.5, -10.0)
+        with pytest.raises(ConvergenceError):
+            mittag_leffler(0.5, 0.5, np.array([0.5, -10.0]))
+
+    def test_poles_do_not_stop_the_series(self):
+        # E_{1,-20}(z) = z^21 e^z: its first 21 terms are poles (zero)
+        for z in (5.0, -2.0):
+            assert mittag_leffler(1.0, -20.0, z) == pytest.approx(z**21 * math.exp(z), rel=1e-13)
+
+    def test_small_terms_before_the_peak_do_not_stop_the_series(self):
+        # with nu = 30 the terms at k = 16, 17 are below 1e-20, but they
+        # grow again past e^300 before k = 512: no value is trustworthy
+        with pytest.raises(ConvergenceError, match="did not settle"):
+            mittag_leffler(0.05, 30.0, math.e)
+
+    def test_coefficients_below_the_float_range_are_not_summed(self):
+        # E_{0.8,1}(50) needs terms with Gamma arguments above 171, whose
+        # reciprocals are not normal floats
+        with pytest.raises(ConvergenceError, match="did not settle"):
+            mittag_leffler(0.8, 1.0, 50.0)
+        assert mittag_leffler(0.8, 1.0, 20.0) == pytest.approx(
+            _ml_mpmath(0.8, 1.0, 20.0), rel=1e-13
+        )
 
     def test_shape_is_kept(self):
         z = np.array([[0.0, -0.5], [0.25, 1.5]])
