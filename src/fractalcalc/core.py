@@ -5,7 +5,9 @@ real line pulls back to g(u) = f(quantile(u)), the staircase derivative of f
 is the ordinary u-derivative of g (and zero off the Cantor set), and the
 staircase integral of f is the ordinary integral of g over [S(a), S(b)].
 The quantile is fed to f as an exact rational so that the conjugation does
-not launder digits through a lossy float round trip.
+not launder digits through a lossy float round trip.  An array of u has its
+quantiles taken in one batch; only the call of the opaque f stays per
+element.
 """
 
 from __future__ import annotations
@@ -51,21 +53,23 @@ class GridFunction:
 class ConjugatedFn:
     """f seen in the staircase coordinate: evaluates f(quantile(u)).
 
-    f is opaque, so an array of u is evaluated one element at a time, each
-    element passed to the quantile as a Python float.  An integrand built on
-    S(x), such as ``lambda x: sf.eval(x) ** eta``, costs one quantile per
-    node: the staircase of the quantile's own result is known without
-    reading its digits (see :mod:`fractalcalc.staircase`).
+    An array of u takes its quantiles in one batch (``sf.quantiles_exact``),
+    and f, being opaque, is called once per element on that element's exact
+    quantile.  An integrand built on S(x), such as
+    ``lambda x: sf.eval(x) ** eta``, reads no staircase digits: the staircase
+    of the quantile's own result is known without them (see
+    :mod:`fractalcalc.staircase`).
     """
 
     underlying: object
     sf: StaircaseFn
 
     def __call__(self, u):
-        f, quantile = self.underlying, self.sf.quantile_exact
+        f = self.underlying
         if isinstance(u, np.ndarray):
-            return np.array([float(f(quantile(v))) for v in u.ravel().tolist()]).reshape(u.shape)
-        return float(f(quantile(u)))
+            values = [float(f(x)) for x in self.sf.quantiles_exact(u.ravel())]
+            return np.array(values).reshape(u.shape)
+        return float(f(self.sf.quantile_exact(u)))
 
 
 def conjugate(f, sf) -> ConjugatedFn:

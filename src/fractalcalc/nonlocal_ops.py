@@ -18,9 +18,10 @@ Every operator works on an integrand g of u under the protocol of
 shape, and each product integral evaluates its whole mesh interior in one
 call. `evaluate_u` applies an operator to such a g directly; the x-space
 entries (`evaluate`, `rl_integral`, `rl_derivative`, `caputo_derivative`)
-wrap f as `conjugate(f, sf)`, which reaches f through the quantile one
-element at a time. An integrand known in closed form in u, such as a
-solution built from staircase powers, skips the quantile altogether.
+wrap f as `conjugate(f, sf)`, which takes the quantiles of a whole mesh in
+one batch and then calls the opaque f once per node. An integrand known in
+closed form in u, such as a solution built from staircase powers, skips the
+quantile altogether.
 
 Right-sided operators are the left-sided ones conjugated by the reflection
 t -> -t: the right operator at u with terminal ua, acting on g, is the left

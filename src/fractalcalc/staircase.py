@@ -35,6 +35,24 @@ holds a reference, so the object cannot have been replaced by another with
 the same id.  Any other argument, equal or not, goes through the kernel, and
 both paths give the same bits.
 
+``quantiles_exact`` takes the quantiles of a whole float64 array in one
+batch, for digit depths up to 62: ``whole = floor(|u|)`` and
+``bits = floor(frac * 2**depth)`` are exact in float64 and fit int64, and the
+byte table, as an int64 array, transcribes the bytes of every element at
+once, summed per 32-bit half (each half's ternary value stays below 3**32).
+Only the assembly of each result stays per element; it writes the slot
+before yielding the result, so an opaque f that reads S of its argument
+reads no digits.  Deeper digits, and other dtypes, go through the scalar
+call.
+
+No result is reduced by a gcd.  The quantile's scaled value
+``whole * 3**depth + Q(bits)`` is divisible by exactly 3**t, where t is the
+number of trailing zero bits of ``bits`` (``depth`` when it is 0), because
+the lowest ternary digit of Q(bits) is a 2 at that place; and the scaled
+staircase value is divisible by exactly 2**t for its own trailing zero
+bits, capped at ``depth``.  So the coprime numerator and denominator are
+known beforehand, and ``_coprime_fraction`` sets them directly.
+
 Outside the unit interval the staircase is extended, by default, through the
 self-similar tiling ``S(x + 1) = S(x) + 1`` for ``x >= 0`` and the odd
 reflection ``S(-x) = -S(x)``, which is the extension the transform and
@@ -49,6 +67,8 @@ import numbers
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+
+import numpy as np
 
 from .exceptions import DomainError
 
@@ -111,6 +131,34 @@ _TRIT_BLOCKS = _trit_block_table()
 
 #: Byte b read as eight binary digits, written as the ternary digits 2*bit.
 _BYTE_TRITS = [2 * int(f"{b:08b}", 3) for b in range(1 << _BLOCK)]
+_BYTE_TRITS_INT64 = np.array(_BYTE_TRITS, dtype=np.int64)
+#: Place values of the four bytes of a 32-bit half, least significant first;
+#: a half's ternary value stays below 3**32 < 2**63.
+_BYTE_PLACES = np.array([_BLOCK_POW3**k for k in range(4)], dtype=np.int64)
+
+#: Deepest digit depth of the batch quantile: its bits fit an int64.
+_BATCH_DEPTH = 62
+_POW3_BATCH = [3**k for k in range(_BATCH_DEPTH + 1)]
+
+
+def _coprime_fraction(n: int, d: int) -> Fraction:
+    """The Fraction n/d for coprime n and d > 0, built without a gcd.
+
+    ``Fraction(n, d)`` spends about a microsecond on a gcd that is known to
+    be 1 here; this sets the two slots directly, as Python 3.12's
+    ``Fraction._from_coprime_ints`` does.  The slots are the same on 3.10
+    and 3.11.
+    """
+    x = object.__new__(Fraction)
+    x._numerator = n
+    x._denominator = d
+    return x
+
+
+def _twos(n: int, cap: int) -> int:
+    """The exponent of the largest power of 2 dividing n, at most cap."""
+    n |= 1 << cap
+    return (n & -n).bit_length() - 1
 
 
 def _ratio(x) -> tuple[int, int]:
@@ -228,7 +276,9 @@ class StaircaseFn:
         return -scaled if negative else scaled
 
     def eval_exact(self, x) -> Fraction:
-        return Fraction(self._scaled(x), 1 << self.spec.digit_depth)
+        scaled, depth = self._scaled(x), self.spec.digit_depth
+        t = _twos(scaled, depth)
+        return _coprime_fraction(scaled >> t, 1 << (depth - t))
 
     def eval(self, x) -> float:
         # int true division rounds correctly, as Fraction.__float__ does
@@ -242,12 +292,58 @@ class StaircaseFn:
         negative, whole, num, den = self._parts(u)
         depth = self.spec.digit_depth
         bits = (num << depth) // den
-        scale = _pow3(depth)
-        scaled = whole * scale + _unit_quantile_scaled(bits, depth)
-        x = Fraction(-scaled if negative else scaled, scale)
+        # 3**t divides whole * 3**depth + Q(bits) exactly for the t trailing
+        # zero bits of bits (t = depth when bits == 0), and no higher power
+        t = _twos(bits, depth)
+        scale = _pow3(depth - t)
+        scaled = whole * scale + _unit_quantile_scaled(bits >> t, depth - t)
+        x = _coprime_fraction(-scaled if negative else scaled, scale)
         s = (whole << depth) + bits
         object.__setattr__(self, "_last_quantile", (x, -s if negative else s))
         return x
+
+    def quantiles_exact(self, u):
+        """Yield ``quantile_exact(v)`` for each v of the 1-D array u, in order.
+
+        A float64 array at digit depth up to 62 is transcribed in one batch:
+        whole parts and ``bits`` are exact in float64 and int64, and every
+        byte of the array goes through the byte table at once.  Each
+        result's slot is written just before it is yielded, as a scalar call
+        would, so the staircase of the element being consumed reads no
+        digits.  An element the scalar call refuses raises the scalar call's
+        error once the elements before it are consumed.  Any other dtype or
+        depth goes through the scalar call.
+        """
+        depth = self.spec.digit_depth
+        if u.dtype != np.float64 or depth > _BATCH_DEPTH:
+            yield from map(self.quantile_exact, u.tolist())
+            return
+        ok = np.isfinite(u)
+        if self.spec.extension_rule is ExtensionRule.UNIT_INTERVAL:
+            ok &= (u >= 0.0) & (u <= 1.0)
+        n = len(u) if ok.all() else int(ok.argmin())
+        a = np.abs(u[:n])
+        whole = np.floor(a)
+        bits = np.ldexp(a - whole, depth).astype(np.int64)
+        low = bits | (1 << depth)
+        t = np.frexp(low & -low)[1] - 1
+        # the little-endian bytes of bits >> t, as two 32-bit halves of four
+        octets = (bits >> t).astype("<i8", copy=False).view(np.uint8).reshape(-1, 2, 4)
+        lows, highs = (_BYTE_TRITS_INT64[octets] @ _BYTE_PLACES).T.tolist()
+        pow3, slot = _POW3_BATCH, object.__setattr__
+        signs = (u[:n] < 0).tolist()
+        for w, lo, hi, e, b, negative in zip(
+            whole.tolist(), lows, highs, (depth - t).tolist(), bits.tolist(), signs
+        ):
+            w, scale = int(w), pow3[e]
+            scaled, s = w * scale + hi * pow3[32] + lo, (w << depth) + b
+            if negative:
+                scaled, s = -scaled, -s
+            x = _coprime_fraction(scaled, scale)
+            slot(self, "_last_quantile", (x, s))
+            yield x
+        if n < len(u):
+            self.quantile_exact(u[n].item())  # raises the scalar call's error
 
     def quantile(self, u) -> float:
         return float(self.quantile_exact(u))
@@ -279,6 +375,9 @@ class IdentityMap:
 
     def quantile_exact(self, u) -> float:
         return float(u)
+
+    def quantiles_exact(self, u):
+        yield from map(float, u.tolist())
 
     def quantile(self, u) -> float:
         return float(u)

@@ -158,28 +158,35 @@ class TestConjugate:
         assert g(Fraction(1, 4)) == pytest.approx(1.0 / 16.0, abs=1e-12)
 
     def test_staircase_integrand_reads_no_digits(self, sf, monkeypatch):
-        calls = []
-        kernel = staircase._unit_staircase_scaled
+        digits, quantiles = [], []
+        kernel, quantile = staircase._unit_staircase_scaled, StaircaseFn.quantile_exact
         monkeypatch.setattr(
-            staircase, "_unit_staircase_scaled", lambda *a: calls.append(a) or kernel(*a)
+            staircase, "_unit_staircase_scaled", lambda *a: digits.append(a) or kernel(*a)
         )
-        u = np.array([[0.0, 0.1, 0.5], [2.0 / 3.0, 1.0, 1.9]])
+        monkeypatch.setattr(
+            StaircaseFn, "quantile_exact", lambda self, v: quantiles.append(v) or quantile(self, v)
+        )
+        u = np.concatenate([[0.0, 0.1, 0.5, 2.0 / 3.0, 1.0, 1.9], np.linspace(0.0, 3.0, 994)])
+        u = u.reshape(2, 500)
         got = conjugate(lambda x: sf.eval(x) ** 1.5, sf)(u)
-        assert not calls
+        # the whole array takes one batch quantile and reads no digit
+        assert not digits and not quantiles
         # the same integrand on equal but distinct Fractions reads the digits
         want = [sf.eval(Fraction(sf.quantile_exact(v))) ** 1.5 for v in u.flat]
-        assert len(calls) == u.size
+        assert len(digits) == len(quantiles) == u.size
         assert all(_same_bits(a, b) for a, b in zip(got.flat, want))
 
-    def test_array_elements_reach_the_quantile_as_floats(self, sf):
+    @pytest.mark.parametrize("depth, dtype", [(80, np.float64), (53, np.float32)])
+    def test_array_elements_reach_the_quantile_as_floats(self, monkeypatch, depth, dtype):
+        # past the batch depth, and for other dtypes, each element reaches the
+        # scalar quantile as a Python float
         seen = []
-
-        class Recording:
-            def quantile_exact(self, v):
-                seen.append(type(v))
-                return sf.quantile_exact(v)
-
-        ConjugatedFn(lambda x: float(x), Recording())(np.linspace(0.0, 1.0, 6).reshape(2, 3))
+        quantile = StaircaseFn.quantile_exact
+        monkeypatch.setattr(
+            StaircaseFn, "quantile_exact", lambda self, v: seen.append(type(v)) or quantile(self, v)
+        )
+        sf = StaircaseFn(CantorSpec(depth))
+        ConjugatedFn(lambda x: float(x), sf)(np.linspace(0.0, 1.0, 6, dtype=dtype).reshape(2, 3))
         assert seen == [float] * 6
 
     def test_array_call_is_the_elementwise_call(self, sf):
@@ -189,6 +196,19 @@ class TestConjugate:
         assert got.shape == u.shape
         for v, value in zip(u.flat, got.flat):
             assert _same_bits(value, g(float(v)))
+
+    def test_refused_element_after_the_calls_before_it(self, sf):
+        # f sees the elements before a refused one, then the scalar error rises
+        seen = []
+        g = conjugate(lambda x: seen.append(x) or 0.0, sf)
+        u = np.array([0.25, 1.5, math.nan, 0.5])
+        with pytest.raises(DomainError) as scalar:
+            [g(v) for v in u.tolist()]
+        scalar_seen, seen[:] = list(seen), []
+        with pytest.raises(DomainError) as batched:
+            g(u)
+        assert seen == scalar_seen == [sf.quantile_exact(0.25), sf.quantile_exact(1.5)]
+        assert str(batched.value) == str(scalar.value)
 
 
 class TestGridFunction:

@@ -357,6 +357,120 @@ class TestQuantileRoundTrip:
         assert _same_bits(sf.eval(copy), float(sf.eval_exact(copy)))
 
 
+def _oracle_parts(x) -> tuple[bool, int, int, int]:
+    """x as (negative, whole, num, den) with |x| = whole + num/den, num < den."""
+    num, den = Fraction(x).as_integer_ratio()
+    whole, rest = divmod(abs(num), den)
+    return num < 0, whole, rest, den
+
+
+def _same_parts(got: Fraction, want: Fraction) -> bool:
+    return (
+        type(got) is Fraction
+        and type(got.numerator) is int
+        and type(got.denominator) is int
+        and (got.numerator, got.denominator, hash(got)) == (want.numerator, want.denominator, hash(want))
+    )
+
+
+# every float, tiled and negative ones included, and rationals beside them
+exact_arguments = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.fractions(min_value=-6, max_value=6, max_denominator=10**30),
+    st.integers(-(10**20), 10**20),
+)
+
+
+class TestCoprimeConstruction:
+    """The results built without a gcd are the Fractions the gcd would build."""
+
+    @given(x=exact_arguments, depth=depths)
+    @settings(max_examples=500, deadline=None)
+    def test_eval_exact_is_the_reduced_fraction(self, x, depth):
+        negative, whole, num, den = _oracle_parts(x)
+        scaled = (whole << depth) + _reference_staircase_scaled(num, den, depth)
+        want = Fraction(-scaled if negative else scaled, 2**depth)
+        assert _same_parts(StaircaseFn(CantorSpec(depth)).eval_exact(x), want)
+
+    @given(u=exact_arguments, depth=depths)
+    @settings(max_examples=500, deadline=None)
+    def test_quantile_exact_is_the_reduced_fraction(self, u, depth):
+        negative, whole, num, den = _oracle_parts(u)
+        scaled = whole * 3**depth + _reference_quantile_scaled(num, den, depth)
+        want = Fraction(-scaled if negative else scaled, 3**depth)
+        assert _same_parts(StaircaseFn(CantorSpec(depth)).quantile_exact(u), want)
+
+
+# floats of every kind the batch must split exactly: signed zeros,
+# subnormals, exact dyadics, integers and values past 2**52
+batch_floats = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.0, 0.5, 2.0**52, 2.0**53 + 2.0]),
+    st.floats(-8.0, 8.0, allow_nan=False),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.integers(-(2**20), 2**20).map(lambda k: k / 1024),
+    st.integers(-100, 100).map(float),
+    st.floats(2.0**52, 1e300).flatmap(lambda v: st.sampled_from([v, -v])),
+)
+batch_depths = st.sampled_from([1, 10, 53, 62, 63, 80])
+
+
+class TestBatchQuantile:
+    """``quantiles_exact`` is the scalar loop, result for result and slot for slot."""
+
+    @given(
+        values=st.lists(batch_floats, max_size=40),
+        depth=batch_depths,
+        rule=st.sampled_from(list(ExtensionRule)),
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_matches_the_scalar_loop(self, values, depth, rule):
+        if rule is ExtensionRule.UNIT_INTERVAL:
+            values = [v if 0 <= v <= 1 else abs(v) % 1 for v in values]
+        spec = CantorSpec(depth, rule)
+        sf, scalar = StaircaseFn(spec), StaircaseFn(spec)
+        count = 0
+        for x, v in zip(sf.quantiles_exact(np.array(values, dtype=np.float64)), values, strict=True):
+            want = scalar.quantile_exact(v)
+            assert _same_parts(x, want)
+            key, scaled = sf._last_quantile
+            assert key is x and type(scaled) is int and scaled == scalar._last_quantile[1]
+            count += 1
+        assert count == len(values)
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.float32, np.float16])
+    def test_other_dtypes_take_the_scalar_call(self, sf, dtype):
+        a = np.array([0, 1, 2, -3], dtype=dtype)
+        got = list(sf.quantiles_exact(a))
+        want = [sf.quantile_exact(v) for v in a.tolist()]
+        assert all(_same_parts(x, w) for x, w in zip(got, want, strict=True))
+
+    @pytest.mark.parametrize("depth", [53, 80])
+    @pytest.mark.parametrize(
+        "rule, bad",
+        [
+            (ExtensionRule.SELF_SIMILAR_TILING, math.nan),
+            (ExtensionRule.SELF_SIMILAR_TILING, math.inf),
+            (ExtensionRule.SELF_SIMILAR_TILING, -math.inf),
+            (ExtensionRule.UNIT_INTERVAL, math.nan),
+            (ExtensionRule.UNIT_INTERVAL, math.inf),
+            (ExtensionRule.UNIT_INTERVAL, 1.5),
+            (ExtensionRule.UNIT_INTERVAL, -0.25),
+            (ExtensionRule.UNIT_INTERVAL, -5e-324),
+        ],
+    )
+    def test_refused_element_raises_the_scalar_error(self, depth, rule, bad):
+        sf = StaircaseFn(CantorSpec(depth, rule))
+        a = np.array([0.25, 0.5, bad, 0.75, math.nan])
+        with pytest.raises(DomainError) as scalar:
+            [sf.quantile_exact(v) for v in a.tolist()]
+        batch = sf.quantiles_exact(a)
+        assert [next(batch), next(batch)] == [sf.quantile_exact(0.25), sf.quantile_exact(0.5)]
+        with pytest.raises(DomainError) as batched:
+            next(batch)
+        assert type(batched.value) is type(scalar.value)
+        assert str(batched.value) == str(scalar.value)
+
+
 class TestMembership:
     def test_known_points(self, sf):
         assert sf.membership(Fraction(0))
@@ -466,6 +580,7 @@ class TestIdentityMap:
         assert ident.alpha == 1.0
         assert ident.eval(0.37) == 0.37
         assert ident.quantile_exact(0.37) == 0.37
+        assert list(ident.quantiles_exact(np.array([0.37, -2.0]))) == [0.37, -2.0]
         assert ident.membership(123.0)
 
 
