@@ -33,7 +33,6 @@ from .special import (
     beta_fractal_quadrature,
     gamma_classical,
     gamma_fractal,
-    gamma_fractal_quadrature,
     mittag_leffler,
     ml_half_half_closed,
     ml_special_case_residuals,
@@ -57,14 +56,11 @@ from .laplace import (
     InverseTerm,
     LaplaceExpr,
     LaplaceTerm,
-    convolve,
     evaluate_inverse,
-    inverse_laplace,
     invert_terms,
     laplace_numeric,
     solve_resolvent,
     transform_caputo,
-    transform_constant,
     transform_power,
     transform_rl_derivative,
     transform_rl_integral,
@@ -114,7 +110,6 @@ __all__ = [
     "caputo_derivative",
     "composition_residual",
     "conjugate",
-    "convolve",
     "evaluate",
     "evaluate_inverse",
     "evaluate_u",
@@ -124,9 +119,7 @@ __all__ = [
     "f_alpha_integral",
     "gamma_classical",
     "gamma_fractal",
-    "gamma_fractal_quadrature",
     "gap_plateau_spread",
-    "inverse_laplace",
     "invert_terms",
     "laplace_numeric",
     "mittag_leffler",
@@ -142,7 +135,6 @@ __all__ = [
     "solve_example",
     "solve_resolvent",
     "transform_caputo",
-    "transform_constant",
     "transform_power",
     "transform_rl_derivative",
     "transform_rl_integral",

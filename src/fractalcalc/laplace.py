@@ -13,7 +13,7 @@ to plain staircase powers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
@@ -48,9 +48,13 @@ class LaplaceTerm:
     unknown: bool = False
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "p", _as_power(self.p))
-        object.__setattr__(self, "q", _as_power(self.q))
-        if self.q < 0:
+        # the rule algebra passes Fractions; converting only the others
+        # halves the cost of a term
+        if type(self.p) is not Fraction:
+            object.__setattr__(self, "p", _as_power(self.p))
+        if type(self.q) is not Fraction:
+            object.__setattr__(self, "q", _as_power(self.q))
+        if self.q.numerator < 0:
             raise DomainError(f"denominator power must be nonnegative, got {self.q}")
 
     @property
@@ -88,22 +92,31 @@ class LaplaceExpr:
 
     def shifted(self, dp) -> "LaplaceExpr":
         dp = _as_power(dp)
-        return LaplaceExpr(tuple(replace(t, p=t.p + dp) for t in self.terms))
+        return LaplaceExpr(
+            tuple(LaplaceTerm(t.coeff, t.p + dp, t.q, t.lam, t.unknown) for t in self.terms)
+        )
 
     def scaled(self, c: float) -> "LaplaceExpr":
-        return LaplaceExpr(tuple(replace(t, coeff=t.coeff * float(c)) for t in self.terms))
+        c = float(c)
+        return LaplaceExpr(
+            tuple(LaplaceTerm(t.coeff * c, t.p, t.q, t.lam, t.unknown) for t in self.terms)
+        )
 
     def __add__(self, other: "LaplaceExpr") -> "LaplaceExpr":
         # merge like terms (same power, resolvent and unknown flag) by
         # summing coefficients; explicit zero coefficients are kept so that
-        # structural term lists stay visible to the caller
+        # structural term lists stay visible to the caller. The key holds the
+        # powers as integer pairs: a Fraction's hash is far slower.
         merged: list[LaplaceTerm] = []
         index: dict[tuple, int] = {}
         for t in self.terms + other.terms:
-            key = (t.p, t.q, t.lam, t.unknown)
+            p, q = t.p, t.q
+            key = (p.numerator, p.denominator, q.numerator, q.denominator, t.lam, t.unknown)
             if key in index:
                 old = merged[index[key]]
-                merged[index[key]] = replace(old, coeff=old.coeff + t.coeff)
+                merged[index[key]] = LaplaceTerm(
+                    old.coeff + t.coeff, old.p, old.q, old.lam, old.unknown
+                )
             else:
                 index[key] = len(merged)
                 merged.append(t)
@@ -121,11 +134,6 @@ def transform_power(eta) -> LaplaceExpr:
     return LaplaceExpr.of(LaplaceTerm(gamma_classical(float(eta_f) + 1.0), -eta_f - 1))
 
 
-def transform_constant(c: float) -> LaplaceExpr:
-    """Transform of the constant function c: c / sigma."""
-    return LaplaceExpr.of(LaplaceTerm(float(c), Fraction(-1)))
-
-
 def unknown_transform() -> LaplaceExpr:
     """The symbol standing for the transform of the unknown function."""
     return LaplaceExpr.of(LaplaceTerm(1.0, _ZERO, unknown=True))
@@ -139,23 +147,35 @@ def transform_rl_integral(expr: LaplaceExpr, beta) -> LaplaceExpr:
     return expr.shifted(-beta_f)
 
 
+def _slot_orders(rule, beta: Fraction) -> list[Fraction]:
+    """The datum order that each slot j = 1..ceil(beta) of a derivative rule
+    takes: j - 1 for Caputo, beta - j for RL."""
+    slots = range(1, math.ceil(beta) + 1)
+    if rule is transform_caputo:
+        return [Fraction(j - 1) for j in slots]
+    return [beta - j for j in slots]
+
+
+def _derivative_rule(rule, expr: LaplaceExpr, beta, data) -> LaplaceExpr:
+    """sigma^beta F minus each datum, a datum of order o at sigma^(beta - 1 - o)."""
+    beta_f = _as_power(beta)
+    if beta_f <= 0:
+        raise DomainError(f"order must be positive, got {beta_f}")
+    slots = _slot_orders(rule, beta_f)
+    data = tuple(data)
+    if len(data) > len(slots):
+        raise DomainError(f"at most {len(slots)} data values fit the order {beta_f} rule")
+    known = tuple(LaplaceTerm(-float(c), beta_f - 1 - o) for c, o in zip(data, slots))
+    return expr.shifted(beta_f) + LaplaceExpr(known)
+
+
 def transform_rl_derivative(expr: LaplaceExpr, beta, data=()) -> LaplaceExpr:
     """RL derivative rule: sigma^beta F minus the terminal data terms.
 
     data[j - 1] is the limit at the terminal of the order beta - j
     derivative of the original function, j = 1..n.
     """
-    beta_f = _as_power(beta)
-    if beta_f <= 0:
-        raise DomainError(f"order must be positive, got {beta_f}")
-    n = math.ceil(float(beta_f))
-    data = tuple(data)
-    if len(data) > n:
-        raise DomainError(f"at most {n} data values fit the order {beta_f} rule")
-    out = expr.shifted(beta_f)
-    for j, c in enumerate(data, start=1):
-        out = out - LaplaceExpr.of(LaplaceTerm(float(c), Fraction(j - 1)))
-    return out
+    return _derivative_rule(transform_rl_derivative, expr, beta, data)
 
 
 def transform_caputo(expr: LaplaceExpr, beta, data=()) -> LaplaceExpr:
@@ -164,17 +184,7 @@ def transform_caputo(expr: LaplaceExpr, beta, data=()) -> LaplaceExpr:
     data[j - 1] is the (j - 1)-th staircase derivative of the original
     function at the terminal, j = 1..n.
     """
-    beta_f = _as_power(beta)
-    if beta_f <= 0:
-        raise DomainError(f"order must be positive, got {beta_f}")
-    n = math.ceil(float(beta_f))
-    data = tuple(data)
-    if len(data) > n:
-        raise DomainError(f"at most {n} data values fit the order {beta_f} rule")
-    out = expr.shifted(beta_f)
-    for j, c in enumerate(data, start=1):
-        out = out - LaplaceExpr.of(LaplaceTerm(float(c), beta_f - j))
-    return out
+    return _derivative_rule(transform_caputo, expr, beta, data)
 
 
 def solve_resolvent(numerator: LaplaceExpr, q, lam: float) -> LaplaceExpr:
@@ -257,16 +267,6 @@ def evaluate_inverse(terms, u):
     return sum(t.evaluate_u(u) for t in terms)
 
 
-def inverse_laplace(expr: LaplaceExpr):
-    """Invert and return a callable of the staircase coordinate u."""
-    terms = invert_terms(expr)
-
-    def fn(u: float) -> float:
-        return evaluate_inverse(terms, u)
-
-    return fn
-
-
 def laplace_numeric(
     f,
     sf,
@@ -305,15 +305,3 @@ def laplace_numeric(
     if upper > split:
         rest = quadrature.gauss_composite(integrand, split, upper, nodes_per_unit)
     return float(head + rest)
-
-
-def convolve(f1, f2, sf, x: float) -> float:
-    """Staircase convolution, the product rule's time-domain counterpart."""
-    g1 = conjugate(f1, sf)
-    g2 = conjugate(f2, sf)
-    u = sf.eval(x)
-    if u < 0.0:
-        raise DomainError("convolution needs a nonnegative staircase coordinate")
-    if u == 0.0:
-        return 0.0
-    return quadrature.tanh_sinh(lambda v: g1(u - v) * g2(v), 0.0, u)

@@ -1,13 +1,15 @@
 """The four staircase differential equations and their verified solutions.
 
-Each problem is solved by the transform rule algebra: transform the
-equation, collect the data terms, divide by the symbol of the operator
-(a resolvent when a zero-order term is present), and invert term by term
-into staircase powers and Mittag-Leffler factors. The result is then
-checked the hard way, by applying the governing operator numerically and
-measuring the residual against the right-hand side. Variant closed forms
-in circulation for these problems are evaluated alongside and measured by
-the same residual, never assumed.
+Each problem is solved through the transform rule of its operator
+(`transform_caputo` or `transform_rl_derivative`): apply the rule to the
+unknown image with the data that fit its slots, subtract lam times the
+unknown, move the known terms to the right-hand side, divide by the symbol
+of the operator (a resolvent when a zero-order term is present), and invert
+term by term into staircase powers and Mittag-Leffler factors. The result
+is then checked the hard way, by applying the governing operator
+numerically and measuring the residual against the right-hand side.
+Variant closed forms in circulation for these problems are evaluated
+alongside and measured by the same residual, never assumed.
 """
 
 from __future__ import annotations
@@ -25,10 +27,14 @@ from .laplace import (
     InverseTerm,
     LaplaceExpr,
     LaplaceTerm,
+    _slot_orders,
     evaluate_inverse,
     invert_terms,
     solve_resolvent,
+    transform_caputo,
     transform_power,
+    transform_rl_derivative,
+    unknown_transform,
 )
 from .nonlocal_ops import OperatorKind, OperatorSpec, evaluate_u
 from .special import mittag_leffler, ml_half_half_closed, rgamma
@@ -40,14 +46,14 @@ class InitialDatum:
     """One supplied terminal datum: operator order, terminal point, value.
 
     Integer orders are iterated staircase derivatives; fractional orders are
-    RL operators (negative = integral). fits_rule_slot records whether the
-    transform rule for the governing operator has a slot of this exact order.
+    RL operators (negative = integral). Whether a datum fits a slot of the
+    governing operator's transform rule is computed from its order when the
+    problem is derived.
     """
 
     order: Fraction
     terminal: float
     value: float
-    fits_rule_slot: bool = True
 
 
 @dataclass(frozen=True)
@@ -96,7 +102,7 @@ def example_problem(example_id: int, lam: float = -0.5) -> ExampleProblem:
             OperatorSpec(OperatorKind.CAPUTO, 0.5, terminal=0.0),
             _HALF,
             ((2.0, Fraction(0)),),
-            (InitialDatum(Fraction(1), 0.0, 1.0, fits_rule_slot=False),),
+            (InitialDatum(Fraction(1), 0.0, 1.0),),
             0.0,
         )
     if example_id == 2:
@@ -105,7 +111,7 @@ def example_problem(example_id: int, lam: float = -0.5) -> ExampleProblem:
             OperatorSpec(OperatorKind.CAPUTO, 0.5, terminal=1.0),
             _HALF,
             ((-1.0, Fraction(1)),),
-            (InitialDatum(Fraction(1), 1.0, 0.0, fits_rule_slot=False),),
+            (InitialDatum(Fraction(1), 1.0, 0.0),),
             0.0,
         )
     if example_id == 3:
@@ -127,66 +133,72 @@ def example_problem(example_id: int, lam: float = -0.5) -> ExampleProblem:
             ((1.0, Fraction(2)),),
             (
                 InitialDatum(Fraction(1, 3), 0.0, 1.0),
-                InitialDatum(Fraction(-1, 6), 0.0, 2.0, fits_rule_slot=False),
+                InitialDatum(Fraction(-1, 6), 0.0, 2.0),
             ),
             lam,
         )
     raise DomainError(f"example id must be 1..4, got {example_id!r}")
 
 
+# What each derivation found about its data, in the words of the report.
+_DERIVATION_NOTES = {
+    1: (
+        "the supplied first-derivative datum is unattainable (every "
+        "solution has an unbounded staircase derivative at the terminal); "
+        "its value is consumed as the terminal value of y, the slot the "
+        "transform rule actually has",
+    ),
+    2: (
+        "the supplied derivative datum holds identically for the whole "
+        "solution family; the terminal value y = 0 is the choice that "
+        "closes the problem and it reproduces the variant closed form",
+    ),
+    4: (
+        "the order -1/6 datum fits no slot of the order 4/3 transform "
+        "rule (slots take orders 1/3 and -2/3); it is excluded and the "
+        "middle basis term keeps coefficient 0",
+    ),
+}
+
+
 def _derive_transform(problem: ExampleProblem) -> tuple[LaplaceExpr, tuple[str, ...]]:
-    """Transform the equation and solve for the unknown image symbolically.
+    """Transform the equation by the operator's rule and solve for the image.
 
     Works in the coordinate w = S(x) - S(terminal), so the standard
     terminal-zero transform rules apply to every problem, including the one
-    based at S = 1.
+    based at S = 1. A datum fits when its order is one of the rule's slot
+    orders, and an empty slot before a filled one takes 0. When no datum of
+    a Caputo problem fits, the first one's value is taken as the terminal
+    value of y, the rule's first slot. A datum that fits no slot otherwise
+    is left out, and a zero-coefficient term keeps its place at
+    sigma^(beta - 1 - order).
     """
     beta = problem.order
-    notes: list[str] = []
+    caputo = problem.operator.kind is OperatorKind.CAPUTO
+    rule = transform_caputo if caputo else transform_rl_derivative
+    slots = _slot_orders(rule, beta)
+    values = {d.order: d.value for d in problem.initial_data if d.order in slots}
+    left_out = [d.order for d in problem.initial_data if d.order not in slots]
+    if caputo and not values:
+        values, left_out = {slots[0]: problem.initial_data[0].value}, []
+    filled = max((slots.index(o) + 1 for o in values), default=0)
+    data = [values.get(o, 0.0) for o in slots[:filled]]
 
+    unknown = unknown_transform()
+    equation = rule(unknown, beta, data) + unknown.scaled(-problem.lam)
     rhs = LaplaceExpr.zero()
     for coeff, eta in problem.rhs_terms:
         rhs = rhs + transform_power(eta).scaled(coeff)
-
-    # The first datum takes the first slot of the operator's rule: the
-    # terminal value, at sigma^(beta - 1), for Caputo (examples 1 and 2); the
-    # order beta - 1 limit, at sigma^0, for RL (examples 3 and 4).
-    datum = problem.initial_data[0].value
-    slot = beta - 1 if problem.operator.kind is OperatorKind.CAPUTO else Fraction(0)
-    data_terms = LaplaceExpr.of(LaplaceTerm(datum, slot))
-    if problem.example_id == 1:
-        # The stated datum is the first staircase derivative at the terminal,
-        # which no solution of this equation has finite; the rule's only slot
-        # takes the terminal value of y, and the datum value is used there.
-        notes.append(
-            "the supplied first-derivative datum is unattainable (every "
-            "solution has an unbounded staircase derivative at the terminal); "
-            "its value is consumed as the terminal value of y, the slot the "
-            "transform rule actually has"
-        )
-    elif problem.example_id == 2:
-        notes.append(
-            "the supplied derivative datum holds identically for the whole "
-            "solution family; the terminal value y = 0 is the choice that "
-            "closes the problem and it reproduces the variant closed form"
-        )
-    elif problem.example_id == 4:
-        # The order -1/6 datum fits no slot of the order 4/3 rule (slots are
-        # at orders 1/3 and -2/3). It is excluded; a zero-coefficient term at
-        # its would-be image keeps the three-term basis explicit.
-        notes.append(
-            "the order -1/6 datum fits no slot of the order 4/3 transform "
-            "rule (slots take orders 1/3 and -2/3); it is excluded and the "
-            "middle basis term keeps coefficient 0"
-        )
-        data_terms = data_terms + LaplaceExpr.of(LaplaceTerm(0.0, _HALF))
-
-    numerator = rhs + data_terms
+    # the unknown terms of the equation are the symbol sigma^beta - lam,
+    # divided out below; the known terms move to the right-hand side
+    known = LaplaceExpr(tuple(t for t in equation.terms if not t.unknown))
+    zeros = LaplaceExpr(tuple(LaplaceTerm(0.0, beta - 1 - o) for o in left_out))
+    numerator = rhs - known + zeros
     if problem.lam == 0.0:
         image = numerator.shifted(-beta)
     else:
         image = solve_resolvent(numerator, beta, problem.lam)
-    return image, tuple(notes)
+    return image, _DERIVATION_NOTES.get(problem.example_id, ())
 
 
 def _variant_terms(problem: ExampleProblem) -> tuple[tuple[InverseTerm, ...], str]:

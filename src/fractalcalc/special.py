@@ -2,8 +2,8 @@
 
 The staircase-weighted Euler integrals collapse, through the conjugacy
 u = S(x), to the classical ones, so the closed forms here are the classical
-special functions; the quadrature twins recompute them from the integral
-definitions as an independent check of that collapse.
+special functions; the Beta quadrature twin recomputes Beta from its integral
+definition as an independent check of that collapse.
 """
 
 from __future__ import annotations
@@ -62,22 +62,6 @@ def gamma_fractal(t: float, mode: GammaMode = GammaMode.RAW_ARGUMENT, sf=None) -
             raise DomainError("staircase-composed mode needs a staircase function")
         t = sf.eval(t)
     return gamma_classical(t)
-
-
-def gamma_fractal_quadrature(t: float, upper: float | None = None, nodes: int = 64) -> float:
-    """Gamma(t) from the integral of u^(t-1) exp(-u), not the closed form."""
-    t = float(t)
-    if t <= 0.0:
-        raise DomainError(f"integral definition needs t > 0, got {t!r}")
-    if upper is None:
-        upper = 36.0 + 6.0 * max(t, 1.0)
-
-    def integrand(u):
-        return u ** (t - 1.0) * np.exp(-u)
-
-    head = quadrature.tanh_sinh(integrand, 0.0, 1.0)
-    tail = quadrature.gauss_composite(integrand, 1.0, upper, nodes)
-    return float(head + tail)
 
 
 def beta_fractal(r: float, s: float) -> float:

@@ -14,16 +14,13 @@ from fractalcalc import (
     LaplaceTerm,
     StaircaseFn,
     TailBoundError,
-    convolve,
     evaluate_inverse,
     gamma_classical,
-    inverse_laplace,
     invert_terms,
     laplace_numeric,
     mittag_leffler,
     solve_resolvent,
     transform_caputo,
-    transform_constant,
     transform_power,
     transform_rl_derivative,
     transform_rl_integral,
@@ -34,6 +31,10 @@ from fractalcalc import (
 @pytest.fixture(scope="module")
 def sf():
     return StaircaseFn(CantorSpec())
+
+
+# orders in (0, 1], (1, 2) and at 2, where the rules have one or two slots
+_ORDERS = (Fraction(1, 2), Fraction(4, 3), Fraction(3, 2), Fraction(2))
 
 
 def expr_value(expr, sigma):
@@ -49,7 +50,7 @@ class TestTermAlgebra:
         assert t.is_pure_power
 
     def test_constant_transform(self):
-        (t,) = transform_constant(3.0).terms
+        (t,) = transform_power(0).scaled(3.0).terms
         assert t.coeff == 3.0
         assert t.p == Fraction(-1)
 
@@ -93,24 +94,43 @@ class TestRules:
         assert t.p == Fraction(-2)
 
     def test_derivative_rule_with_data(self):
-        # sigma^beta F - c1 sigma^0 for beta in (0, 1]
-        e = transform_rl_derivative(unknown_transform(), Fraction(1, 2), data=(2.0,))
-        unknown = [t for t in e.terms if t.unknown]
-        known = [t for t in e.terms if not t.unknown]
-        assert unknown[0].p == Fraction(1, 2)
-        assert known[0].coeff == -2.0
-        assert known[0].p == Fraction(0)
+        # sigma^beta F - c_j sigma^(j - 1): slot j takes the order beta - j
+        # datum, and a datum of order o lands at sigma^(beta - 1 - o)
+        for beta in _ORDERS:
+            n = math.ceil(beta)
+            data = [2.0 + j for j in range(n)]
+            e = transform_rl_derivative(unknown_transform(), beta, data=data)
+            unknown = [t for t in e.terms if t.unknown]
+            known = [t for t in e.terms if not t.unknown]
+            assert [(t.coeff, t.p) for t in unknown] == [(1.0, beta)]
+            orders = [beta - j for j in range(1, n + 1)]
+            assert [(t.coeff, t.p) for t in known] == [
+                (-c, beta - 1 - o) for c, o in zip(data, orders)
+            ]
+            assert [t.p for t in known] == [Fraction(j) for j in range(n)]
 
     def test_caputo_rule_with_data(self):
-        # sigma^beta F - c1 sigma^(beta - 1)
-        e = transform_caputo(unknown_transform(), Fraction(1, 2), data=(3.0,))
-        known = [t for t in e.terms if not t.unknown]
-        assert known[0].coeff == -3.0
-        assert known[0].p == Fraction(-1, 2)
+        # sigma^beta F - c_j sigma^(beta - j): slot j takes the order j - 1
+        # datum, and a datum of order o lands at sigma^(beta - 1 - o)
+        for beta in _ORDERS:
+            n = math.ceil(beta)
+            data = [3.0 + j for j in range(n)]
+            e = transform_caputo(unknown_transform(), beta, data=data)
+            unknown = [t for t in e.terms if t.unknown]
+            known = [t for t in e.terms if not t.unknown]
+            assert [(t.coeff, t.p) for t in unknown] == [(1.0, beta)]
+            orders = [Fraction(j - 1) for j in range(1, n + 1)]
+            assert [(t.coeff, t.p) for t in known] == [
+                (-c, beta - 1 - o) for c, o in zip(data, orders)
+            ]
+            assert [t.p for t in known] == [beta - j for j in range(1, n + 1)]
 
     def test_too_much_data_rejected(self):
-        with pytest.raises(DomainError):
-            transform_caputo(unknown_transform(), Fraction(1, 2), data=(1.0, 2.0))
+        for beta in _ORDERS:
+            data = [1.0] * (math.ceil(beta) + 1)
+            for rule in (transform_caputo, transform_rl_derivative):
+                with pytest.raises(DomainError, match=f"at most {len(data) - 1} data values"):
+                    rule(unknown_transform(), beta, data=data)
 
     def test_nonpositive_order_rejected(self):
         with pytest.raises(DomainError):
@@ -159,21 +179,21 @@ class TestResolventAndInversion:
             invert_terms(unknown_transform())
 
     def test_evaluate_inverse_at_zero(self):
-        const = invert_terms(transform_constant(2.0))
+        const = invert_terms(transform_power(0).scaled(2.0))
         assert evaluate_inverse(const, 0.0) == pytest.approx(2.0)
         singular = invert_terms(LaplaceExpr.of(LaplaceTerm(1.0, Fraction(-1, 2))))
         with pytest.raises(DomainError):
             evaluate_inverse(singular, 0.0)
 
-    def test_inverse_laplace_returns_callable(self):
-        fn = inverse_laplace(transform_power(2))
-        assert fn(0.5) == pytest.approx(0.25, rel=1e-12)
+    def test_inverse_of_a_power_image(self):
+        terms = invert_terms(transform_power(2))
+        assert evaluate_inverse(terms, 0.5) == pytest.approx(0.25, rel=1e-12)
 
     def test_evaluate_inverse_on_arrays(self):
         # power and resolvent terms, as example 4 inverts them
         q = Fraction(4, 3)
         terms = invert_terms(
-            solve_resolvent(transform_power(2) + transform_constant(1.0).shifted(1), q, -0.5)
+            solve_resolvent(transform_power(2) + transform_power(0).scaled(1.0).shifted(1), q, -0.5)
         ) + invert_terms(transform_power(Fraction(1, 2)))
         u = np.array([0.0, 1e-9, 0.01, 0.3, 0.99, 1.7])
         got = evaluate_inverse(terms, u)
@@ -184,7 +204,7 @@ class TestResolventAndInversion:
     def test_inverse_terms_keep_exact_exponents_and_their_bits(self):
         q = Fraction(4, 3)
         terms = invert_terms(
-            solve_resolvent(transform_power(2) + transform_constant(1.0).shifted(1), q, -0.5)
+            solve_resolvent(transform_power(2) + transform_power(0).scaled(1.0).shifted(1), q, -0.5)
         ) + invert_terms(transform_power(Fraction(1, 2)))
         for t in terms:
             assert all(type(v) is Fraction for v in (t.power, t.ml_eta, t.ml_nu) if v is not None)
@@ -237,20 +257,14 @@ class TestInversionConsistency:
         # expression value, checked at two probe points
         numerator = LaplaceExpr.of(LaplaceTerm(1.0, _p := Fraction(0))) + transform_power(2)
         expr = solve_resolvent(numerator, Fraction(4, 3), -0.5)
-        fn = inverse_laplace(expr)
+        terms = invert_terms(expr)
         for sigma in (2.0, 4.0):
             want = expr_value(expr, sigma)
-            got = laplace_numeric(lambda x: fn(sf.eval(x)), sf, sigma)
+            got = laplace_numeric(lambda x: evaluate_inverse(terms, sf.eval(x)), sf, sigma)
             assert got == pytest.approx(want, rel=1e-3)
 
 
 class TestConvolution:
-    def test_matches_closed_form(self, sf):
-        # S * S at a staircase point: (S^1 * S^1)(u) = u^3 / 6
-        x = float(sf.quantile_exact(Fraction(1, 2)))
-        got = convolve(lambda t: sf.eval(t), lambda t: sf.eval(t), sf, x)
-        assert got == pytest.approx(0.5**3 / 6.0, rel=1e-8)
-
     def test_transform_of_convolution_is_product(self, sf):
         # L{S * S}(sigma) = (Gamma(2) sigma^-2)^2 via the closed cube
         sigma = 2.0
@@ -258,8 +272,3 @@ class TestConvolution:
         want = expr_value(transform_power(1), sigma) ** 2
         assert got == pytest.approx(want, rel=1e-9)
 
-    def test_commutes(self, sf):
-        x = float(sf.quantile_exact(Fraction(3, 4)))
-        a = convolve(lambda t: sf.eval(t), lambda t: sf.eval(t) ** 2, sf, x)
-        b = convolve(lambda t: sf.eval(t) ** 2, lambda t: sf.eval(t), sf, x)
-        assert a == pytest.approx(b, rel=1e-8)

@@ -19,6 +19,7 @@ from fractalcalc import (
     mittag_leffler,
     solve_example,
 )
+from fractalcalc.laplace import _slot_orders, transform_caputo, transform_rl_derivative
 from fractalcalc.solutions import _derive_transform, default_grid
 
 
@@ -48,11 +49,15 @@ class TestProblemDefinitions:
         assert len(p4.initial_data) == 2
 
     def test_data_slots(self):
+        # a datum fits when its order is a slot order of the operator's rule
         p1 = example_problem(1)
-        assert not p1.initial_data[0].fits_rule_slot
+        slots = _slot_orders(transform_caputo, p1.order)
+        assert slots == [Fraction(0)]
+        assert [d.order in slots for d in p1.initial_data] == [False]
         p4 = example_problem(4)
-        slots = [d.fits_rule_slot for d in p4.initial_data]
-        assert slots == [True, False]
+        slots = _slot_orders(transform_rl_derivative, p4.order)
+        assert slots == [Fraction(1, 3), Fraction(-2, 3)]
+        assert [d.order in slots for d in p4.initial_data] == [True, False]
 
     def test_unknown_id(self):
         with pytest.raises(DomainError):
