@@ -179,7 +179,7 @@ def _derive_transform(problem: ExampleProblem) -> tuple[LaplaceExpr, tuple[str, 
     slots = _slot_orders(rule, beta)
     values = {d.order: d.value for d in problem.initial_data if d.order in slots}
     left_out = [d.order for d in problem.initial_data if d.order not in slots]
-    if caputo and not values:
+    if caputo and not values and problem.initial_data:
         values, left_out = {slots[0]: problem.initial_data[0].value}, []
     filled = max((slots.index(o) + 1 for o in values), default=0)
     data = [values.get(o, 0.0) for o in slots[:filled]]

@@ -12,6 +12,8 @@ from fractalcalc import (
     IdentityMap,
     LaplaceExpr,
     LaplaceTerm,
+    OperatorKind,
+    OperatorSpec,
     StaircaseFn,
     TailBoundError,
     evaluate_inverse,
@@ -19,6 +21,7 @@ from fractalcalc import (
     invert_terms,
     laplace_numeric,
     mittag_leffler,
+    rl_integral,
     solve_resolvent,
     transform_caputo,
     transform_power,
@@ -264,7 +267,25 @@ class TestInversionConsistency:
             assert got == pytest.approx(want, rel=1e-3)
 
 
+def power_convolution(k, f, sf, x):
+    """(S^k * f)(x), u-space convolution with S^k, as k! times the order k + 1 RL integral."""
+    spec = OperatorSpec(OperatorKind.RL_INTEGRAL, k + 1, 0.0)
+    return math.factorial(k) * rl_integral(spec, f, sf, x)
+
+
 class TestConvolution:
+    def test_matches_closed_form(self, sf):
+        # S * S at a staircase point: (S^1 * S^1)(u) = u^3 / 6
+        x = float(sf.quantile_exact(Fraction(1, 2)))
+        got = power_convolution(1, lambda t: sf.eval(t), sf, x)
+        assert got == pytest.approx(0.5**3 / 6.0, rel=1e-8)
+
+    def test_commutes(self, sf):
+        x = float(sf.quantile_exact(Fraction(3, 4)))
+        a = power_convolution(1, lambda t: sf.eval(t) ** 2, sf, x)
+        b = power_convolution(2, lambda t: sf.eval(t), sf, x)
+        assert a == pytest.approx(b, rel=1e-8)
+
     def test_transform_of_convolution_is_product(self, sf):
         # L{S * S}(sigma) = (Gamma(2) sigma^-2)^2 via the closed cube
         sigma = 2.0

@@ -1,5 +1,6 @@
 """Worked equation reproductions: transforms, residuals, variants."""
 
+import dataclasses
 import hashlib
 import math
 import struct
@@ -10,6 +11,7 @@ import pytest
 from fractalcalc import (
     CantorSpec,
     DomainError,
+    InitialDatum,
     OperatorKind,
     StaircaseFn,
     alpha_one_degeneration,
@@ -58,6 +60,19 @@ class TestProblemDefinitions:
         slots = _slot_orders(transform_rl_derivative, p4.order)
         assert slots == [Fraction(1, 3), Fraction(-2, 3)]
         assert [d.order in slots for d in p4.initial_data] == [True, False]
+
+    def test_caputo_datum_off_the_slots_is_the_terminal_value(self):
+        # examples 1 and 2: with no datum on a slot, the image is the one the
+        # same value gives at the rule's first slot, order 0
+        for example_id in (1, 2):
+            p = example_problem(example_id)
+            (d,) = p.initial_data
+            on_slot = dataclasses.replace(
+                p, initial_data=(InitialDatum(Fraction(0), d.terminal, d.value),)
+            )
+            image, _ = _derive_transform(p)
+            assert image == _derive_transform(on_slot)[0]
+            assert image != _derive_transform(dataclasses.replace(p, initial_data=()))[0]
 
     def test_unknown_id(self):
         with pytest.raises(DomainError):
