@@ -20,9 +20,11 @@ end is reached by reflecting the integrand (see `nonlocal_ops`).
 
 Integrand protocol: an integrand g takes a float or a float ndarray of u and
 returns a float or an ndarray of the same shape. Gauss-Legendre evaluates
-each panel's nodes in one call and product integration the whole mesh
-interior in one call; tanh-sinh and the product rule's two endpoints call g
-on single floats.
+the nodes of all its panels in one call, and product integration the whole
+mesh interior in one call; only the product rule's two endpoints call g on
+single floats. Tanh-sinh nests its levels: each finer level adds only its
+new odd nodes to the running sum, in one call per level. It calls g on
+single floats only to find where an overflowing side must stop.
 """
 
 from __future__ import annotations
@@ -31,6 +33,8 @@ import math
 from functools import lru_cache
 
 import numpy as np
+
+from .exceptions import ConvergenceError
 
 
 @lru_cache(maxsize=None)
@@ -52,98 +56,161 @@ def _panel_edges(lo: float, hi: float) -> list[float]:
 
 
 def gauss_composite(g, lo: float, hi: float, nodes: int = 64) -> float:
-    """Composite Gauss-Legendre over unit-aligned panels, `nodes` points each."""
+    """Composite Gauss-Legendre over unit-aligned panels, `nodes` points each.
+
+    The nodes of every panel go to g in one call; the panel sums are then
+    added in panel order.
+    """
     if hi == lo:
         return 0.0
     xg, wg = _leggauss(max(2, int(nodes)))
+    edges = np.array(_panel_edges(lo, hi))
+    c = 0.5 * (edges[1:] - edges[:-1])
+    m = 0.5 * (edges[:-1] + edges[1:])
+    vals = np.asarray(g((m[:, None] + c[:, None] * xg).ravel()), dtype=float)
+    if not np.isfinite(vals).all():
+        raise ValueError("integrand returned a non-finite value")
     total = 0.0
-    edges = _panel_edges(lo, hi)
-    for a, b in zip(edges[:-1], edges[1:]):
-        c, m = 0.5 * (b - a), 0.5 * (a + b)
-        vals = np.asarray(g(m + c * xg), dtype=float)
-        if not np.isfinite(vals).all():
-            raise ValueError("integrand returned a non-finite value")
-        total += c * float(wg @ vals)
+    for ck, row in zip(c.tolist(), vals.reshape(len(c), -1)):
+        total += ck * float(wg @ row)
     return total
+
+
+_TS_FIRST_LEVEL = 3
+
+
+@lru_cache(maxsize=None)
+def _ts_nodes(level: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(t, weight, distance / half span) of the nodes a tanh-sinh level adds.
+
+    Level L has step h = 4 / 2^L. The first level adds every t = k h, k >= 1;
+    each later level its odd k, the even ones being the nodes of the levels
+    before it. The midpoint, t = 0 with weight pi/2, is not in the table. A
+    level's nodes run out where the weight or the distance underflows.
+    """
+    h = 4.0 / (1 << level)
+    hp = 0.5 * math.pi
+    step = 1 if level == _TS_FIRST_LEVEL else 2
+    ts, ws, ds = [], [], []
+    k = 1
+    while True:
+        t = k * h
+        a = hp * math.sinh(t)
+        if a < 300.0:
+            w = hp * math.cosh(t) / math.cosh(a) ** 2
+            d = 2.0 / (math.exp(2.0 * a) + 1.0)
+        else:
+            damp = math.exp(-2.0 * a)
+            w = 2.0 * math.pi * math.cosh(t) * damp
+            d = 2.0 * damp
+        if d <= 0.0 or w <= 0.0:
+            break
+        ts.append(t)
+        ws.append(w)
+        ds.append(d)
+        k += step
+    table = (np.array(ts), np.array(ws), np.array(ds))
+    for a in table:
+        a.flags.writeable = False
+    return table
+
+
+def _ts_values(g, head: list, x_hi: np.ndarray, x_lo: np.ndarray):
+    """g at head (the midpoint or nothing) and at the nodes of both sides, in one call.
+
+    Overflow raises inside g. A call that overflows is redone node by node,
+    and each side stops at its first overflowing node, where doubles cannot
+    hold g. Returns the head values and one value array per side, cut short
+    where that side overflowed; the sides' nodes run away from the midpoint.
+    """
+    with np.errstate(over="raise"):
+        try:
+            vals = np.asarray(g(np.concatenate([head, x_hi, x_lo])), dtype=float)
+        except (OverflowError, FloatingPointError):
+            pass
+        else:
+            return np.split(vals, [len(head), len(head) + len(x_hi)])
+        out = [np.array([float(g(x)) for x in head])]
+        for side in (x_hi, x_lo):
+            v = []
+            for x in side.tolist():
+                try:
+                    v.append(float(g(x)))
+                except (OverflowError, FloatingPointError):
+                    break
+            out.append(np.array(v))
+        return out
 
 
 def tanh_sinh(g, lo: float, hi: float, tol: float = 1e-12, max_level: int = 11) -> float:
     """Double-exponential quadrature on [lo, hi].
 
-    Handles integrable endpoint singularities. Nodes approach each endpoint
-    until float resolution runs out (down to denormal offsets when the
-    endpoint is 0.0); each side stops independently, so a singular side keeps
-    resolving after the smooth side saturates. The iteration stops once two
-    levels agree to `tol` (relative).
+    Handles integrable endpoint singularities. The levels nest: level 3
+    evaluates all of its nodes and the midpoint, and each later level, of
+    half the step, only its new odd nodes, which are added to the running
+    sum. Each level makes one call of g with the new nodes of both sides.
+    Nodes approach each endpoint until float resolution runs out (down to
+    denormal offsets when the endpoint is 0.0); each side stops
+    independently, so a singular side keeps resolving after the smooth side
+    saturates. Past t = 3 a level stops at its first pair of nodes whose
+    increment is below 1e-18 of the sum, and no later level looks beyond
+    it. A side whose g overflows is frozen at its first overflowing node;
+    if its last resolved increment exceeds `tol` of the sum, the mass lost
+    past the freeze cannot be neglected and ConvergenceError is raised. The
+    iteration stops once two levels agree to `tol` (relative).
     """
     c = 0.5 * (hi - lo)
     if c == 0.0:
         return 0.0
     mid = 0.5 * (lo + hi)
-    hp = 0.5 * math.pi
+    s = 0.0
     best = None
-    for level in range(3, max_level + 1):
-        h = 4.0 / (1 << level)
-        s = 0.0
-        k = 0
-        alive_hi = True
-        alive_lo = True
-        while k <= 100_000:
-            t = k * h
-            a = hp * math.sinh(t)
-            if a < 300.0:
-                w = hp * math.cosh(t) / math.cosh(a) ** 2
-                dist = 2.0 * c / (math.exp(2.0 * a) + 1.0)
-            else:
-                damp = math.exp(-2.0 * a)
-                w = 2.0 * math.pi * math.cosh(t) * damp
-                dist = 2.0 * c * damp
-            if k == 0:
-                v = g(mid)
-                if not math.isfinite(v):
-                    raise ValueError("integrand returned a non-finite value")
-                s += w * v
-                k += 1
-                continue
-            if dist <= 0.0 or w <= 0.0:
-                break
-            inc = 0.0
-            resolved = False
-            xp = hi - dist
-            if alive_hi and xp < hi:
-                # an overflow this deep means doubles cannot hold g there;
-                # freeze that side and keep the other going
-                try:
-                    vp = g(xp)
-                except OverflowError:
-                    alive_hi = False
-                else:
-                    if not math.isfinite(vp):
-                        raise ValueError("integrand returned a non-finite value")
-                    inc += w * vp
-                    resolved = True
-            xm = lo + dist
-            if alive_lo and xm > lo:
-                try:
-                    vm = g(xm)
-                except OverflowError:
-                    alive_lo = False
-                else:
-                    if not math.isfinite(vm):
-                        raise ValueError("integrand returned a non-finite value")
-                    inc += w * vm
-                    resolved = True
-            if not resolved:
-                break
-            s += inc
-            if t > 3.0 and abs(inc) <= 1e-18 * max(1.0, abs(s)):
-                break
-            k += 1
-        val = c * h * s
+    cut = math.inf  # t of the farthest node kept; no later level looks past it
+    frozen = [math.inf, math.inf]  # per side (hi, lo): t of the first overflow
+    edge = [(0.0, 0.0), (0.0, 0.0)]  # per side: (t, increment) of the farthest resolved node
+    for level in range(_TS_FIRST_LEVEL, max_level + 1):
+        t, w, d = _ts_nodes(level)
+        n = np.searchsorted(t, cut, side="right")
+        t, w, dist = t[:n], w[:n], c * d[:n]
+        xs = (hi - dist, lo + dist)
+        use = [(xs[0] < hi) & (t < frozen[0]), (xs[1] > lo) & (t < frozen[1])]
+        first = level == _TS_FIRST_LEVEL
+        v_mid, *vals = _ts_values(g, [mid] if first else [], xs[0][use[0]], xs[1][use[1]])
+        inc = np.zeros(n)
+        for side in (0, 1):
+            idx = np.flatnonzero(use[side])
+            v = vals[side]
+            if len(v) < len(idx):
+                frozen[side] = float(t[idx[len(v)]])
+                idx = idx[: len(v)]
+            inc[idx] += w[idx] * v
+            if len(idx) and t[idx[-1]] > edge[side][0]:
+                edge[side] = (float(t[idx[-1]]), float(w[idx[-1]] * v[-1]))
+        if first:
+            if not np.isfinite(v_mid[0]):
+                raise ValueError("integrand returned a non-finite value")
+            s = 0.5 * math.pi * float(v_mid[0])
+        # the running sums in node order, as a node-by-node walk adds them
+        run = np.cumsum(np.concatenate(([s], inc)))[1:]
+        stop = np.flatnonzero((t > 3.0) & (np.abs(inc) <= 1e-18 * np.maximum(1.0, np.abs(run))))
+        keep = stop[0] + 1 if len(stop) else n
+        if not np.isfinite(inc[:keep]).all():
+            raise ValueError("integrand returned a non-finite value")
+        if len(stop):
+            cut = float(t[stop[0]])
+        if keep:
+            s = float(run[keep - 1])
+        val = c * (4.0 / (1 << level)) * s
         if best is not None and abs(val - best) <= tol * max(1.0, abs(val)):
-            return val
+            break
         best = val
-    return float(best)
+    for side in (0, 1):
+        if frozen[side] < math.inf and abs(edge[side][1]) > tol * abs(s):
+            raise ConvergenceError(
+                f"integrand overflows at the {('upper', 'lower')[side]} endpoint "
+                "before the quadrature resolves it"
+            )
+    return float(val)
 
 
 # -- product integration against weakly singular kernels ---------------------

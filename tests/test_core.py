@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from fractalcalc import (
     CantorSpec,
     ConjugatedFn,
+    ConvergenceError,
     DomainError,
     GridFunction,
     IdentityMap,
@@ -354,6 +355,80 @@ class TestWholeMeshQuadrature:
         mesh = quadrature.graded_mesh_two_sided(0.0, 1.0, 40)
         quadrature.product_integrate(g, mesh, -0.5)
         assert sorted(shapes) == [(), (), (len(mesh) - 2,)]
+
+
+# -- the Gauss-Legendre and tanh-sinh kernels ------------------------------------
+
+
+class _Counted:
+    """An array integrand that records the shape of each call."""
+
+    def __init__(self, fn):
+        self.fn = fn
+        self.shapes = []
+
+    def __call__(self, u):
+        self.shapes.append(np.shape(u))
+        return self.fn(u)
+
+
+def _levels_used(g, lo, hi):
+    # the level tanh-sinh stops at is the least max_level that gives its value
+    want = quadrature.tanh_sinh(g, lo, hi)
+    return next(m for m in range(3, 12) if quadrature.tanh_sinh(g, lo, hi, max_level=m) == want) - 2
+
+
+class TestKernels:
+    def test_gauss_composite_off_integer_span(self):
+        # oracle: the antiderivative e^-u (3 sin 3u - cos 3u) / 10
+        def prim(u):
+            return math.exp(-u) * (3.0 * math.sin(3.0 * u) - math.cos(3.0 * u)) / 10.0
+
+        g = _Counted(lambda u: np.exp(-u) * np.cos(3.0 * u))
+        got = quadrature.gauss_composite(g, 0.3, 4.7, 16)
+        assert got == pytest.approx(prim(4.7) - prim(0.3), rel=1e-14)
+        # five unit-aligned panels, [0.3, 1], [1, 2], ..., [4, 4.7], in one call
+        assert g.shapes == [(5 * 16,)]
+
+    @pytest.mark.parametrize(
+        "fn, want",
+        [
+            (lambda u: u**-0.5, 2.0),
+            (lambda u: u**-0.9 * np.exp(-u), float(mpmath.gammainc(0.1, 0, 1))),
+            (np.log, -1.0),
+        ],
+        ids=["u^-0.5", "u^-0.9 e^-u", "log u"],
+    )
+    def test_tanh_sinh_endpoint_singularities(self, fn, want):
+        # oracles: closed forms and the lower incomplete gamma function
+        g = _Counted(fn)
+        assert quadrature.tanh_sinh(g, 0.0, 1.0) == pytest.approx(want, rel=1e-14)
+        assert all(len(shape) == 1 for shape in g.shapes)
+        assert len(g.shapes) <= 2 * _levels_used(fn, 0.0, 1.0)
+
+    def test_tanh_sinh_laplace_head_calls(self, sf):
+        # the head of laplace_numeric: a conjugated integrand on [0, 1]
+        f = conjugate(lambda x: float(sf.eval_exact(x)) ** 1.3, sf)
+        g = _Counted(lambda u: np.exp(-2.0 * u) * f(u))
+        quadrature.tanh_sinh(g, 0.0, 1.0)
+        assert len(g.shapes) <= 2 * _levels_used(g.fn, 0.0, 1.0) <= 8
+
+    def test_tanh_sinh_freezes_an_overflowing_side(self):
+        # oracle: the integral is 2/e. The first level's farthest nodes reach
+        # u = 1e-275, where u^-3 overflows; that side freezes there, and the
+        # mass it leaves behind, e^(-1/u) u^-3, is nil
+        g = _Counted(lambda u: np.exp(-1.0 / u) * u**-3.0)
+        assert quadrature.tanh_sinh(g, 0.0, 1.0) == pytest.approx(2.0 / math.e, rel=1e-14)
+        assert () in g.shapes
+
+    def test_tanh_sinh_refuses_to_drop_mass_at_an_overflow(self):
+        # u^-0.999 overflows where a third of its integral, 1000, is still ahead
+        with pytest.raises(ConvergenceError, match="overflows at the lower endpoint"):
+            quadrature.tanh_sinh(lambda u: u**-0.999, 0.0, 1.0)
+
+    def test_tanh_sinh_rejects_non_finite_values(self):
+        with pytest.raises(ValueError, match="non-finite"):
+            quadrature.tanh_sinh(lambda u: np.where(u > 0.7, np.nan, u), 0.0, 1.0)
 
 
 # -- the piecewise-quadratic product rule --------------------------------------

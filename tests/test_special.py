@@ -87,6 +87,14 @@ class TestBeta:
         for r, s in ((0.5, 0.5), (0.5, 1.5), (1.0, 2.0), (2.5, 0.3), (0.1, 0.1)):
             assert beta_fractal_quadrature(r, s) == pytest.approx(beta_fractal(r, s), rel=1e-10)
 
+    def test_quadrature_small_argument(self):
+        # below r = 0.046, u^(r - 1) overflows at denormal u. At r = 0.04 the
+        # mass past the overflow is negligible; at r = 0.01 it is 7.6e-4 of
+        # Beta(0.01, 0.5) = 101.380 (mpmath), which the quadrature must not drop
+        assert beta_fractal_quadrature(0.04, 1.0) == pytest.approx(25.0, rel=1e-12)
+        with pytest.raises(ConvergenceError):
+            beta_fractal_quadrature(0.01, 0.5)
+
     def test_rejects_nonpositive(self):
         with pytest.raises(DomainError):
             beta_fractal(0.0, 1.0)
