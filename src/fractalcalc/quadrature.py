@@ -198,8 +198,7 @@ def tanh_sinh(g, lo: float, hi: float, tol: float = 1e-12, max_level: int = 11) 
             raise ValueError("integrand returned a non-finite value")
         if len(stop):
             cut = float(t[stop[0]])
-        if keep:
-            s = float(run[keep - 1])
+        s = float(run[keep - 1])
         val = c * (4.0 / (1 << level)) * s
         if best is not None and abs(val - best) <= tol * max(1.0, abs(val)):
             break
