@@ -15,7 +15,6 @@ from .exceptions import (
 from .staircase import (
     ALPHA_CANTOR,
     CantorSpec,
-    ExtensionRule,
     IdentityMap,
     StaircaseFn,
     prefractal_intervals,
@@ -23,12 +22,10 @@ from .staircase import (
 from .core import (
     ConjugatedFn,
     GridFunction,
-    conjugate,
     f_alpha_derivative,
     f_alpha_integral,
 )
 from .special import (
-    GammaMode,
     beta_fractal,
     beta_fractal_quadrature,
     gamma_classical,
@@ -89,8 +86,6 @@ __all__ = [
     "ConvergenceError",
     "DomainError",
     "ExampleProblem",
-    "ExtensionRule",
-    "GammaMode",
     "GridFunction",
     "IdentityMap",
     "InitialDatum",
@@ -109,7 +104,6 @@ __all__ = [
     "beta_fractal_quadrature",
     "caputo_derivative",
     "composition_residual",
-    "conjugate",
     "evaluate",
     "evaluate_inverse",
     "evaluate_u",

@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,7 +20,6 @@ from .figures import format_csv
 from .laplace import laplace_numeric
 from .nonlocal_ops import OperatorKind, OperatorSpec, evaluate
 from .special import (
-    GammaMode,
     beta_fractal,
     beta_fractal_quadrature,
     gamma_classical,
@@ -58,45 +56,27 @@ _DEFAULT_GRIDS = {
 }
 
 
-@dataclass
-class CliConfig:
-    command: str
-    alpha_mode: str = "cantor"
-    depth: int | None = None
-    grid: tuple[float, float, int] | None = None
-    tol: float | None = None
-    output: str | None = None
-    format: str = "csv"
-    beta: float = 0.5
-    eta: float = 1.0
-    nu: float = 1.0
-    f_expr: str | None = None
-    terminal: float = 0.0
-    example: int = 1
-    lam: float = -0.5
-
-
-def _staircase_for(config: CliConfig):
-    if config.alpha_mode == "identity":
+def _staircase_for(args: argparse.Namespace):
+    if args.alpha_mode == "identity":
         return IdentityMap()
-    if config.depth is not None:
-        return StaircaseFn(CantorSpec(digit_depth=config.depth))
+    if args.depth is not None:
+        return StaircaseFn(CantorSpec(digit_depth=args.depth))
     return StaircaseFn(CantorSpec())
 
 
-def _grid_points(config: CliConfig) -> np.ndarray:
-    grid = config.grid or _DEFAULT_GRIDS.get(config.command)
+def _grid_points(args: argparse.Namespace) -> np.ndarray:
+    grid = args.grid or _DEFAULT_GRIDS.get(args.command)
     if grid is None:
         raise DomainError("this command needs an explicit --grid")
     return np.linspace(*grid)
 
 
-def _parsed_function(config: CliConfig, default: str | None = None):
-    text = config.f_expr or default
+def _parsed_function(args: argparse.Namespace, default: str | None = None):
+    text = args.f_expr or default
     if text is None:
-        raise ExprError(f"command {config.command!r} needs --f EXPRESSION")
+        raise ExprError(f"command {args.command!r} needs --f EXPRESSION")
     expr = parse_expression(text)
-    sf = _staircase_for(config)
+    sf = _staircase_for(args)
 
     def fn(x):
         return expr(x, sf)
@@ -104,8 +84,8 @@ def _parsed_function(config: CliConfig, default: str | None = None):
     return fn, sf, expr
 
 
-def _emit(config: CliConfig, header, rows, title: str) -> None:
-    if config.format == "svg":
+def _emit(args: argparse.Namespace, header, rows, title: str) -> None:
+    if args.format == "svg":
         rows = list(rows)
         xs = tuple(float(r[0]) for r in rows)
         series = [
@@ -115,21 +95,21 @@ def _emit(config: CliConfig, header, rows, title: str) -> None:
         text = render_svg(series, title=title, xlabel=header[0])
     else:
         text = format_csv(header, rows)
-    if config.output:
-        with open(config.output, "w", newline="") as fh:
+    if args.output:
+        with open(args.output, "w", newline="") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
 
 
-def _operator_rows(config: CliConfig, xs):
+def _operator_rows(args: argparse.Namespace, xs):
     kind = {
         "rl-int": OperatorKind.RL_INTEGRAL,
         "rl-der": OperatorKind.RL_DERIVATIVE,
         "caputo": OperatorKind.CAPUTO,
-    }[config.command]
-    default = "x^2" if config.alpha_mode == "identity" else "S(x)^2"
-    fn, sf, expr = _parsed_function(config, default)
+    }[args.command]
+    default = "x^2" if args.alpha_mode == "identity" else "S(x)^2"
+    fn, sf, expr = _parsed_function(args, default)
     if kind is not OperatorKind.RL_INTEGRAL and not isinstance(sf, IdentityMap):
         # f(quantile(u)) jumps at every dyadic u unless f is a smooth function
         # of S(x), and the product rule's accuracy rests on a smooth integrand
@@ -140,42 +120,42 @@ def _operator_rows(config: CliConfig, xs):
             problem = "S(...) takes an argument other than x"
         if problem:
             raise ExprError(
-                f"{config.command} on the Cantor staircase needs --f in terms of S(x) only; "
+                f"{args.command} on the Cantor staircase needs --f in terms of S(x) only; "
                 f"{problem} in {expr.source!r}"
             )
-    spec = OperatorSpec(kind, config.beta, terminal=config.terminal)
+    spec = OperatorSpec(kind, args.beta, terminal=args.terminal)
     return [(x, evaluate(spec, fn, sf, x)) for x in xs]
 
 
-def run(config: CliConfig) -> int:
-    if config.command == "verify":
+def run(args: argparse.Namespace) -> int:
+    if args.command == "verify":
         from .verify import run_all
 
         return 0 if run_all() else 1
 
-    if config.command == "figures":
+    if args.command == "figures":
         from .figures import write_figures
 
-        outdir = config.output or "figures"
-        depth = 4 if config.depth is None else config.depth
-        written = write_figures(outdir, fmt=config.format, depth=depth)
+        outdir = args.output or "figures"
+        depth = 4 if args.depth is None else args.depth
+        written = write_figures(outdir, fmt=args.format, depth=depth)
         for path in written:
             print(path)
         return 0
 
-    if config.command == "solve":
+    if args.command == "solve":
         from .solutions import solve_example
 
-        sf = _staircase_for(config)
+        sf = _staircase_for(args)
         grid = None
-        if config.grid is not None:
-            grid = [float(x) for x in _grid_points(config)]
-        report = solve_example(config.example, sf=sf, lam=config.lam, grid=grid)
+        if args.grid is not None:
+            grid = [float(x) for x in _grid_points(args)]
+        report = solve_example(args.example, sf=sf, lam=args.lam, grid=grid)
         header = ("x", "solution", "residual")
         rows = list(
             zip(report.solution.xs, report.solution.values, report.residual.values)
         )
-        _emit(config, header, rows, f"example {config.example}")
+        _emit(args, header, rows, f"example {args.example}")
         print(f"max residual: {report.max_residual:.3e}", file=sys.stderr)
         print(
             f"variant deviation: {report.variant_discrepancy:.3e}, "
@@ -186,65 +166,59 @@ def run(config: CliConfig) -> int:
             print(f"note: {note}", file=sys.stderr)
         return 0
 
-    xs = _grid_points(config)
+    xs = _grid_points(args)
 
-    if config.command == "staircase":
-        sf = _staircase_for(config)
+    if args.command == "staircase":
+        sf = _staircase_for(args)
         rows = [(x, sf.eval(x)) for x in xs]
-        _emit(config, ("x", "value"), rows, "staircase")
+        _emit(args, ("x", "value"), rows, "staircase")
         return 0
 
-    if config.command == "gamma":
-        sf = _staircase_for(config)
-        rows = []
-        for x in xs:
-            if config.alpha_mode == "identity":
-                value = gamma_classical(x)
-            else:
-                value = gamma_fractal(x, GammaMode.STAIRCASE_COMPOSED, sf)
-            rows.append((x, value, gamma_classical(x)))
-        _emit(config, ("x", "value", "value2"), rows, "Gamma (value2 = classical)")
+    if args.command == "gamma":
+        sf = _staircase_for(args)
+        rows = [(x, gamma_fractal(x, sf), gamma_classical(x)) for x in xs]
+        _emit(args, ("x", "value", "value2"), rows, "Gamma (value2 = classical)")
         return 0
 
-    if config.command == "beta":
-        w = config.beta
+    if args.command == "beta":
+        w = args.beta
         rows = [
             (r, beta_fractal(r, w), beta_fractal_quadrature(r, w)) for r in xs
         ]
         _emit(
-            config,
+            args,
             ("x", "value", "value2"),
             rows,
             f"Beta(r, {w:g}) (value2 = quadrature)",
         )
         return 0
 
-    if config.command == "ml":
-        tol = config.tol if config.tol is not None else 1e-15
-        rows = zip(xs, mittag_leffler(config.eta, config.nu, xs, tol=tol))
+    if args.command == "ml":
+        tol = args.tol if args.tol is not None else 1e-15
+        rows = zip(xs, mittag_leffler(args.eta, args.nu, xs, tol=tol))
         _emit(
-            config,
+            args,
             ("x", "value"),
             rows,
-            f"Mittag-Leffler E_({config.eta:g},{config.nu:g})",
+            f"Mittag-Leffler E_({args.eta:g},{args.nu:g})",
         )
         return 0
 
-    if config.command in ("rl-int", "rl-der", "caputo"):
-        rows = _operator_rows(config, xs)
-        title = f"{config.command} order {config.beta:g}"
-        _emit(config, ("x", "value"), rows, title)
+    if args.command in ("rl-int", "rl-der", "caputo"):
+        rows = _operator_rows(args, xs)
+        title = f"{args.command} order {args.beta:g}"
+        _emit(args, ("x", "value"), rows, title)
         return 0
 
-    if config.command == "laplace":
-        default = "x" if config.alpha_mode == "identity" else "S(x)"
-        fn, sf, _ = _parsed_function(config, default)
-        tol = config.tol if config.tol is not None else 1e-9
+    if args.command == "laplace":
+        default = "x" if args.alpha_mode == "identity" else "S(x)"
+        fn, sf, _ = _parsed_function(args, default)
+        tol = args.tol if args.tol is not None else 1e-9
         rows = [(s, laplace_numeric(fn, sf, s, tol=tol)) for s in xs]
-        _emit(config, ("x", "value"), rows, "transform (x = sigma)")
+        _emit(args, ("x", "value"), rows, "transform (x = sigma)")
         return 0
 
-    raise DomainError(f"unknown command {config.command!r}")
+    raise DomainError(f"unknown command {args.command!r}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -288,45 +262,28 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def config_from_args(args: argparse.Namespace) -> CliConfig:
-    tol = args.tol
-    if tol is None:
+def _normalise(args: argparse.Namespace) -> None:
+    """Fill tol from FRACTAL_CALC_TOL when unset; check and round the grid COUNT."""
+    if args.tol is None:
         env = os.environ.get("FRACTAL_CALC_TOL")
         if env is not None:
             try:
-                tol = float(env)
+                args.tol = float(env)
             except ValueError as exc:
                 raise ExprError(f"bad FRACTAL_CALC_TOL value {env!r}") from exc
-    grid = None
     if args.grid is not None:
         start, stop, count = args.grid
         if not (count >= 1 and count.is_integer()):
             raise ExprError(f"grid COUNT must be a positive integer, got {count!r}")
-        grid = (start, stop, int(count))
-    return CliConfig(
-        command=args.command,
-        alpha_mode=args.alpha_mode,
-        depth=args.depth,
-        grid=grid,
-        tol=tol,
-        output=args.output,
-        format=args.format,
-        beta=args.beta,
-        eta=args.eta,
-        nu=args.nu,
-        f_expr=args.f_expr,
-        terminal=args.terminal,
-        example=args.example,
-        lam=args.lam,
-    )
+        args.grid = (start, stop, int(count))
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        config = config_from_args(args)
-        return run(config)
+        _normalise(args)
+        return run(args)
     except ExprError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import quadrature
 from .exceptions import DomainError
-from .staircase import ExtensionRule, IdentityMap, StaircaseFn
+from .staircase import IdentityMap, StaircaseFn
 
 
 @dataclass
@@ -28,7 +28,6 @@ class GridFunction:
 
     xs: np.ndarray
     values: np.ndarray
-    label: str = ""
 
     def __post_init__(self) -> None:
         self.xs = np.asarray(self.xs, dtype=float)
@@ -44,9 +43,6 @@ class GridFunction:
 
     def __len__(self) -> int:
         return len(self.xs)
-
-    def max_abs(self) -> float:
-        return float(np.max(np.abs(self.values))) if len(self) else 0.0
 
 
 @dataclass(frozen=True)
@@ -72,39 +68,19 @@ class ConjugatedFn:
         return float(f(self.sf.quantile_exact(u)))
 
 
-def conjugate(f, sf) -> ConjugatedFn:
-    return ConjugatedFn(f, sf)
-
-
-def _u_bounds(sf) -> tuple[float, float]:
-    if isinstance(sf, IdentityMap):
-        return -math.inf, math.inf
-    if sf.spec.extension_rule is ExtensionRule.UNIT_INTERVAL:
-        return 0.0, 1.0
-    return 0.0, math.inf
-
-
-def difference(g, v: float, h: float, n: int, s: float) -> float:
-    """Second-order n-th difference of g at v (n = 1 or 2), step h.
+def difference(g, v: float, h: float, s: float) -> float:
+    """Second-order first difference of g at v, step h.
 
     s = 0 gives the central form; s = +1 or -1 the one-sided form reaching
-    forward or backward. The one-sided first difference multiplies each
-    coefficient by s, not their sum, so a stencil that cancels exactly gives
-    +0.0 on either side. Any other n raises ValueError.
+    forward or backward. The one-sided form multiplies each coefficient by
+    s, not their sum, so a stencil that cancels exactly gives +0.0 on
+    either side.
     """
-    if n not in (1, 2):
-        raise ValueError(f"difference order must be 1 or 2, got {n!r}")
     if s == 0.0:
-        if n == 1:
-            return (g(v + h) - g(v - h)) / (2.0 * h)
-        return (g(v + h) - 2.0 * g(v) + g(v - h)) / (h * h)
-    if n == 1:
-        return (
-            -3.0 * s * g(v) + 4.0 * s * g(v + s * h) - s * g(v + 2.0 * s * h)
-        ) / (2.0 * h)
+        return (g(v + h) - g(v - h)) / (2.0 * h)
     return (
-        2.0 * g(v) - 5.0 * g(v + s * h) + 4.0 * g(v + 2.0 * s * h) - g(v + 3.0 * s * h)
-    ) / (h * h)
+        -3.0 * s * g(v) + 4.0 * s * g(v + s * h) - s * g(v + 2.0 * s * h)
+    ) / (2.0 * h)
 
 
 def f_alpha_derivative(f, sf, x, h: float = 1e-6) -> float:
@@ -114,14 +90,9 @@ def f_alpha_derivative(f, sf, x, h: float = 1e-6) -> float:
     if not sf.membership(x):
         return 0.0
     u = sf.eval(x)
-    lo, hi = _u_bounds(sf)
-    if u - h < lo:
-        s = 1.0
-    elif u + h > hi:
-        s = -1.0
-    else:
-        s = 0.0
-    val = difference(conjugate(f, sf), u, h, 1, s)
+    # the staircase's u-range starts at 0: within h of it, reach forward only
+    s = 1.0 if u - h < 0.0 and not isinstance(sf, IdentityMap) else 0.0
+    val = difference(ConjugatedFn(f, sf), u, h, s)
     if not math.isfinite(val):
         raise DomainError(f"non-finite function values near x={x!r}")
     return val
@@ -196,6 +167,6 @@ def f_alpha_integral(f, sf, a, b, n: int = 64, method: str = "auto") -> float:
         depth = max(8, min(15, n.bit_length() + 5))
         return _measure_integral(f, sf, ua, ub, depth)
     if method == "gauss":
-        return quadrature.gauss_composite(conjugate(f, sf), ua, ub, n)
+        return quadrature.gauss_composite(ConjugatedFn(f, sf), ua, ub, n)
     raise DomainError(f"unknown quadrature method {method!r}")
 

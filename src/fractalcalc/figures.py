@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .special import GammaMode, gamma_classical, gamma_fractal
+from .special import gamma_classical, gamma_fractal
 from .nonlocal_ops import power_rule_derivative, power_rule_integral
 from .solutions import example_solution_fn
 from .staircase import CantorSpec, IdentityMap, StaircaseFn, prefractal_intervals
@@ -69,7 +69,7 @@ def _fig2() -> FigureData:
 def _fig3() -> FigureData:
     sf = StaircaseFn(CantorSpec())
     xs = _linspace(0.1, 4.0, 157)
-    frac = [gamma_fractal(x, GammaMode.STAIRCASE_COMPOSED, sf) for x in xs]
+    frac = [gamma_fractal(x, sf) for x in xs]
     classical = [gamma_classical(x) for x in xs]
     csv = format_csv(("x", "value", "value2"), zip(xs, frac, classical))
     svg = render_svg(
@@ -154,21 +154,20 @@ def build_figures(depth: int = 4) -> list[FigureData]:
 
 
 def write_figures(outdir, fmt: str = "csv", depth: int = 4) -> list[str]:
-    """Write figure files into outdir; returns the written paths."""
+    """Write the figures' CSV files, or with fmt "svg" their plots, into
+    outdir; returns the written paths."""
     import os
 
     os.makedirs(outdir, exist_ok=True)
     written: list[str] = []
     for fig in build_figures(depth):
-        if fmt in ("csv", "both"):
-            for fname, text in fig.csv_files:
-                path = os.path.join(outdir, fname)
-                with open(path, "w", newline="") as fh:
-                    fh.write(text)
-                written.append(path)
-        if fmt in ("svg", "both"):
-            path = os.path.join(outdir, f"{fig.name}.svg")
+        if fmt == "svg":
+            files = ((f"{fig.name}.svg", fig.svg_text),)
+        else:
+            files = fig.csv_files
+        for fname, text in files:
+            path = os.path.join(outdir, fname)
             with open(path, "w", newline="") as fh:
-                fh.write(fig.svg_text)
+                fh.write(text)
             written.append(path)
     return written

@@ -20,7 +20,7 @@ from functools import cached_property
 import numpy as np
 
 from . import quadrature
-from .core import conjugate
+from .core import ConjugatedFn
 from .exceptions import DomainError, TailBoundError
 from .special import gamma_classical, mittag_leffler, rgamma
 
@@ -267,14 +267,7 @@ def evaluate_inverse(terms, u):
     return sum(t.evaluate_u(u) for t in terms)
 
 
-def laplace_numeric(
-    f,
-    sf,
-    sigma: float,
-    tol: float = 1e-9,
-    nodes_per_unit: int = 64,
-    u_max: float | None = None,
-) -> float:
+def laplace_numeric(f, sf, sigma: float, tol: float = 1e-9, u_max: float | None = None) -> float:
     """Truncated numerical transform with an explicit tail-bound check.
 
     The integrand is integrated in the staircase coordinate; the first unit
@@ -287,7 +280,7 @@ def laplace_numeric(
     sigma = float(sigma)
     if sigma <= 0.0:
         raise DomainError(f"transform needs sigma > 0, got {sigma!r}")
-    g = conjugate(f, sf)
+    g = ConjugatedFn(f, sf)
     upper = u_max if u_max is not None else 36.0 / sigma + 4.0
     g_end = abs(g(upper))
     bound = 2.0 * g_end * math.exp(-sigma * upper) / sigma
@@ -303,5 +296,5 @@ def laplace_numeric(
     head = quadrature.tanh_sinh(integrand, 0.0, split)
     rest = 0.0
     if upper > split:
-        rest = quadrature.gauss_composite(integrand, split, upper, nodes_per_unit)
+        rest = quadrature.gauss_composite(integrand, split, upper)
     return float(head + rest)

@@ -18,7 +18,7 @@ Every operator works on an integrand g of u under the protocol of
 shape, and each product integral evaluates its whole mesh interior in one
 call. `evaluate_u` applies an operator to such a g directly; the x-space
 entries (`evaluate`, `rl_integral`, `rl_derivative`, `caputo_derivative`)
-wrap f as `conjugate(f, sf)`, which takes the quantiles of a whole mesh in
+wrap f as `ConjugatedFn(f, sf)`, which takes the quantiles of a whole mesh in
 one batch and then calls the opaque f once per node. An integrand known in
 closed form in u, such as a solution built from staircase powers, skips the
 quantile altogether.
@@ -29,8 +29,8 @@ operator at -u with terminal -ua, acting on t -> g(-t). Because -d/du is
 d/dt, derivatives need no (-1)^n factor. `evaluate_u` and
 `composition_residual` reflect once; every helper below them is left-sided.
 Derivative orders go up to 2 (n = ceil(beta) is 1 or 2): the quadratic
-rule needs -beta - 1 > -3, and the Caputo Taylor coefficients come from the
-first- and second-order difference stencils of `core.difference`.
+rule needs -beta - 1 > -3, and the Caputo Taylor head is then at most
+linear, its slope from the first difference of `core.difference`.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import quadrature
-from .core import conjugate, difference
+from .core import ConjugatedFn, difference
 from .exceptions import DomainError
 from .special import gamma_classical, rgamma
 
@@ -130,17 +130,11 @@ def _caputo_u(g, spec: OperatorSpec, ua: float, u: float) -> float:
     solutions carrying fractional powers of the staircase): the integral
     machinery sees the bounded remainder instead of a singular derivative.
     """
-    coeffs = [g(ua)] + [difference(g, ua, _TAYLOR_STEP, j, 1.0) for j in range(1, spec.n)]
+    c0 = g(ua)
+    c1 = difference(g, ua, _TAYLOR_STEP, 1.0) if spec.n == 2 else 0.0
 
     def remainder(v):
-        w = v - ua
-        acc = g(v)
-        fact = 1.0
-        for j, c in enumerate(coeffs):
-            if j:
-                fact *= j
-            acc = acc - c * w**j / fact
-        return acc
+        return g(v) - c0 - c1 * (v - ua)
 
     return _rl_u(remainder, spec, ua, -spec.beta, u)
 
@@ -173,7 +167,7 @@ def evaluate_u(spec: OperatorSpec, g, sf, u: float) -> float:
 
 def evaluate(spec: OperatorSpec, f, sf, x) -> float:
     """The operator of spec applied to f, at x."""
-    return evaluate_u(spec, conjugate(f, sf), sf, sf.eval(x))
+    return evaluate_u(spec, ConjugatedFn(f, sf), sf, sf.eval(x))
 
 
 def rl_integral(spec: OperatorSpec, f, sf, x) -> float:
@@ -253,10 +247,9 @@ def _rl_boundary_terms(g, spec: OperatorSpec, ua: float, w: float) -> float:
 def _caputo_boundary_terms(g, spec: OperatorSpec, ua: float, w: float) -> float:
     """Left Caputo composition corrections: the Taylor head, degrees 0 to n - 1."""
     probe = ua + DELTA_BOUNDARY
-    total = g(probe)
-    for j in range(1, spec.n):
-        total += difference(g, probe, _TAYLOR_STEP, j, 1.0) / math.factorial(j) * w ** j
-    return total
+    if spec.n == 1:
+        return g(probe)
+    return g(probe) + difference(g, probe, _TAYLOR_STEP, 1.0) * w
 
 
 def composition_residual(
@@ -287,7 +280,7 @@ def composition_residual(
         beta=beta,
         terminal=a if left else b,
     )
-    g = conjugate(f, sf)
+    g = ConjugatedFn(f, sf)
     ua = sf.eval(a)
     ub = sf.eval(b)
     if not ub > ua:

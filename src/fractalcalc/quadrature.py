@@ -14,9 +14,10 @@ closed form's differences of nearly equal powers would cancel. A graded
 mesh is an affine image of a reference mesh that depends only on its cell
 count, so its weights are cached reference weights times span^(mu + 1). An
 integrand that blows up at the terminal, the lower end, is met by
-subtracting a fitted power whose integral is exact. The product rule has a
-single kernel anchor, the mesh's last node; a kernel singular at the lower
-end is reached by reflecting the integrand (see `nonlocal_ops`).
+subtracting a fitted power whose integral is exact, and raises when no such
+power fits. The product rule has a single kernel anchor, the mesh's last
+node; a kernel singular at the lower end is reached by reflecting the
+integrand (see `nonlocal_ops`).
 
 Integrand protocol: an integrand g takes a float or a float ndarray of u and
 returns a float or an ndarray of the same shape. Gauss-Legendre evaluates
@@ -154,10 +155,11 @@ def tanh_sinh(g, lo: float, hi: float, tol: float = 1e-12, max_level: int = 11) 
     independently, so a singular side keeps resolving after the smooth side
     saturates. Past t = 3 a level stops at its first pair of nodes whose
     increment is below 1e-18 of the sum, and no later level looks beyond
-    it. A side whose g overflows is frozen at its first overflowing node;
-    if its last resolved increment exceeds `tol` of the sum, the mass lost
-    past the freeze cannot be neglected and ConvergenceError is raised. The
-    iteration stops once two levels agree to `tol` (relative).
+    it. A side stops early at its first node that rounds onto the endpoint
+    (about 1e-16 from 1.0) or where g overflows; if its last resolved
+    increment exceeds `tol` of the sum, the mass past that node cannot be
+    neglected and ConvergenceError is raised. The iteration stops once two
+    levels agree to `tol` (relative).
     """
     c = 0.5 * (hi - lo)
     if c == 0.0:
@@ -166,14 +168,22 @@ def tanh_sinh(g, lo: float, hi: float, tol: float = 1e-12, max_level: int = 11) 
     s = 0.0
     best = None
     cut = math.inf  # t of the farthest node kept; no later level looks past it
-    frozen = [math.inf, math.inf]  # per side (hi, lo): t of the first overflow
+    # per side (hi, lo): t of the first node that side cannot resolve, and
+    # whether g overflowed there (else the node rounds to the endpoint)
+    limit = [math.inf, math.inf]
+    overflow = [False, False]
     edge = [(0.0, 0.0), (0.0, 0.0)]  # per side: (t, increment) of the farthest resolved node
     for level in range(_TS_FIRST_LEVEL, max_level + 1):
         t, w, d = _ts_nodes(level)
         n = np.searchsorted(t, cut, side="right")
         t, w, dist = t[:n], w[:n], c * d[:n]
         xs = (hi - dist, lo + dist)
-        use = [(xs[0] < hi) & (t < frozen[0]), (xs[1] > lo) & (t < frozen[1])]
+        # the nodes run toward the endpoint, so past the first that rounds
+        # onto it, every node does
+        for side, inside in enumerate((xs[0] < hi, xs[1] > lo)):
+            if not inside.all():
+                limit[side] = min(limit[side], float(t[inside.argmin()]))
+        use = [t < limit[0], t < limit[1]]
         first = level == _TS_FIRST_LEVEL
         v_mid, *vals = _ts_values(g, [mid] if first else [], xs[0][use[0]], xs[1][use[1]])
         inc = np.zeros(n)
@@ -181,7 +191,7 @@ def tanh_sinh(g, lo: float, hi: float, tol: float = 1e-12, max_level: int = 11) 
             idx = np.flatnonzero(use[side])
             v = vals[side]
             if len(v) < len(idx):
-                frozen[side] = float(t[idx[len(v)]])
+                limit[side], overflow[side] = float(t[idx[len(v)]]), True
                 idx = idx[: len(v)]
             inc[idx] += w[idx] * v
             if len(idx) and t[idx[-1]] > edge[side][0]:
@@ -204,9 +214,10 @@ def tanh_sinh(g, lo: float, hi: float, tol: float = 1e-12, max_level: int = 11) 
             break
         best = val
     for side in (0, 1):
-        if frozen[side] < math.inf and abs(edge[side][1]) > tol * abs(s):
+        if limit[side] < math.inf and abs(edge[side][1]) > tol * abs(s):
+            cause = "integrand overflows" if overflow[side] else "nodes run out of float resolution"
             raise ConvergenceError(
-                f"integrand overflows at the {('upper', 'lower')[side]} endpoint "
+                f"{cause} at the {('upper', 'lower')[side]} endpoint "
                 "before the quadrature resolves it"
             )
     return float(val)
@@ -380,8 +391,7 @@ def product_integrate(g, mesh: np.ndarray, mu: float) -> float:
     the model c z^gamma + d, z = v - mesh[0], is fitted to g at three nodes
     next to the terminal, the power's integral is taken exactly (a Beta
     function), and the rule integrates g minus the power, which is d at the
-    terminal. When no such model fits, g at the terminal is taken as g at
-    the next node.
+    terminal. When no such model fits, ConvergenceError is raised.
     """
     weights = _mesh_weights(mesh, mu)
 
@@ -402,15 +412,16 @@ def product_integrate(g, mesh: np.ndarray, mu: float) -> float:
         z = mesh - mesh[0]
         fit = _terminal_power(z, vals) if len(mesh) > 4 else None
         if fit is None:
-            vals[0] = vals[1]
-        else:
-            c, gamma, vals[0] = fit
-            vals[1:] -= c * z[1:] ** gamma
-            # f.p.∫_0^span z^gamma (span - z)^mu dz = span^(s - 1) B(gamma + 1, mu + 1)
-            s = gamma + mu + 2.0
-            if s > 0.0 or s != math.floor(s):
-                beta_fn = math.gamma(gamma + 1.0) * math.gamma(mu + 1.0) / math.gamma(s)
-                head = c * z[-1] ** (s - 1.0) * beta_fn
+            raise ConvergenceError(
+                "no integrable power c z^gamma + d fits the blow-up at the terminal"
+            )
+        c, gamma, vals[0] = fit
+        vals[1:] -= c * z[1:] ** gamma
+        # f.p.∫_0^span z^gamma (span - z)^mu dz = span^(s - 1) B(gamma + 1, mu + 1)
+        s = gamma + mu + 2.0
+        if s > 0.0 or s != math.floor(s):
+            beta_fn = math.gamma(gamma + 1.0) * math.gamma(mu + 1.0) / math.gamma(s)
+            head = c * z[-1] ** (s - 1.0) * beta_fn
     if not np.isfinite(vals).all():
         raise ValueError("integrand returned a non-finite value on the mesh")
     total = float((weights * vals).sum()) + head

@@ -38,7 +38,7 @@ from .laplace import (
 )
 from .nonlocal_ops import OperatorKind, OperatorSpec, evaluate_u
 from .special import mittag_leffler, ml_half_half_closed, rgamma
-from .staircase import CantorSpec, StaircaseFn
+from .staircase import StaircaseFn
 
 
 @dataclass(frozen=True)
@@ -88,10 +88,6 @@ class SolutionReport:
 
 
 _HALF = Fraction(1, 2)
-
-
-def default_staircase() -> StaircaseFn:
-    return StaircaseFn(CantorSpec())
 
 
 def example_problem(example_id: int, lam: float = -0.5) -> ExampleProblem:
@@ -265,7 +261,7 @@ def _terms_fn(terms, sf, ua: float):
 def example_solution_fn(example_id: int, sf=None, lam: float = -0.5):
     """Solution formula evaluator without the residual audit (for plotting)."""
     if sf is None:
-        sf = default_staircase()
+        sf = StaircaseFn()
     problem = example_problem(example_id, lam)
     image, _ = _derive_transform(problem)
     terms = invert_terms(image)
@@ -281,7 +277,7 @@ def solve_example(
 ) -> SolutionReport:
     """Derive, evaluate, and residual-check one example problem."""
     if sf is None:
-        sf = default_staircase()
+        sf = StaircaseFn()
     problem = example_problem(example_id, lam)
     if grid is None:
         grid = default_grid(example_id, sf)
@@ -308,14 +304,14 @@ def solve_example(
         lhs = evaluate_u(problem.operator, solution_u, sf, u)
         rhs = problem.lam * sol_vals[i] + rhs_fn(u)
         res_vals[i] = abs(lhs - rhs) / max(1.0, abs(rhs))
-    solution = GridFunction(xs_float, sol_vals, label=f"example-{example_id}")
-    residual = GridFunction(xs_float, res_vals, label=f"residual-{example_id}")
+    solution = GridFunction(xs_float, sol_vals)
+    residual = GridFunction(xs_float, res_vals)
 
     variant_terms_out, variant_note = _variant_terms(problem)
     notes = notes + (variant_note,)
     variant_u = _terms_u(variant_terms_out, ua)
     var_vals = evaluate_inverse(variant_terms_out, ws)
-    variant_solution = GridFunction(xs_float, var_vals, label=f"variant-{example_id}")
+    variant_solution = GridFunction(xs_float, var_vals)
     variant_discrepancy = float(np.max(np.abs(var_vals - sol_vals)))
     variant_max_residual = 0.0
     for i, u in enumerate(us):

@@ -9,7 +9,6 @@ definition as an independent check of that collapse.
 from __future__ import annotations
 
 import bisect
-import enum
 import functools
 import math
 from typing import NamedTuple
@@ -20,6 +19,8 @@ from . import quadrature
 from .exceptions import ConvergenceError, DomainError, PoleError
 
 _LOG_HUGE = 700.0  # just under log(float max); larger series terms overflow
+_ML_MAX_TERMS = 512  # Mittag-Leffler series terms at most
+_ML_Z_MAX = 50.0  # Mittag-Leffler series cap on |z|
 
 
 def gamma_classical(z: float) -> float:
@@ -43,23 +44,15 @@ def rgamma(z: float) -> float:
     return 1.0 / math.gamma(z)
 
 
-class GammaMode(enum.Enum):
-    """How the argument of the staircase Gamma function is interpreted."""
-
-    RAW_ARGUMENT = "raw"
-    STAIRCASE_COMPOSED = "staircase"
-
-
-def gamma_fractal(t: float, mode: GammaMode = GammaMode.RAW_ARGUMENT, sf=None) -> float:
+def gamma_fractal(t: float, sf=None) -> float:
     """Staircase Gamma function.
 
     In the staircase coordinate the weight integral is the classical Euler
-    integral, so the raw mode is Gamma(t) itself; the composed mode feeds
-    the staircase through the argument first, Gamma(S(t)).
+    integral, so without a map this is Gamma(t) itself; given a map sf, the
+    argument goes through it first: Gamma(sf(t)), Gamma(S(t)) on the
+    staircase.
     """
-    if mode is GammaMode.STAIRCASE_COMPOSED:
-        if sf is None:
-            raise DomainError("staircase-composed mode needs a staircase function")
+    if sf is not None:
         t = sf.eval(t)
     return gamma_classical(t)
 
@@ -101,7 +94,7 @@ class _Series(NamedTuple):
 
 
 @functools.lru_cache(maxsize=64)
-def _series(eta: float, nu: float, max_terms: int, tol: float) -> _Series:
+def _series(eta: float, nu: float, tol: float) -> _Series:
     """Coefficients and |z| thresholds, built on first use.
 
     Term k is at most tol for |z| <= exp((log tol + lgamma(eta k + nu)) / k)
@@ -111,7 +104,7 @@ def _series(eta: float, nu: float, max_terms: int, tol: float) -> _Series:
     |z|, so one searchsorted in their prefix maximum finds every stopping
     point. The table ends where 1/Gamma leaves the normal floats (171).
     """
-    args = [a for a in (eta * k + nu for k in range(max_terms)) if a <= 171.0]
+    args = [a for a in (eta * k + nu for k in range(_ML_MAX_TERMS)) if a <= 171.0]
     coeffs = [rgamma(a) for a in args]
     lg = np.array([math.lgamma(a) if c else math.inf for a, c in zip(args, coeffs)])
     k = np.arange(1, len(args))
@@ -126,11 +119,11 @@ def _series(eta: float, nu: float, max_terms: int, tol: float) -> _Series:
     return _Series(coeffs, stop, n_terms, guard, (stop.tolist(), n_terms.tolist(), guard.tolist()))
 
 
-def _term_count(series: _Series, z: float, z_max: float) -> int:
+def _term_count(series: _Series, z: float) -> int:
     """How many terms to sum for z; raises where the series cannot serve."""
     mag = abs(z)
-    if not mag <= z_max:
-        raise DomainError(f"|z| = {mag!r} exceeds the series cap {z_max!r}")
+    if not mag <= _ML_Z_MAX:
+        raise DomainError(f"|z| = {mag!r} exceeds the series cap {_ML_Z_MAX!r}")
     stop, n_terms, guard = series.lists
     at = bisect.bisect_left(stop, mag)
     if mag > guard[n_terms[at] - 1]:
@@ -141,25 +134,18 @@ def _term_count(series: _Series, z: float, z_max: float) -> int:
     return n_terms[at]
 
 
-def mittag_leffler(
-    eta: float,
-    nu: float,
-    z,
-    tol: float = 1e-15,
-    max_terms: int = 512,
-    z_max: float = 50.0,
-):
+def mittag_leffler(eta: float, nu: float, z, tol: float = 1e-15):
     """Two-parameter Mittag-Leffler series, sum of z^k / Gamma(eta k + nu).
 
     The truncation is fixed from |z| before summing: the series stops at the
     first k >= 17 where the bounds |z|^k / |Gamma(eta k + nu)| of terms k - 1
     and k are both at most tol and term k is past the largest term. The
     terms are summed by Horner's rule on a cached table of 1/Gamma(eta k +
-    nu), zero at the poles. Raises DomainError past z_max and for nu
+    nu), zero at the poles. Raises DomainError past |z| = 50 and for nu
     outside [-170, 171], where 1/Gamma(nu) is not a normal float, and
     ConvergenceError when a term would overflow or the stopping point lies
-    beyond max_terms or beyond the table, so small eta with large |z|
-    raises: E_{1/2,1/2}(z) needs |z| <= 7.16 at the defaults.
+    beyond 512 terms or beyond the table, so small eta with large |z|
+    raises: E_{1/2,1/2}(z) needs |z| <= 7.16.
 
     tol bounds each dropped term, not the error of the value. For negative
     z the terms can be far larger than the sum, which then loses about
@@ -172,13 +158,13 @@ def mittag_leffler(
     """
     if not (eta > 0.0 and -170.0 <= nu <= 171.0):
         raise DomainError(f"need eta > 0 and -170 <= nu <= 171, got eta={eta!r}, nu={nu!r}")
-    if not (tol > 0.0 and max_terms >= 1 and z_max > 0.0):
+    if not tol > 0.0:
         raise DomainError("invalid series controls")
-    series = _series(float(eta), float(nu), int(max_terms), float(tol))
+    series = _series(float(eta), float(nu), float(tol))
     if np.ndim(z) == 0:
         z = float(z)
         acc = 0.0
-        for c in reversed(series.coeffs[: _term_count(series, z, z_max)]):
+        for c in reversed(series.coeffs[: _term_count(series, z)]):
             acc = acc * z + c
         return acc
     # The same rule and Horner sum on every element at once. Sorted by term
@@ -188,9 +174,9 @@ def mittag_leffler(
     mag = np.abs(zf)
     at = np.searchsorted(series.stop, mag)
     n_terms = series.n_terms[at]
-    bad = ~(mag <= z_max) | (at == len(series.stop)) | (mag > series.guard[n_terms - 1])
+    bad = ~(mag <= _ML_Z_MAX) | (at == len(series.stop)) | (mag > series.guard[n_terms - 1])
     if bad.any():
-        _term_count(series, float(zf[np.argmax(bad)]), z_max)
+        _term_count(series, float(zf[np.argmax(bad)]))
     order = np.argsort(n_terms, kind="stable")
     zs, n_terms = zf[order], n_terms[order]
     acc = np.zeros(len(zs))

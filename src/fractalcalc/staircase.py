@@ -53,7 +53,7 @@ staircase value is divisible by exactly 2**t for its own trailing zero
 bits, capped at ``depth``.  So the coprime numerator and denominator are
 known beforehand, and ``_coprime_fraction`` sets them directly.
 
-Outside the unit interval the staircase is extended, by default, through the
+Outside the unit interval the staircase is extended through the
 self-similar tiling ``S(x + 1) = S(x) + 1`` for ``x >= 0`` and the odd
 reflection ``S(-x) = -S(x)``, which is the extension the transform and
 special-function modules rely on.
@@ -61,7 +61,6 @@ special-function modules rely on.
 
 from __future__ import annotations
 
-import enum
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -76,16 +75,9 @@ from .exceptions import DomainError
 ALPHA_CANTOR = math.log(2.0) / math.log(3.0)
 
 
-class ExtensionRule(enum.Enum):
-    """How staircase evaluation treats arguments outside [0, 1]."""
-
-    UNIT_INTERVAL = "unit-interval"
-    SELF_SIMILAR_TILING = "self-similar-tiling"
-
-
 @dataclass(frozen=True)
 class CantorSpec:
-    """Construction parameters: digit depth and extension rule.
+    """Construction parameters: the digit depth.
 
     ``digit_depth`` bounds both the ternary digits examined and the binary
     digits emitted, so every staircase value carries a one-sided truncation
@@ -93,7 +85,6 @@ class CantorSpec:
     """
 
     digit_depth: int = 53
-    extension_rule: ExtensionRule = ExtensionRule.SELF_SIMILAR_TILING
 
     def __post_init__(self) -> None:
         if not isinstance(self.digit_depth, int) or self.digit_depth < 1:
@@ -182,6 +173,13 @@ def _ratio(x) -> tuple[int, int]:
     return f.as_integer_ratio()
 
 
+def _parts(x) -> tuple[bool, int, int, int]:
+    """x as (negative, whole, num, den) with |x| = whole + num/den, num < den."""
+    num, den = _ratio(x)
+    whole, num_frac = divmod(abs(num), den)
+    return num < 0, whole, num_frac, den
+
+
 def _unit_staircase_scaled(num: int, den: int, depth: int) -> int:
     """floor(S(num/den) * 2**depth) for 0 <= num < den.
 
@@ -245,23 +243,8 @@ class StaircaseFn:
     """The Cantor staircase together with its quantile and membership tests."""
 
     spec: CantorSpec = field(default_factory=CantorSpec)
-    alpha: float = ALPHA_CANTOR
     #: (last quantile_exact result, its staircase value times 2**depth).
     _last_quantile: tuple = field(default=_NO_QUANTILE, init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        if abs(self.alpha - ALPHA_CANTOR) > 1e-12:
-            raise DomainError(
-                "the triadic staircase has dimension ln 2/ln 3; " f"got alpha={self.alpha!r}"
-            )
-
-    def _parts(self, x) -> tuple[bool, int, int, int]:
-        """x as (negative, whole, num, den) with |x| = whole + num/den, num < den."""
-        num, den = _ratio(x)
-        if self.spec.extension_rule is ExtensionRule.UNIT_INTERVAL and not 0 <= num <= den:
-            raise DomainError(f"argument {x!r} outside [0, 1] under the unit-interval rule")
-        whole, num_frac = divmod(abs(num), den)
-        return num < 0, whole, num_frac, den
 
     # -- staircase ---------------------------------------------------------
 
@@ -270,7 +253,7 @@ class StaircaseFn:
         key, scaled = self._last_quantile
         if x is key:
             return scaled
-        negative, whole, num, den = self._parts(x)
+        negative, whole, num, den = _parts(x)
         depth = self.spec.digit_depth
         scaled = (whole << depth) + _unit_staircase_scaled(num, den, depth)
         return -scaled if negative else scaled
@@ -289,7 +272,7 @@ class StaircaseFn:
     # -- quantile ----------------------------------------------------------
 
     def quantile_exact(self, u) -> Fraction:
-        negative, whole, num, den = self._parts(u)
+        negative, whole, num, den = _parts(u)
         depth = self.spec.digit_depth
         bits = (num << depth) // den
         # 3**t divides whole * 3**depth + Q(bits) exactly for the t trailing
@@ -319,8 +302,6 @@ class StaircaseFn:
             yield from map(self.quantile_exact, u.tolist())
             return
         ok = np.isfinite(u)
-        if self.spec.extension_rule is ExtensionRule.UNIT_INTERVAL:
-            ok &= (u >= 0.0) & (u <= 1.0)
         n = len(u) if ok.all() else int(ok.argmin())
         a = np.abs(u[:n])
         whole = np.floor(a)
@@ -345,13 +326,10 @@ class StaircaseFn:
         if n < len(u):
             self.quantile_exact(u[n].item())  # raises the scalar call's error
 
-    def quantile(self, u) -> float:
-        return float(self.quantile_exact(u))
-
     # -- membership --------------------------------------------------------
 
     def membership(self, x) -> bool:
-        _, _, num, den = self._parts(x)
+        _, _, num, den = _parts(x)
         return _unit_membership(num, den, self.spec.digit_depth)
 
 
@@ -362,8 +340,6 @@ class IdentityMap:
     Substituting it for the staircase collapses every conjugated operator to
     its classical counterpart, which is how the alpha -> 1 limits are checked.
     """
-
-    alpha: float = 1.0
 
     def eval_exact(self, x) -> Fraction:
         return Fraction(*_ratio(x))
@@ -378,9 +354,6 @@ class IdentityMap:
 
     def quantiles_exact(self, u):
         yield from map(float, u.tolist())
-
-    def quantile(self, u) -> float:
-        return float(u)
 
     def membership(self, x) -> bool:
         return True

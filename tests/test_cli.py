@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from fractalcalc import cli, mittag_leffler
+from fractalcalc import StaircaseFn, cli, mittag_leffler
 from fractalcalc.exprgrammar import parse_expression
 
 
@@ -57,6 +57,20 @@ class TestBasicCommands:
         assert code == 0
         value = float(out.splitlines()[1].split(",")[1])
         assert value == pytest.approx(math.gamma(3.0) / math.gamma(2.5), rel=1e-6)
+
+    def test_gamma_columns(self):
+        # value is Gamma(S(x)) on the staircase and Gamma(x), value2, on the identity
+        sf = StaircaseFn()
+        rows = [line.split(",") for line in run_cli(["gamma"])[1].splitlines()[1:]]
+        assert len(rows) == 157
+        for x, value, value2 in rows:
+            assert float(value) == math.gamma(sf.eval(float(x)))
+            assert float(value2) == math.gamma(float(x))
+        code, out, _ = run_cli(["gamma", "--alpha-mode", "identity"])
+        assert code == 0
+        for line in out.splitlines()[1:]:
+            _, value, value2 = line.split(",")
+            assert value == value2
 
     def test_beta_table_consistency(self):
         code, out, _ = run_cli(["beta", "--beta", "0.5", "--eta", "1.5"])
@@ -133,6 +147,13 @@ class TestExitCodes:
         identity = ["--alpha-mode", "identity", "--f", "x^2", "--grid", "0.7", "0.9", "3"]
         assert run_cli([command] + identity)[0] == 0
 
+    def test_integrand_that_fits_no_terminal_power_exits_1(self):
+        # 1/S(x) blows up like 1/u at the terminal, which no integrable power fits
+        code, out, err = run_cli(["rl-int", "--f", "1/S(x)", "--grid", "0.1", "1", "2"])
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_gamma_pole(self):
         code, _, _ = run_cli(["gamma", "--grid", "0", "0", "1"])
         assert code == 1
@@ -167,24 +188,32 @@ class TestFigures:
 
 class TestConfig:
     def test_tolerance_env_fallback(self, monkeypatch):
-        parser = cli.build_parser()
+        argv = ["ml", "--grid", "-5", "-5", "1"]
         monkeypatch.setenv("FRACTAL_CALC_TOL", "0.125")
-        config = cli.config_from_args(parser.parse_args(["verify"]))
-        assert config.tol == 0.125
+        loose = run_cli(argv)[1].splitlines()[1]
+        assert loose == f"-5.0,{mittag_leffler(1.0, 1.0, -5.0, tol=0.125)!r}"
         monkeypatch.delenv("FRACTAL_CALC_TOL")
-        config = cli.config_from_args(parser.parse_args(["verify"]))
-        assert config.tol is None
+        assert run_cli(argv)[1].splitlines()[1] == f"-5.0,{mittag_leffler(1.0, 1.0, -5.0)!r}"
+        assert run_cli(argv)[1].splitlines()[1] != loose
 
     def test_explicit_tolerance_wins(self, monkeypatch):
-        parser = cli.build_parser()
+        argv = ["ml", "--grid", "-5", "-5", "1"]
+        want = run_cli(argv + ["--tol", "0.5"])[1]
         monkeypatch.setenv("FRACTAL_CALC_TOL", "0.125")
-        config = cli.config_from_args(parser.parse_args(["verify", "--tol", "0.5"]))
-        assert config.tol == 0.5
+        assert run_cli(argv + ["--tol", "0.5"])[1] == want
+
+    def test_bad_tolerance_env_is_a_usage_error(self, monkeypatch):
+        monkeypatch.setenv("FRACTAL_CALC_TOL", "loose")
+        code, out, err = run_cli(["ml", "--grid", "0", "1", "2"])
+        assert code == 2 and out == ""
+        assert err == "error: bad FRACTAL_CALC_TOL value 'loose'\n"
 
     def test_kernel_and_alpha_flags(self):
-        parser = cli.build_parser()
-        config = cli.config_from_args(parser.parse_args(["rl-int", "--alpha-mode", "identity"]))
-        assert config.alpha_mode == "identity"
+        code, out, _ = run_cli(["rl-int", "--alpha-mode", "identity", "--grid", "1", "1", "1"])
+        assert code == 0
+        # classical I^(1/2) x^2 = Gamma(3)/Gamma(3.5) x^(5/2)
+        value = float(out.splitlines()[1].split(",")[1])
+        assert value == pytest.approx(math.gamma(3.0) / math.gamma(3.5), rel=1e-6)
         with pytest.raises(SystemExit) as exc:
             run_cli(["rl-int", "--kernel", "shifted"])
         assert exc.value.code == 2

@@ -18,7 +18,6 @@ from fractalcalc import (
     GridFunction,
     IdentityMap,
     StaircaseFn,
-    conjugate,
     f_alpha_derivative,
     f_alpha_integral,
     rgamma,
@@ -148,14 +147,14 @@ class TestFundamentalTheorem:
 
 class TestConjugate:
     def test_pulls_back_through_quantile(self, sf):
-        g = conjugate(lambda x: float(x), sf)
+        g = ConjugatedFn(lambda x: float(x), sf)
         assert isinstance(g, ConjugatedFn)
         assert g(Fraction(1, 2)) == pytest.approx(2.0 / 3.0, abs=1e-15)
         assert g(0.0) == 0.0
         assert g(1.0) == 1.0
 
     def test_round_trip_on_staircase_values(self, sf):
-        g = conjugate(lambda x: float(sf.eval_exact(x)) ** 2, sf)
+        g = ConjugatedFn(lambda x: float(sf.eval_exact(x)) ** 2, sf)
         assert g(Fraction(1, 4)) == pytest.approx(1.0 / 16.0, abs=1e-12)
 
     def test_staircase_integrand_reads_no_digits(self, sf, monkeypatch):
@@ -169,7 +168,7 @@ class TestConjugate:
         )
         u = np.concatenate([[0.0, 0.1, 0.5, 2.0 / 3.0, 1.0, 1.9], np.linspace(0.0, 3.0, 994)])
         u = u.reshape(2, 500)
-        got = conjugate(lambda x: sf.eval(x) ** 1.5, sf)(u)
+        got = ConjugatedFn(lambda x: sf.eval(x) ** 1.5, sf)(u)
         # the whole array takes one batch quantile and reads no digit
         assert not digits and not quantiles
         # the same integrand on equal but distinct Fractions reads the digits
@@ -191,7 +190,7 @@ class TestConjugate:
         assert seen == [float] * 6
 
     def test_array_call_is_the_elementwise_call(self, sf):
-        g = conjugate(lambda x: math.sin(float(x)), sf)
+        g = ConjugatedFn(lambda x: math.sin(float(x)), sf)
         u = np.array([[0.0, 0.1, 0.5], [0.75, 1.0, 1.9]])
         got = g(u)
         assert got.shape == u.shape
@@ -201,7 +200,7 @@ class TestConjugate:
     def test_refused_element_after_the_calls_before_it(self, sf):
         # f sees the elements before a refused one, then the scalar error rises
         seen = []
-        g = conjugate(lambda x: seen.append(x) or 0.0, sf)
+        g = ConjugatedFn(lambda x: seen.append(x) or 0.0, sf)
         u = np.array([0.25, 1.5, math.nan, 0.5])
         with pytest.raises(DomainError) as scalar:
             [g(v) for v in u.tolist()]
@@ -221,9 +220,8 @@ class TestGridFunction:
         with pytest.raises(ValueError):
             GridFunction(np.array([0.0, 1.0]), np.array([1.0, math.nan]))
 
-    def test_max_abs(self):
+    def test_length(self):
         gf = GridFunction(np.array([0.0, 1.0, 2.0]), np.array([1.0, -4.0, 2.0]))
-        assert gf.max_abs() == 4.0
         assert len(gf) == 3
 
 
@@ -241,19 +239,13 @@ def _ref_core(g, u, h, s):
     return (g(u + h) - g(u - h)) / (2.0 * h)
 
 
-def _ref_forward_diff(F, u, h, n, direction):
+def _ref_forward_diff(F, u, h, direction):
     s = direction
-    if n == 1:
-        return s * (-3.0 * F(u) + 4.0 * F(u + s * h) - F(u + 2.0 * s * h)) / (2.0 * h)
-    return (
-        2.0 * F(u) - 5.0 * F(u + s * h) + 4.0 * F(u + 2.0 * s * h) - F(u + 3.0 * s * h)
-    ) / (h * h)
+    return s * (-3.0 * F(u) + 4.0 * F(u + s * h) - F(u + 2.0 * s * h)) / (2.0 * h)
 
 
-def _ref_central_diff(F, u, h, n):
-    if n == 1:
-        return (F(u + h) - F(u - h)) / (2.0 * h)
-    return (F(u + h) - 2.0 * F(u) + F(u - h)) / (h * h)
+def _ref_central_diff(F, u, h):
+    return (F(u + h) - F(u - h)) / (2.0 * h)
 
 
 def _same_bits(got, want, zero_sign_may_differ=False):
@@ -273,36 +265,26 @@ class TestDifferenceStencil:
         k=st.floats(min_value=0.1, max_value=20.0),
         v=st.floats(min_value=-3.0, max_value=3.0),
         h=st.floats(min_value=1e-7, max_value=0.5),
-        n=st.sampled_from((1, 2)),
     )
     @settings(max_examples=400, deadline=None)
-    def test_matches_the_replaced_copies(self, c, k, v, h, n):
+    def test_matches_the_replaced_copies(self, c, k, v, h):
         def g(w):
             return c[0] + c[1] * w + c[2] * math.sin(k * w) + c[3] * math.exp(-w * w)
 
-        backward_first = n == 1
         for s in (1.0, -1.0):
             assert _same_bits(
-                difference(g, v, h, n, s),
-                _ref_forward_diff(g, v, h, n, s),
-                zero_sign_may_differ=backward_first and s < 0,
+                difference(g, v, h, s), _ref_forward_diff(g, v, h, s), zero_sign_may_differ=s < 0
             )
-        assert _same_bits(difference(g, v, h, n, 0.0), _ref_central_diff(g, v, h, n))
-        if n == 1:
-            for s in (1.0, -1.0, 0.0):
-                assert _same_bits(difference(g, v, h, 1, s), _ref_core(g, v, h, s))
+        assert _same_bits(difference(g, v, h, 0.0), _ref_central_diff(g, v, h))
+        for s in (1.0, -1.0, 0.0):
+            assert _same_bits(difference(g, v, h, s), _ref_core(g, v, h, s))
 
     def test_exact_cancellation_gives_positive_zero(self):
         def g(w):
             return 2.5
 
         for s in (1.0, -1.0, 0.0):
-            assert _same_bits(difference(g, 0.5, 1e-3, 1, s), 0.0)
-
-    @pytest.mark.parametrize("n", [0, 3, 4])
-    def test_other_orders_rejected(self, n):
-        with pytest.raises(ValueError):
-            difference(math.sin, 0.5, 1e-3, n, 0.0)
+            assert _same_bits(difference(g, 0.5, 1e-3, s), 0.0)
 
 
 # -- quadrature on whole meshes --------------------------------------------------
@@ -333,13 +315,13 @@ def _ref_product_integrate(g, mesh, mu):
 class TestWholeMeshQuadrature:
     @pytest.mark.parametrize("lo, hi, nodes", [(0.0, 1.0, 64), (0.3, 2.7, 16), (1.25, 1.5, 7)])
     def test_gauss_composite_same_bits(self, sf, lo, hi, nodes):
-        g = conjugate(lambda x: math.sin(3.0 * float(x)) + float(sf.eval_exact(x)) ** 2, sf)
+        g = ConjugatedFn(lambda x: math.sin(3.0 * float(x)) + float(sf.eval_exact(x)) ** 2, sf)
         assert _same_bits(quadrature.gauss_composite(g, lo, hi, nodes), _ref_gauss_composite(g, lo, hi, nodes))
 
     # "hi": the kernel is anchored at the mesh's last node
     @pytest.mark.parametrize("mu", [-0.5, -0.25, 0.5, 1.0 / 3.0], ids=lambda mu: f"hi-{mu}")
     def test_product_integrate_same_bits(self, sf, mu):
-        g = conjugate(lambda x: math.exp(-float(x)) + float(sf.eval_exact(x)) ** 0.5, sf)
+        g = ConjugatedFn(lambda x: math.exp(-float(x)) + float(sf.eval_exact(x)) ** 0.5, sf)
         for lo, hi, n in ((0.0, 1.0, 256), (0.2, 0.9, 37), (1.1, 2.0, 64)):
             mesh = quadrature.graded_mesh_two_sided(lo, hi, n)
             got = quadrature.product_integrate(g, mesh, mu)
@@ -408,7 +390,7 @@ class TestKernels:
 
     def test_tanh_sinh_laplace_head_calls(self, sf):
         # the head of laplace_numeric: a conjugated integrand on [0, 1]
-        f = conjugate(lambda x: float(sf.eval_exact(x)) ** 1.3, sf)
+        f = ConjugatedFn(lambda x: float(sf.eval_exact(x)) ** 1.3, sf)
         g = _Counted(lambda u: np.exp(-2.0 * u) * f(u))
         quadrature.tanh_sinh(g, 0.0, 1.0)
         assert len(g.shapes) <= 2 * _levels_used(g.fn, 0.0, 1.0) <= 8
@@ -425,6 +407,18 @@ class TestKernels:
         # u^-0.999 overflows where a third of its integral, 1000, is still ahead
         with pytest.raises(ConvergenceError, match="overflows at the lower endpoint"):
             quadrature.tanh_sinh(lambda u: u**-0.999, 0.0, 1.0)
+
+    @pytest.mark.parametrize("p", [-0.96, -0.5])
+    def test_tanh_sinh_refuses_to_drop_mass_at_a_nonzero_endpoint(self, p):
+        # the nodes stop about 1e-16 short of 1.0; (1 - u)^-0.96 has a sixth of
+        # its integral, 25, beyond them, and (1 - u)^-0.5 some 8e-9 of its 2
+        with pytest.raises(ConvergenceError, match="float resolution at the upper endpoint"):
+            quadrature.tanh_sinh(lambda u: (1.0 - u) ** p, 0.0, 1.0)
+
+    def test_tanh_sinh_keeps_a_side_whose_lost_mass_is_negligible(self):
+        # past the last node (1 - u)^-0.1 holds about 4e-15 of the integral
+        got = quadrature.tanh_sinh(lambda u: (1.0 - u) ** -0.1, 0.0, 1.0)
+        assert got == pytest.approx(1.0 / 0.9, rel=1e-14)
 
     def test_tanh_sinh_rejects_non_finite_values(self):
         with pytest.raises(ValueError, match="non-finite"):
@@ -501,6 +495,13 @@ class TestProductRule:
         with np.errstate(divide="ignore"):
             got = quadrature.product_integrate(g, mesh, mu)
         assert got == pytest.approx(want, rel=1e-7)
+
+    def test_terminal_blow_up_that_fits_no_power_raises(self):
+        # v^-2 is not integrable: its exponent lies outside the fitted (-1, 4)
+        mesh = quadrature.graded_mesh_two_sided(0.0, 0.6, 120)
+        with np.errstate(divide="ignore"):
+            with pytest.raises(ConvergenceError, match="fits the blow-up at the terminal"):
+                quadrature.product_integrate(lambda v: np.float64(v) ** -2.0, mesh, -0.5)
 
     def test_graded_meshes_use_the_scaled_reference_weights(self):
         for lo, hi, n in ((0.0, 1.0, 256), (-2.0, -0.3, 100), (0.0, 1e-9, 32)):

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from fractalcalc import (
     CantorSpec,
     CompositionKind,
+    ConjugatedFn,
     DomainError,
     IdentityMap,
     OperatorKind,
@@ -22,7 +23,6 @@ from fractalcalc import (
     StaircaseFn,
     caputo_derivative,
     composition_residual,
-    conjugate,
     evaluate,
     evaluate_u,
     power_rule_derivative,
@@ -134,7 +134,7 @@ class TestUSpaceEntry:
         x = sf.quantile_exact(Fraction(3, 5))
         for kind in OperatorKind:
             spec = OperatorSpec(kind, 0.5, 0.0)
-            want = evaluate_u(spec, conjugate(f, sf), sf, sf.eval(x))
+            want = evaluate_u(spec, ConjugatedFn(f, sf), sf, sf.eval(x))
             assert evaluate(spec, f, sf, x) == want
 
 

@@ -12,7 +12,7 @@ from fractalcalc import (
     CantorSpec,
     ConvergenceError,
     DomainError,
-    GammaMode,
+    IdentityMap,
     PoleError,
     StaircaseFn,
     beta_fractal,
@@ -46,10 +46,9 @@ class TestGamma:
     def test_staircase_composed_mode(self):
         sf = StaircaseFn(CantorSpec())
         # S(1/3) = 1/2, so the composed variant evaluates Gamma(1/2)
-        got = gamma_fractal(1.0 / 3.0, mode=GammaMode.STAIRCASE_COMPOSED, sf=sf)
+        got = gamma_fractal(1.0 / 3.0, sf)
         assert got == pytest.approx(math.sqrt(math.pi), abs=1e-9)
-        with pytest.raises(DomainError):
-            gamma_fractal(0.5, mode=GammaMode.STAIRCASE_COMPOSED)
+        assert gamma_fractal(0.5, IdentityMap()) == gamma_fractal(0.5) == math.gamma(0.5)
 
     def test_quadrature_cross_check(self):
         # oracle: mpmath.quad of the Euler integral of u^(t-1) e^(-u); at
@@ -157,17 +156,13 @@ class TestMittagLeffler:
 
     def test_convergence_guard(self):
         with pytest.raises(ConvergenceError):
-            mittag_leffler(0.05, 1.0, 30.0, max_terms=8, z_max=50.0)
+            mittag_leffler(0.05, 1.0, 30.0)
 
     def test_params_validation(self):
         with pytest.raises(DomainError):
             mittag_leffler(0.0, 1.0, 0.5)
         with pytest.raises(DomainError):
             mittag_leffler(0.5, 1.0, 0.5, tol=-1.0)
-        with pytest.raises(DomainError):
-            mittag_leffler(0.5, 1.0, 0.5, max_terms=0)
-        with pytest.raises(DomainError):
-            mittag_leffler(0.5, 1.0, 0.5, z_max=0.0)
         assert mittag_leffler(0.5, 0.5, 0.0) == pytest.approx(1.0 / math.sqrt(math.pi))
 
 
@@ -296,15 +291,16 @@ class TestMittagLefflerArray:
         assert np.isfinite(mittag_leffler(0.5, 0.5, z[[0, 1, 3]])).all()
 
     def test_one_element_that_overflows_raises(self):
-        # the scalar loop overflows at z = 30 with these controls; 0.5 does not
-        assert math.isfinite(mittag_leffler(0.05, 1.0, 0.5, z_max=50.0))
+        # the scalar loop overflows at z = 30; 0.5 does not
+        assert math.isfinite(mittag_leffler(0.05, 1.0, 0.5))
         with pytest.raises(ConvergenceError, match="overflows"):
-            mittag_leffler(0.05, 1.0, 30.0, z_max=50.0)
+            mittag_leffler(0.05, 1.0, 30.0)
         with pytest.raises(ConvergenceError, match="overflows for z=30.0"):
-            mittag_leffler(0.05, 1.0, np.array([0.5, 30.0]), z_max=50.0)
+            mittag_leffler(0.05, 1.0, np.array([0.5, 30.0]))
 
     def test_one_element_that_does_not_settle_raises(self):
+        # E_{1/2,1/2} stops past the end of its 1/Gamma table beyond |z| = 7.16
         with pytest.raises(ConvergenceError, match="did not settle"):
-            mittag_leffler(0.05, 1.0, 30.0, max_terms=8, z_max=50.0)
-        with pytest.raises(ConvergenceError, match="did not settle"):
-            mittag_leffler(0.05, 1.0, np.array([0.0, 30.0]), max_terms=8, z_max=50.0)
+            mittag_leffler(0.5, 0.5, 8.0)
+        with pytest.raises(ConvergenceError, match="did not settle in 342 terms for z=8.0"):
+            mittag_leffler(0.5, 0.5, np.array([0.0, 8.0]))

@@ -12,10 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fractalcalc import (
-    ALPHA_CANTOR,
     CantorSpec,
     DomainError,
-    ExtensionRule,
     IdentityMap,
     StaircaseFn,
     prefractal_intervals,
@@ -150,7 +148,6 @@ class TestBlockKernels:
     @settings(max_examples=300, deadline=None)
     def test_float_wrappers_round_the_exact_values(self, sf, x):
         assert sf.eval(x) == float(sf.eval_exact(x))
-        assert sf.quantile(x) == float(sf.quantile_exact(x))
 
 
 class TestEvalExact:
@@ -226,7 +223,7 @@ class TestQuantile:
 
     def test_float_round_trip_tolerance(self, sf):
         u = 0.7
-        x = sf.quantile(u)
+        x = float(sf.quantile_exact(u))
         assert sf.eval(x) == pytest.approx(u, abs=2**-33)
 
 
@@ -268,13 +265,10 @@ class TestQuantileRoundTrip:
             st.integers(-5, 5),
         ),
         depth=depths,
-        rule=st.sampled_from(list(ExtensionRule)),
     )
     @settings(max_examples=500, deadline=None)
-    def test_fresh_output_matches_the_kernel(self, u, depth, rule):
-        if rule is ExtensionRule.UNIT_INTERVAL:
-            u = abs(u) % 1
-        sf = StaircaseFn(CantorSpec(depth, rule))
+    def test_fresh_output_matches_the_kernel(self, u, depth):
+        sf = StaircaseFn(CantorSpec(depth))
         x = sf.quantile_exact(u)
         copy = Fraction(x.numerator, x.denominator)
         assert copy is not x
@@ -420,13 +414,10 @@ class TestBatchQuantile:
     @given(
         values=st.lists(batch_floats, max_size=40),
         depth=batch_depths,
-        rule=st.sampled_from(list(ExtensionRule)),
     )
     @settings(max_examples=400, deadline=None)
-    def test_matches_the_scalar_loop(self, values, depth, rule):
-        if rule is ExtensionRule.UNIT_INTERVAL:
-            values = [v if 0 <= v <= 1 else abs(v) % 1 for v in values]
-        spec = CantorSpec(depth, rule)
+    def test_matches_the_scalar_loop(self, values, depth):
+        spec = CantorSpec(depth)
         sf, scalar = StaircaseFn(spec), StaircaseFn(spec)
         count = 0
         for x, v in zip(sf.quantiles_exact(np.array(values, dtype=np.float64)), values, strict=True):
@@ -445,21 +436,9 @@ class TestBatchQuantile:
         assert all(_same_parts(x, w) for x, w in zip(got, want, strict=True))
 
     @pytest.mark.parametrize("depth", [53, 80])
-    @pytest.mark.parametrize(
-        "rule, bad",
-        [
-            (ExtensionRule.SELF_SIMILAR_TILING, math.nan),
-            (ExtensionRule.SELF_SIMILAR_TILING, math.inf),
-            (ExtensionRule.SELF_SIMILAR_TILING, -math.inf),
-            (ExtensionRule.UNIT_INTERVAL, math.nan),
-            (ExtensionRule.UNIT_INTERVAL, math.inf),
-            (ExtensionRule.UNIT_INTERVAL, 1.5),
-            (ExtensionRule.UNIT_INTERVAL, -0.25),
-            (ExtensionRule.UNIT_INTERVAL, -5e-324),
-        ],
-    )
-    def test_refused_element_raises_the_scalar_error(self, depth, rule, bad):
-        sf = StaircaseFn(CantorSpec(depth, rule))
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_refused_element_raises_the_scalar_error(self, depth, bad):
+        sf = StaircaseFn(CantorSpec(depth))
         a = np.array([0.25, 0.5, bad, 0.75, math.nan])
         with pytest.raises(DomainError) as scalar:
             [sf.quantile_exact(v) for v in a.tolist()]
@@ -494,14 +473,6 @@ class TestExtensions:
         assert float(sf.eval_exact(Fraction(7, 3))) == pytest.approx(2.5)
         assert sf.eval(-0.25) == pytest.approx(-1.0 / 3.0, abs=2**-52)
 
-    def test_unit_interval_rule_rejects_outside(self):
-        sf = StaircaseFn(CantorSpec(extension_rule=ExtensionRule.UNIT_INTERVAL))
-        with pytest.raises(DomainError):
-            sf.eval(1.5)
-        with pytest.raises(DomainError):
-            sf.quantile_exact(Fraction(3, 2))
-        assert sf.eval(0.25) == pytest.approx(1.0 / 3.0, abs=2**-52)
-
     def test_non_finite_rejected(self, sf):
         with pytest.raises(DomainError):
             sf.eval(math.inf)
@@ -509,13 +480,6 @@ class TestExtensions:
     @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf, np.float64(math.nan)])
     @pytest.mark.parametrize("method", ["eval_exact", "quantile_exact", "membership"])
     def test_non_finite_rejected_by_every_entry(self, sf, method, x):
-        with pytest.raises(DomainError):
-            getattr(sf, method)(x)
-
-    @pytest.mark.parametrize("x", [-0.25, Fraction(-1, 3), -1])
-    @pytest.mark.parametrize("method", ["eval_exact", "quantile_exact", "membership"])
-    def test_unit_interval_rule_rejects_negatives(self, method, x):
-        sf = StaircaseFn(CantorSpec(extension_rule=ExtensionRule.UNIT_INTERVAL))
         with pytest.raises(DomainError):
             getattr(sf, method)(x)
 
@@ -562,11 +526,6 @@ class TestInputTypes:
 
 
 class TestSpecValidation:
-    def test_alpha_is_fixed(self):
-        with pytest.raises(DomainError):
-            StaircaseFn(CantorSpec(), alpha=0.5)
-        assert StaircaseFn(CantorSpec()).alpha == ALPHA_CANTOR
-
     def test_digit_depth_validation(self):
         with pytest.raises(DomainError):
             CantorSpec(digit_depth=0)
@@ -577,7 +536,6 @@ class TestSpecValidation:
 class TestIdentityMap:
     def test_degenerate_coordinate(self):
         ident = IdentityMap()
-        assert ident.alpha == 1.0
         assert ident.eval(0.37) == 0.37
         assert ident.quantile_exact(0.37) == 0.37
         assert list(ident.quantiles_exact(np.array([0.37, -2.0]))) == [0.37, -2.0]
