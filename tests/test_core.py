@@ -286,6 +286,14 @@ class TestDifferenceStencil:
         for s in (1.0, -1.0, 0.0):
             assert _same_bits(difference(g, 0.5, 1e-3, s), 0.0)
 
+    @pytest.mark.parametrize("s", [1.0, -1.0, 0.0])
+    def test_exact_on_quadratics(self, s):
+        # every form is second order: on dyadic steps a quadratic's slope is exact
+        def g(w):
+            return 1.0 + 2.0 * w - 3.0 * w * w
+
+        assert difference(g, 0.5, 0.25, s) == 2.0 - 6.0 * 0.5
+
 
 # -- quadrature on whole meshes --------------------------------------------------
 # The per-node loops that array evaluation replaced, kept as the reference: an

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fractalcalc import (
+    ALPHA_CANTOR,
     CantorSpec,
     DomainError,
     IdentityMap,
@@ -449,6 +450,20 @@ class TestBatchQuantile:
         assert type(batched.value) is type(scalar.value)
         assert str(batched.value) == str(scalar.value)
 
+    @pytest.mark.parametrize("depth", [53, 80])
+    @pytest.mark.parametrize(
+        "x, mirror",
+        [(1.5, lambda q: 1 + q(0.5)), (-0.25, lambda q: -q(0.25)), (-5e-324, lambda q: -q(5e-324))],
+        ids=["1.5", "-0.25", "-5e-324"],
+    )
+    def test_element_off_the_unit_interval_is_tiled(self, depth, x, mirror):
+        # past 1 and below 0 the batch takes the tiled value, as the scalar does
+        sf = StaircaseFn(CantorSpec(depth))
+        a = np.array([0.25, x, 0.75])
+        got = list(sf.quantiles_exact(a))
+        assert all(_same_parts(g, sf.quantile_exact(v)) for g, v in zip(got, a.tolist(), strict=True))
+        assert got[1] == mirror(sf.quantile_exact)
+
 
 class TestMembership:
     def test_known_points(self, sf):
@@ -473,6 +488,12 @@ class TestExtensions:
         assert float(sf.eval_exact(Fraction(7, 3))) == pytest.approx(2.5)
         assert sf.eval(-0.25) == pytest.approx(-1.0 / 3.0, abs=2**-52)
 
+    def test_tiling_past_one(self, sf):
+        assert sf.membership(Fraction(4, 3)) and sf.membership(Fraction(7, 3))
+        assert not sf.membership(Fraction(3, 2))
+        assert sf.quantile_exact(Fraction(3, 2)) == 1 + sf.quantile_exact(Fraction(1, 2))
+        assert sf.eval_exact(Fraction(11, 9)) == Fraction(5, 4)
+
     def test_non_finite_rejected(self, sf):
         with pytest.raises(DomainError):
             sf.eval(math.inf)
@@ -482,6 +503,16 @@ class TestExtensions:
     def test_non_finite_rejected_by_every_entry(self, sf, method, x):
         with pytest.raises(DomainError):
             getattr(sf, method)(x)
+
+    @pytest.mark.parametrize("x", [-0.25, Fraction(-1, 3), -1])
+    @pytest.mark.parametrize("method", ["eval_exact", "quantile_exact", "membership"])
+    def test_tiling_takes_negatives(self, sf, method, x):
+        # a negative argument is the mirror image of its absolute value
+        got, mirror = getattr(sf, method)(x), getattr(sf, method)(-x)
+        if method == "membership":
+            assert got is mirror is True
+        else:
+            assert got == -mirror and got < 0
 
     @given(x=st.fractions(min_value=0, max_value=5, max_denominator=10**12))
     @settings(max_examples=200, deadline=None)
@@ -526,6 +557,13 @@ class TestInputTypes:
 
 
 class TestSpecValidation:
+    def test_dimension_is_log2_over_log3(self, sf):
+        # S(3^-k) = 2^-k = (3^-k)^alpha: the self-similarity fixes the exponent
+        assert 3.0**ALPHA_CANTOR == pytest.approx(2.0, rel=1e-15)
+        for k in range(1, 30):
+            assert sf.eval_exact(Fraction(1, 3**k)) == Fraction(1, 2**k)
+            assert 2.0**-k == pytest.approx((1.0 / 3**k) ** ALPHA_CANTOR, rel=1e-13)
+
     def test_digit_depth_validation(self):
         with pytest.raises(DomainError):
             CantorSpec(digit_depth=0)
