@@ -13,7 +13,6 @@ from .exceptions import (
     TailBoundError,
 )
 from .staircase import (
-    ALPHA_CANTOR,
     CantorSpec,
     IdentityMap,
     StaircaseFn,
@@ -78,7 +77,6 @@ from .verify import CheckResult, run_all
 __version__ = "0.1.0"
 
 __all__ = [
-    "ALPHA_CANTOR",
     "CantorSpec",
     "CheckResult",
     "CompositionKind",

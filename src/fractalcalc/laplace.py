@@ -267,7 +267,7 @@ def evaluate_inverse(terms, u):
     return sum(t.evaluate_u(u) for t in terms)
 
 
-def laplace_numeric(f, sf, sigma: float, tol: float = 1e-9, u_max: float | None = None) -> float:
+def laplace_numeric(f, sf, sigma: float, tol: float = 1e-9) -> float:
     """Truncated numerical transform with an explicit tail-bound check.
 
     The integrand is integrated in the staircase coordinate; the first unit
@@ -281,7 +281,7 @@ def laplace_numeric(f, sf, sigma: float, tol: float = 1e-9, u_max: float | None 
     if sigma <= 0.0:
         raise DomainError(f"transform needs sigma > 0, got {sigma!r}")
     g = ConjugatedFn(f, sf)
-    upper = u_max if u_max is not None else 36.0 / sigma + 4.0
+    upper = 36.0 / sigma + 4.0
     g_end = abs(g(upper))
     bound = 2.0 * g_end * math.exp(-sigma * upper) / sigma
     if not math.isfinite(bound) or bound > tol:

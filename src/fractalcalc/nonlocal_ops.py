@@ -44,7 +44,7 @@ import numpy as np
 from . import quadrature
 from .core import ConjugatedFn, difference
 from .exceptions import DomainError
-from .special import gamma_classical, rgamma
+from .special import rgamma
 
 DELTA_BOUNDARY = 1e-9  # offset for one-sided limits at a terminal
 _TAYLOR_STEP = 1e-5  # difference step for Taylor coefficients at a terminal
@@ -267,10 +267,11 @@ def composition_residual(
     quadrature node. Returns the sup of the absolute residual over 16 points
     evenly spaced in u, away from the terminal.
 
-    A right-sided kind reflects g and the interval first. An RL kind with
-    1 < beta < 2 raises DomainError unless g vanishes at the terminal: its
-    inner derivative then carries a non-integrable g(terminal) * w^(-beta)
-    head that the interpolation cannot follow.
+    A right-sided kind reflects g and the interval first. An RL kind
+    composes on g - g(terminal), so that the inner derivative has no
+    g(terminal) * w^(-beta) head for the interpolation to miss; with
+    1 < beta < 2 that head is not integrable, and the kind raises DomainError
+    unless g vanishes at the terminal.
     """
     a, b = float(interval[0]), float(interval[1])
     left = kind in (CompositionKind.RL_LEFT, CompositionKind.CAPUTO_LEFT)
@@ -293,6 +294,11 @@ def composition_residual(
             "RL composition of order above 1 needs f to vanish at the terminal, "
             f"got f = {g_term!r} there"
         )
+    if g_term != 0.0:
+        # The residual is that of g: the derivative of a constant c is
+        # c w^(-beta) / Gamma(1 - beta), whose integral is c again, and the
+        # boundary term's I^(1 - beta) of c is 0 at the terminal.
+        g = lambda v, _g=g: _g(v) - g_term
 
     us = np.linspace(ua + 0.1 * (ub - ua), ub, 16)
     # Sample the inner operator on a grid clustered at the terminal.
@@ -305,15 +311,6 @@ def composition_residual(
         inner_vals = np.array([_rl_u(g, spec, ua, -beta, float(w)) for w in ugrid])
     if not np.isfinite(inner_vals).all():
         raise DomainError("inner operator produced non-finite samples")
-
-    # The RL derivative carries a g(terminal) * w^(-beta) blowup at the
-    # terminal that defeats linear interpolation; peel it off and add back
-    # its exact recomposition, which is g(terminal) itself (Beta identity,
-    # exponents beta-1 and -beta integrate to Gamma(beta)Gamma(1-beta)).
-    head_coeff = 0.0
-    if g_term != 0.0 and math.isfinite(g_term):
-        head_coeff = g_term * rgamma(1.0 - beta)
-        inner_vals = inner_vals - head_coeff * (ugrid - ua) ** -beta
     inner_fn = lambda v: np.interp(v, ugrid, inner_vals)
 
     boundary_terms = _caputo_boundary_terms if caputo else _rl_boundary_terms
@@ -321,8 +318,6 @@ def composition_residual(
     for u in us:
         u = float(u)
         recomposed = _rl_u(inner_fn, spec, ua, beta, u)
-        if head_coeff != 0.0:
-            recomposed += head_coeff * gamma_classical(1.0 - beta)
         expected = g(u) - boundary_terms(g, spec, ua, u - ua)
         worst = max(worst, abs(recomposed - expected))
     return worst

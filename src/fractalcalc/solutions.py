@@ -76,7 +76,6 @@ class SolutionReport:
     solution: GridFunction
     residual: GridFunction
     max_residual: float
-    variant_solution: GridFunction
     variant_discrepancy: float
     variant_max_residual: float
     transform: LaplaceExpr
@@ -84,7 +83,6 @@ class SolutionReport:
     variant_terms: tuple[InverseTerm, ...]
     notes: tuple[str, ...]
     solution_fn: object
-    variant_fn: object
 
 
 _HALF = Fraction(1, 2)
@@ -311,7 +309,6 @@ def solve_example(
     notes = notes + (variant_note,)
     variant_u = _terms_u(variant_terms_out, ua)
     var_vals = evaluate_inverse(variant_terms_out, ws)
-    variant_solution = GridFunction(xs_float, var_vals)
     variant_discrepancy = float(np.max(np.abs(var_vals - sol_vals)))
     variant_max_residual = 0.0
     for i, u in enumerate(us):
@@ -330,7 +327,6 @@ def solve_example(
         solution=solution,
         residual=residual,
         max_residual=float(np.max(res_vals)),
-        variant_solution=variant_solution,
         variant_discrepancy=variant_discrepancy,
         variant_max_residual=variant_max_residual,
         transform=image,
@@ -338,7 +334,6 @@ def solve_example(
         variant_terms=variant_terms_out,
         notes=notes,
         solution_fn=_terms_fn(terms, sf, ua),
-        variant_fn=_terms_fn(variant_terms_out, sf, ua),
     )
 
 

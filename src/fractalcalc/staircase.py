@@ -71,10 +71,6 @@ import numpy as np
 
 from .exceptions import DomainError
 
-#: Hausdorff dimension of the middle-third Cantor set, ln 2 / ln 3.
-ALPHA_CANTOR = math.log(2.0) / math.log(3.0)
-
-
 @dataclass(frozen=True)
 class CantorSpec:
     """Construction parameters: the digit depth.

@@ -7,8 +7,8 @@ from fractions import Fraction
 
 import pytest
 
-from fractalcalc import StaircaseFn, cli, mittag_leffler
-from fractalcalc.exprgrammar import parse_expression
+from fractalcalc import DomainError, StaircaseFn, cli, mittag_leffler
+from fractalcalc.exprgrammar import ExprError, parse_expression
 
 
 def run_cli(argv):
@@ -154,6 +154,14 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("command", ["rl-int", "laplace"])
+    def test_negative_base_to_a_fractional_power_exits_1(self, command):
+        # S(x) - 2 is negative, and Python's power of it is a complex number
+        code, out, err = run_cli([command, "--f", "(S(x)-2)^0.5", "--grid", "0.5", "1", "2"])
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_gamma_pole(self):
         code, _, _ = run_cli(["gamma", "--grid", "0", "0", "1"])
         assert code == 1
@@ -250,3 +258,32 @@ class TestGrammar:
     )
     def test_tracks_x_in_a_staircase_expression(self, text, inside):
         assert parse_expression(text).x_in_staircase_expression is inside
+
+    @pytest.mark.parametrize(
+        "text, x, want",
+        [("-x^2", 3.0, -9.0), ("exp(-x^2)", 1.0, math.exp(-1.0)), ("-2^2", 0.0, -4.0),
+         ("2^-1", 0.0, 0.5), ("2^3^2", 0.0, 512.0), ("-S(x)^2", Fraction(1, 3), -0.25)],
+    )
+    def test_power_binds_tighter_than_a_unary_sign(self, text, x, want):
+        assert parse_expression(text)(x, StaircaseFn()) == want
+
+    def test_cli_reads_a_signed_power_as_the_negated_power(self):
+        grid = ["--grid", "0.5", "1", "2"]
+        code, out, _ = run_cli(["rl-int", "--f", "exp(-S(x)^2)"] + grid)
+        assert code == 0
+        assert out == run_cli(["rl-int", "--f", "exp(-(S(x)^2))"] + grid)[1]
+
+    @pytest.mark.parametrize(
+        "text",
+        ["x**2", "0x10", "1j", "1_0", "True", "x.real", "S(x, 2)", "(x)(2)", "lambda: 1", "",
+         " ", "(exp)(x)", "exp()", "exp(*x)", "S", "x # 2", "x if x else 2", "x // 2", "\uff58"],
+    )
+    def test_rejects_what_the_grammar_lacks(self, text):
+        with pytest.raises(ExprError):
+            parse_expression(text)
+
+    def test_complex_power_is_a_domain_error(self):
+        expr = parse_expression("(x - 2)^0.5")
+        with pytest.raises(DomainError, match="negative base"):
+            expr(0.5)
+        assert parse_expression("(x - 2)^2")(0.5) == 2.25

@@ -313,6 +313,15 @@ class TestCompositions:
         res = composition_residual(CompositionKind.CAPUTO_LEFT, f, 0.5, sf, (0.0, 1.0))
         assert res < 5e-3
 
+    @pytest.mark.parametrize("kind", [CompositionKind.RL_LEFT, CompositionKind.RL_RIGHT])
+    @pytest.mark.parametrize("name", ["exp(-S)", "S^2"])
+    def test_rl_round_trip_with_f_nonzero_at_the_terminal(self, sf, kind, name):
+        # e^-S is 1 at the left terminal and S^2 at the right one; a boundary
+        # term probed 1e-9 from a terminal where f is 1 is off by about
+        # 1e-9^0.2 / Gamma(1.2) = 2e-2 unless f(terminal) is taken out first
+        f = {"exp(-S)": lambda t: math.exp(-sf.eval(t)), "S^2": lambda t: sf.eval(t) ** 2}[name]
+        assert composition_residual(kind, f, 0.8, sf, (0.0, 1.0)) < 1e-4
+
     def test_rl_above_order_one_needs_zero_at_terminal(self, sf):
         # S^2 vanishes at 0, so the left identity holds; at the right terminal
         # S(1)^2 = 1 leaves a non-integrable head

@@ -12,7 +12,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fractalcalc import (
-    ALPHA_CANTOR,
     CantorSpec,
     DomainError,
     IdentityMap,
@@ -559,10 +558,11 @@ class TestInputTypes:
 class TestSpecValidation:
     def test_dimension_is_log2_over_log3(self, sf):
         # S(3^-k) = 2^-k = (3^-k)^alpha: the self-similarity fixes the exponent
-        assert 3.0**ALPHA_CANTOR == pytest.approx(2.0, rel=1e-15)
+        alpha = math.log(2.0) / math.log(3.0)
+        assert 3.0**alpha == pytest.approx(2.0, rel=1e-15)
         for k in range(1, 30):
             assert sf.eval_exact(Fraction(1, 3**k)) == Fraction(1, 2**k)
-            assert 2.0**-k == pytest.approx((1.0 / 3**k) ** ALPHA_CANTOR, rel=1e-13)
+            assert 2.0**-k == pytest.approx((1.0 / 3**k) ** alpha, rel=1e-13)
 
     def test_digit_depth_validation(self):
         with pytest.raises(DomainError):
