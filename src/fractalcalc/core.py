@@ -33,13 +33,13 @@ class GridFunction:
         self.xs = np.asarray(self.xs, dtype=float)
         self.values = np.asarray(self.values, dtype=float)
         if self.xs.ndim != 1 or self.values.ndim != 1:
-            raise ValueError("grid data must be one-dimensional")
+            raise DomainError("grid data must be one-dimensional")
         if len(self.xs) != len(self.values):
-            raise ValueError("grid and value lengths differ")
+            raise DomainError("grid and value lengths differ")
         if len(self.xs) > 1 and not np.all(np.diff(self.xs) > 0):
-            raise ValueError("grid must be strictly ascending")
+            raise DomainError("grid must be strictly ascending")
         if not np.isfinite(self.values).all():
-            raise ValueError("grid values must be finite")
+            raise DomainError("grid values must be finite")
 
     def __len__(self) -> int:
         return len(self.xs)

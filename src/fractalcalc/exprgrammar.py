@@ -4,8 +4,9 @@ Supported: x, the staircase value S(x), numeric literals, pi, e, + - * /, a
 right-associative ^ that binds tighter than a unary sign (-x^2 is -(x^2)),
 parentheses, and exp, sin, cos. Python's parser reads the text, ^ as **, and
 one walk over its tree accepts only these nodes, each as a closure: Python
-evaluates nothing. x is a float everywhere except as the bare argument of S:
-``S(x)`` gets x unchanged, so an exact quantile reaches the staircase exactly.
+evaluates nothing. A tree more than 200 levels deep is refused. x is a float
+everywhere except as the bare argument of S: ``S(x)`` gets x unchanged, so an
+exact quantile reaches the staircase exactly.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ _FOREIGN = re.compile(r"[^0-9A-Za-z_.+\-*/^()\s]|\*\*")  # ^ is the only power
 _NUMBER = re.compile(r"(?:\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?")
 _FUNCTIONS = {"exp": math.exp, "sin": math.sin, "cos": math.cos}
 _CONSTANTS = {"pi": math.pi, "e": math.e}
+_MAX_DEPTH = 200  # as deep as Python's parser nests parentheses
 
 
 def _power(base, exponent):
@@ -73,6 +75,15 @@ def parse_expression(text: str) -> ParsedExpr:
         tree = ast.parse(source, mode="eval")
     except SyntaxError as exc:
         raise ExprError(f"cannot parse {text!r}: {exc.msg}") from None
+    except (RecursionError, MemoryError):
+        raise ExprError(f"expression nests deeper than {_MAX_DEPTH} levels") from None
+    # the walk and the closures it builds recurse once per level
+    stack = [(tree.body, 1)]
+    while stack:
+        node, depth = stack.pop()
+        if depth > _MAX_DEPTH:
+            raise ExprError(f"expression nests deeper than {_MAX_DEPTH} levels")
+        stack.extend((child, depth + 1) for child in ast.iter_child_nodes(node))
     seen = set()  # "S"; "x" outside S; "x in S": x in an argument of S other than x
 
     def walk(node, in_s):

@@ -122,6 +122,14 @@ def _rl_u(g, spec: OperatorSpec, ua: float, order: float, u: float) -> float:
     return quadrature.product_integrate(g, mesh, order - 1.0) * rgamma(order)
 
 
+def _taylor_head(g, spec: OperatorSpec, ua: float) -> tuple[float, float]:
+    """(g(ua), c1) of the Taylor head at the terminal; c1 != 0 only for a Caputo order above 1."""
+    c0 = g(ua)
+    if spec.kind is OperatorKind.CAPUTO and spec.n == 2:
+        return c0, difference(g, ua, _TAYLOR_STEP, 1.0)
+    return c0, 0.0
+
+
 def _caputo_u(g, spec: OperatorSpec, ua: float, u: float) -> float:
     """Left Caputo derivative in u, as the RL derivative of the Taylor remainder.
 
@@ -130,13 +138,8 @@ def _caputo_u(g, spec: OperatorSpec, ua: float, u: float) -> float:
     solutions carrying fractional powers of the staircase): the integral
     machinery sees the bounded remainder instead of a singular derivative.
     """
-    c0 = g(ua)
-    c1 = difference(g, ua, _TAYLOR_STEP, 1.0) if spec.n == 2 else 0.0
-
-    def remainder(v):
-        return g(v) - c0 - c1 * (v - ua)
-
-    return _rl_u(remainder, spec, ua, -spec.beta, u)
+    c0, c1 = _taylor_head(g, spec, ua)
+    return _rl_u(lambda v: g(v) - c0 - c1 * (v - ua), spec, ua, -spec.beta, u)
 
 
 def _require_kind(spec: OperatorSpec, kind: OperatorKind) -> None:
@@ -188,8 +191,8 @@ def caputo_derivative(spec: OperatorSpec, f, sf, x) -> float:
     return evaluate(spec, f, sf, x)
 
 
-def power_rule_integral(beta: float, eta: float, sf, a, x) -> float:
-    """Closed-form RL integral of (S - S(a))^eta at x."""
+def _power_span(beta: float, eta: float, sf, a, x) -> float:
+    """S(x) - S(a), after the argument checks the power rules share."""
     if not eta > -1.0:
         raise DomainError(f"power exponent must exceed -1, got {eta!r}")
     if not beta > 0.0:
@@ -197,19 +200,19 @@ def power_rule_integral(beta: float, eta: float, sf, a, x) -> float:
     du = sf.eval(x) - sf.eval(a)
     if du < 0.0:
         raise DomainError("evaluation point precedes the terminal")
+    return du
+
+
+def power_rule_integral(beta: float, eta: float, sf, a, x) -> float:
+    """Closed-form RL integral of (S - S(a))^eta at x."""
+    du = _power_span(beta, eta, sf, a, x)
     coeff = math.exp(math.lgamma(eta + 1.0) - math.lgamma(eta + beta + 1.0))
     return coeff * du ** (eta + beta)
 
 
 def power_rule_derivative(beta: float, eta: float, sf, a, x) -> float:
     """Closed-form RL derivative of (S - S(a))^eta at x; 0 on Gamma poles."""
-    if not eta > -1.0:
-        raise DomainError(f"power exponent must exceed -1, got {eta!r}")
-    if not beta > 0.0:
-        raise DomainError(f"order must be positive, got {beta!r}")
-    du = sf.eval(x) - sf.eval(a)
-    if du < 0.0:
-        raise DomainError("evaluation point precedes the terminal")
+    du = _power_span(beta, eta, sf, a, x)
     r = rgamma(eta - beta + 1.0)
     if r == 0.0:
         return 0.0
@@ -225,33 +228,6 @@ class CompositionKind(enum.Enum):
     CAPUTO_RIGHT = "caputo-right"
 
 
-def _rl_boundary_terms(g, spec: OperatorSpec, ua: float, w: float) -> float:
-    """Left RL composition corrections at staircase distance w from the terminal.
-
-    Term j carries the limit of the order beta - j derivative at the
-    terminal (an integral when beta - j < 0), divided by Gamma(beta + 1 - j).
-    """
-    beta = spec.beta
-    probe = ua + DELTA_BOUNDARY
-    total = 0.0
-    for j in range(1, spec.n + 1):
-        order_j = beta - j
-        if order_j == 0.0:
-            limit = g(probe)
-        else:
-            limit = _rl_u(g, spec, ua, -order_j, probe)
-        total += limit * rgamma(beta - j + 1.0) * w ** (beta - j)
-    return total
-
-
-def _caputo_boundary_terms(g, spec: OperatorSpec, ua: float, w: float) -> float:
-    """Left Caputo composition corrections: the Taylor head, degrees 0 to n - 1."""
-    probe = ua + DELTA_BOUNDARY
-    if spec.n == 1:
-        return g(probe)
-    return g(probe) + difference(g, probe, _TAYLOR_STEP, 1.0) * w
-
-
 def composition_residual(
     kind: CompositionKind,
     f,
@@ -261,63 +237,61 @@ def composition_residual(
 ) -> float:
     """Max defect of integral-after-derivative against its identity.
 
-    The inner derivative is sampled once on a grid clustered toward the
-    terminal (where it is generically singular) and interpolated, so the
-    outer integral does not re-run the derivative machinery at every
-    quadrature node. Returns the sup of the absolute residual over 16 points
-    evenly spaced in u, away from the terminal.
+    A right-sided kind reflects g and the interval first. Every kind composes
+    on the Taylor remainder r = g - c0 - c1 (u - ua) that `_caputo_u` takes
+    the RL derivative of, and the RL integral of that derivative should give
+    r back. An RL kind of order above 1 needs g(terminal) = 0 (so r = g),
+    else the g(terminal) w^(-beta) head of its derivative is not integrable
+    and it raises DomainError; its identity keeps one boundary term,
+    [D^(beta - 1) g] one probe past the terminal times w^(beta - 1) /
+    Gamma(beta). Every other term is the integral of a bounded function over
+    a vanishing interval, 0.
 
-    A right-sided kind reflects g and the interval first. An RL kind
-    composes on g - g(terminal), so that the inner derivative has no
-    g(terminal) * w^(-beta) head for the interpolation to miss; with
-    1 < beta < 2 that head is not integrable, and the kind raises DomainError
-    unless g vanishes at the terminal.
+    The inner derivative is sampled once on a grid clustered toward the
+    terminal (where it is generically singular) and interpolated. Returns
+    the sup of the absolute residual over 16 points evenly spaced in u, away
+    from the terminal.
     """
     a, b = float(interval[0]), float(interval[1])
     left = kind in (CompositionKind.RL_LEFT, CompositionKind.CAPUTO_LEFT)
     caputo = kind in (CompositionKind.CAPUTO_LEFT, CompositionKind.CAPUTO_RIGHT)
-    spec = OperatorSpec(
-        kind=OperatorKind.CAPUTO if caputo else OperatorKind.RL_DERIVATIVE,
-        beta=beta,
-        terminal=a if left else b,
-    )
+    kind_op = OperatorKind.CAPUTO if caputo else OperatorKind.RL_DERIVATIVE
+    spec = OperatorSpec(kind_op, beta, terminal=a if left else b)
     g = ConjugatedFn(f, sf)
-    ua = sf.eval(a)
-    ub = sf.eval(b)
+    ua, ub = sf.eval(a), sf.eval(b)
     if not ub > ua:
         raise DomainError("interval has empty staircase measure")
     if not left:
         g, ua, ub = _reflected(g), -ub, -ua
-    g_term = 0.0 if caputo else g(ua)
-    if spec.n == 2 and g_term != 0.0:
+    c0, c1 = _taylor_head(g, spec, ua)
+    rl_above_one = not caputo and spec.n == 2
+    if rl_above_one and c0 != 0.0:
         raise DomainError(
             "RL composition of order above 1 needs f to vanish at the terminal, "
-            f"got f = {g_term!r} there"
+            f"got f = {c0!r} there"
         )
-    if g_term != 0.0:
-        # The residual is that of g: the derivative of a constant c is
-        # c w^(-beta) / Gamma(1 - beta), whose integral is c again, and the
-        # boundary term's I^(1 - beta) of c is 0 at the terminal.
-        g = lambda v, _g=g: _g(v) - g_term
+
+    def r(v):
+        return g(v) - c0 - c1 * (v - ua)
 
     us = np.linspace(ua + 0.1 * (ub - ua), ub, 16)
     # Sample the inner operator on a grid clustered at the terminal.
     pad = 8.0 * DELTA_BOUNDARY
     frac = (np.arange(_INNER_SAMPLES) / (_INNER_SAMPLES - 1.0)) ** 4.0
     ugrid = (ua + pad) + (float(us.max()) - ua - pad) * frac
-    if caputo:
-        inner_vals = np.array([_caputo_u(g, spec, ua, float(w)) for w in ugrid])
-    else:
-        inner_vals = np.array([_rl_u(g, spec, ua, -beta, float(w)) for w in ugrid])
+    inner_vals = np.array([_rl_u(r, spec, ua, -beta, float(w)) for w in ugrid])
     if not np.isfinite(inner_vals).all():
         raise DomainError("inner operator produced non-finite samples")
     inner_fn = lambda v: np.interp(v, ugrid, inner_vals)
 
-    boundary_terms = _caputo_boundary_terms if caputo else _rl_boundary_terms
+    # [D^(beta - 1) r] / Gamma(beta) one probe past the terminal
+    limit = 0.0
+    if rl_above_one:
+        limit = _rl_u(r, spec, ua, 1.0 - beta, ua + DELTA_BOUNDARY) * rgamma(beta)
     worst = 0.0
     for u in us:
         u = float(u)
         recomposed = _rl_u(inner_fn, spec, ua, beta, u)
-        expected = g(u) - boundary_terms(g, spec, ua, u - ua)
+        expected = r(u) - limit * (u - ua) ** (beta - 1.0)
         worst = max(worst, abs(recomposed - expected))
     return worst

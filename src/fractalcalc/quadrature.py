@@ -25,7 +25,8 @@ the nodes of all its panels in one call, and product integration the whole
 mesh interior in one call; only the product rule's two endpoints call g on
 single floats. Tanh-sinh nests its levels: each finer level adds only its
 new odd nodes to the running sum, in one call per level. It calls g on
-single floats only to find where an overflowing side must stop.
+single floats only to find where an overflowing side must stop. A
+non-finite value of g where a rule needs it raises DomainError.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .exceptions import ConvergenceError
+from .exceptions import ConvergenceError, DomainError
 
 
 @lru_cache(maxsize=None)
@@ -70,7 +71,7 @@ def gauss_composite(g, lo: float, hi: float, nodes: int = 64) -> float:
     m = 0.5 * (edges[:-1] + edges[1:])
     vals = np.asarray(g((m[:, None] + c[:, None] * xg).ravel()), dtype=float)
     if not np.isfinite(vals).all():
-        raise ValueError("integrand returned a non-finite value")
+        raise DomainError("integrand returned a non-finite value")
     total = 0.0
     for ck, row in zip(c.tolist(), vals.reshape(len(c), -1)):
         total += ck * float(wg @ row)
@@ -198,14 +199,14 @@ def tanh_sinh(g, lo: float, hi: float, tol: float = 1e-12, max_level: int = 11) 
                 edge[side] = (float(t[idx[-1]]), float(w[idx[-1]] * v[-1]))
         if first:
             if not np.isfinite(v_mid[0]):
-                raise ValueError("integrand returned a non-finite value")
+                raise DomainError("integrand returned a non-finite value")
             s = 0.5 * math.pi * float(v_mid[0])
         # the running sums in node order, as a node-by-node walk adds them
         run = np.cumsum(np.concatenate(([s], inc)))[1:]
         stop = np.flatnonzero((t > 3.0) & (np.abs(inc) <= 1e-18 * np.maximum(1.0, np.abs(run))))
         keep = stop[0] + 1 if len(stop) else n
         if not np.isfinite(inc[:keep]).all():
-            raise ValueError("integrand returned a non-finite value")
+            raise DomainError("integrand returned a non-finite value")
         if len(stop):
             cut = float(t[stop[0]])
         s = float(run[keep - 1])
@@ -423,8 +424,8 @@ def product_integrate(g, mesh: np.ndarray, mu: float) -> float:
             beta_fn = math.gamma(gamma + 1.0) * math.gamma(mu + 1.0) / math.gamma(s)
             head = c * z[-1] ** (s - 1.0) * beta_fn
     if not np.isfinite(vals).all():
-        raise ValueError("integrand returned a non-finite value on the mesh")
+        raise DomainError("integrand returned a non-finite value on the mesh")
     total = float((weights * vals).sum()) + head
     if not math.isfinite(total):
-        raise ValueError("integrand returned a non-finite value on the mesh")
+        raise DomainError("integrand returned a non-finite value on the mesh")
     return total

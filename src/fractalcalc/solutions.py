@@ -80,7 +80,6 @@ class SolutionReport:
     variant_max_residual: float
     transform: LaplaceExpr
     derived_terms: tuple[InverseTerm, ...]
-    variant_terms: tuple[InverseTerm, ...]
     notes: tuple[str, ...]
     solution_fn: object
 
@@ -231,40 +230,48 @@ def _variant_terms(problem: ExampleProblem) -> tuple[tuple[InverseTerm, ...], st
 
 
 def default_grid(example_id: int, sf, count: int = 25):
-    """Grid with S(x) in [0.1, 1] ([1.1, 2] for the terminal-1 problem)."""
-    lo = Fraction(11, 10) if example_id == 2 else Fraction(1, 10)
-    hi = Fraction(2) if example_id == 2 else Fraction(1)
+    """Grid with S(x) in [t + 1/10, t + 1], t the terminal (0, or 1 = S(1) for example 2)."""
+    base = Fraction(example_problem(example_id).operator.terminal)
+    lo, hi = base + Fraction(1, 10), base + 1
     us = [lo + (hi - lo) * Fraction(i, count - 1) for i in range(count)]
     return [sf.quantile_exact(u) for u in us]
 
 
 def _terms_u(terms, ua: float):
     """The inverse terms as an integrand of u: no quantile, and arrays of u."""
-
-    def g(u):
-        return evaluate_inverse(terms, u - ua)
-
-    return g
+    return lambda u: evaluate_inverse(terms, u - ua)
 
 
 def _terms_fn(terms, sf, ua: float):
     g = _terms_u(terms, ua)
+    return lambda x: g(sf.eval(x))
 
-    def fn(x):
-        return g(sf.eval(x))
 
-    return fn
+def _derived(example_id: int, sf, lam: float):
+    """(problem, image, notes, inverted terms, terminal u) of one example."""
+    problem = example_problem(example_id, lam)
+    image, notes = _derive_transform(problem)
+    return problem, image, notes, invert_terms(image), sf.eval(problem.operator.terminal)
 
 
 def example_solution_fn(example_id: int, sf=None, lam: float = -0.5):
     """Solution formula evaluator without the residual audit (for plotting)."""
     if sf is None:
         sf = StaircaseFn()
-    problem = example_problem(example_id, lam)
-    image, _ = _derive_transform(problem)
-    terms = invert_terms(image)
-    ua = sf.eval(problem.operator.terminal)
+    _, _, _, terms, ua = _derived(example_id, sf, lam)
     return _terms_fn(terms, sf, ua)
+
+
+def _residuals(problem: ExampleProblem, terms, sf, ua: float, us, vals) -> np.ndarray:
+    """|operator(y) - lam y - rhs| / max(1, |lam y + rhs|) at each u, for y = the
+    terms with values vals on us; the operator acts on y in u, with no quantile."""
+    y = _terms_u(terms, ua)
+    out = np.empty(len(us))
+    for i, u in enumerate(us):
+        w = u - ua
+        rhs = problem.lam * vals[i] + sum(c * w ** float(eta) for c, eta in problem.rhs_terms)
+        out[i] = abs(evaluate_u(problem.operator, y, sf, u) - rhs) / max(1.0, abs(rhs))
+    return out
 
 
 def solve_example(
@@ -276,63 +283,35 @@ def solve_example(
     """Derive, evaluate, and residual-check one example problem."""
     if sf is None:
         sf = StaircaseFn()
-    problem = example_problem(example_id, lam)
-    if grid is None:
-        grid = default_grid(example_id, sf)
-    xs = list(grid)
-
-    image, notes = _derive_transform(problem)
-    terms = invert_terms(image)
-    ua = sf.eval(problem.operator.terminal)
-    solution_u = _terms_u(terms, ua)
-
-    def rhs_fn(u: float) -> float:
-        w = u - ua
-        return sum(c * w ** float(eta) for c, eta in problem.rhs_terms)
-
-    # The residual applies the operator to the solution formula in u, so the
-    # integrands never go through the quantile. The grid values are one call
-    # on a list, with the bits of the per-point calls.
+    problem, image, notes, terms, ua = _derived(example_id, sf, lam)
+    xs = list(grid if grid is not None else default_grid(example_id, sf))
+    # The grid values of each term set are one call on a list, with the bits
+    # of the per-point calls.
     xs_float = np.array([float(x) for x in xs])
     us = [sf.eval(x) for x in xs]
     ws = [u - ua for u in us]
     sol_vals = evaluate_inverse(terms, ws)
-    res_vals = np.empty_like(sol_vals)
-    for i, u in enumerate(us):
-        lhs = evaluate_u(problem.operator, solution_u, sf, u)
-        rhs = problem.lam * sol_vals[i] + rhs_fn(u)
-        res_vals[i] = abs(lhs - rhs) / max(1.0, abs(rhs))
     solution = GridFunction(xs_float, sol_vals)
-    residual = GridFunction(xs_float, res_vals)
+    res_vals = _residuals(problem, terms, sf, ua, us, sol_vals)
 
-    variant_terms_out, variant_note = _variant_terms(problem)
-    notes = notes + (variant_note,)
-    variant_u = _terms_u(variant_terms_out, ua)
-    var_vals = evaluate_inverse(variant_terms_out, ws)
-    variant_discrepancy = float(np.max(np.abs(var_vals - sol_vals)))
-    variant_max_residual = 0.0
-    for i, u in enumerate(us):
-        rhs = problem.lam * var_vals[i] + rhs_fn(u)
-        try:
-            lhs = evaluate_u(problem.operator, variant_u, sf, u)
-        except (ArithmeticError, ValueError, RuntimeError):
-            variant_max_residual = math.inf
-            break
-        variant_max_residual = max(
-            variant_max_residual, abs(lhs - rhs) / max(1.0, abs(rhs))
-        )
+    variant_terms, variant_note = _variant_terms(problem)
+    var_vals = evaluate_inverse(variant_terms, ws)
+    try:
+        variant_residuals = _residuals(problem, variant_terms, sf, ua, us, var_vals)
+        variant_max_residual = float(np.max(variant_residuals))
+    except (ArithmeticError, ValueError, RuntimeError):
+        variant_max_residual = math.inf
 
     return SolutionReport(
         problem=problem,
         solution=solution,
-        residual=residual,
+        residual=GridFunction(xs_float, res_vals),
         max_residual=float(np.max(res_vals)),
-        variant_discrepancy=variant_discrepancy,
+        variant_discrepancy=float(np.max(np.abs(var_vals - sol_vals))),
         variant_max_residual=variant_max_residual,
         transform=image,
         derived_terms=terms,
-        variant_terms=variant_terms_out,
-        notes=notes,
+        notes=notes + (variant_note,),
         solution_fn=_terms_fn(terms, sf, ua),
     )
 
@@ -340,11 +319,11 @@ def solve_example(
 def gap_plateau_spread(report: SolutionReport, gap=None, samples: int = 5) -> float:
     """Spread of the solution over a deleted-gap interval; 0 when constant.
 
-    Defaults to the central gap (1/3, 2/3), shifted into (4/3, 5/3) for the
-    problem whose domain starts at S = 1.
+    Defaults to the central gap (1/3, 2/3), shifted past the terminal: into
+    (4/3, 5/3) for the problem whose domain starts at S = 1.
     """
     if gap is None:
-        shift = 1 if report.problem.example_id == 2 else 0
+        shift = Fraction(report.problem.operator.terminal)
         gap = (Fraction(1, 3) + shift, Fraction(2, 3) + shift)
     lo, hi = Fraction(gap[0]), Fraction(gap[1])
     pts = [lo + (hi - lo) * Fraction(k + 1, samples + 1) for k in range(samples)]

@@ -126,11 +126,14 @@ def check_compositions() -> CheckResult:
     def f(x):
         return sf.eval(x) ** 2
 
+    # Below order 1 a Caputo kind composes on the RL kind's own remainder,
+    # with the same bits, so the Caputo kinds run above order 1.
     details = []
     worst = 0.0
     for kind in CompositionKind:
-        res = composition_residual(kind, f, 0.5, sf, (0.0, 1.0))
-        details.append(f"{kind.name.lower()}: {res:.3e}")
+        beta = 1.5 if kind in (CompositionKind.CAPUTO_LEFT, CompositionKind.CAPUTO_RIGHT) else 0.5
+        res = composition_residual(kind, f, beta, sf, (0.0, 1.0))
+        details.append(f"{kind.name.lower()}, order {beta}: {res:.3e}")
         worst = max(worst, res)
     return _result("composition-identities", worst, 2e-3, details)
 

@@ -162,6 +162,29 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["solve", "--example", "4", "--grid", "0.9", "0.1", "3"],
+         ["caputo", "--f", "1/(S(x)-0.5)", "--grid", "0.6", "1", "2"],
+         ["rl-int", "--f", "1/(S(x)-0.5)", "--grid", "0.6", "1", "2"]],
+    )
+    def test_descending_grid_and_non_finite_integrand_exit_1(self, argv):
+        # the grid check and the quadrature's non-finite check raise DomainError
+        code, out, err = run_cli(argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("link", ["-", "+", "2^"])
+    @pytest.mark.parametrize("n", [990, 1200, 6000])
+    def test_deep_nesting_is_a_usage_error(self, link, n):
+        # 990 links passed the walk and overflowed Python's stack in
+        # evaluation, 1,200 overflowed it in the walk, 6,000 in Python's parser
+        code, out, err = run_cli(["rl-int", f"--f={link * n}S(x)", "--grid", "0.5", "1", "2"])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_gamma_pole(self):
         code, _, _ = run_cli(["gamma", "--grid", "0", "0", "1"])
         assert code == 1
@@ -281,6 +304,21 @@ class TestGrammar:
     def test_rejects_what_the_grammar_lacks(self, text):
         with pytest.raises(ExprError):
             parse_expression(text)
+
+    @pytest.mark.parametrize("link", ["-", "+"])
+    def test_sign_chain_150_deep_evaluates(self, link):
+        sf = StaircaseFn()
+        x = sf.quantile_exact(Fraction(1, 4))
+        assert parse_expression(link * 150 + "S(x)")(x, sf) == 0.25
+        assert parse_expression(link * 151 + "S(x)")(x, sf) == (-0.25 if link == "-" else 0.25)
+
+    def test_power_chain_150_deep_evaluates(self):
+        # a tower of 2s leaves the float range by its sixth link; the chain
+        # is evaluated, link by link, up to that arithmetic failure
+        sf = StaircaseFn()
+        assert parse_expression("2^" * 4 + "S(x)")(1.0, sf) == 65536.0
+        with pytest.raises(OverflowError):
+            parse_expression("2^" * 150 + "S(x)")(1.0, sf)
 
     def test_complex_power_is_a_domain_error(self):
         expr = parse_expression("(x - 2)^0.5")

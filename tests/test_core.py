@@ -220,6 +220,12 @@ class TestGridFunction:
         with pytest.raises(ValueError):
             GridFunction(np.array([0.0, 1.0]), np.array([1.0, math.nan]))
 
+    def test_validation_raises_domain_error(self):
+        # the CLI reports a DomainError on one line; a bare ValueError escaped
+        # as a traceback
+        with pytest.raises(DomainError, match="strictly ascending"):
+            GridFunction(np.array([0.9, 0.5, 0.1]), np.array([1.0, 2.0, 3.0]))
+
     def test_length(self):
         gf = GridFunction(np.array([0.0, 1.0, 2.0]), np.array([1.0, -4.0, 2.0]))
         assert len(gf) == 3
@@ -431,6 +437,15 @@ class TestKernels:
     def test_tanh_sinh_rejects_non_finite_values(self):
         with pytest.raises(ValueError, match="non-finite"):
             quadrature.tanh_sinh(lambda u: np.where(u > 0.7, np.nan, u), 0.0, 1.0)
+
+    def test_non_finite_values_are_domain_errors(self):
+        g = lambda u: np.where(u > 0.7, np.nan, u)
+        mesh = quadrature.graded_mesh_two_sided(0.0, 1.0, 32)
+        for run in (lambda: quadrature.tanh_sinh(g, 0.0, 1.0),
+                    lambda: quadrature.gauss_composite(g, 0.0, 1.0),
+                    lambda: quadrature.product_integrate(g, mesh, -0.5)):
+            with pytest.raises(DomainError, match="non-finite"):
+                run()
 
 
 # -- the piecewise-quadratic product rule --------------------------------------

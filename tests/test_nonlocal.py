@@ -8,7 +8,7 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fractalcalc import (
@@ -331,6 +331,28 @@ class TestCompositions:
         with pytest.raises(DomainError):
             composition_residual(CompositionKind.RL_RIGHT, f, 1.5, sf, (0.0, 1.0))
 
+    @pytest.mark.parametrize("beta", [0.3, 0.5, 0.8])
+    @pytest.mark.parametrize(
+        "rl, caputo",
+        [(CompositionKind.RL_LEFT, CompositionKind.CAPUTO_LEFT),
+         (CompositionKind.RL_RIGHT, CompositionKind.CAPUTO_RIGHT)],
+    )
+    def test_caputo_below_order_one_is_the_rl_composition(self, sf, beta, rl, caputo):
+        # both compose on g - g(terminal), the remainder the Caputo
+        # derivative takes the RL derivative of
+        f = lambda t: math.exp(-sf.eval(t)) + sf.eval(t) ** 1.5
+        assert composition_residual(rl, f, beta, sf, (0.0, 1.0)) == composition_residual(
+            caputo, f, beta, sf, (0.0, 1.0)
+        )
+
+    @pytest.mark.parametrize("kind", [CompositionKind.CAPUTO_LEFT, CompositionKind.CAPUTO_RIGHT])
+    @pytest.mark.parametrize("beta", [1.3, 1.5])
+    def test_caputo_above_order_one_round_trip(self, sf, kind, beta):
+        # the remainder drops the Taylor head's slope as well; S^2 is 1 at the
+        # right terminal, where an RL kind above order 1 refuses it
+        f = lambda t: sf.eval(t) ** 2
+        assert composition_residual(kind, f, beta, sf, (0.0, 1.0)) < 1e-4
+
 
 # -- the finite-part product rule against independent oracles -----------------
 
@@ -431,11 +453,13 @@ class TestFinitePartRule:
         u=st.floats(min_value=0.2, max_value=1.0),
     )
     @settings(max_examples=100, deadline=None)
+    @example(kind=OperatorKind.RL_DERIVATIVE, beta=1.875, p=2.0, q=1.0, u=0.375)
     def test_linearity(self, sf, kind, beta, p, q, u):
         spec = OperatorSpec(kind, beta, 0.0)
         f, g = np.cos, (lambda v: v**2.5)
         both = evaluate_u(spec, lambda v: p * f(v) + q * g(v), sf, u)
         parts = p * evaluate_u(spec, f, sf, u) + q * evaluate_u(spec, g, sf, u)
         # exact but for rounding, which the finite-part weights next to the
-        # anchor amplify by up to about width^-beta
-        assert both == pytest.approx(parts, rel=1e-6, abs=1e-6)
+        # anchor amplify by up to about width^-beta, on values of size up to
+        # |p| + |q|: at the example the sides are 2.2e-6 apart
+        assert both == pytest.approx(parts, rel=1e-6, abs=1e-6 * (1.0 + abs(p) + abs(q)))
