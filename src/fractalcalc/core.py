@@ -5,9 +5,9 @@ real line pulls back to g(u) = f(quantile(u)), the staircase derivative of f
 is the ordinary u-derivative of g (and zero off the Cantor set), and the
 staircase integral of f is the ordinary integral of g over [S(a), S(b)].
 The quantile is fed to f as an exact rational so that the conjugation does
-not launder digits through a lossy float round trip.  An array of u has its
-quantiles taken in one batch; only the call of the opaque f stays per
-element.
+not launder digits through a lossy float round trip.  An integrand of u
+takes and returns float arrays, never bare floats (see `quadrature`); the
+array's quantiles are taken in one batch, and only f is called per element.
 """
 
 from __future__ import annotations
@@ -49,38 +49,36 @@ class GridFunction:
 class ConjugatedFn:
     """f seen in the staircase coordinate: evaluates f(quantile(u)).
 
-    An array of u takes its quantiles in one batch (``sf.quantiles_exact``),
-    and f, being opaque, is called once per element on that element's exact
-    quantile.  An integrand built on S(x), such as
-    ``lambda x: sf.eval(x) ** eta``, reads no staircase digits: the staircase
-    of the quantile's own result is known without them (see
+    A float array of u, its only argument, takes its quantiles in one batch
+    (``sf.quantiles_exact``), and f, being opaque, is called once per
+    element on that element's exact quantile.  An integrand built on S(x),
+    such as ``lambda x: sf.eval(x) ** eta``, reads no staircase digits: the
+    staircase of the quantile's own result is known without them (see
     :mod:`fractalcalc.staircase`).
     """
 
     underlying: object
     sf: StaircaseFn
 
-    def __call__(self, u):
+    def __call__(self, u: np.ndarray) -> np.ndarray:
         f = self.underlying
-        if isinstance(u, np.ndarray):
-            values = [float(f(x)) for x in self.sf.quantiles_exact(u.ravel())]
-            return np.array(values).reshape(u.shape)
-        return float(f(self.sf.quantile_exact(u)))
+        values = [float(f(x)) for x in self.sf.quantiles_exact(u.ravel())]
+        return np.array(values).reshape(u.shape)
 
 
 def difference(g, v: float, h: float, s: float) -> float:
     """Second-order first difference of g at v, step h.
 
-    s = 0 gives the central form; s = +1 or -1 the one-sided form reaching
-    forward or backward. The one-sided form multiplies each coefficient by
-    s, not their sum, so a stencil that cancels exactly gives +0.0 on
-    either side.
+    g is called once, on the stencil's points. s = 0 gives the central form;
+    s = +1 or -1 the one-sided form reaching forward or backward, which
+    multiplies each coefficient by s, not their sum, so a stencil that
+    cancels exactly gives +0.0 on either side.
     """
     if s == 0.0:
-        return (g(v + h) - g(v - h)) / (2.0 * h)
-    return (
-        -3.0 * s * g(v) + 4.0 * s * g(v + s * h) - s * g(v + 2.0 * s * h)
-    ) / (2.0 * h)
+        hi, lo = g(np.array([v + h, v - h])).tolist()
+        return (hi - lo) / (2.0 * h)
+    g0, g1, g2 = g(np.array([v, v + s * h, v + 2.0 * s * h])).tolist()
+    return (-3.0 * s * g0 + 4.0 * s * g1 - s * g2) / (2.0 * h)
 
 
 def f_alpha_derivative(f, sf, x, h: float = 1e-6) -> float:

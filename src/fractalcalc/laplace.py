@@ -220,21 +220,19 @@ class InverseTerm:
         return float(self.power), float(self.ml_eta), float(self.ml_nu)
 
     def evaluate_u(self, u):
-        """The term at u: a float, a float array, or a list whose powers are
-        taken one float at a time (numpy's can differ in the last bit)."""
+        """The term at u: a float array (an integrand, see `quadrature`), +-inf
+        (nan for a zero coeff) where a negative power meets 0; or a list,
+        whose powers are taken with Python's ** (numpy's can differ in the
+        last bit) and which raises DomainError there."""
         pw, eta, nu = self._float_exponents
         if isinstance(u, list):
-            at_terminal = 0.0 in u
+            if 0.0 in u and pw < 0.0:
+                raise DomainError("inverse term diverges at the terminal")
             power = lambda p: np.array([w**p for w in u])
-        elif np.ndim(u) == 0:
-            u = float(u)
-            at_terminal, power = u == 0.0, u.__pow__
         else:
-            u = np.asarray(u, dtype=float)
-            at_terminal, power = (u == 0.0).any(), u.__pow__
-        if at_terminal and pw < 0.0:
-            raise DomainError("inverse term diverges at the terminal")
-        base = self.coeff * power(pw)
+            power = np.asarray(u, dtype=float).__pow__
+        with np.errstate(divide="ignore", invalid="ignore"):
+            base = self.coeff * power(pw)
         if self.ml_eta is None:
             return base
         return base * mittag_leffler(eta, nu, self.lam * power(eta))
@@ -263,7 +261,7 @@ def invert_terms(expr: LaplaceExpr) -> tuple[InverseTerm, ...]:
 
 
 def evaluate_inverse(terms, u):
-    """Sum of the inverse terms at u (a float, a float array or a list)."""
+    """Sum of the inverse terms at u (a float array or a list of floats)."""
     return sum(t.evaluate_u(u) for t in terms)
 
 
@@ -282,7 +280,7 @@ def laplace_numeric(f, sf, sigma: float, tol: float = 1e-9) -> float:
         raise DomainError(f"transform needs sigma > 0, got {sigma!r}")
     g = ConjugatedFn(f, sf)
     upper = 36.0 / sigma + 4.0
-    g_end = abs(g(upper))
+    g_end = abs(g(np.array([upper]))[0])
     bound = 2.0 * g_end * math.exp(-sigma * upper) / sigma
     if not math.isfinite(bound) or bound > tol:
         raise TailBoundError(

@@ -19,14 +19,14 @@ power fits. The product rule has a single kernel anchor, the mesh's last
 node; a kernel singular at the lower end is reached by reflecting the
 integrand (see `nonlocal_ops`).
 
-Integrand protocol: an integrand g takes a float or a float ndarray of u and
-returns a float or an ndarray of the same shape. Gauss-Legendre evaluates
-the nodes of all its panels in one call, and product integration the whole
-mesh interior in one call; only the product rule's two endpoints call g on
-single floats. Tanh-sinh nests its levels: each finer level adds only its
-new odd nodes to the running sum, in one call per level. It calls g on
-single floats only to find where an overflowing side must stop. A
-non-finite value of g where a rule needs it raises DomainError.
+Integrand protocol: an integrand g takes a 1-D float ndarray of u and returns
+a float ndarray of the same shape; no kernel calls g on a bare float.
+Gauss-Legendre evaluates the nodes of all its panels in one call, and
+product integration its whole mesh in one call. Tanh-sinh nests its levels:
+each finer level adds only its new odd nodes to the running sum, in one
+call per level. It calls g on one-element arrays only to find where an
+overflowing side must stop. A non-finite value of g where a rule needs it
+raises DomainError.
 """
 
 from __future__ import annotations
@@ -132,12 +132,12 @@ def _ts_values(g, head: list, x_hi: np.ndarray, x_lo: np.ndarray):
             pass
         else:
             return np.split(vals, [len(head), len(head) + len(x_hi)])
-        out = [np.array([float(g(x)) for x in head])]
+        out = [np.array([g(np.array([x]))[0] for x in head])]
         for side in (x_hi, x_lo):
             v = []
-            for x in side.tolist():
+            for i in range(len(side)):
                 try:
-                    v.append(float(g(x)))
+                    v.append(g(side[i : i + 1])[0])
                 except (OverflowError, FloatingPointError):
                     break
             out.append(np.array(v))
@@ -387,27 +387,19 @@ def product_integrate(g, mesh: np.ndarray, mu: float) -> float:
     """f.p.∫ g(v) (X - v)^mu dv over the mesh span, with the anchor X = mesh[-1].
 
     g is interpolated quadratically on each pair of cells (see
-    `product_weights`). A non-finite g at the terminal mesh[0] (an
-    integrable blow-up at the very edge) is met by singularity subtraction:
-    the model c z^gamma + d, z = v - mesh[0], is fitted to g at three nodes
-    next to the terminal, the power's integral is taken exactly (a Beta
-    function), and the rule integrates g minus the power, which is d at the
-    terminal. When no such model fits, ConvergenceError is raised.
+    `product_weights`), called once on the whole mesh. A non-finite g at the
+    terminal mesh[0] (an integrable blow-up at the very edge) is met by
+    singularity subtraction: the model c z^gamma + d, z = v - mesh[0], is
+    fitted to g at three nodes next to the terminal, the power's integral is
+    taken exactly (a Beta function), and the rule integrates g minus the
+    power, which is d at the terminal. When no such model fits,
+    ConvergenceError is raised.
     """
     weights = _mesh_weights(mesh, mu)
-
-    def _endpoint(v: float) -> float:
-        # A blow-up at the very edge shows up as inf/nan or as a raised
-        # arithmetic error; both call for the terminal treatment.
-        try:
-            return float(g(v))
-        except (ArithmeticError, ValueError):
-            return math.nan
-
-    vals = np.empty(len(mesh), dtype=float)
-    vals[0] = _endpoint(mesh[0])
-    vals[-1] = _endpoint(mesh[-1])
-    vals[1:-1] = g(mesh[1:-1])
+    try:
+        vals = np.asarray(g(mesh), dtype=float)
+    except (ArithmeticError, ValueError):  # a terminal blow-up may raise, not return inf
+        vals = np.concatenate(([math.nan], g(mesh[1:])))
     head = 0.0
     if not math.isfinite(vals[0]):
         z = mesh - mesh[0]
@@ -416,8 +408,8 @@ def product_integrate(g, mesh: np.ndarray, mu: float) -> float:
             raise ConvergenceError(
                 "no integrable power c z^gamma + d fits the blow-up at the terminal"
             )
-        c, gamma, vals[0] = fit
-        vals[1:] -= c * z[1:] ** gamma
+        c, gamma, d = fit
+        vals = np.concatenate(([d], vals[1:] - c * z[1:] ** gamma))
         # f.p.∫_0^span z^gamma (span - z)^mu dz = span^(s - 1) B(gamma + 1, mu + 1)
         s = gamma + mu + 2.0
         if s > 0.0 or s != math.floor(s):

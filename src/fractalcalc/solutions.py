@@ -237,14 +237,9 @@ def default_grid(example_id: int, sf, count: int = 25):
     return [sf.quantile_exact(u) for u in us]
 
 
-def _terms_u(terms, ua: float):
-    """The inverse terms as an integrand of u: no quantile, and arrays of u."""
-    return lambda u: evaluate_inverse(terms, u - ua)
-
-
 def _terms_fn(terms, sf, ua: float):
-    g = _terms_u(terms, ua)
-    return lambda x: g(sf.eval(x))
+    # the list form: Python's **, so the bits of the grid values
+    return lambda x: float(evaluate_inverse(terms, [sf.eval(x) - ua])[0])
 
 
 def _derived(example_id: int, sf, lam: float):
@@ -265,7 +260,7 @@ def example_solution_fn(example_id: int, sf=None, lam: float = -0.5):
 def _residuals(problem: ExampleProblem, terms, sf, ua: float, us, vals) -> np.ndarray:
     """|operator(y) - lam y - rhs| / max(1, |lam y + rhs|) at each u, for y = the
     terms with values vals on us; the operator acts on y in u, with no quantile."""
-    y = _terms_u(terms, ua)
+    y = lambda u: evaluate_inverse(terms, u - ua)
     out = np.empty(len(us))
     for i, u in enumerate(us):
         w = u - ua

@@ -135,7 +135,7 @@ def check_compositions() -> CheckResult:
         res = composition_residual(kind, f, beta, sf, (0.0, 1.0))
         details.append(f"{kind.name.lower()}, order {beta}: {res:.3e}")
         worst = max(worst, res)
-    return _result("composition-identities", worst, 2e-3, details)
+    return _result("composition-identities", worst, 6e-6, details)
 
 
 def check_laplace_rules() -> CheckResult:

@@ -149,13 +149,14 @@ class TestConjugate:
     def test_pulls_back_through_quantile(self, sf):
         g = ConjugatedFn(lambda x: float(x), sf)
         assert isinstance(g, ConjugatedFn)
-        assert g(Fraction(1, 2)) == pytest.approx(2.0 / 3.0, abs=1e-15)
-        assert g(0.0) == 0.0
-        assert g(1.0) == 1.0
+        half, zero, one = g(np.array([0.5, 0.0, 1.0]))
+        assert half == pytest.approx(2.0 / 3.0, abs=1e-15)
+        assert zero == 0.0
+        assert one == 1.0
 
     def test_round_trip_on_staircase_values(self, sf):
         g = ConjugatedFn(lambda x: float(sf.eval_exact(x)) ** 2, sf)
-        assert g(Fraction(1, 4)) == pytest.approx(1.0 / 16.0, abs=1e-12)
+        assert g(np.array([0.25]))[0] == pytest.approx(1.0 / 16.0, abs=1e-12)
 
     def test_staircase_integrand_reads_no_digits(self, sf, monkeypatch):
         digits, quantiles = [], []
@@ -190,20 +191,22 @@ class TestConjugate:
         assert seen == [float] * 6
 
     def test_array_call_is_the_elementwise_call(self, sf):
-        g = ConjugatedFn(lambda x: math.sin(float(x)), sf)
+        # each element is f at the scalar quantile of that element
+        f = lambda x: math.sin(float(x))
         u = np.array([[0.0, 0.1, 0.5], [0.75, 1.0, 1.9]])
-        got = g(u)
+        got = ConjugatedFn(f, sf)(u)
         assert got.shape == u.shape
         for v, value in zip(u.flat, got.flat):
-            assert _same_bits(value, g(float(v)))
+            assert _same_bits(value, f(sf.quantile_exact(float(v))))
 
     def test_refused_element_after_the_calls_before_it(self, sf):
         # f sees the elements before a refused one, then the scalar error rises
         seen = []
-        g = ConjugatedFn(lambda x: seen.append(x) or 0.0, sf)
+        f = lambda x: seen.append(x) or 0.0
+        g = ConjugatedFn(f, sf)
         u = np.array([0.25, 1.5, math.nan, 0.5])
         with pytest.raises(DomainError) as scalar:
-            [g(v) for v in u.tolist()]
+            [f(sf.quantile_exact(v)) for v in u.tolist()]
         scalar_seen, seen[:] = list(seen), []
         with pytest.raises(DomainError) as batched:
             g(u)
@@ -262,6 +265,11 @@ def _same_bits(got, want, zero_sign_may_differ=False):
     return struct.pack("<d", got) == struct.pack("<d", want)
 
 
+def _on_arrays(fn):
+    """The array integrand that applies the scalar fn to each element."""
+    return lambda w: np.array([fn(x) for x in w.tolist()])
+
+
 coefficients = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
 
 
@@ -274,20 +282,23 @@ class TestDifferenceStencil:
     )
     @settings(max_examples=400, deadline=None)
     def test_matches_the_replaced_copies(self, c, k, v, h):
+        # the references call the scalar g point by point; difference calls
+        # the same g on each element of its stencil array
         def g(w):
             return c[0] + c[1] * w + c[2] * math.sin(k * w) + c[3] * math.exp(-w * w)
 
+        arr = _on_arrays(g)
         for s in (1.0, -1.0):
             assert _same_bits(
-                difference(g, v, h, s), _ref_forward_diff(g, v, h, s), zero_sign_may_differ=s < 0
+                difference(arr, v, h, s), _ref_forward_diff(g, v, h, s), zero_sign_may_differ=s < 0
             )
-        assert _same_bits(difference(g, v, h, 0.0), _ref_central_diff(g, v, h))
+        assert _same_bits(difference(arr, v, h, 0.0), _ref_central_diff(g, v, h))
         for s in (1.0, -1.0, 0.0):
-            assert _same_bits(difference(g, v, h, s), _ref_core(g, v, h, s))
+            assert _same_bits(difference(arr, v, h, s), _ref_core(g, v, h, s))
 
     def test_exact_cancellation_gives_positive_zero(self):
         def g(w):
-            return 2.5
+            return np.full_like(w, 2.5)
 
         for s in (1.0, -1.0, 0.0):
             assert _same_bits(difference(g, 0.5, 1e-3, s), 0.0)
@@ -313,16 +324,13 @@ def _ref_gauss_composite(g, lo, hi, nodes=64):
     edges = quadrature._panel_edges(lo, hi)
     for a, b in zip(edges[:-1], edges[1:]):
         c, m = 0.5 * (b - a), 0.5 * (a + b)
-        vals = np.array([g(m + c * t) for t in xg], dtype=float)
+        vals = np.array([g(np.array([m + c * t]))[0] for t in xg], dtype=float)
         total += c * float(wg @ vals)
     return total
 
 
 def _ref_product_integrate(g, mesh, mu):
-    vals = np.empty(len(mesh), dtype=float)
-    vals[0] = float(g(mesh[0]))
-    vals[-1] = float(g(mesh[-1]))
-    vals[1:-1] = [g(v) for v in mesh[1:-1]]
+    vals = np.array([g(mesh[i : i + 1])[0] for i in range(len(mesh))])
     return float((quadrature._mesh_weights(mesh, mu) * vals).sum())
 
 
@@ -341,16 +349,36 @@ class TestWholeMeshQuadrature:
             got = quadrature.product_integrate(g, mesh, mu)
             assert _same_bits(got, _ref_product_integrate(g, mesh, mu))
 
-    def test_product_integrate_calls_the_interior_once(self):
-        shapes = []
+    def test_product_integrate_calls_g_once_on_the_whole_mesh(self):
+        calls = []
 
         def g(u):
-            shapes.append(np.shape(u))
+            calls.append(u.copy())
             return np.cos(u)
 
         mesh = quadrature.graded_mesh_two_sided(0.0, 1.0, 40)
         quadrature.product_integrate(g, mesh, -0.5)
-        assert sorted(shapes) == [(), (), (len(mesh) - 2,)]
+        assert len(calls) == 1 and np.array_equal(calls[0], mesh)
+
+    def test_a_terminal_that_raises_is_a_nan_terminal(self):
+        # v^-1/2 + 1 blows up at the terminal v = 0: one g raises there, the
+        # other returns nan; both get the fitted power, with the same bits
+        calls = []
+
+        def raising(u):
+            calls.append(len(u))
+            if u[0] == 0.0:
+                raise ZeroDivisionError("float division by zero")
+            return 1.0 / np.sqrt(u) + 1.0
+
+        def nan_at_terminal(u):
+            with np.errstate(divide="ignore"):
+                return np.where(u == 0.0, np.nan, 1.0 / np.sqrt(u) + 1.0)
+
+        mesh = quadrature.graded_mesh_two_sided(0.0, 0.6, 120)
+        got = quadrature.product_integrate(raising, mesh, -0.5)
+        assert calls == [len(mesh), len(mesh) - 1]
+        assert _same_bits(got, quadrature.product_integrate(nan_at_terminal, mesh, -0.5))
 
 
 # -- the Gauss-Legendre and tanh-sinh kernels ------------------------------------
@@ -415,7 +443,8 @@ class TestKernels:
         # mass it leaves behind, e^(-1/u) u^-3, is nil
         g = _Counted(lambda u: np.exp(-1.0 / u) * u**-3.0)
         assert quadrature.tanh_sinh(g, 0.0, 1.0) == pytest.approx(2.0 / math.e, rel=1e-14)
-        assert () in g.shapes
+        # the side is walked on one-element arrays, never on bare floats
+        assert (1,) in g.shapes and all(len(shape) == 1 for shape in g.shapes)
 
     def test_tanh_sinh_refuses_to_drop_mass_at_an_overflow(self):
         # u^-0.999 overflows where a third of its integral, 1000, is still ahead

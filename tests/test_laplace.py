@@ -1,6 +1,7 @@
 """Symbolic transform algebra, rule slots, inversion and numerics."""
 
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -182,11 +183,13 @@ class TestResolventAndInversion:
             invert_terms(unknown_transform())
 
     def test_evaluate_inverse_at_zero(self):
+        # the list form, which solution values and figures use
         const = invert_terms(transform_power(0).scaled(2.0))
-        assert evaluate_inverse(const, 0.0) == pytest.approx(2.0)
+        assert evaluate_inverse(const, [0.0])[0] == pytest.approx(2.0)
+        assert evaluate_inverse(const, np.array([0.0]))[0] == pytest.approx(2.0)
         singular = invert_terms(LaplaceExpr.of(LaplaceTerm(1.0, Fraction(-1, 2))))
         with pytest.raises(DomainError):
-            evaluate_inverse(singular, 0.0)
+            evaluate_inverse(singular, [0.0])
 
     def test_inverse_of_a_power_image(self):
         terms = invert_terms(transform_power(2))
@@ -220,9 +223,16 @@ class TestResolventAndInversion:
                 assert np.array_equal(t.evaluate_u(u), want)
 
     def test_evaluate_inverse_array_at_zero(self):
+        # an integrand array is +-inf where a negative power meets 0 (nan for
+        # a zero coefficient), without a warning, and finite elsewhere
         singular = invert_terms(LaplaceExpr.of(LaplaceTerm(1.0, Fraction(-1, 2))))
-        with pytest.raises(DomainError):
-            evaluate_inverse(singular, np.array([0.5, 0.0]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for scale, want in ((1.0, math.inf), (-1.0, -math.inf), (0.0, math.nan)):
+                terms = invert_terms(LaplaceExpr.of(LaplaceTerm(scale, Fraction(-1, 2))))
+                got = evaluate_inverse(terms, np.array([0.5, 0.0]))
+                assert got[0] == pytest.approx(scale / math.sqrt(0.5 * math.pi))
+                assert got[1] == want or (math.isnan(want) and math.isnan(got[1]))
         assert np.isfinite(evaluate_inverse(singular, np.array([0.5, 1e-300]))).all()
 
 

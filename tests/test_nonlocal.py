@@ -245,6 +245,15 @@ class TestOperatorBasics:
         got = caputo_derivative(spec, lambda t: 4.2, sf, sf.quantile_exact(Fraction(1, 2)))
         assert got == pytest.approx(0.0, abs=1e-8)
 
+    @pytest.mark.parametrize("beta", [0.5, 1.5])
+    def test_caputo_refuses_a_non_finite_terminal_value(self, sf, beta):
+        # u^-1/2 is inf at the terminal, so the Taylor head has no value there
+        # (its remainder would be inf - inf on the whole mesh)
+        spec = OperatorSpec(OperatorKind.CAPUTO, beta, 0.0)
+        with np.errstate(divide="ignore"):
+            with pytest.raises(DomainError, match="at the terminal"):
+                evaluate_u(spec, lambda u: 1.0 / np.sqrt(u), sf, 0.5)
+
     def test_smooth_paths_do_not_warn(self, sf, ident):
         # no warning of any kind, on both maps, for every kind and both n
         with warnings.catch_warnings():
@@ -344,6 +353,13 @@ class TestCompositions:
         assert composition_residual(rl, f, beta, sf, (0.0, 1.0)) == composition_residual(
             caputo, f, beta, sf, (0.0, 1.0)
         )
+
+    def test_inner_derivative_singular_at_the_terminal(self, sf):
+        # D^1.5 (S^1.5 + S) = Gamma(2.5) + u^-1/2 / Gamma(1/2) is singular at
+        # the terminal; integrating a linear interpolant of its samples read
+        # 1.25e-2, the product rule on the samples' own mesh 1.5e-5
+        f = lambda t: sf.eval(t) ** 1.5 + sf.eval(t)
+        assert composition_residual(CompositionKind.RL_LEFT, f, 1.5, sf, (0.0, 1.0)) < 1e-4
 
     @pytest.mark.parametrize("kind", [CompositionKind.CAPUTO_LEFT, CompositionKind.CAPUTO_RIGHT])
     @pytest.mark.parametrize("beta", [1.3, 1.5])
