@@ -221,21 +221,23 @@ class InverseTerm:
 
     def evaluate_u(self, u):
         """The term at u: a float array (an integrand, see `quadrature`), +-inf
-        (nan for a zero coeff) where a negative power meets 0; or a list,
-        whose powers are taken with Python's ** (numpy's can differ in the
-        last bit) and which raises DomainError there."""
+        (nan for a zero coeff) where a negative power meets 0; or a list, one
+        float at a time with Python's ** (numpy's can differ in the last bit)
+        and the scalar Mittag-Leffler, raising DomainError there."""
         pw, eta, nu = self._float_exponents
         if isinstance(u, list):
             if 0.0 in u and pw < 0.0:
                 raise DomainError("inverse term diverges at the terminal")
             power = lambda p: np.array([w**p for w in u])
+            ml = lambda z: np.array([mittag_leffler(eta, nu, v) for v in z.tolist()])
         else:
             power = np.asarray(u, dtype=float).__pow__
+            ml = lambda z: mittag_leffler(eta, nu, z)
         with np.errstate(divide="ignore", invalid="ignore"):
             base = self.coeff * power(pw)
         if self.ml_eta is None:
             return base
-        return base * mittag_leffler(eta, nu, self.lam * power(eta))
+        return base * ml(self.lam * power(eta))
 
 
 def invert_terms(expr: LaplaceExpr) -> tuple[InverseTerm, ...]:
