@@ -35,7 +35,6 @@ from .special import (
     rgamma,
 )
 from .nonlocal_ops import (
-    CompositionKind,
     OperatorKind,
     OperatorSpec,
     Side,
@@ -79,7 +78,6 @@ __version__ = "0.1.0"
 __all__ = [
     "CantorSpec",
     "CheckResult",
-    "CompositionKind",
     "ConjugatedFn",
     "ConvergenceError",
     "DomainError",

@@ -167,6 +167,7 @@ def run(args: argparse.Namespace) -> int:
         return 0
 
     xs = _grid_points(args)
+    tol = {} if args.tol is None else {"tol": args.tol}  # else the library's default
 
     if args.command == "staircase":
         sf = _staircase_for(args)
@@ -194,8 +195,7 @@ def run(args: argparse.Namespace) -> int:
         return 0
 
     if args.command == "ml":
-        tol = args.tol if args.tol is not None else 1e-15
-        rows = zip(xs, mittag_leffler(args.eta, args.nu, xs, tol=tol))
+        rows = zip(xs, mittag_leffler(args.eta, args.nu, xs, **tol))
         _emit(
             args,
             ("x", "value"),
@@ -213,8 +213,7 @@ def run(args: argparse.Namespace) -> int:
     if args.command == "laplace":
         default = "x" if args.alpha_mode == "identity" else "S(x)"
         fn, sf, _ = _parsed_function(args, default)
-        tol = args.tol if args.tol is not None else 1e-9
-        rows = [(s, laplace_numeric(fn, sf, s, tol=tol)) for s in xs]
+        rows = [(s, laplace_numeric(fn, sf, s, **tol)) for s in xs]
         _emit(args, ("x", "value"), rows, "transform (x = sigma)")
         return 0
 

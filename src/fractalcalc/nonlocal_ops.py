@@ -23,11 +23,14 @@ one batch and then calls the opaque f once per node. An integrand known in
 closed form in u, such as a solution built from staircase powers, skips the
 quantile altogether.
 
-Right-sided operators are the left-sided ones conjugated by the reflection
-t -> -t: the right operator at u with terminal ua, acting on g, is the left
-operator at -u with terminal -ua, acting on t -> g(-t). Because -d/du is
-d/dt, derivatives need no (-1)^n factor. `evaluate_u` and
-`composition_residual` reflect once; every helper below them is left-sided.
+An `OperatorSpec` (kind, order, terminal, side) describes every operator,
+including the derivative whose composition identity `composition_residual`
+checks. Right-sided operators are the left-sided ones conjugated by the
+reflection t -> -t: the right operator at u with terminal ua, acting on g,
+is the left operator at -u with terminal -ua, acting on t -> g(-t). Because
+-d/du is d/dt, derivatives need no (-1)^n factor. `_left_sided` does that
+reflection and the terminal checks for both `evaluate_u` and
+`composition_residual`; every helper below them is left-sided.
 Derivative orders go up to 2 (n = ceil(beta) is 1 or 2): the quadratic
 rule needs -beta - 1 > -3, and the Caputo Taylor head is then at most
 linear, its slope from the first difference of `core.difference`.
@@ -99,9 +102,20 @@ def _node_count(spec: OperatorSpec, span: float) -> int:
     return min(4096, max(32, int(math.ceil(spec.nodes_per_unit * span))))
 
 
-def _reflected(g):
-    """t -> g(-t), which carries a right-sided problem to a left-sided one."""
-    return lambda t: g(-t)
+def _left_sided(spec: OperatorSpec, g, sf, u: float):
+    """(g, ua, u) of the left-sided problem equal to spec's problem at u.
+
+    ua = S(spec.terminal). A right-sided spec is reflected: t -> g(-t), -ua
+    and -u. A u on the wrong side of the terminal raises DomainError.
+    """
+    ua = sf.eval(spec.terminal)
+    if spec.side is Side.RIGHT:
+        if u > ua:
+            raise DomainError("evaluation point follows the right terminal")
+        return (lambda t: g(-t)), -ua, -u
+    if u < ua:
+        raise DomainError("evaluation point precedes the left terminal")
+    return g, ua, u
 
 
 def _rl_u(g, spec: OperatorSpec, ua: float, order: float, u: float) -> float:
@@ -155,15 +169,10 @@ def evaluate_u(spec: OperatorSpec, g, sf, u: float) -> float:
     g follows the integrand protocol (a 1-D float array of u in, never a
     bare float, the same shape out); sf only locates the terminal, at u =
     S(spec.terminal).
-    A right-sided spec is evaluated as the left operator at -u of t -> g(-t).
+    A right-sided spec is evaluated as the left operator at -u of t -> g(-t)
+    (see `_left_sided`).
     """
-    ua = sf.eval(spec.terminal)
-    if spec.side is Side.RIGHT:
-        if u > ua:
-            raise DomainError("evaluation point follows the right terminal")
-        g, ua, u = _reflected(g), -ua, -u
-    elif u < ua:
-        raise DomainError("evaluation point precedes the left terminal")
+    g, ua, u = _left_sided(spec, g, sf, u)
     if spec.kind is OperatorKind.RL_INTEGRAL:
         return _rl_u(g, spec, ua, spec.beta, u)
     if spec.kind is OperatorKind.RL_DERIVATIVE:
@@ -224,29 +233,20 @@ def power_rule_derivative(beta: float, eta: float, sf, a, x) -> float:
     return math.gamma(eta + 1.0) * r * du ** (eta - beta)
 
 
-class CompositionKind(enum.Enum):
-    RL_LEFT = "rl-left"
-    RL_RIGHT = "rl-right"
-    CAPUTO_LEFT = "caputo-left"
-    CAPUTO_RIGHT = "caputo-right"
+def composition_residual(spec: OperatorSpec, f, sf, end) -> float:
+    """Max defect of integral-after-derivative against its identity, over
+    the interval from spec.terminal to end.
 
-
-def composition_residual(
-    kind: CompositionKind,
-    f,
-    beta: float,
-    sf,
-    interval: tuple[float, float],
-) -> float:
-    """Max defect of integral-after-derivative against its identity.
-
-    A right-sided kind reflects g and the interval first. Every kind composes
+    spec is the derivative (RL_DERIVATIVE or CAPUTO) with its order,
+    terminal and side; end lies after a left terminal or before a right
+    one, and the interval needs positive staircase measure, else DomainError.
+    A right-sided spec is reflected as in `evaluate_u`. Every kind composes
     on the Taylor remainder r = g - c0 - c1 (u - ua) that `_caputo_u` takes
     the RL derivative of, and the RL integral of that derivative should give
-    r back. An RL kind of order above 1 needs g(terminal) = 0 (so r = g),
-    else the g(terminal) w^(-beta) head of its derivative is not integrable
-    and it raises DomainError; its identity keeps one boundary term,
-    [D^(beta - 1) g] one probe past the terminal times w^(beta - 1) /
+    r back. An RL derivative of order above 1 needs g(terminal) = 0 (so
+    r = g), else the g(terminal) w^(-beta) head of its derivative is not
+    integrable and it raises DomainError; its identity keeps one boundary
+    term, [D^(beta - 1) g] one probe past the terminal times w^(beta - 1) /
     Gamma(beta). Every other term is the integral of a bounded function over
     a vanishing interval, 0.
 
@@ -257,19 +257,14 @@ def composition_residual(
     integral is the product rule on that mesh, the terminal holding the
     first sample.
     """
-    a, b = float(interval[0]), float(interval[1])
-    left = kind in (CompositionKind.RL_LEFT, CompositionKind.CAPUTO_LEFT)
-    caputo = kind in (CompositionKind.CAPUTO_LEFT, CompositionKind.CAPUTO_RIGHT)
-    kind_op = OperatorKind.CAPUTO if caputo else OperatorKind.RL_DERIVATIVE
-    spec = OperatorSpec(kind_op, beta, terminal=a if left else b)
-    g = ConjugatedFn(f, sf)
-    ua, ub = sf.eval(a), sf.eval(b)
+    if spec.kind is OperatorKind.RL_INTEGRAL:
+        raise DomainError("composition identities take a derivative spec, got rl-integral")
+    beta = spec.beta
+    g, ua, ub = _left_sided(spec, ConjugatedFn(f, sf), sf, sf.eval(end))
     if not ub > ua:
         raise DomainError("interval has empty staircase measure")
-    if not left:
-        g, ua, ub = _reflected(g), -ub, -ua
     c0, c1 = _taylor_head(g, spec, ua)
-    rl_above_one = not caputo and spec.n == 2
+    rl_above_one = spec.kind is OperatorKind.RL_DERIVATIVE and spec.n == 2
     if rl_above_one and c0 != 0.0:
         raise DomainError(
             "RL composition of order above 1 needs f to vanish at the terminal, "

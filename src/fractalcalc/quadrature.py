@@ -26,7 +26,8 @@ product integration its whole mesh in one call. Tanh-sinh nests its levels:
 each finer level adds only its new odd nodes to the running sum, in one
 call per level. It calls g on one-element arrays only to find where an
 overflowing side must stop. A non-finite value of g where a rule needs it
-raises DomainError.
+raises DomainError, and so does a product-rule g that raises past the
+terminal.
 """
 
 from __future__ import annotations
@@ -393,13 +394,17 @@ def product_integrate(g, mesh: np.ndarray, mu: float) -> float:
     fitted to g at three nodes next to the terminal, the power's integral is
     taken exactly (a Beta function), and the rule integrates g minus the
     power, which is d at the terminal. When no such model fits,
-    ConvergenceError is raised.
+    ConvergenceError is raised; when g also raises past the terminal,
+    DomainError, chained from g's exception.
     """
     weights = _mesh_weights(mesh, mu)
     try:
         vals = np.asarray(g(mesh), dtype=float)
     except (ArithmeticError, ValueError):  # a terminal blow-up may raise, not return inf
-        vals = np.concatenate(([math.nan], g(mesh[1:])))
+        try:
+            vals = np.concatenate(([math.nan], g(mesh[1:])))
+        except (ArithmeticError, ValueError) as exc:
+            raise DomainError(f"integrand raised on the mesh past the terminal: {exc}") from exc
     head = 0.0
     if not math.isfinite(vals[0]):
         z = mesh - mesh[0]

@@ -27,6 +27,7 @@ from .laplace import (
     InverseTerm,
     LaplaceExpr,
     LaplaceTerm,
+    _as_power,
     _slot_orders,
     evaluate_inverse,
     invert_terms,
@@ -43,7 +44,8 @@ from .staircase import StaircaseFn
 
 @dataclass(frozen=True)
 class InitialDatum:
-    """One supplied terminal datum: operator order, terminal point, value.
+    """One supplied datum at the governing operator's terminal: operator
+    order and value.
 
     Integer orders are iterated staircase derivatives; fractional orders are
     RL operators (negative = integral). Whether a datum fits a slot of the
@@ -52,7 +54,6 @@ class InitialDatum:
     """
 
     order: Fraction
-    terminal: float
     value: float
 
 
@@ -62,7 +63,6 @@ class ExampleProblem:
 
     example_id: int
     operator: OperatorSpec
-    order: Fraction
     rhs_terms: tuple[tuple[float, Fraction], ...]
     initial_data: tuple[InitialDatum, ...]
     lam: float
@@ -84,36 +84,30 @@ class SolutionReport:
     solution_fn: object
 
 
-_HALF = Fraction(1, 2)
-
-
 def example_problem(example_id: int, lam: float = -0.5) -> ExampleProblem:
     """The four fixed problems; lam only parameterizes the fourth."""
     if example_id == 1:
         return ExampleProblem(
             1,
             OperatorSpec(OperatorKind.CAPUTO, 0.5, terminal=0.0),
-            _HALF,
             ((2.0, Fraction(0)),),
-            (InitialDatum(Fraction(1), 0.0, 1.0),),
+            (InitialDatum(Fraction(1), 1.0),),
             0.0,
         )
     if example_id == 2:
         return ExampleProblem(
             2,
             OperatorSpec(OperatorKind.CAPUTO, 0.5, terminal=1.0),
-            _HALF,
             ((-1.0, Fraction(1)),),
-            (InitialDatum(Fraction(1), 1.0, 0.0),),
+            (InitialDatum(Fraction(1), 0.0),),
             0.0,
         )
     if example_id == 3:
         return ExampleProblem(
             3,
             OperatorSpec(OperatorKind.RL_DERIVATIVE, 0.5, terminal=0.0),
-            _HALF,
             (),
-            (InitialDatum(Fraction(-1, 2), 0.0, 1.0),),
+            (InitialDatum(Fraction(-1, 2), 1.0),),
             1.0,
         )
     if example_id == 4:
@@ -122,11 +116,10 @@ def example_problem(example_id: int, lam: float = -0.5) -> ExampleProblem:
         return ExampleProblem(
             4,
             OperatorSpec(OperatorKind.RL_DERIVATIVE, 4.0 / 3.0, terminal=0.0),
-            Fraction(4, 3),
             ((1.0, Fraction(2)),),
             (
-                InitialDatum(Fraction(1, 3), 0.0, 1.0),
-                InitialDatum(Fraction(-1, 6), 0.0, 2.0),
+                InitialDatum(Fraction(1, 3), 1.0),
+                InitialDatum(Fraction(-1, 6), 2.0),
             ),
             lam,
         )
@@ -164,9 +157,10 @@ def _derive_transform(problem: ExampleProblem) -> tuple[LaplaceExpr, tuple[str, 
     a Caputo problem fits, the first one's value is taken as the terminal
     value of y, the rule's first slot. A datum that fits no slot otherwise
     is left out, and a zero-coefficient term keeps its place at
-    sigma^(beta - 1 - order).
+    sigma^(beta - 1 - order). The exact order beta is the operator's, read
+    through the algebra's own float-to-Fraction rule.
     """
-    beta = problem.order
+    beta = _as_power(problem.operator.beta)
     caputo = problem.operator.kind is OperatorKind.CAPUTO
     rule = transform_caputo if caputo else transform_rl_derivative
     slots = _slot_orders(rule, beta)
@@ -210,7 +204,7 @@ def _variant_terms(problem: ExampleProblem) -> tuple[tuple[InverseTerm, ...], st
             "the variant closed form matches the derived solution exactly"
         )
     if problem.example_id == 3:
-        return (InverseTerm(1.0, Fraction(-1, 2), _HALF, _HALF, -1.0),), (
+        return (InverseTerm(1.0, Fraction(-1, 2), Fraction(1, 2), Fraction(1, 2), -1.0),), (
             "the transform algebra fixes a positive Mittag-Leffler argument; "
             "the sign-flipped variant fails the residual check"
         )

@@ -20,9 +20,9 @@ from fractions import Fraction
 from . import classical
 from .laplace import laplace_numeric, transform_power, transform_rl_integral
 from .nonlocal_ops import (
-    CompositionKind,
     OperatorKind,
     OperatorSpec,
+    Side,
     caputo_derivative,
     composition_residual,
     evaluate_u,
@@ -130,11 +130,11 @@ def check_compositions() -> CheckResult:
     # with the same bits, so the Caputo kinds run above order 1.
     details = []
     worst = 0.0
-    for kind in CompositionKind:
-        beta = 1.5 if kind in (CompositionKind.CAPUTO_LEFT, CompositionKind.CAPUTO_RIGHT) else 0.5
-        res = composition_residual(kind, f, beta, sf, (0.0, 1.0))
-        details.append(f"{kind.name.lower()}, order {beta}: {res:.3e}")
-        worst = max(worst, res)
+    for name, kind, beta in (("rl", OperatorKind.RL_DERIVATIVE, 0.5), ("caputo", OperatorKind.CAPUTO, 1.5)):
+        for side, terminal, end in ((Side.LEFT, 0.0, 1.0), (Side.RIGHT, 1.0, 0.0)):
+            res = composition_residual(OperatorSpec(kind, beta, terminal, side), f, sf, end)
+            details.append(f"{name}_{side.value}, order {beta}: {res:.3e}")
+            worst = max(worst, res)
     return _result("composition-identities", worst, 6e-6, details)
 
 

@@ -169,11 +169,15 @@ class TestExitCodes:
          ["rl-int", "--f", "1/(S(x)-0.5)", "--grid", "0.6", "1", "2"]],
     )
     def test_descending_grid_and_non_finite_integrand_exit_1(self, argv):
-        # the grid check and the quadrature's non-finite check raise DomainError
+        # the grid check raises DomainError, and so does the quadrature when
+        # the integrand divides by zero on the mesh past the terminal
         code, out, err = run_cli(argv)
         assert code == 1
         assert out == ""
-        assert err.startswith("error: ") and err.count("\n") == 1
+        if argv[0] == "solve":
+            assert err == "error: grid must be strictly ascending\n"
+        else:
+            assert err == "error: integrand raised on the mesh past the terminal: float division by zero\n"
 
     @pytest.mark.parametrize("link", ["-", "+", "2^"])
     @pytest.mark.parametrize("n", [990, 1200, 6000])

@@ -380,6 +380,23 @@ class TestWholeMeshQuadrature:
         assert calls == [len(mesh), len(mesh) - 1]
         assert _same_bits(got, quadrature.product_integrate(nan_at_terminal, mesh, -0.5))
 
+    def test_an_interior_raise_is_a_domain_error(self):
+        # g divides by zero at an interior node: the whole mesh and the mesh
+        # past the terminal both raise, and the second error is the cause
+        calls = []
+
+        def g(u):
+            calls.append(len(u))
+            if ((u > 0.4) & (u < 0.6)).any():
+                raise ZeroDivisionError("float division by zero")
+            return np.cos(u)
+
+        mesh = quadrature.graded_mesh_two_sided(0.0, 1.0, 40)
+        with pytest.raises(DomainError, match="past the terminal: float division by zero") as info:
+            quadrature.product_integrate(g, mesh, -0.5)
+        assert isinstance(info.value.__cause__, ZeroDivisionError)
+        assert calls == [len(mesh), len(mesh) - 1]
+
 
 # -- the Gauss-Legendre and tanh-sinh kernels ------------------------------------
 

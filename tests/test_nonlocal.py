@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 
 from fractalcalc import (
     CantorSpec,
-    CompositionKind,
     ConjugatedFn,
     DomainError,
     IdentityMap,
@@ -311,63 +310,92 @@ class TestOperatorBasics:
         assert digest == "42e2ea74663aab7956e3fc67b79ec207f5d163190b97d7900bccfecdc9786c30"
 
 
+def _derivative(kind, beta, side):
+    """The derivative spec of a composition on [0, 1], and the interval's other end."""
+    terminal, end = (0.0, 1.0) if side is Side.LEFT else (1.0, 0.0)
+    return OperatorSpec(kind, beta, terminal, side), end
+
+
+RL, CAPUTO = OperatorKind.RL_DERIVATIVE, OperatorKind.CAPUTO
+
+
 class TestCompositions:
     def test_rl_left_round_trip(self, sf):
         f = lambda t: float(sf.eval_exact(t)) ** 2
-        res = composition_residual(CompositionKind.RL_LEFT, f, 0.5, sf, (0.0, 1.0))
-        assert res < 5e-3
+        spec, end = _derivative(RL, 0.5, Side.LEFT)
+        assert composition_residual(spec, f, sf, end) < 5e-3
 
     def test_caputo_left_round_trip(self, sf):
         f = lambda t: float(sf.eval_exact(t)) ** 2
-        res = composition_residual(CompositionKind.CAPUTO_LEFT, f, 0.5, sf, (0.0, 1.0))
-        assert res < 5e-3
+        spec, end = _derivative(CAPUTO, 0.5, Side.LEFT)
+        assert composition_residual(spec, f, sf, end) < 5e-3
 
-    @pytest.mark.parametrize("kind", [CompositionKind.RL_LEFT, CompositionKind.RL_RIGHT])
+    @pytest.mark.parametrize("side", [Side.LEFT, Side.RIGHT])
     @pytest.mark.parametrize("name", ["exp(-S)", "S^2"])
-    def test_rl_round_trip_with_f_nonzero_at_the_terminal(self, sf, kind, name):
+    def test_rl_round_trip_with_f_nonzero_at_the_terminal(self, sf, side, name):
         # e^-S is 1 at the left terminal and S^2 at the right one; a boundary
         # term probed 1e-9 from a terminal where f is 1 is off by about
         # 1e-9^0.2 / Gamma(1.2) = 2e-2 unless f(terminal) is taken out first
         f = {"exp(-S)": lambda t: math.exp(-sf.eval(t)), "S^2": lambda t: sf.eval(t) ** 2}[name]
-        assert composition_residual(kind, f, 0.8, sf, (0.0, 1.0)) < 1e-4
+        spec, end = _derivative(RL, 0.8, side)
+        assert composition_residual(spec, f, sf, end) < 1e-4
 
     def test_rl_above_order_one_needs_zero_at_terminal(self, sf):
         # S^2 vanishes at 0, so the left identity holds; at the right terminal
         # S(1)^2 = 1 leaves a non-integrable head
         f = lambda t: float(sf.eval_exact(t)) ** 2
-        res = composition_residual(CompositionKind.RL_LEFT, f, 1.5, sf, (0.0, 1.0))
-        assert res < 5e-3
+        spec, end = _derivative(RL, 1.5, Side.LEFT)
+        assert composition_residual(spec, f, sf, end) < 5e-3
+        spec, end = _derivative(RL, 1.5, Side.RIGHT)
         with pytest.raises(DomainError):
-            composition_residual(CompositionKind.RL_RIGHT, f, 1.5, sf, (0.0, 1.0))
+            composition_residual(spec, f, sf, end)
 
     @pytest.mark.parametrize("beta", [0.3, 0.5, 0.8])
-    @pytest.mark.parametrize(
-        "rl, caputo",
-        [(CompositionKind.RL_LEFT, CompositionKind.CAPUTO_LEFT),
-         (CompositionKind.RL_RIGHT, CompositionKind.CAPUTO_RIGHT)],
-    )
-    def test_caputo_below_order_one_is_the_rl_composition(self, sf, beta, rl, caputo):
+    @pytest.mark.parametrize("side", [Side.LEFT, Side.RIGHT])
+    def test_caputo_below_order_one_is_the_rl_composition(self, sf, beta, side):
         # both compose on g - g(terminal), the remainder the Caputo
         # derivative takes the RL derivative of
         f = lambda t: math.exp(-sf.eval(t)) + sf.eval(t) ** 1.5
-        assert composition_residual(rl, f, beta, sf, (0.0, 1.0)) == composition_residual(
-            caputo, f, beta, sf, (0.0, 1.0)
-        )
+        rl, end = _derivative(RL, beta, side)
+        caputo, _ = _derivative(CAPUTO, beta, side)
+        assert composition_residual(rl, f, sf, end) == composition_residual(caputo, f, sf, end)
 
     def test_inner_derivative_singular_at_the_terminal(self, sf):
         # D^1.5 (S^1.5 + S) = Gamma(2.5) + u^-1/2 / Gamma(1/2) is singular at
         # the terminal; integrating a linear interpolant of its samples read
         # 1.25e-2, the product rule on the samples' own mesh 1.5e-5
         f = lambda t: sf.eval(t) ** 1.5 + sf.eval(t)
-        assert composition_residual(CompositionKind.RL_LEFT, f, 1.5, sf, (0.0, 1.0)) < 1e-4
+        spec, end = _derivative(RL, 1.5, Side.LEFT)
+        assert composition_residual(spec, f, sf, end) < 1e-4
 
-    @pytest.mark.parametrize("kind", [CompositionKind.CAPUTO_LEFT, CompositionKind.CAPUTO_RIGHT])
+    @pytest.mark.parametrize("side", [Side.LEFT, Side.RIGHT])
     @pytest.mark.parametrize("beta", [1.3, 1.5])
-    def test_caputo_above_order_one_round_trip(self, sf, kind, beta):
+    def test_caputo_above_order_one_round_trip(self, sf, side, beta):
         # the remainder drops the Taylor head's slope as well; S^2 is 1 at the
         # right terminal, where an RL kind above order 1 refuses it
         f = lambda t: sf.eval(t) ** 2
-        assert composition_residual(kind, f, beta, sf, (0.0, 1.0)) < 1e-4
+        spec, end = _derivative(CAPUTO, beta, side)
+        assert composition_residual(spec, f, sf, end) < 1e-4
+
+    def test_refuses_an_integral_spec(self, sf):
+        spec = OperatorSpec(OperatorKind.RL_INTEGRAL, 0.5, 0.0)
+        with pytest.raises(DomainError, match="derivative spec"):
+            composition_residual(spec, lambda t: sf.eval(t) ** 2, sf, 1.0)
+
+    @pytest.mark.parametrize("side, end", [(Side.LEFT, -0.5), (Side.RIGHT, 1.5)])
+    def test_refuses_an_end_on_the_wrong_side(self, sf, side, end):
+        # the terminal is 0.5 on either side; the other end lies past it
+        spec = OperatorSpec(RL, 0.5, 0.5, side)
+        with pytest.raises(DomainError, match="terminal"):
+            composition_residual(spec, lambda t: sf.eval(t) ** 2, sf, end)
+
+    @pytest.mark.parametrize("side", [Side.LEFT, Side.RIGHT])
+    def test_refuses_an_interval_of_zero_staircase_measure(self, sf, side):
+        # [0.4, 0.6] lies in the central gap, where S is 1/2 throughout
+        terminal, end = (0.4, 0.6) if side is Side.LEFT else (0.6, 0.4)
+        spec = OperatorSpec(CAPUTO, 0.5, terminal, side)
+        with pytest.raises(DomainError, match="empty staircase measure"):
+            composition_residual(spec, lambda t: sf.eval(t) ** 2, sf, end)
 
 
 # -- the finite-part product rule against independent oracles -----------------

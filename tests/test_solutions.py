@@ -21,7 +21,7 @@ from fractalcalc import (
     mittag_leffler,
     solve_example,
 )
-from fractalcalc.laplace import _slot_orders, transform_caputo, transform_rl_derivative
+from fractalcalc.laplace import _as_power, _slot_orders, transform_caputo, transform_rl_derivative
 from fractalcalc.solutions import _derive_transform, default_grid
 
 
@@ -39,7 +39,6 @@ class TestProblemDefinitions:
     def test_operators_and_orders(self):
         p1 = example_problem(1)
         assert p1.operator.kind is OperatorKind.CAPUTO
-        assert p1.order == Fraction(1, 2)
         p2 = example_problem(2)
         assert p2.operator.kind is OperatorKind.CAPUTO
         assert p2.operator.terminal == 1.0
@@ -47,17 +46,19 @@ class TestProblemDefinitions:
         assert p3.operator.kind is OperatorKind.RL_DERIVATIVE
         assert p3.lam == 1.0
         p4 = example_problem(4)
-        assert p4.order == Fraction(4, 3)
         assert len(p4.initial_data) == 2
+        # the derivation reads each exact order off the operator's float
+        orders = [_as_power(p.operator.beta) for p in (p1, p2, p3, p4)]
+        assert orders == [Fraction(1, 2), Fraction(1, 2), Fraction(1, 2), Fraction(4, 3)]
 
     def test_data_slots(self):
         # a datum fits when its order is a slot order of the operator's rule
         p1 = example_problem(1)
-        slots = _slot_orders(transform_caputo, p1.order)
+        slots = _slot_orders(transform_caputo, _as_power(p1.operator.beta))
         assert slots == [Fraction(0)]
         assert [d.order in slots for d in p1.initial_data] == [False]
         p4 = example_problem(4)
-        slots = _slot_orders(transform_rl_derivative, p4.order)
+        slots = _slot_orders(transform_rl_derivative, _as_power(p4.operator.beta))
         assert slots == [Fraction(1, 3), Fraction(-2, 3)]
         assert [d.order in slots for d in p4.initial_data] == [True, False]
 
@@ -67,9 +68,7 @@ class TestProblemDefinitions:
         for example_id in (1, 2):
             p = example_problem(example_id)
             (d,) = p.initial_data
-            on_slot = dataclasses.replace(
-                p, initial_data=(InitialDatum(Fraction(0), d.terminal, d.value),)
-            )
+            on_slot = dataclasses.replace(p, initial_data=(InitialDatum(Fraction(0), d.value),))
             image, _ = _derive_transform(p)
             assert image == _derive_transform(on_slot)[0]
             assert image != _derive_transform(dataclasses.replace(p, initial_data=()))[0]
