@@ -7,7 +7,7 @@ and resolvent fractions are carried symbolically: every expression is a sum
 of terms coeff sigma^p / (sigma^q - lam), powers kept as exact Fractions so
 that rule applications never leak float noise into the exponents. Inversion
 maps resolvent terms to staircase-power Mittag-Leffler terms and pure powers
-to plain staircase powers.
+to plain staircase powers. The numeric transform is one tanh-sinh rule.
 """
 
 from __future__ import annotations
@@ -270,12 +270,13 @@ def evaluate_inverse(terms, u):
 def laplace_numeric(f, sf, sigma: float, tol: float = 1e-9) -> float:
     """Truncated numerical transform with an explicit tail-bound check.
 
-    The integrand is integrated in the staircase coordinate; the first unit
-    cell is handled by a double-exponential rule, so integrable endpoint
-    singularities of the conjugated function are admissible. The tail past
-    the truncation point is bounded by assuming the conjugated function has
-    at most doubled its boundary magnitude there; if that heuristic bound
-    exceeds tol the transform refuses to report a value.
+    exp(-sigma u) g(u), g the conjugated function, is integrated by one
+    tanh-sinh rule on [0, 36/sigma + 4], so integrable endpoint
+    singularities of g at 0 are admissible; a g whose levels never agree
+    (jumps at every scale) raises ConvergenceError. The tail past the
+    truncation point is bounded by assuming g has at most doubled its
+    boundary magnitude there; if that heuristic bound exceeds tol the
+    transform refuses to report a value.
     """
     sigma = float(sigma)
     if sigma <= 0.0:
@@ -292,9 +293,4 @@ def laplace_numeric(f, sf, sigma: float, tol: float = 1e-9) -> float:
     def integrand(u):
         return np.exp(-sigma * u) * g(u)
 
-    split = min(1.0, upper)
-    head = quadrature.tanh_sinh(integrand, 0.0, split)
-    rest = 0.0
-    if upper > split:
-        rest = quadrature.gauss_composite(integrand, split, upper)
-    return float(head + rest)
+    return quadrature.tanh_sinh(integrand, 0.0, upper)

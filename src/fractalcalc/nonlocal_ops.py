@@ -51,6 +51,7 @@ from .special import rgamma
 
 DELTA_BOUNDARY = 1e-9  # offset for one-sided limits at a terminal
 _TAYLOR_STEP = 1e-5  # difference step for Taylor coefficients at a terminal
+_NODES_PER_UNIT = 256  # product-rule mesh density, clamped to 32-4,096 nodes
 # Derivative orders closer than this to an integer are refused: the kernel
 # exponent -beta - 1 keeps only their first digits, and the finite part's
 # pole term, of size 1/(n - beta), loses about 1e-16 / |n - beta| relative.
@@ -70,13 +71,12 @@ class Side(enum.Enum):
 
 @dataclass(frozen=True)
 class OperatorSpec:
-    """Operator kind, order, terminal, side and mesh density."""
+    """Operator kind, order and terminal, and the side it acts from."""
 
     kind: OperatorKind
     beta: float
     terminal: float
     side: Side = Side.LEFT
-    nodes_per_unit: int = 256
 
     def __post_init__(self) -> None:
         if not self.beta > 0.0:
@@ -89,8 +89,6 @@ class OperatorSpec:
             )
         if self.kind is not OperatorKind.RL_INTEGRAL and self.beta > 2.0:
             raise DomainError(f"derivative orders above 2 are not supported, got {self.beta!r}")
-        if self.nodes_per_unit < 8:
-            raise DomainError("nodes_per_unit must be at least 8")
 
     @property
     def n(self) -> int:
@@ -98,8 +96,8 @@ class OperatorSpec:
         return math.ceil(self.beta)
 
 
-def _node_count(spec: OperatorSpec, span: float) -> int:
-    return min(4096, max(32, int(math.ceil(spec.nodes_per_unit * span))))
+def _node_count(span: float) -> int:
+    return min(4096, max(32, int(math.ceil(_NODES_PER_UNIT * span))))
 
 
 def _left_sided(spec: OperatorSpec, g, sf, u: float):
@@ -118,7 +116,7 @@ def _left_sided(spec: OperatorSpec, g, sf, u: float):
     return g, ua, u
 
 
-def _rl_u(g, spec: OperatorSpec, ua: float, order: float, u: float) -> float:
+def _rl_u(g, ua: float, order: float, u: float) -> float:
     """Left RL operator of g in u, u >= ua: an integral for order > 0 and a
     derivative of order -order for order < 0 (not an integer), both one
     product integral against (u - v)^(order - 1) / Gamma(order).
@@ -131,7 +129,7 @@ def _rl_u(g, spec: OperatorSpec, ua: float, order: float, u: float) -> float:
         if order > 0.0:
             return 0.0
         raise DomainError("derivative is not defined at the terminal itself")
-    mesh = quadrature.graded_mesh_two_sided(ua, u, _node_count(spec, span))
+    mesh = quadrature.graded_mesh_two_sided(ua, u, _node_count(span))
     return quadrature.product_integrate(g, mesh, order - 1.0) * rgamma(order)
 
 
@@ -155,7 +153,7 @@ def _caputo_u(g, spec: OperatorSpec, ua: float, u: float) -> float:
     machinery sees the bounded remainder instead of a singular derivative.
     """
     c0, c1 = _taylor_head(g, spec, ua)
-    return _rl_u(lambda v: g(v) - c0 - c1 * (v - ua), spec, ua, -spec.beta, u)
+    return _rl_u(lambda v: g(v) - c0 - c1 * (v - ua), ua, -spec.beta, u)
 
 
 def _require_kind(spec: OperatorSpec, kind: OperatorKind) -> None:
@@ -174,9 +172,9 @@ def evaluate_u(spec: OperatorSpec, g, sf, u: float) -> float:
     """
     g, ua, u = _left_sided(spec, g, sf, u)
     if spec.kind is OperatorKind.RL_INTEGRAL:
-        return _rl_u(g, spec, ua, spec.beta, u)
+        return _rl_u(g, ua, spec.beta, u)
     if spec.kind is OperatorKind.RL_DERIVATIVE:
-        return _rl_u(g, spec, ua, -spec.beta, u)
+        return _rl_u(g, ua, -spec.beta, u)
     return _caputo_u(g, spec, ua, u)
 
 
@@ -280,7 +278,7 @@ def composition_residual(spec: OperatorSpec, f, sf, end) -> float:
         (us[:-1, None] + np.diff(us)[:, None] * (np.arange(1, 7) / 6.0)).ravel(),
     ])
     mesh[80::6] = us  # the outer points, exactly
-    inner = [_rl_u(r, spec, ua, -beta, w) for w in mesh[1:].tolist()]
+    inner = [_rl_u(r, ua, -beta, w) for w in mesh[1:].tolist()]
     inner = np.array(inner[:1] + inner)  # the terminal holds the first sample
     if not np.isfinite(inner).all():
         raise DomainError("inner operator produced non-finite samples")
@@ -288,7 +286,7 @@ def composition_residual(spec: OperatorSpec, f, sf, end) -> float:
     # [D^(beta - 1) r] / Gamma(beta) one probe past the terminal
     limit = 0.0
     if rl_above_one:
-        limit = _rl_u(r, spec, ua, 1.0 - beta, ua + DELTA_BOUNDARY) * rgamma(beta)
+        limit = _rl_u(r, ua, 1.0 - beta, ua + DELTA_BOUNDARY) * rgamma(beta)
     recomposed = [
         float((quadrature.product_weights(mesh[:end], beta - 1.0) * inner[:end]).sum())
         for end in range(81, len(mesh) + 1, 6)

@@ -1,7 +1,7 @@
 """Quadrature kernels used by the conjugated integrals.
 
 Smooth integrands go through composite Gauss-Legendre panels aligned to unit
-intervals. Endpoint-singular integrands (integrable power singularities) go
+intervals. Endpoint-singular and exponentially decaying integrands go
 through tanh-sinh, whose nodes never touch the endpoints. Convolution
 kernels (X - v)^mu are integrated by a product rule: the integrand is
 interpolated quadratically on each pair of cells of a graded mesh and the
@@ -24,7 +24,8 @@ a float ndarray of the same shape; no kernel calls g on a bare float.
 Gauss-Legendre evaluates the nodes of all its panels in one call, and
 product integration its whole mesh in one call. Tanh-sinh nests its levels:
 each finer level adds only its new odd nodes to the running sum, in one
-call per level. It calls g on one-element arrays only to find where an
+call per level, up to level 13, and raises ConvergenceError when no two
+levels agree. It calls g on one-element arrays only to find where an
 overflowing side must stop. A non-finite value of g where a rule needs it
 raises DomainError, and so does a product-rule g that raises past the
 terminal.
@@ -145,7 +146,7 @@ def _ts_values(g, head: list, x_hi: np.ndarray, x_lo: np.ndarray):
         return out
 
 
-def tanh_sinh(g, lo: float, hi: float, tol: float = 1e-12, max_level: int = 11) -> float:
+def tanh_sinh(g, lo: float, hi: float, tol: float = 1e-12, max_level: int = 13) -> float:
     """Double-exponential quadrature on [lo, hi].
 
     Handles integrable endpoint singularities. The levels nest: level 3
@@ -161,7 +162,8 @@ def tanh_sinh(g, lo: float, hi: float, tol: float = 1e-12, max_level: int = 11) 
     (about 1e-16 from 1.0) or where g overflows; if its last resolved
     increment exceeds `tol` of the sum, the mass past that node cannot be
     neglected and ConvergenceError is raised. The iteration stops once two
-    levels agree to `tol` (relative).
+    levels agree to `tol` (relative); when `max_level` is reached first,
+    ConvergenceError is raised, after the per-side checks.
     """
     c = 0.5 * (hi - lo)
     if c == 0.0:
@@ -212,7 +214,8 @@ def tanh_sinh(g, lo: float, hi: float, tol: float = 1e-12, max_level: int = 11) 
             cut = float(t[stop[0]])
         s = float(run[keep - 1])
         val = c * (4.0 / (1 << level)) * s
-        if best is not None and abs(val - best) <= tol * max(1.0, abs(val)):
+        agreed = best is not None and abs(val - best) <= tol * max(1.0, abs(val))
+        if agreed:
             break
         best = val
     for side in (0, 1):
@@ -222,6 +225,8 @@ def tanh_sinh(g, lo: float, hi: float, tol: float = 1e-12, max_level: int = 11) 
                 f"{cause} at the {('upper', 'lower')[side]} endpoint "
                 "before the quadrature resolves it"
             )
+    if not agreed:
+        raise ConvergenceError(f"no two levels agree to tol={tol!r} by level {max_level}")
     return float(val)
 
 

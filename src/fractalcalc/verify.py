@@ -152,7 +152,7 @@ def check_laplace_rules() -> CheckResult:
     power_worst = worst
 
     # I^(1/2) S, the integral of g(u) = u taken in u at each transform node
-    spec = OperatorSpec(OperatorKind.RL_INTEGRAL, 0.5, terminal=0.0, nodes_per_unit=32)
+    spec = OperatorSpec(OperatorKind.RL_INTEGRAL, 0.5, terminal=0.0)
     integral_worst = 0.0
     for sigma in (1.0, 2.0):
         got = laplace_numeric(

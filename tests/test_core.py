@@ -414,9 +414,16 @@ class _Counted:
 
 
 def _levels_used(g, lo, hi):
-    # the level tanh-sinh stops at is the least max_level that gives its value
+    # the level tanh-sinh stops at is the least max_level that gives its
+    # value; below it no two levels agree, which raises
     want = quadrature.tanh_sinh(g, lo, hi)
-    return next(m for m in range(3, 12) if quadrature.tanh_sinh(g, lo, hi, max_level=m) == want) - 2
+    for m in range(3, 14):
+        try:
+            if quadrature.tanh_sinh(g, lo, hi, max_level=m) == want:
+                return m - 2
+        except ConvergenceError:
+            pass
+    raise AssertionError("no max_level gives the default's value")
 
 
 class TestKernels:
@@ -447,12 +454,15 @@ class TestKernels:
         assert all(len(shape) == 1 for shape in g.shapes)
         assert len(g.shapes) <= 2 * _levels_used(fn, 0.0, 1.0)
 
-    def test_tanh_sinh_laplace_head_calls(self, sf):
-        # the head of laplace_numeric: a conjugated integrand on [0, 1]
+    @pytest.mark.parametrize("sigma", [1.0, 2.0, 5.0])
+    def test_tanh_sinh_laplace_calls(self, sf, sigma):
+        # the whole rule of laplace_numeric: a conjugated integrand on its
+        # truncated range, one call per level
         f = ConjugatedFn(lambda x: float(sf.eval_exact(x)) ** 1.3, sf)
-        g = _Counted(lambda u: np.exp(-2.0 * u) * f(u))
-        quadrature.tanh_sinh(g, 0.0, 1.0)
-        assert len(g.shapes) <= 2 * _levels_used(g.fn, 0.0, 1.0) <= 8
+        g = _Counted(lambda u: np.exp(-sigma * u) * f(u))
+        upper = 36.0 / sigma + 4.0
+        quadrature.tanh_sinh(g, 0.0, upper)
+        assert len(g.shapes) <= _levels_used(g.fn, 0.0, upper) <= 5
 
     def test_tanh_sinh_freezes_an_overflowing_side(self):
         # oracle: the integral is 2/e. The first level's farthest nodes reach
@@ -479,6 +489,12 @@ class TestKernels:
         # past the last node (1 - u)^-0.1 holds about 4e-15 of the integral
         got = quadrature.tanh_sinh(lambda u: (1.0 - u) ** -0.1, 0.0, 1.0)
         assert got == pytest.approx(1.0 / 0.9, rel=1e-14)
+
+    def test_tanh_sinh_raises_when_no_two_levels_agree(self):
+        # sin(1/u) oscillates ever faster toward 0, so no two levels settle
+        # on its integral, sin 1 - Ci 1 = 0.504067
+        with pytest.raises(ConvergenceError, match="no two levels agree"):
+            quadrature.tanh_sinh(lambda u: np.sin(1.0 / u), 0.0, 1.0)
 
     def test_tanh_sinh_rejects_non_finite_values(self):
         with pytest.raises(ValueError, match="non-finite"):

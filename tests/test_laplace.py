@@ -9,6 +9,7 @@ import pytest
 
 from fractalcalc import (
     CantorSpec,
+    ConvergenceError,
     DomainError,
     IdentityMap,
     LaplaceExpr,
@@ -30,6 +31,7 @@ from fractalcalc import (
     transform_rl_integral,
     unknown_transform,
 )
+from fractalcalc import quadrature
 
 
 @pytest.fixture(scope="module")
@@ -262,6 +264,31 @@ class TestNumericTransform:
     def test_tail_bound_guard(self, sf):
         with pytest.raises(TailBoundError):
             laplace_numeric(lambda x: math.exp(2.0 * sf.eval(x)), sf, 1.0)
+
+    def test_one_tanh_sinh_rule_and_no_gauss_panels(self, sf, monkeypatch):
+        calls = []
+        tanh_sinh = quadrature.tanh_sinh
+
+        def counted(g, lo, hi, *args, **kwargs):
+            calls.append((lo, hi))
+            return tanh_sinh(g, lo, hi, *args, **kwargs)
+
+        monkeypatch.setattr(quadrature, "tanh_sinh", counted)
+        monkeypatch.setattr(quadrature, "gauss_composite", lambda *a, **k: pytest.fail("Gauss panels called"))
+        for sigma in (1.0, 2.0, 5.0):
+            laplace_numeric(lambda x: sf.eval(x) ** 1.3, sf, sigma)
+        assert calls == [(0.0, 40.0), (0.0, 22.0), (0.0, 11.2)]
+
+    def test_oscillating_integrand(self, sf):
+        # oracle: L{cos(k S)}(sigma) = sigma / (sigma^2 + k^2)
+        got = laplace_numeric(lambda x: math.cos(50.0 * sf.eval(x)), sf, 2.0)
+        assert abs(got - 2.0 / 2504.0) <= 1e-10
+
+    def test_levels_that_never_agree_raise(self, sf):
+        # x^2 conjugated is Q(u)^2, which jumps at every dyadic u, so no two
+        # levels agree on its transform
+        with pytest.raises(ConvergenceError, match="no two levels agree"):
+            laplace_numeric(lambda x: float(x) ** 2, sf, 2.0)
 
 
 class TestInversionConsistency:

@@ -1,6 +1,5 @@
 """Kernel-based nonlocal operators on the staircase coordinate."""
 
-import hashlib
 import math
 import warnings
 from fractions import Fraction
@@ -68,10 +67,6 @@ class TestSpecValidation:
         got = evaluate_u(OperatorSpec(OperatorKind.RL_DERIVATIVE, beta, 0.0), lambda v: v**2, sf, 0.5)
         want = math.gamma(3.0) / math.gamma(3.0 - beta) * 0.5 ** (2.0 - beta)
         assert got == pytest.approx(want, rel=1e-7)
-
-    def test_mesh_controls(self):
-        with pytest.raises(DomainError):
-            OperatorSpec(OperatorKind.RL_INTEGRAL, 0.5, 0.0, nodes_per_unit=0)
 
     def test_derivative_orders_above_two_rejected(self):
         # the quadratic rule needs beta < 2, and the Caputo Taylor stencils stop at n = 2
@@ -294,9 +289,28 @@ class TestOperatorBasics:
             assert evaluate(spec, f, sf, x) == pytest.approx(want, rel=1e-3)
 
     def test_left_sided_values_keep_their_bits(self, sf, ident):
-        # SHA-256 of the reprs, recorded when every value became one
-        # finite-part product integral on the piecewise-quadratic rule; the
-        # closed rules are met to 1.3e-6 relative (1.4e-3 before)
+        # recorded when every value became one finite-part product integral
+        # on the piecewise-quadratic rule; the closed rules are met to 1.3e-6
+        # relative (1.4e-3 before). Per map, kind and order: x = 0.25, x = 0.8,
+        # then u = 0.7. Each may move by an ulp or two with the CPU, as numpy's
+        # power kernels behind the reference mesh and weights round
+        # differently with and without AVX-512
+        want = [
+            # Cantor staircase
+            0.5951166309271174, 1.1417120562861889, 1.0650199155364755,
+            0.20834966082418968, 0.6521199533037219, 0.5871334886314138,
+            1.0970648690366502, 1.5886178815248202, 1.4819094504085621,
+            -0.15691972836447704, 1.7997984717836712, 1.5985778786240008,
+            0.2255396217327862, 1.0528576644621206, 0.923505610727882,
+            0.8070994917099005, 2.135728198072309, 1.966029885713618,
+            # identity map
+            0.49378472818039054, 1.2231842732228824, 1.0650199155364755,
+            0.14233066205621886, 0.7210832958393586, 0.5871334886314138,
+            1.1662907639596616, 1.7056222222703503, 1.4819094504085621,
+            -0.8297394050683087, 1.9988106828160694, 1.5985778786240008,
+            0.13056873194462768, 1.1902117627135176, 0.923505610727882,
+            0.5714796903314321, 2.3077058378679616, 1.966029885713618,
+        ]
         values = []
         for m in (sf, ident):
             f = lambda t, m=m: 1.0 + float(m.eval(t)) ** 2.5
@@ -306,8 +320,9 @@ class TestOperatorBasics:
                     for x in (0.25, 0.8):
                         values.append(evaluate(spec, f, m, x))
                     values.append(evaluate_u(spec, lambda u: 1.0 + u**2.5, m, 0.7))
-        digest = hashlib.sha256(repr(values).encode()).hexdigest()
-        assert digest == "42e2ea74663aab7956e3fc67b79ec207f5d163190b97d7900bccfecdc9786c30"
+        assert len(values) == len(want)
+        for got, w in zip(values, want):
+            assert abs(got - w) <= 2 * np.spacing(abs(w)), (got, w)
 
 
 def _derivative(kind, beta, side):
