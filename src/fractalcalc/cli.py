@@ -14,11 +14,12 @@ import sys
 
 import numpy as np
 
+from .core import ConjugatedFn
 from .exceptions import ConvergenceError, DomainError, PoleError, TailBoundError
 from .exprgrammar import ExprError, parse_expression
 from .figures import format_csv
 from .laplace import laplace_numeric
-from .nonlocal_ops import OperatorKind, OperatorSpec, evaluate
+from .nonlocal_ops import OperatorKind, OperatorSpec, _values_u
 from .special import (
     beta_fractal,
     beta_fractal_quadrature,
@@ -124,7 +125,8 @@ def _operator_rows(args: argparse.Namespace, xs):
                 f"{problem} in {expr.source!r}"
             )
     spec = OperatorSpec(kind, args.beta, terminal=args.terminal)
-    return [(x, evaluate(spec, fn, sf, x)) for x in xs]
+    # the whole grid samples its meshes in one call, so in one quantile batch
+    return list(zip(xs, _values_u(spec, ConjugatedFn(fn, sf), sf, (sf.eval(x) for x in xs))))
 
 
 def run(args: argparse.Namespace) -> int:

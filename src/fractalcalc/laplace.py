@@ -233,6 +233,7 @@ class InverseTerm:
         else:
             power = np.asarray(u, dtype=float).__pow__
             ml = lambda z: mittag_leffler(eta, nu, z)
+        # example 4's 0 * S^(-1/6) is nan at 0: that nan alone sends its residuals through the terminal fit
         with np.errstate(divide="ignore", invalid="ignore"):
             base = self.coeff * power(pw)
         if self.ml_eta is None:

@@ -15,10 +15,12 @@ met by subtracting a fitted power (see `quadrature`).
 
 Every operator works on an integrand g of u under the protocol of
 `quadrature`: g takes a 1-D float ndarray of u, never a bare float, and
-returns the same shape; each product integral evaluates its whole mesh in
-one call. `evaluate_u` applies an operator to such a g directly; the x-space
+returns the same shape. The points of one grid keep their own meshes but
+share one call of g: the terminal, then each point's mesh past it
+(`_rl_values`), so residual loops, compositions and CLI grids sample g once.
+`evaluate_u` applies an operator to such a g at one point; the x-space
 entries (`evaluate`, `rl_integral`, `rl_derivative`, `caputo_derivative`)
-wrap f as `ConjugatedFn(f, sf)`, which takes the quantiles of a whole mesh in
+wrap f as `ConjugatedFn(f, sf)`, which takes the quantiles of the nodes in
 one batch and then calls the opaque f once per node. An integrand known in
 closed form in u, such as a solution built from staircase powers, skips the
 quantile altogether.
@@ -29,7 +31,7 @@ checks. Right-sided operators are the left-sided ones conjugated by the
 reflection t -> -t: the right operator at u with terminal ua, acting on g,
 is the left operator at -u with terminal -ua, acting on t -> g(-t). Because
 -d/du is d/dt, derivatives need no (-1)^n factor. `_left_sided` does that
-reflection and the terminal checks for both `evaluate_u` and
+reflection and the terminal checks for both `_values_u` and
 `composition_residual`; every helper below them is left-sided.
 Derivative orders go up to 2 (n = ceil(beta) is 1 or 2): the quadratic
 rule needs -beta - 1 > -3, and the Caputo Taylor head is then at most
@@ -116,21 +118,35 @@ def _left_sided(spec: OperatorSpec, g, sf, u: float):
     return g, ua, u
 
 
-def _rl_u(g, ua: float, order: float, u: float) -> float:
-    """Left RL operator of g in u, u >= ua: an integral for order > 0 and a
-    derivative of order -order for order < 0 (not an integer), both one
-    product integral against (u - v)^(order - 1) / Gamma(order).
+def _rl_values(g, ua: float, order: float, us) -> list[float]:
+    """Left RL operator of g at each u of us, all past the terminal ua: an
+    integral for order > 0, a derivative of order -order (a Hadamard finite
+    part) for order < 0, each one product integral on its own graded mesh
+    against (u - v)^(order - 1) / Gamma(order).
 
-    ua is the terminal's staircase coordinate. For a derivative the integral
-    is a Hadamard finite part.
+    g is called once, on the terminal and then every mesh's nodes past it.
+    When that raises (a terminal blow-up may raise, not return inf), g is
+    called past the terminal with a nan there, and if that raises too,
+    DomainError is raised, chained from g's exception.
     """
-    span = u - ua
-    if span == 0.0:
-        if order > 0.0:
-            return 0.0
-        raise DomainError("derivative is not defined at the terminal itself")
-    mesh = quadrature.graded_mesh_two_sided(ua, u, _node_count(span))
-    return quadrature.product_integrate(g, mesh, order - 1.0) * rgamma(order)
+    meshes = [quadrature.graded_mesh_two_sided(ua, u, _node_count(u - ua)) for u in us]
+    if not meshes:
+        return []
+    nodes = np.concatenate([meshes[0][:1]] + [m[1:] for m in meshes])
+    try:
+        vals = np.asarray(g(nodes), dtype=float)
+    except (ArithmeticError, ValueError):
+        try:
+            vals = np.concatenate(([math.nan], g(nodes[1:])))
+        except (ArithmeticError, ValueError) as exc:
+            raise DomainError(f"integrand raised on the mesh past the terminal: {exc}") from exc
+    out, start = [], 1
+    for mesh in meshes:
+        stop = start + len(mesh) - 1
+        own = np.concatenate((vals[:1], vals[start:stop]))
+        out.append(quadrature.product_integrate(own, mesh, order - 1.0) * rgamma(order))
+        start = stop
+    return out
 
 
 def _taylor_head(g, spec: OperatorSpec, ua: float) -> tuple[float, float]:
@@ -144,21 +160,42 @@ def _taylor_head(g, spec: OperatorSpec, ua: float) -> tuple[float, float]:
     return c0, 0.0
 
 
-def _caputo_u(g, spec: OperatorSpec, ua: float, u: float) -> float:
-    """Left Caputo derivative in u, as the RL derivative of the Taylor remainder.
-
-    Equivalent to kernel-integrating the inner n-th derivative, but stays
-    accurate when that derivative blows up at the terminal (as it does for
-    solutions carrying fractional powers of the staircase): the integral
-    machinery sees the bounded remainder instead of a singular derivative.
-    """
-    c0, c1 = _taylor_head(g, spec, ua)
-    return _rl_u(lambda v: g(v) - c0 - c1 * (v - ua), ua, -spec.beta, u)
-
-
 def _require_kind(spec: OperatorSpec, kind: OperatorKind) -> None:
     if spec.kind is not kind:
         raise DomainError(f"operator spec is {spec.kind.value}, expected {kind.value}")
+
+
+def _values_u(spec: OperatorSpec, g, sf, us) -> list[float]:
+    """The operator of spec applied to the u-space integrand g at each u of
+    us, in order, all points sharing one call of g (see `_rl_values`).
+
+    The points are checked in order (see `_left_sided`): an integral at the
+    terminal is 0 and a derivative there raises DomainError, after the
+    points before it are evaluated. A Caputo derivative is the RL derivative
+    of the Taylor remainder g - c0 - c1 (v - ua), its head taken once: the
+    rule then sees a bounded remainder, not a derivative singular at ua.
+    """
+    order = spec.beta if spec.kind is OperatorKind.RL_INTEGRAL else -spec.beta
+    h = ua = None
+    points, failure = [], None
+    try:
+        for u in us:
+            h, ua, v = _left_sided(spec, g, sf, u)
+            if spec.kind is OperatorKind.CAPUTO and not points:
+                c0, c1 = _taylor_head(h, spec, ua)
+            if v == ua and order < 0.0:
+                raise DomainError("derivative is not defined at the terminal itself")
+            points.append(v)
+    except DomainError as exc:
+        failure = exc
+    r = h
+    if spec.kind is OperatorKind.CAPUTO and points:
+        r = lambda v: h(v) - c0 - c1 * (v - ua)
+    values = iter(_rl_values(r, ua, order, [v for v in points if v != ua]))
+    out = [next(values) if v != ua else 0.0 for v in points]
+    if failure is not None:
+        raise failure
+    return out
 
 
 def evaluate_u(spec: OperatorSpec, g, sf, u: float) -> float:
@@ -168,14 +205,9 @@ def evaluate_u(spec: OperatorSpec, g, sf, u: float) -> float:
     bare float, the same shape out); sf only locates the terminal, at u =
     S(spec.terminal).
     A right-sided spec is evaluated as the left operator at -u of t -> g(-t)
-    (see `_left_sided`).
+    (see `_left_sided`). This is `_values_u` at one point.
     """
-    g, ua, u = _left_sided(spec, g, sf, u)
-    if spec.kind is OperatorKind.RL_INTEGRAL:
-        return _rl_u(g, ua, spec.beta, u)
-    if spec.kind is OperatorKind.RL_DERIVATIVE:
-        return _rl_u(g, ua, -spec.beta, u)
-    return _caputo_u(g, spec, ua, u)
+    return _values_u(spec, g, sf, [u])[0]
 
 
 def evaluate(spec: OperatorSpec, f, sf, x) -> float:
@@ -239,7 +271,7 @@ def composition_residual(spec: OperatorSpec, f, sf, end) -> float:
     terminal and side; end lies after a left terminal or before a right
     one, and the interval needs positive staircase measure, else DomainError.
     A right-sided spec is reflected as in `evaluate_u`. Every kind composes
-    on the Taylor remainder r = g - c0 - c1 (u - ua) that `_caputo_u` takes
+    on the Taylor remainder r = g - c0 - c1 (u - ua) that `_values_u` takes
     the RL derivative of, and the RL integral of that derivative should give
     r back. An RL derivative of order above 1 needs g(terminal) = 0 (so
     r = g), else the g(terminal) w^(-beta) head of its derivative is not
@@ -251,9 +283,10 @@ def composition_residual(spec: OperatorSpec, f, sf, end) -> float:
     Returns the sup of the absolute residual over 16 points evenly spaced in
     u, away from the terminal. The inner derivative is sampled on one mesh
     through them, graded as (k/80)^4 toward the terminal, where it is
-    generically singular, and 6 uniform cells between neighbours; each outer
-    integral is the product rule on that mesh, the terminal holding the
-    first sample.
+    generically singular, and 6 uniform cells between neighbours; its 170
+    samples are product integrals on their own meshes, all of whose nodes
+    take one call of g. Each outer integral is the product rule on the
+    samples' mesh, the terminal holding the first sample.
     """
     if spec.kind is OperatorKind.RL_INTEGRAL:
         raise DomainError("composition identities take a derivative spec, got rl-integral")
@@ -278,7 +311,7 @@ def composition_residual(spec: OperatorSpec, f, sf, end) -> float:
         (us[:-1, None] + np.diff(us)[:, None] * (np.arange(1, 7) / 6.0)).ravel(),
     ])
     mesh[80::6] = us  # the outer points, exactly
-    inner = [_rl_u(r, ua, -beta, w) for w in mesh[1:].tolist()]
+    inner = _rl_values(r, ua, -beta, mesh[1:].tolist())
     inner = np.array(inner[:1] + inner)  # the terminal holds the first sample
     if not np.isfinite(inner).all():
         raise DomainError("inner operator produced non-finite samples")
@@ -286,7 +319,7 @@ def composition_residual(spec: OperatorSpec, f, sf, end) -> float:
     # [D^(beta - 1) r] / Gamma(beta) one probe past the terminal
     limit = 0.0
     if rl_above_one:
-        limit = _rl_u(r, ua, 1.0 - beta, ua + DELTA_BOUNDARY) * rgamma(beta)
+        limit = _rl_values(r, ua, 1.0 - beta, [ua + DELTA_BOUNDARY])[0] * rgamma(beta)
     recomposed = [
         float((quadrature.product_weights(mesh[:end], beta - 1.0) * inner[:end]).sum())
         for end in range(81, len(mesh) + 1, 6)

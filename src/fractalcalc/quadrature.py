@@ -21,14 +21,14 @@ integrand (see `nonlocal_ops`).
 
 Integrand protocol: an integrand g takes a 1-D float ndarray of u and returns
 a float ndarray of the same shape; no kernel calls g on a bare float.
-Gauss-Legendre evaluates the nodes of all its panels in one call, and
-product integration its whole mesh in one call. Tanh-sinh nests its levels:
-each finer level adds only its new odd nodes to the running sum, in one
-call per level, up to level 13, and raises ConvergenceError when no two
-levels agree. It calls g on one-element arrays only to find where an
-overflowing side must stop. A non-finite value of g where a rule needs it
-raises DomainError, and so does a product-rule g that raises past the
-terminal.
+Gauss-Legendre evaluates the nodes of all its panels in one call. Product
+integration takes the values of g already sampled on its mesh, so that
+`nonlocal_ops` can sample the meshes of a whole grid in one call. Tanh-sinh
+nests its levels: each finer level adds only its new odd nodes to the
+running sum, in one call per level, up to level 13, and raises
+ConvergenceError when no two levels agree. It calls g on one-element arrays
+only to find where an overflowing side must stop. A non-finite value of g
+where a rule needs it raises DomainError.
 """
 
 from __future__ import annotations
@@ -389,27 +389,19 @@ def _terminal_power(z: np.ndarray, g: np.ndarray) -> tuple[float, float, float] 
     return c, gamma, g1 - c * z[1] ** gamma
 
 
-def product_integrate(g, mesh: np.ndarray, mu: float) -> float:
-    """f.p.∫ g(v) (X - v)^mu dv over the mesh span, with the anchor X = mesh[-1].
+def product_integrate(vals: np.ndarray, mesh: np.ndarray, mu: float) -> float:
+    """f.p.∫ g(v) (X - v)^mu dv over the mesh span, with the anchor X = mesh[-1],
+    from vals = g(mesh).
 
     g is interpolated quadratically on each pair of cells (see
-    `product_weights`), called once on the whole mesh. A non-finite g at the
-    terminal mesh[0] (an integrable blow-up at the very edge) is met by
-    singularity subtraction: the model c z^gamma + d, z = v - mesh[0], is
-    fitted to g at three nodes next to the terminal, the power's integral is
-    taken exactly (a Beta function), and the rule integrates g minus the
-    power, which is d at the terminal. When no such model fits,
-    ConvergenceError is raised; when g also raises past the terminal,
-    DomainError, chained from g's exception.
+    `product_weights`). A non-finite vals[0] (an integrable blow-up at the
+    very edge of the terminal mesh[0]) is met by singularity subtraction:
+    the model c z^gamma + d, z = v - mesh[0], is fitted to g at three nodes
+    next to the terminal, the power's integral is taken exactly (a Beta
+    function), and the rule integrates g minus the power, which is d at the
+    terminal. When no such model fits, ConvergenceError is raised.
     """
     weights = _mesh_weights(mesh, mu)
-    try:
-        vals = np.asarray(g(mesh), dtype=float)
-    except (ArithmeticError, ValueError):  # a terminal blow-up may raise, not return inf
-        try:
-            vals = np.concatenate(([math.nan], g(mesh[1:])))
-        except (ArithmeticError, ValueError) as exc:
-            raise DomainError(f"integrand raised on the mesh past the terminal: {exc}") from exc
     head = 0.0
     if not math.isfinite(vals[0]):
         z = mesh - mesh[0]

@@ -37,7 +37,7 @@ from .laplace import (
     transform_rl_derivative,
     unknown_transform,
 )
-from .nonlocal_ops import OperatorKind, OperatorSpec, evaluate_u
+from .nonlocal_ops import OperatorKind, OperatorSpec, _values_u
 from .special import mittag_leffler, ml_half_half_closed, rgamma
 from .staircase import StaircaseFn
 
@@ -253,13 +253,14 @@ def example_solution_fn(example_id: int, sf=None, lam: float = -0.5):
 
 def _residuals(problem: ExampleProblem, terms, sf, ua: float, us, vals) -> np.ndarray:
     """|operator(y) - lam y - rhs| / max(1, |lam y + rhs|) at each u, for y = the
-    terms with values vals on us; the operator acts on y in u, with no quantile."""
+    terms with values vals on us; the operator acts on y in u, with no quantile,
+    and samples y on the meshes of all points in one call."""
     y = lambda u: evaluate_inverse(terms, u - ua)
     out = np.empty(len(us))
-    for i, u in enumerate(us):
-        w = u - ua
+    for i, op in enumerate(_values_u(problem.operator, y, sf, us)):
+        w = us[i] - ua
         rhs = problem.lam * vals[i] + sum(c * w ** float(eta) for c, eta in problem.rhs_terms)
-        out[i] = abs(evaluate_u(problem.operator, y, sf, u) - rhs) / max(1.0, abs(rhs))
+        out[i] = abs(op - rhs) / max(1.0, abs(rhs))
     return out
 
 

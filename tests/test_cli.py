@@ -79,6 +79,22 @@ class TestBasicCommands:
             _, quad, closed = line.split(",")
             assert float(quad) == pytest.approx(float(closed), rel=1e-9)
 
+    @pytest.mark.parametrize("command", ["rl-int", "rl-der"])
+    def test_operator_grid_takes_one_quantile_batch(self, monkeypatch, command):
+        # the default ten-point grid samples every point's mesh in one
+        # conjugated integrand call, so one batch of quantiles
+        batches = []
+        quantiles_exact = StaircaseFn.quantiles_exact
+
+        def counted(self, u):
+            batches.append(len(u))
+            return quantiles_exact(self, u)
+
+        monkeypatch.setattr(StaircaseFn, "quantiles_exact", counted)
+        code, out, _ = run_cli([command])
+        assert code == 0 and len(out.splitlines()) == 11
+        assert len(batches) == 1 and batches[0] > 10 * 32
+
     def test_solve_reports_to_stderr(self):
         code, out, err = run_cli(["solve", "--example", "1", "--grid", "0.2", "0.8", "4"])
         assert code == 0

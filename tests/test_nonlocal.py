@@ -29,7 +29,7 @@ from fractalcalc import (
     rl_derivative,
     rl_integral,
 )
-from fractalcalc import quadrature
+from fractalcalc import nonlocal_ops, quadrature
 
 
 @pytest.fixture(scope="module")
@@ -323,6 +323,178 @@ class TestOperatorBasics:
         assert len(values) == len(want)
         for got, w in zip(values, want):
             assert abs(got - w) <= 2 * np.spacing(abs(w)), (got, w)
+
+
+# -- one integrand call per grid ------------------------------------------------
+
+
+def _reference_values(spec, g, sf, us):
+    """One `evaluate_u` per point as it was before grids shared a call: each
+    point builds its own mesh and calls product_integrate(g(mesh), mesh, mu),
+    retrying past a raising terminal with a nan there."""
+    right = spec.side is Side.RIGHT
+    ua = -sf.eval(spec.terminal) if right else sf.eval(spec.terminal)
+    h = (lambda t: g(-t)) if right else g
+    order = spec.beta if spec.kind is OperatorKind.RL_INTEGRAL else -spec.beta
+    out = []
+    for u in us:
+        v = -u if right else u
+        r = h
+        if spec.kind is OperatorKind.CAPUTO:
+            c0, c1 = nonlocal_ops._taylor_head(h, spec, ua)
+            r = lambda w: h(w) - c0 - c1 * (w - ua)
+        if v == ua:
+            if order < 0.0:
+                raise DomainError("derivative is not defined at the terminal itself")
+            out.append(0.0)
+            continue
+        mesh = quadrature.graded_mesh_two_sided(ua, v, nonlocal_ops._node_count(v - ua))
+        try:
+            vals = np.asarray(r(mesh), dtype=float)
+        except ZeroDivisionError:
+            vals = np.concatenate(([math.nan], r(mesh[1:])))
+        out.append(quadrature.product_integrate(vals, mesh, order - 1.0) * rgamma(order))
+    return out
+
+
+def _cells(ua, u):
+    return len(quadrature.graded_mesh_two_sided(ua, u, nonlocal_ops._node_count(u - ua))) - 1
+
+
+def _outcome(run):
+    # the values' bits, or the exception's type and message
+    try:
+        return [v.hex() for v in run()]
+    except (DomainError, ZeroDivisionError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _grid_integrand(name, m, ua):
+    """An integrand of u whose terminal, at ua, is regular ("smooth", through
+    the quantile of the map m), a blow-up ("blow-up", the fitted power) or
+    raises ("raising", the nan retry)."""
+    if name == "smooth":
+        return ConjugatedFn(lambda t: 1.0 + abs(float(m.eval(t)) - ua) ** 2.5 + math.cos(float(m.eval(t))), m)
+
+    def singular(u):
+        if name == "raising" and (u == ua).any():
+            raise ZeroDivisionError("float division by zero")
+        with np.errstate(divide="ignore"):
+            return 1.0 / np.sqrt(np.abs(u - ua)) + 1.0
+
+    return singular
+
+
+class TestGridSampling:
+    @pytest.mark.parametrize("map_name", ["staircase", "identity"])
+    @pytest.mark.parametrize("side", list(Side))
+    @pytest.mark.parametrize("kind", list(OperatorKind))
+    @given(
+        integrand=st.sampled_from(["smooth", "blow-up", "raising"]),
+        beta=st.sampled_from([0.4, 0.7, 1.3, 1.6]),
+        ds=st.lists(st.one_of(st.just(0.0), st.floats(min_value=1e-3, max_value=1.0)), min_size=1, max_size=4),
+    )
+    @settings(max_examples=12, deadline=None)
+    @example(integrand="raising", beta=0.7, ds=[0.5, 0.0, 1.0])
+    @example(integrand="blow-up", beta=1.3, ds=[0.0, 0.25, 0.8])
+    def test_values_keep_the_bits_of_one_product_integral_per_point(
+        self, sf, ident, map_name, side, kind, integrand, beta, ds
+    ):
+        # ds are distances from the terminal, 0 being the terminal itself
+        m = sf if map_name == "staircase" else ident
+        terminal = 0.0 if side is Side.LEFT else 1.0
+        spec = OperatorSpec(kind, beta, terminal, side)
+        ua = m.eval(terminal)
+        us = [ua + d if side is Side.LEFT else ua - d for d in ds]
+        g = _grid_integrand(integrand, m, ua)
+        got = _outcome(lambda: nonlocal_ops._values_u(spec, g, m, us))
+        assert got == _outcome(lambda: _reference_values(spec, g, m, us))
+
+    def test_one_call_samples_every_mesh(self, sf):
+        # the shared terminal, then each point's mesh past it, in grid order
+        calls = []
+
+        def g(u):
+            calls.append(u.copy())
+            return np.cos(u)
+
+        spec = OperatorSpec(OperatorKind.RL_DERIVATIVE, 0.5, 0.0)
+        us = [0.3, 1.0, 0.6]
+        nonlocal_ops._values_u(spec, g, sf, us)
+        meshes = [quadrature.graded_mesh_two_sided(0.0, u, nonlocal_ops._node_count(u)) for u in us]
+        assert len(calls) == 1
+        assert np.array_equal(calls[0], np.concatenate([[0.0]] + [mesh[1:] for mesh in meshes]))
+
+    def test_a_terminal_that_raises_is_a_nan_terminal(self, sf):
+        # v^-1/2 + 1 blows up at the terminal v = 0: one g raises there, the
+        # other returns nan; both get the fitted power, with the same bits
+        calls = []
+
+        def raising(u):
+            calls.append(len(u))
+            if u[0] == 0.0:
+                raise ZeroDivisionError("float division by zero")
+            return 1.0 / np.sqrt(u) + 1.0
+
+        def nan_at_terminal(u):
+            with np.errstate(divide="ignore"):
+                return np.where(u == 0.0, np.nan, 1.0 / np.sqrt(u) + 1.0)
+
+        spec = OperatorSpec(OperatorKind.RL_INTEGRAL, 0.5, 0.0)
+        got = nonlocal_ops._values_u(spec, raising, sf, [0.6, 0.9])
+        nodes = 1 + _cells(0.0, 0.6) + _cells(0.0, 0.9)
+        assert calls == [nodes, nodes - 1]
+        want = nonlocal_ops._values_u(spec, nan_at_terminal, sf, [0.6, 0.9])
+        assert [v.hex() for v in got] == [v.hex() for v in want]
+
+    def test_an_interior_raise_is_a_domain_error(self, sf):
+        # g divides by zero at an interior node of the second point: the
+        # whole call and the call past the terminal both raise, and the
+        # second error is the cause
+        calls = []
+
+        def g(u):
+            calls.append(len(u))
+            if ((u > 0.4) & (u < 0.6)).any():
+                raise ZeroDivisionError("float division by zero")
+            return np.cos(u)
+
+        spec = OperatorSpec(OperatorKind.RL_DERIVATIVE, 0.5, 0.0)
+        with pytest.raises(DomainError, match="past the terminal: float division by zero") as info:
+            nonlocal_ops._values_u(spec, g, sf, [0.3, 1.0])
+        assert isinstance(info.value.__cause__, ZeroDivisionError)
+        nodes = 1 + _cells(0.0, 0.3) + _cells(0.0, 1.0)
+        assert calls == [nodes, nodes - 1]
+
+    @pytest.mark.parametrize(
+        "kind, side, us, message",
+        [
+            (OperatorKind.RL_INTEGRAL, Side.LEFT, [0.8, 0.2, 0.9], "precedes the left terminal"),
+            (OperatorKind.RL_DERIVATIVE, Side.LEFT, [0.8, 0.5, 0.9], "at the terminal itself"),
+            (OperatorKind.CAPUTO, Side.RIGHT, [0.2, 0.8, 0.1], "follows the right terminal"),
+        ],
+        ids=["integral-precedes", "derivative-at-terminal", "caputo-follows"],
+    )
+    def test_a_grid_raises_its_first_failing_point(self, sf, kind, side, us, message):
+        # the points before it are evaluated first, the points after it not
+        # at all: the last node sampled is the first point
+        seen = []
+
+        def g(u):
+            seen.append(u.copy())
+            return 1.0 + u * u
+
+        spec = OperatorSpec(kind, 0.5, 0.5, side)
+        with pytest.raises(DomainError, match=message):
+            nonlocal_ops._values_u(spec, g, sf, us)
+        assert seen[-1][-1] == us[0]
+
+    def test_an_integral_at_the_terminal_is_zero_among_other_points(self, sf):
+        spec = OperatorSpec(OperatorKind.RL_INTEGRAL, 0.5, 0.0)
+        g = lambda u: 1.0 + u * u
+        got = nonlocal_ops._values_u(spec, g, sf, [0.4, 0.0, 0.9])
+        assert got[1] == 0.0
+        assert got[0] == evaluate_u(spec, g, sf, 0.4) and got[2] == evaluate_u(spec, g, sf, 0.9)
 
 
 def _derivative(kind, beta, side):

@@ -22,6 +22,7 @@ from fractalcalc import (
     solve_example,
 )
 from fractalcalc.laplace import _as_power, _slot_orders, transform_caputo, transform_rl_derivative
+from fractalcalc import solutions
 from fractalcalc.solutions import _derive_transform, default_grid
 
 
@@ -155,6 +156,23 @@ class TestResiduals:
         assert coeffs[Fraction(-1, 6)] == 0.0
         assert coeffs[Fraction(1, 3)] == pytest.approx(1.0)
         assert coeffs[Fraction(10, 3)] == pytest.approx(2.0)
+
+    def test_each_term_set_is_sampled_once_for_its_residuals(self, sf, monkeypatch):
+        # example 3 is an RL derivative, with no Taylor head: its 25 residuals
+        # and the variant's 25 sample their terms in one array call each; the
+        # grid values are one list call each
+        calls = []
+        evaluate_inverse = solutions.evaluate_inverse
+
+        def counted(terms, u):
+            calls.append((terms, type(u).__name__))
+            return evaluate_inverse(terms, u)
+
+        monkeypatch.setattr(solutions, "evaluate_inverse", counted)
+        rep = solve_example(3, sf)
+        assert len(rep.residual) == 25
+        derived, variant = rep.derived_terms, solutions._variant_terms(rep.problem)[0]
+        assert calls == [(derived, "list"), (derived, "ndarray"), (variant, "list"), (variant, "ndarray")]
 
     def test_gap_plateau_is_flat(self, reports):
         for rep in reports.values():
