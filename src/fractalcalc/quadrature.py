@@ -25,10 +25,11 @@ Gauss-Legendre evaluates the nodes of all its panels in one call. Product
 integration takes the values of g already sampled on its mesh, so that
 `nonlocal_ops` can sample the meshes of a whole grid in one call. Tanh-sinh
 nests its levels: each finer level adds only its new odd nodes to the
-running sum, in one call per level, up to level 13, and raises
-ConvergenceError when no two levels agree. It calls g on one-element arrays
-only to find where an overflowing side must stop. A non-finite value of g
-where a rule needs it raises DomainError.
+running sum, in one call per level. It stops once two levels agree, or a
+level sooner where the last three show double-exponential convergence, and
+raises ConvergenceError when neither happens by level 13. It calls g on
+one-element arrays only to find where an overflowing side must stop. A
+non-finite value of g where a rule needs it raises DomainError.
 """
 
 from __future__ import annotations
@@ -81,6 +82,9 @@ def gauss_composite(g, lo: float, hi: float, nodes: int = 64) -> float:
 
 
 _TS_FIRST_LEVEL = 3
+# Each level about squares the error of the one before, so a relative gap of
+# at most tol^(2/3) and the previous gap^1.5 leaves an error of about gap^2.
+_TS_GAP_POWER, _TS_GAP_DECAY = 2.0 / 3.0, 1.5
 
 
 @lru_cache(maxsize=None)
@@ -133,7 +137,8 @@ def _ts_values(g, head: list, x_hi: np.ndarray, x_lo: np.ndarray):
         except (OverflowError, FloatingPointError):
             pass
         else:
-            return np.split(vals, [len(head), len(head) + len(x_hi)])
+            a, b = len(head), len(head) + len(x_hi)
+            return vals[:a], vals[a:b], vals[b:]
         out = [np.array([g(np.array([x]))[0] for x in head])]
         for side in (x_hi, x_lo):
             v = []
@@ -162,15 +167,17 @@ def tanh_sinh(g, lo: float, hi: float, tol: float = 1e-12, max_level: int = 13) 
     (about 1e-16 from 1.0) or where g overflows; if its last resolved
     increment exceeds `tol` of the sum, the mass past that node cannot be
     neglected and ConvergenceError is raised. The iteration stops once two
-    levels agree to `tol` (relative); when `max_level` is reached first,
-    ConvergenceError is raised, after the per-side checks.
+    levels agree to `tol` (relative), or a level sooner: once their relative
+    gap is at most tol^(2/3) and the gap before it^1.5 (double-exponential
+    error-squaring); when `max_level` is reached first, ConvergenceError is
+    raised, after the per-side checks.
     """
     c = 0.5 * (hi - lo)
     if c == 0.0:
         return 0.0
     mid = 0.5 * (lo + hi)
     s = 0.0
-    best = None
+    best = gap = math.nan  # the last level's value and its relative gap to the one before
     cut = math.inf  # t of the farthest node kept; no later level looks past it
     # per side (hi, lo): t of the first node that side cannot resolve, and
     # whether g overflowed there (else the node rounds to the endpoint)
@@ -179,42 +186,42 @@ def tanh_sinh(g, lo: float, hi: float, tol: float = 1e-12, max_level: int = 13) 
     edge = [(0.0, 0.0), (0.0, 0.0)]  # per side: (t, increment) of the farthest resolved node
     for level in range(_TS_FIRST_LEVEL, max_level + 1):
         t, w, d = _ts_nodes(level)
-        n = np.searchsorted(t, cut, side="right")
+        n = t.searchsorted(cut, "right")
         t, w, dist = t[:n], w[:n], c * d[:n]
         xs = (hi - dist, lo + dist)
         # the nodes run toward the endpoint, so past the first that rounds
-        # onto it, every node does
-        for side, inside in enumerate((xs[0] < hi, xs[1] > lo)):
-            if not inside.all():
-                limit[side] = min(limit[side], float(t[inside.argmin()]))
-        use = [t < limit[0], t < limit[1]]
+        # onto it, every node does: each side uses the m nodes before its limit
+        inside = (np.count_nonzero(xs[0] < hi), np.count_nonzero(xs[1] > lo))
+        m = [min(k, t.searchsorted(lim)) for k, lim in zip(inside, limit)]
+        limit = [min(lim, float(t[k])) if k < n else lim for k, lim in zip(m, limit)]
         first = level == _TS_FIRST_LEVEL
-        v_mid, *vals = _ts_values(g, [mid] if first else [], xs[0][use[0]], xs[1][use[1]])
-        inc = np.zeros(n)
-        for side in (0, 1):
-            idx = np.flatnonzero(use[side])
-            v = vals[side]
-            if len(v) < len(idx):
-                limit[side], overflow[side] = float(t[idx[len(v)]]), True
-                idx = idx[: len(v)]
-            inc[idx] += w[idx] * v
-            if len(idx) and t[idx[-1]] > edge[side][0]:
-                edge[side] = (float(t[idx[-1]]), float(w[idx[-1]] * v[-1]))
+        v_mid, *vals = _ts_values(g, [mid] if first else [], xs[0][: m[0]], xs[1][: m[1]])
         if first:
             if not np.isfinite(v_mid[0]):
                 raise DomainError("integrand returned a non-finite value")
             s = 0.5 * math.pi * float(v_mid[0])
+        inc = np.zeros(n)
+        for side, v in enumerate(vals):
+            k = len(v)
+            if k < m[side]:
+                limit[side], overflow[side] = float(t[k]), True
+            inc[:k] += w[:k] * v
+            if k and t[k - 1] > edge[side][0]:
+                edge[side] = (float(t[k - 1]), float(w[k - 1] * v[-1]))
         # the running sums in node order, as a node-by-node walk adds them
         run = np.cumsum(np.concatenate(([s], inc)))[1:]
-        stop = np.flatnonzero((t > 3.0) & (np.abs(inc) <= 1e-18 * np.maximum(1.0, np.abs(run))))
-        keep = stop[0] + 1 if len(stop) else n
+        j = t.searchsorted(3.0, "right")
+        stop = (np.abs(inc[j:]) <= 1e-18 * np.maximum(1.0, np.abs(run[j:]))).nonzero()[0]
+        keep = j + stop[0] + 1 if len(stop) else n
         if not np.isfinite(inc[:keep]).all():
             raise DomainError("integrand returned a non-finite value")
         if len(stop):
-            cut = float(t[stop[0]])
+            cut = float(t[keep - 1])
         s = float(run[keep - 1])
         val = c * (4.0 / (1 << level)) * s
-        agreed = best is not None and abs(val - best) <= tol * max(1.0, abs(val))
+        last, gap = gap, abs(val - best) / (abs(val) or math.nan)
+        converging = tol**_TS_GAP_POWER >= gap <= last**_TS_GAP_DECAY
+        agreed = abs(val - best) <= tol * max(1.0, abs(val)) or converging
         if agreed:
             break
         best = val

@@ -3,6 +3,7 @@
 import contextlib
 import io
 import math
+import warnings
 from fractions import Fraction
 
 import pytest
@@ -194,6 +195,21 @@ class TestExitCodes:
             assert err == "error: grid must be strictly ascending\n"
         else:
             assert err == "error: integrand raised on the mesh past the terminal: float division by zero\n"
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [(["solve", "--example", "1", "--grid", "-0.5", "0.5", "2"],
+          "evaluation point precedes the left terminal"),
+         (["laplace", "--f", "sin(pi*S(x)/40)^2*exp(0.99*S(x))", "--grid", "1", "1", "1"],
+          "tail bound 1.230e-01 at truncation u=40.0 exceeds tol=1e-09")],
+        ids=["solution-before-terminal", "tail-past-truncation"],
+    )
+    def test_refusals_print_one_error_line(self, argv, message):
+        # pytest holds back warnings, which outside it are more stderr lines
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(argv)
+        assert (code, out, err) == (1, "", f"error: {message}\n")
 
     @pytest.mark.parametrize("link", ["-", "+", "2^"])
     @pytest.mark.parametrize("n", [990, 1200, 6000])

@@ -414,7 +414,37 @@ class TestKernels:
         g = _Counted(lambda u: np.exp(-sigma * u) * f(u))
         upper = 36.0 / sigma + 4.0
         quadrature.tanh_sinh(g, 0.0, upper)
-        assert len(g.shapes) <= _levels_used(g.fn, 0.0, upper) <= 5
+        assert len(g.shapes) <= _levels_used(g.fn, 0.0, upper) <= 4
+
+    @pytest.mark.parametrize(
+        "fn, lo, hi",
+        [
+            (lambda u: u**-0.5, 0.0, 1.0),
+            (lambda u: u**-0.9 * np.exp(-u), 0.0, 1.0),
+            (np.log, 0.0, 1.0),
+            (lambda u: (1.0 - u) ** -0.1, 0.0, 1.0),
+            (lambda u: np.exp(-1.0 / u) * u**-3.0, 0.0, 1.0),
+            (lambda u: np.exp(-2.0 * u) * u**0.5, 0.0, 22.0),
+            (lambda u: np.exp(-10.0 * u) * u, 0.0, 7.6),
+            (lambda u: np.exp(-2.0 * u) * np.cos(50.0 * u), 0.0, 22.0),
+        ],
+        ids=["u^-0.5", "u^-0.9 e^-u", "log u", "(1-u)^-0.1", "e^(-1/u) u^-3",
+             "e^-2u u^0.5", "e^-10u u", "e^-2u cos 50u"],
+    )
+    def test_stop_rule_takes_no_more_levels_than_agreement(self, monkeypatch, fn, lo, hi):
+        # with a gap power of inf only two agreeing levels stop the rule:
+        # that rule is the reference
+        got, levels = quadrature.tanh_sinh(fn, lo, hi), _levels_used(fn, lo, hi)
+        monkeypatch.setattr(quadrature, "_TS_GAP_POWER", math.inf)
+        want, agreement_levels = quadrature.tanh_sinh(fn, lo, hi), _levels_used(fn, lo, hi)
+        assert levels <= agreement_levels
+        assert got == pytest.approx(want, rel=1e-14)
+
+    def test_stop_rule_saves_a_level_on_a_laplace_integrand(self, monkeypatch):
+        g = lambda u: np.exp(-2.0 * u) * u**0.5
+        levels = _levels_used(g, 0.0, 22.0)
+        monkeypatch.setattr(quadrature, "_TS_GAP_POWER", math.inf)
+        assert levels == _levels_used(g, 0.0, 22.0) - 1
 
     def test_tanh_sinh_freezes_an_overflowing_side(self):
         # oracle: the integral is 2/e. The first level's farthest nodes reach

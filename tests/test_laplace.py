@@ -4,8 +4,11 @@ import math
 import warnings
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fractalcalc import (
     CantorSpec,
@@ -31,7 +34,7 @@ from fractalcalc import (
     transform_rl_integral,
     unknown_transform,
 )
-from fractalcalc import quadrature
+from fractalcalc import laplace, quadrature
 
 
 @pytest.fixture(scope="module")
@@ -283,6 +286,59 @@ class TestNumericTransform:
         # oracle: L{cos(k S)}(sigma) = sigma / (sigma^2 + k^2)
         got = laplace_numeric(lambda x: math.cos(50.0 * sf.eval(x)), sf, 2.0)
         assert abs(got - 2.0 / 2504.0) <= 1e-10
+
+    @given(st.floats(0.0, 3.0), st.floats(0.5, 30.0))
+    @settings(max_examples=60, deadline=None)
+    def test_power_rule_to_twelve_digits(self, sf, eta, sigma):
+        # oracle: mpmath, L{S^eta}(sigma) = Gamma(eta + 1) / sigma^(eta + 1)
+        want = float(mpmath.gamma(mpmath.mpf(eta) + 1) / mpmath.mpf(sigma) ** (mpmath.mpf(eta) + 1))
+        got = laplace_numeric(lambda x: sf.eval(x) ** eta, sf, sigma)
+        assert got == pytest.approx(want, rel=1e-12)
+
+    def test_a_small_transform_is_converged_relative_to_itself(self, sf):
+        # L{S}(10) = 0.01: a gap test made absolute by max(1, |value|) would
+        # stop a level early, 4e-9 off
+        assert abs(laplace_numeric(sf.eval, sf, 10.0) - 0.01) <= 1e-13
+
+    @pytest.mark.parametrize("k", [1, 3, 8, 20, 50, 100, 149, 150])
+    def test_cosine_and_sine_against_their_closed_forms(self, sf, k):
+        # oracle: L{cos(k S)} = sigma / (sigma^2 + k^2), L{sin(k S)} = k / (sigma^2 + k^2)
+        for sigma in (1.0, 2.0, 5.0):
+            cos = laplace_numeric(lambda x: math.cos(k * sf.eval(x)), sf, sigma)
+            sin = laplace_numeric(lambda x: math.sin(k * sf.eval(x)), sf, sigma)
+            assert abs(cos - sigma / (sigma**2 + k**2)) <= 1e-14
+            assert abs(sin - k / (sigma**2 + k**2)) <= 1e-14
+
+    @pytest.mark.parametrize("k", [149, 150])
+    @pytest.mark.parametrize("fn", [math.cos, math.sin], ids=["cos", "sin"])
+    def test_cosine_and_sine_too_fast_for_the_levels_raise(self, sf, fn, k):
+        with pytest.raises(ConvergenceError, match="no two levels agree"):
+            laplace_numeric(lambda x: fn(k * sf.eval(x)), sf, 0.5)
+
+    def test_tail_that_vanishes_at_the_truncation_point_is_refused(self, sf):
+        # sin^2(pi S / 40) e^(0.99 S) at sigma = 1 is 0 at the truncation
+        # point u = 40 but e^(-0.6) at u = 60; its transform is 49.798, of
+        # which [0, 40] holds 16.417
+        with pytest.raises(TailBoundError, match="tail bound"):
+            laplace_numeric(lambda x: math.sin(math.pi * sf.eval(x) / 40.0) ** 2 * math.exp(0.99 * sf.eval(x)), sf, 1.0)
+
+    def test_tail_that_does_not_decay_is_refused(self, sf):
+        # e^(-u) 1e-30 e^(1.01 u) grows, though it is far below tol on the probe
+        with pytest.raises(TailBoundError, match="does not decay"):
+            laplace_numeric(lambda x: 1e-30 * math.exp(1.01 * sf.eval(x)), sf, 1.0)
+
+    def test_tail_probe_is_one_call(self, sf, monkeypatch):
+        shapes = []
+
+        class Counted(laplace.ConjugatedFn):
+            def __call__(self, u):
+                shapes.append(u.shape)
+                return super().__call__(u)
+
+        monkeypatch.setattr(laplace, "ConjugatedFn", Counted)
+        monkeypatch.setattr(quadrature, "tanh_sinh", lambda g, lo, hi: 0.0)
+        laplace_numeric(sf.eval, sf, 2.0)
+        assert shapes == [(6,)]
 
     def test_levels_that_never_agree_raise(self, sf):
         # x^2 conjugated is Q(u)^2, which jumps at every dyadic u, so no two

@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import math
 import struct
+import warnings
 from fractions import Fraction
 
 import pytest
@@ -102,6 +103,15 @@ class TestClosedForms:
         fn = example_solution_fn(3, sf)
         x = sf.quantile_exact(Fraction(49, 100))
         assert fn(float(x)) == pytest.approx(3.5446872219152546, rel=1e-9)
+
+    def test_a_point_before_the_terminal_raises(self, sf):
+        # (-1/2)^(1/2) is complex; it must not reach a float cast with a warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="precedes the left terminal"):
+                example_solution_fn(1, sf)(-0.5)
+            with pytest.raises(DomainError, match="precedes the left terminal"):
+                example_solution_fn(2, sf)(0.5)
 
     def test_example4_structure(self, sf):
         # three Mittag-Leffler terms with powers 1/3, -1/6, 10/3

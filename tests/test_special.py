@@ -86,6 +86,12 @@ class TestBeta:
         for r, s in ((0.5, 0.5), (0.5, 1.5), (1.0, 2.0), (2.5, 0.3), (0.1, 0.1)):
             assert beta_fractal_quadrature(r, s) == pytest.approx(beta_fractal(r, s), rel=1e-10)
 
+    @given(st.floats(0.05, 5.0), st.floats(0.05, 5.0))
+    @settings(max_examples=100, deadline=None)
+    def test_quadrature_to_fourteen_digits(self, r, s):
+        # oracle: mpmath's Beta, the Gamma ratio
+        assert beta_fractal_quadrature(r, s) == pytest.approx(float(mpmath.beta(r, s)), rel=1e-14)
+
     def test_quadrature_small_argument(self):
         # below r = 0.046, u^(r - 1) overflows at denormal u. At r = 0.04 the
         # mass past the overflow is negligible; at r = 0.01 it is 7.6e-4 of
