@@ -201,7 +201,7 @@ class TestExitCodes:
         [(["solve", "--example", "1", "--grid", "-0.5", "0.5", "2"],
           "evaluation point precedes the left terminal"),
          (["laplace", "--f", "sin(pi*S(x)/40)^2*exp(0.99*S(x))", "--grid", "1", "1", "1"],
-          "tail bound 1.230e-01 at truncation u=40.0 exceeds tol=1e-09")],
+          "tail bound 4.374e-03 at truncation u=40.0 exceeds tol=1e-09")],
         ids=["solution-before-terminal", "tail-past-truncation"],
     )
     def test_refusals_print_one_error_line(self, argv, message):
