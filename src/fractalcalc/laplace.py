@@ -284,8 +284,8 @@ def laplace_numeric(f, sf, sigma: float, tol: float = 1e-9) -> float:
     agree (jumps at every scale) raises ConvergenceError. The tail past upper
     is bounded by 2 exp(-sigma upper) G / sigma, G the largest |g| at six
     nodes on [0.9 upper, upper] (one call of g), so a g that vanishes at
-    upper but not before it is still seen; if that heuristic bound exceeds
-    tol, the transform refuses to report a value.
+    upper but not before it is still seen; if that heuristic bound exceeds tol
+    and tol times |the integral over [0, upper]|, the transform refuses.
     """
     sigma = float(sigma)
     if sigma <= 0.0:
@@ -294,12 +294,13 @@ def laplace_numeric(f, sf, sigma: float, tol: float = 1e-9) -> float:
     upper = 36.0 / sigma + 4.0
     probe = upper * _TAIL_PROBE
     bound = 2.0 * math.exp(-sigma * upper) * np.abs(g(probe)).max() / sigma
-    if not math.isfinite(bound) or bound > tol:
-        raise TailBoundError(
-            f"tail bound {bound:.3e} at truncation u={upper!r} exceeds tol={tol!r}"
-        )
 
     def integrand(u):
         return np.exp(-sigma * u) * g(u)
 
-    return quadrature.tanh_sinh(integrand, 0.0, upper)
+    value = quadrature.tanh_sinh(integrand, 0.0, upper) if math.isfinite(bound) else 0.0
+    if not bound <= tol * max(1.0, abs(value)):
+        raise TailBoundError(
+            f"tail bound {bound:.3e} at truncation u={upper!r} exceeds tol={tol!r}"
+        )
+    return value

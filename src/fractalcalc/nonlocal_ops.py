@@ -16,8 +16,9 @@ met by subtracting a fitted power (see `quadrature`).
 Every operator works on an integrand g of u under the protocol of
 `quadrature`: g takes a 1-D float ndarray of u, never a bare float, and
 returns the same shape. The points of one grid keep their own meshes but
-share one call of g: the terminal, then each point's mesh past it
-(`_rl_values`), so residual loops, compositions and CLI grids sample g once.
+share one S of the terminal, one call of g (the terminal, then each mesh
+past it) and one product-rule pass (`_rl_values`): residual loops,
+compositions and CLI grids sample g once.
 `evaluate_u` applies an operator to such a g at one point; the x-space
 entries (`evaluate`, `rl_integral`, `rl_derivative`, `caputo_derivative`)
 wrap f as `ConjugatedFn(f, sf)`, which takes the quantiles of the nodes in
@@ -102,37 +103,38 @@ def _node_count(span: float) -> int:
     return min(4096, max(32, int(math.ceil(_NODES_PER_UNIT * span))))
 
 
-def _left_sided(spec: OperatorSpec, g, sf, u: float):
-    """(g, ua, u) of the left-sided problem equal to spec's problem at u.
+def _left_sided(spec: OperatorSpec, g, sf, us):
+    """(g, ua, vs) of the left-sided problem equal to spec's problem at the
+    points us: ua = S(spec.terminal), taken once, and a right-sided spec is
+    reflected, t -> g(-t), -ua and each -u. vs yields the points in order and
+    raises DomainError at the first one on the wrong side of the terminal."""
+    ua, sign = sf.eval(spec.terminal), (-1.0 if spec.side is Side.RIGHT else 1.0)
+    side = "follows the right" if sign < 0.0 else "precedes the left"
 
-    ua = S(spec.terminal). A right-sided spec is reflected: t -> g(-t), -ua
-    and -u. A u on the wrong side of the terminal raises DomainError.
-    """
-    ua = sf.eval(spec.terminal)
-    if spec.side is Side.RIGHT:
-        if u > ua:
-            raise DomainError("evaluation point follows the right terminal")
-        return (lambda t: g(-t)), -ua, -u
-    if u < ua:
-        raise DomainError("evaluation point precedes the left terminal")
-    return g, ua, u
+    def points():
+        for u in us:
+            if sign * u < sign * ua:
+                raise DomainError(f"evaluation point {side} terminal")
+            yield sign * u
+
+    return (g if sign > 0.0 else lambda t: g(-t)), sign * ua, points()
 
 
 def _rl_values(g, ua: float, order: float, us) -> list[float]:
     """Left RL operator of g at each u of us, all past the terminal ua: an
     integral for order > 0, a derivative of order -order (a Hadamard finite
     part) for order < 0, each one product integral on its own graded mesh
-    against (u - v)^(order - 1) / Gamma(order).
+    against (u - v)^(order - 1) / Gamma(order), all in one pass of the rule.
 
     g is called once, on the terminal and then every mesh's nodes past it.
     When that raises (a terminal blow-up may raise, not return inf), g is
     called past the terminal with a nan there, and if that raises too,
     DomainError is raised, chained from g's exception.
     """
-    meshes = [quadrature.graded_mesh_two_sided(ua, u, _node_count(u - ua)) for u in us]
-    if not meshes:
+    if not us:
         return []
-    nodes = np.concatenate([meshes[0][:1]] + [m[1:] for m in meshes])
+    cells = [4 * (_node_count(u - ua) // 4) for u in us]
+    nodes, ends = quadrature._graded_nodes(ua, tuple(us), tuple(cells))
     try:
         vals = np.asarray(g(nodes), dtype=float)
     except (ArithmeticError, ValueError):
@@ -140,13 +142,8 @@ def _rl_values(g, ua: float, order: float, us) -> list[float]:
             vals = np.concatenate(([math.nan], g(nodes[1:])))
         except (ArithmeticError, ValueError) as exc:
             raise DomainError(f"integrand raised on the mesh past the terminal: {exc}") from exc
-    out, start = [], 1
-    for mesh in meshes:
-        stop = start + len(mesh) - 1
-        own = np.concatenate((vals[:1], vals[start:stop]))
-        out.append(quadrature.product_integrate(own, mesh, order - 1.0) * rgamma(order))
-        start = stop
-    return out
+    scale = rgamma(order)
+    return [v * scale for v in quadrature.product_integrate(vals, nodes, order - 1.0, ends)]
 
 
 def _taylor_head(g, spec: OperatorSpec, ua: float) -> tuple[float, float]:
@@ -176,11 +173,10 @@ def _values_u(spec: OperatorSpec, g, sf, us) -> list[float]:
     rule then sees a bounded remainder, not a derivative singular at ua.
     """
     order = spec.beta if spec.kind is OperatorKind.RL_INTEGRAL else -spec.beta
-    h = ua = None
+    h, ua, vs = _left_sided(spec, g, sf, us)
     points, failure = [], None
     try:
-        for u in us:
-            h, ua, v = _left_sided(spec, g, sf, u)
+        for v in vs:
             if spec.kind is OperatorKind.CAPUTO and not points:
                 c0, c1 = _taylor_head(h, spec, ua)
             if v == ua and order < 0.0:
@@ -291,7 +287,8 @@ def composition_residual(spec: OperatorSpec, f, sf, end) -> float:
     if spec.kind is OperatorKind.RL_INTEGRAL:
         raise DomainError("composition identities take a derivative spec, got rl-integral")
     beta = spec.beta
-    g, ua, ub = _left_sided(spec, ConjugatedFn(f, sf), sf, sf.eval(end))
+    g, ua, points = _left_sided(spec, ConjugatedFn(f, sf), sf, [sf.eval(end)])
+    ub = next(points)
     if not ub > ua:
         raise DomainError("interval has empty staircase measure")
     c0, c1 = _taylor_head(g, spec, ua)

@@ -12,18 +12,19 @@ evaluates fractional derivatives. Moments are in closed form on pairs close
 to the anchor and by an 8-point Gauss rule on pairs far from it, where the
 closed form's differences of nearly equal powers would cancel. A graded
 mesh is an affine image of a reference mesh that depends only on its cell
-count, so its weights are cached reference weights times span^(mu + 1). An
+count, so its weights are cached reference weights times span^(mu + 1); the
+meshes of a grid share the terminal and make one pass of the rule. An
 integrand that blows up at the terminal, the lower end, is met by
 subtracting a fitted power whose integral is exact, and raises when no such
-power fits. The product rule has a single kernel anchor, the mesh's last
+power fits. The product rule has a single kernel anchor, each mesh's last
 node; a kernel singular at the lower end is reached by reflecting the
 integrand (see `nonlocal_ops`).
 
 Integrand protocol: an integrand g takes a 1-D float ndarray of u and returns
 a float ndarray of the same shape; no kernel calls g on a bare float.
 Gauss-Legendre evaluates the nodes of all its panels in one call. Product
-integration takes the values of g already sampled on its mesh, so that
-`nonlocal_ops` can sample the meshes of a whole grid in one call. Tanh-sinh
+integration takes the values of g already sampled on a grid's nodes, so
+that `nonlocal_ops` can sample a whole grid in one call. Tanh-sinh
 nests its levels: each finer level adds only its new odd nodes to the
 running sum, in one call per level. It stops once two levels agree, or a
 level sooner where the last three show double-exponential convergence, and
@@ -34,6 +35,7 @@ non-finite value of g where a rule needs it raises DomainError.
 
 from __future__ import annotations
 
+import itertools
 import math
 from functools import lru_cache
 
@@ -265,21 +267,22 @@ def _reference_mesh(cells: int) -> np.ndarray:
     return mesh
 
 
-def graded_mesh_two_sided(lo: float, hi: float, n: int) -> np.ndarray:
-    """Mesh of about n cells in pairs, graded toward both endpoints.
-
-    The mesh is lo + (hi - lo) * ref with a reference mesh ref on [0, 1]
-    that depends on n alone. Each half gets P = n // 4 (at least 1) cell
-    pairs, each split at its midpoint. Pair edges are graded as (k/P)^3.5
-    toward lo, the terminal, where the integrand is usually singular, and
-    as (k/P)^3 toward hi, the kernel anchor. Near the anchor the grading is
-    relaxed so that no pair is narrower than 1e-4 of the half span: a
-    hypersingular kernel's finite-part weights, and their rounding error,
-    grow like the anchor pair's width to the power -beta.
-    """
-    mesh = lo + (hi - lo) * _reference_mesh(4 * max(1, n // 4))
-    mesh[-1] = hi
-    return mesh
+@lru_cache(maxsize=1)
+def _graded_nodes(lo: float, his: tuple, cells: tuple) -> tuple[np.ndarray, tuple]:
+    """A grid's graded meshes, lo + (hi - lo) ref ending at hi for each hi, as
+    one read-only array (lo, then each mesh past it) and their ends; the last
+    grid is kept, so `product_integrate` knows it. ref has cells // 4 pairs a
+    half, split at their midpoints, graded as (k/P)^3.5 toward lo, the
+    terminal, where g is often singular, and as (k/P)^3 toward hi, the kernel
+    anchor, no anchor pair under 1e-4 of the half span: finite-part weights
+    grow like that width^-beta."""
+    ends = tuple(itertools.accumulate(cells, initial=1))[1:]
+    meshes = [lo + (hi - lo) * _reference_mesh(c)[1:] for hi, c in zip(his, cells)]
+    nodes = np.concatenate([[lo + 0.0]] + meshes)
+    for end, hi in zip(ends, his):
+        nodes[end - 1] = hi
+    nodes.flags.writeable = False
+    return nodes, ends
 
 
 @lru_cache(maxsize=None)
@@ -353,24 +356,13 @@ def _reference_weights(cells: int, mu: float) -> np.ndarray:
     return weights
 
 
-def _mesh_weights(mesh: np.ndarray, mu: float) -> np.ndarray:
-    """product_weights(mesh, mu), scaled from the cached reference weights
-    when the mesh is a graded mesh: those are span^(mu + 1) W_ref(n, mu)."""
-    cells = len(mesh) - 1
-    if cells % 4 == 0:
-        lo, span = mesh[0], mesh[-1] - mesh[0]
-        ref = _reference_mesh(cells)
-        if np.array_equal(mesh[:-1], lo + span * ref[:-1]):
-            return span ** (mu + 1.0) * _reference_weights(cells, mu)
-    return product_weights(mesh, mu)
-
-
 def _terminal_power(z: np.ndarray, g: np.ndarray) -> tuple[float, float, float] | None:
     """(c, gamma, d) of the model c z^gamma + d through g at z[1], z[2], z[4].
 
-    gamma is found by bisection on (-1, 4), where the power is integrable
-    and the model's ratio of differences rises with gamma. None when the
-    three values fit no such model.
+    gamma solves ratio(gamma) = target, the model's ratio of differences
+    against g's, on (-1, 4), where the power is integrable and the ratio
+    rises: Newton steps on the nearly linear log ratio, from the chord, and
+    a bisection for a step that leaves the bracket. None if no model fits.
     """
     x1, x2, x3 = math.log(z[1]), math.log(z[2]), math.log(z[4])
     g1, g2, g3 = g[1], g[2], g[4]
@@ -378,55 +370,75 @@ def _terminal_power(z: np.ndarray, g: np.ndarray) -> tuple[float, float, float] 
         return None
     target = (g3 - g2) / (g2 - g1)
 
-    def ratio(gamma: float) -> float:
-        p2 = math.exp(gamma * x2)
-        return (math.exp(gamma * x3) - p2) / (p2 - math.exp(gamma * x1))
+    def ratio(gamma: float) -> tuple[float, float]:
+        # the ratio and its log-derivative; nan where gamma is too near 0 to tell
+        p1, p2, p3 = math.exp(gamma * x1), math.exp(gamma * x2), math.exp(gamma * x3)
+        if p1 == p2 or p2 == p3:
+            return math.nan, math.nan
+        d2, d1 = p3 - p2, p2 - p1
+        return d2 / d1, (x3 * p3 - x2 * p2) / d2 - (x2 * p2 - x1 * p1) / d1
 
     lo, hi = -1.0, 4.0
-    if not ratio(lo) < target < ratio(hi):
+    (r_lo, _), (r_hi, _) = ratio(lo), ratio(hi)
+    if not r_lo < target < r_hi:
         return None
-    for _ in range(50):
-        gamma = 0.5 * (lo + hi)
-        if ratio(gamma) < target:
-            lo = gamma
-        else:
-            hi = gamma
-    gamma = 0.5 * (lo + hi)
+    gamma = lo + (hi - lo) * math.log(target / r_lo) / math.log(r_hi / r_lo)
+    for _ in range(60):
+        r, slope = ratio(gamma)
+        lo, hi = (gamma, hi) if r < target else (lo, gamma)
+        step = gamma - math.log(r / target) / slope
+        converged = lo <= step <= hi and abs(step - gamma) <= 1e-9  # the next error is ~1e-18
+        gamma = step if lo <= step <= hi else 0.5 * (lo + hi)
+        if converged:
+            break
     c = (g2 - g1) / (z[2] ** gamma - z[1] ** gamma)
     return c, gamma, g1 - c * z[1] ** gamma
 
 
-def product_integrate(vals: np.ndarray, mesh: np.ndarray, mu: float) -> float:
-    """f.p.∫ g(v) (X - v)^mu dv over the mesh span, with the anchor X = mesh[-1],
-    from vals = g(mesh).
-
-    g is interpolated quadratically on each pair of cells (see
-    `product_weights`). A non-finite vals[0] (an integrable blow-up at the
-    very edge of the terminal mesh[0]) is met by singularity subtraction:
-    the model c z^gamma + d, z = v - mesh[0], is fitted to g at three nodes
-    next to the terminal, the power's integral is taken exactly (a Beta
-    function), and the rule integrates g minus the power, which is d at the
-    terminal. When no such model fits, ConvergenceError is raised.
-    """
-    weights = _mesh_weights(mesh, mu)
-    head = 0.0
-    if not math.isfinite(vals[0]):
-        z = mesh - mesh[0]
-        fit = _terminal_power(z, vals) if len(mesh) > 4 else None
-        if fit is None:
-            raise ConvergenceError(
-                "no integrable power c z^gamma + d fits the blow-up at the terminal"
-            )
-        c, gamma, d = fit
-        vals = np.concatenate(([d], vals[1:] - c * z[1:] ** gamma))
-        # f.p.∫_0^span z^gamma (span - z)^mu dz = span^(s - 1) B(gamma + 1, mu + 1)
-        s = gamma + mu + 2.0
-        if s > 0.0 or s != math.floor(s):
-            beta_fn = math.gamma(gamma + 1.0) * math.gamma(mu + 1.0) / math.gamma(s)
-            head = c * z[-1] ** (s - 1.0) * beta_fn
-    if not np.isfinite(vals).all():
+def product_integrate(vals: np.ndarray, nodes: np.ndarray, mu: float, ends) -> list[float]:
+    """f.p.∫ g(v) (X - v)^mu dv over each mesh of a grid, from vals = g(nodes),
+    the anchor X being the mesh's last node. Mesh i is the terminal nodes[0]
+    then nodes[ends[i - 1]:ends[i]] (from 1 for i = 0), so [len(nodes)] makes
+    nodes one mesh. g is interpolated quadratically on each pair of cells (see
+    `product_weights`); graded meshes (one test per grid) take the cached
+    weights; each value is one sum over its own mesh. A non-finite vals[0] is
+    met by subtracting c z^gamma + d, z = v - nodes[0], fitted to g at three
+    nodes next to the terminal and integrated exactly (a Beta function); when
+    no such model fits, ConvergenceError is raised."""
+    ends = list(ends)
+    firsts = [1] + ends[:-1]
+    cells = tuple(end - first for first, end in zip(firsts, ends))
+    lo, his = nodes[0], tuple(nodes[end - 1] for end in ends)
+    # the meshes laid one after another, each with the terminal: mesh i at places[i]
+    places = [(first + i - 1, end + i) for i, (first, end) in enumerate(zip(firsts, ends))]
+    full = np.concatenate([v for f, e in zip(firsts, ends) for v in (vals[:1], vals[f:e])])
+    built = _graded_nodes(lo, his, cells)[0] if all(c > 0 and c % 4 == 0 for c in cells) else None
+    if built is not None and (nodes is built or np.array_equal(nodes, built)):
+        scale = np.array([(hi - lo) ** (mu + 1.0) for hi in his]).repeat([c + 1 for c in cells])
+        weights = scale * np.concatenate([_reference_weights(c, mu) for c in cells])
+    else:
+        meshes = [np.concatenate((nodes[:1], nodes[first:end])) for first, end in zip(firsts, ends)]
+        weights = np.concatenate([product_weights(mesh, mu) for mesh in meshes])
+    heads = [0.0] * len(ends)
+    for i, (a, b) in enumerate(places if not np.isfinite(vals).all() else ()):
+        if not math.isfinite(full[a]):
+            z = np.concatenate(([0.0], nodes[firsts[i] : ends[i]] - lo))
+            fit = _terminal_power(z, full[a:b]) if b - a > 4 else None
+            if fit is None:
+                raise ConvergenceError(
+                    "no integrable power c z^gamma + d fits the blow-up at the terminal"
+                )
+            c, gamma, full[a] = fit
+            full[a + 1 : b] -= c * z[1:] ** gamma
+            # f.p.∫_0^span z^gamma (span - z)^mu dz = span^(s - 1) B(gamma + 1, mu + 1)
+            s = gamma + mu + 2.0
+            if s > 0.0 or s != math.floor(s):
+                beta_fn = math.gamma(gamma + 1.0) * math.gamma(mu + 1.0) / math.gamma(s)
+                heads[i] = c * z[-1] ** (s - 1.0) * beta_fn
+        if not np.isfinite(full[a:b]).all():
+            raise DomainError("integrand returned a non-finite value on the mesh")
+    products = weights * full
+    totals = [float(products[a:b].sum()) + head for (a, b), head in zip(places, heads)]
+    if not all(map(math.isfinite, totals)):
         raise DomainError("integrand returned a non-finite value on the mesh")
-    total = float((weights * vals).sum()) + head
-    if not math.isfinite(total):
-        raise DomainError("integrand returned a non-finite value on the mesh")
-    return total
+    return totals

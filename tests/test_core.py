@@ -329,9 +329,27 @@ def _ref_gauss_composite(g, lo, hi, nodes=64):
     return total
 
 
+def _one_mesh(vals, mesh, mu):
+    # the product rule on one mesh: a grid whose one mesh ends at the last node
+    (value,) = quadrature.product_integrate(vals, mesh, mu, [len(mesh)])
+    return value
+
+
+def _graded_mesh(lo, hi, n):
+    # lo + (hi - lo) * ref on the reference mesh of about n cells, ending at hi
+    mesh = lo + (hi - lo) * quadrature._reference_mesh(4 * max(1, n // 4))
+    mesh[-1] = hi
+    return mesh
+
+
+def _scaled_reference_weights(mesh, mu):
+    # a graded mesh's weights: span^(mu + 1) times those of its reference mesh
+    return (mesh[-1] - mesh[0]) ** (mu + 1.0) * quadrature.product_weights(quadrature._reference_mesh(len(mesh) - 1), mu)
+
+
 def _ref_product_integrate(g, mesh, mu):
     vals = np.array([g(mesh[i : i + 1])[0] for i in range(len(mesh))])
-    return float((quadrature._mesh_weights(mesh, mu) * vals).sum())
+    return float((_scaled_reference_weights(mesh, mu) * vals).sum())
 
 
 class TestWholeMeshQuadrature:
@@ -345,8 +363,8 @@ class TestWholeMeshQuadrature:
     def test_product_integrate_same_bits(self, sf, mu):
         g = ConjugatedFn(lambda x: math.exp(-float(x)) + float(sf.eval_exact(x)) ** 0.5, sf)
         for lo, hi, n in ((0.0, 1.0, 256), (0.2, 0.9, 37), (1.1, 2.0, 64)):
-            mesh = quadrature.graded_mesh_two_sided(lo, hi, n)
-            got = quadrature.product_integrate(g(mesh), mesh, mu)
+            mesh = _graded_mesh(lo, hi, n)
+            got = _one_mesh(g(mesh), mesh, mu)
             assert _same_bits(got, _ref_product_integrate(g, mesh, mu))
 
 
@@ -484,10 +502,10 @@ class TestKernels:
 
     def test_non_finite_values_are_domain_errors(self):
         g = lambda u: np.where(u > 0.7, np.nan, u)
-        mesh = quadrature.graded_mesh_two_sided(0.0, 1.0, 32)
+        mesh = _graded_mesh(0.0, 1.0, 32)
         for run in (lambda: quadrature.tanh_sinh(g, 0.0, 1.0),
                     lambda: quadrature.gauss_composite(g, 0.0, 1.0),
-                    lambda: quadrature.product_integrate(g(mesh), mesh, -0.5)):
+                    lambda: _one_mesh(g(mesh), mesh, -0.5)):
             with pytest.raises(DomainError, match="non-finite"):
                 run()
 
@@ -518,36 +536,61 @@ def _fp_cos(mu: float, X: float = 1.0) -> float:
         return float(total)
 
 
+def _bisection_power(z, g):
+    """The terminal-power fit as a 50-step bisection on (-1, 4): the oracle
+    of the Newton fit, solving the same equation at the same three nodes."""
+    x1, x2, x3 = math.log(z[1]), math.log(z[2]), math.log(z[4])
+    g1, g2, g3 = g[1], g[2], g[4]
+    if not (g3 - g2) * (g2 - g1) > 0.0:
+        return None
+    target = (g3 - g2) / (g2 - g1)
+
+    def ratio(gamma):
+        p2 = math.exp(gamma * x2)
+        return (math.exp(gamma * x3) - p2) / (p2 - math.exp(gamma * x1))
+
+    lo, hi = -1.0, 4.0
+    if not ratio(lo) < target < ratio(hi):
+        return None
+    for _ in range(50):
+        gamma = 0.5 * (lo + hi)
+        if ratio(gamma) < target:
+            lo = gamma
+        else:
+            hi = gamma
+    return 0.5 * (lo + hi)
+
+
 class TestProductRule:
     @pytest.mark.parametrize("mu", [-2.5, -1.5, -1.2, -0.5, 0.5])
     def test_exact_on_quadratics(self, mu):
         # any mesh with an even cell count, graded or not, and the finite part for mu < -1
         rng = np.random.default_rng(7)
         meshes = [
-            quadrature.graded_mesh_two_sided(0.3, 1.1, 64),
+            _graded_mesh(0.3, 1.1, 64),
             np.concatenate([[0.3], np.sort(rng.uniform(0.3, 1.1, 19)), [1.1]]),
         ]
         for mesh in meshes:
             X, S = mesh[-1], mesh[-1] - mesh[0]
             for k in range(3):
-                got = quadrature.product_integrate(mesh**k, mesh, mu)
+                got = _one_mesh(mesh**k, mesh, mu)
                 want = _fp_power_moment(k, mu, X, S)
                 # rounding, amplified by the anchor pair's width^(mu + 1)
                 assert got == pytest.approx(want, rel=1e-8), (k, len(mesh))
 
     @pytest.mark.parametrize("mu", [-2.5, -1.5, -0.5, 0.5])
     def test_cosine_against_mpmath(self, mu):
-        mesh = quadrature.graded_mesh_two_sided(0.0, 1.0, 256)
-        assert quadrature.product_integrate(np.cos(mesh), mesh, mu) == pytest.approx(_fp_cos(mu), rel=1e-7)
+        mesh = _graded_mesh(0.0, 1.0, 256)
+        assert _one_mesh(np.cos(mesh), mesh, mu) == pytest.approx(_fp_cos(mu), rel=1e-7)
 
     @pytest.mark.parametrize("mu", [-1.5, -0.5])
     @pytest.mark.parametrize("eta", [0.05, 0.25])
     def test_far_pairs_keep_their_moments(self, mu, eta):
         # v^eta changes fast over the tiny pairs at the terminal, where the
         # closed-form moments would cancel catastrophically (2e-5 here)
-        mesh = quadrature.graded_mesh_two_sided(0.0, 0.7, 180)
+        mesh = _graded_mesh(0.0, 0.7, 180)
         want = math.gamma(eta + 1.0) * math.gamma(mu + 1.0) / math.gamma(eta + mu + 2.0) * 0.7 ** (eta + mu + 1.0)
-        assert quadrature.product_integrate(mesh**eta, mesh, mu) == pytest.approx(want, rel=1e-6)
+        assert _one_mesh(mesh**eta, mesh, mu) == pytest.approx(want, rel=1e-6)
 
     @pytest.mark.parametrize("mu", [-2.5, -1.5, -0.5, 0.5])
     def test_terminal_blow_up_is_subtracted(self, mu):
@@ -556,31 +599,78 @@ class TestProductRule:
         def g(v):
             return 1.0 / np.sqrt(v) + 1.0
 
-        mesh = quadrature.graded_mesh_two_sided(0.0, 0.6, 120)
+        mesh = _graded_mesh(0.0, 0.6, 120)
         want = math.gamma(0.5) * math.gamma(mu + 1.0) * rgamma(mu + 1.5) * 0.6 ** (mu + 0.5)
         want += 0.6 ** (mu + 1.0) / (mu + 1.0)
         with np.errstate(divide="ignore"):
-            got = quadrature.product_integrate(g(mesh), mesh, mu)
+            got = _one_mesh(g(mesh), mesh, mu)
         assert got == pytest.approx(want, rel=1e-7)
+
+    @given(
+        # |gamma| >= 0.01: toward 0 the model degenerates to a logarithm, whose
+        # ratio of differences rounds too coarsely for two solvers to agree to 1e-12
+        gamma=st.floats(min_value=-0.95, max_value=3.9).filter(lambda g: abs(g) >= 0.01),
+        pairs=st.integers(min_value=8, max_value=1024),
+        span=st.floats(min_value=1e-3, max_value=10.0),
+        c=st.floats(min_value=-1e3, max_value=1e3).filter(lambda c: abs(c) >= 1e-3),
+        d=st.floats(min_value=-1e3, max_value=1e3),
+        slope=st.floats(min_value=-1e3, max_value=1e3),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_newton_fit_solves_the_bisection_equation(self, gamma, pairs, span, c, d, slope):
+        # the same cases fit no power, and the exponents agree to 1e-12
+        z = span * quadrature._reference_mesh(4 * pairs)
+        with np.errstate(divide="ignore"):
+            g = c * z**gamma + d + slope * z
+        fit, want = quadrature._terminal_power(z, g), _bisection_power(z, g)
+        assert (fit is None) == (want is None)
+        if fit is not None:
+            assert abs(fit[1] - want) <= 1e-12
 
     def test_terminal_blow_up_that_fits_no_power_raises(self):
         # v^-2 is not integrable: its exponent lies outside the fitted (-1, 4)
-        mesh = quadrature.graded_mesh_two_sided(0.0, 0.6, 120)
+        mesh = _graded_mesh(0.0, 0.6, 120)
         with np.errstate(divide="ignore"):
             with pytest.raises(ConvergenceError, match="fits the blow-up at the terminal"):
-                quadrature.product_integrate(mesh**-2.0, mesh, -0.5)
+                _one_mesh(mesh**-2.0, mesh, -0.5)
 
     def test_graded_meshes_use_the_scaled_reference_weights(self):
+        vals = lambda mesh: np.cos(3.0 * mesh) + mesh
         for lo, hi, n in ((0.0, 1.0, 256), (-2.0, -0.3, 100), (0.0, 1e-9, 32)):
-            mesh = quadrature.graded_mesh_two_sided(lo, hi, n)
-            assert len(mesh) - 1 == 4 * (n // 4) and mesh[0] == lo and mesh[-1] == hi
+            mesh = _graded_mesh(lo, hi, n)
+            nodes, ends = quadrature._graded_nodes(lo, (hi,), (4 * (n // 4),))
+            assert np.array_equal(nodes, mesh) and list(ends) == [len(mesh)]
             for mu in (-1.7, -0.5, 0.3):
                 direct = quadrature.product_weights(mesh, mu)
-                scaled = quadrature._mesh_weights(mesh, mu)
+                scaled = _scaled_reference_weights(mesh, mu)
                 assert np.allclose(scaled, direct, rtol=1e-9, atol=1e-12 * np.abs(direct).max())
+                got = _one_mesh(vals(mesh), mesh, mu)
+                assert _same_bits(got, float((scaled * vals(mesh)).sum()))
         # a mesh that is not graded gets its own weights
         mesh = np.linspace(0.0, 1.0, 9)
-        assert np.array_equal(quadrature._mesh_weights(mesh, -0.5), quadrature.product_weights(mesh, -0.5))
+        got = _one_mesh(vals(mesh), mesh, -0.5)
+        assert _same_bits(got, float((quadrature.product_weights(mesh, -0.5) * vals(mesh)).sum()))
+
+    def test_a_grid_is_its_meshes_past_the_shared_terminal(self):
+        his, cells = (0.35, 1.0, 0.6), (40, 256, 156)
+        nodes, ends = quadrature._graded_nodes(0.1, his, cells)
+        meshes = [_graded_mesh(0.1, hi, n) for hi, n in zip(his, cells)]
+        assert np.array_equal(nodes, np.concatenate([meshes[0]] + [mesh[1:] for mesh in meshes[1:]]))
+        assert list(ends) == list(np.cumsum([len(mesh) - 1 for mesh in meshes]) + 1)
+        # each value has the bits of its mesh alone
+        got = quadrature.product_integrate(np.exp(nodes), nodes, -0.5, ends)
+        assert got == [_one_mesh(np.exp(mesh), mesh, -0.5) for mesh in meshes]
+
+    def test_a_grid_with_one_mesh_not_graded_gives_every_mesh_its_own_weights(self):
+        # two graded meshes from 0.1 share the terminal; moving one interior
+        # node of the second fails the grid's one test of the graded nodes
+        meshes = [_graded_mesh(0.1, hi, 64) for hi in (0.5, 0.9)]
+        meshes[1][7] += 1e-3
+        nodes = np.concatenate([meshes[0], meshes[1][1:]])
+        ends = [len(meshes[0]), len(nodes)]
+        got = quadrature.product_integrate(np.exp(nodes), nodes, -0.5, ends)
+        for value, mesh in zip(got, meshes):
+            assert _same_bits(value, float((quadrature.product_weights(mesh, -0.5) * np.exp(mesh)).sum()))
 
     def test_rejects_odd_cell_counts_and_log_exponents(self):
         with pytest.raises(ValueError):

@@ -268,6 +268,14 @@ class TestNumericTransform:
         with pytest.raises(TailBoundError):
             laplace_numeric(lambda x: math.exp(2.0 * sf.eval(x)), sf, 1.0)
 
+    @pytest.mark.parametrize("eta", [2.2, 3.0])
+    def test_a_tail_above_tol_but_small_beside_a_large_transform_is_kept(self, sf, eta):
+        # at sigma = 0.1 the tail bound exceeds tol = 1e-9 (1.3e-9 at eta = 2.2)
+        # but is 3.5e-13 to 2.5e-12 of the transform; the tail truncated past
+        # u = 364 is 1.3e-12 of it at eta = 3. Oracle: Gamma(eta + 1) / sigma^(eta + 1)
+        got = laplace_numeric(lambda x: sf.eval(x) ** eta, sf, 0.1)
+        assert got == pytest.approx(math.gamma(eta + 1.0) / 0.1 ** (eta + 1.0), rel=5e-12)
+
     def test_one_tanh_sinh_rule_and_no_gauss_panels(self, sf, monkeypatch):
         calls = []
         tanh_sinh = quadrature.tanh_sinh

@@ -329,13 +329,16 @@ class TestOperatorBasics:
 
 
 def _reference_values(spec, g, sf, us):
-    """One `evaluate_u` per point as it was before grids shared a call: each
-    point builds its own mesh and calls product_integrate(g(mesh), mesh, mu),
-    retrying past a raising terminal with a nan there."""
+    """One value per point as it was before grids shared a call, with none
+    of the code under test: each point builds its own graded mesh, calls g
+    on it (retrying past a raising terminal with a nan there), subtracts the
+    fitted terminal power, and sums against its own weights, span^(mu + 1)
+    times the product weights of the reference mesh."""
     right = spec.side is Side.RIGHT
     ua = -sf.eval(spec.terminal) if right else sf.eval(spec.terminal)
     h = (lambda t: g(-t)) if right else g
     order = spec.beta if spec.kind is OperatorKind.RL_INTEGRAL else -spec.beta
+    mu = order - 1.0
     out = []
     for u in us:
         v = -u if right else u
@@ -348,17 +351,33 @@ def _reference_values(spec, g, sf, us):
                 raise DomainError("derivative is not defined at the terminal itself")
             out.append(0.0)
             continue
-        mesh = quadrature.graded_mesh_two_sided(ua, v, nonlocal_ops._node_count(v - ua))
+        ref = quadrature._reference_mesh(_cells(ua, v))
+        mesh = _graded_mesh(ua, v)
         try:
             vals = np.asarray(r(mesh), dtype=float)
         except ZeroDivisionError:
             vals = np.concatenate(([math.nan], r(mesh[1:])))
-        out.append(quadrature.product_integrate(vals, mesh, order - 1.0) * rgamma(order))
+        head = 0.0
+        if not math.isfinite(vals[0]):
+            z = mesh - ua
+            c, gamma, d = quadrature._terminal_power(z, vals)
+            vals = np.concatenate(([d], vals[1:] - c * z[1:] ** gamma))
+            s = gamma + mu + 2.0
+            head = c * z[-1] ** (s - 1.0) * (math.gamma(gamma + 1.0) * math.gamma(mu + 1.0) / math.gamma(s))
+        weights = (v - ua) ** (mu + 1.0) * quadrature.product_weights(ref, mu)
+        out.append((float((weights * vals).sum()) + head) * rgamma(order))
     return out
 
 
 def _cells(ua, u):
-    return len(quadrature.graded_mesh_two_sided(ua, u, nonlocal_ops._node_count(u - ua))) - 1
+    return 4 * (nonlocal_ops._node_count(u - ua) // 4)
+
+
+def _graded_mesh(ua, u):
+    # ua + (u - ua) * ref on the reference mesh of the point's cell count, ending at u
+    mesh = ua + (u - ua) * quadrature._reference_mesh(_cells(ua, u))
+    mesh[-1] = u
+    return mesh
 
 
 def _outcome(run):
@@ -421,9 +440,30 @@ class TestGridSampling:
         spec = OperatorSpec(OperatorKind.RL_DERIVATIVE, 0.5, 0.0)
         us = [0.3, 1.0, 0.6]
         nonlocal_ops._values_u(spec, g, sf, us)
-        meshes = [quadrature.graded_mesh_two_sided(0.0, u, nonlocal_ops._node_count(u)) for u in us]
+        meshes = [_graded_mesh(0.0, u) for u in us]
         assert len(calls) == 1
         assert np.array_equal(calls[0], np.concatenate([[0.0]] + [mesh[1:] for mesh in meshes]))
+
+    @pytest.mark.parametrize("kind", list(OperatorKind))
+    def test_a_grid_is_one_product_rule_pass_and_one_terminal(self, sf, monkeypatch, kind):
+        # 25 points: one product_integrate call with every point's end, and
+        # the terminal's S evaluated once (g is in u, so no other sf.eval)
+        calls, evals = [], []
+        product_integrate = quadrature.product_integrate
+
+        def counted(vals, nodes, mu, ends):
+            calls.append(len(ends))
+            return product_integrate(vals, nodes, mu, ends)
+
+        class Counted:
+            def eval(self, x):
+                evals.append(x)
+                return sf.eval(x)
+
+        monkeypatch.setattr(quadrature, "product_integrate", counted)
+        us = list(np.linspace(0.04, 1.0, 25))
+        got = nonlocal_ops._values_u(OperatorSpec(kind, 0.7, 0.0), lambda u: np.exp(-u), Counted(), us)
+        assert calls == [25] and evals == [0.0] and len(got) == 25
 
     def test_a_terminal_that_raises_is_a_nan_terminal(self, sf):
         # v^-1/2 + 1 blows up at the terminal v = 0: one g raises there, the
@@ -608,7 +648,7 @@ def _inner_integral(g, order: float, cells: int = 128):
     v^order times the reference weights and a whole array of v is one
     broadcast product, not a loop over v.
     """
-    ref = quadrature.graded_mesh_two_sided(0.0, 1.0, cells)
+    ref = quadrature._reference_mesh(cells)
     weights = quadrature.product_weights(ref, order - 1.0) / math.gamma(order)
 
     def inner(v):
