@@ -17,33 +17,22 @@ import numpy as np
 from .exceptions import DomainError
 
 
-def gl_weights_integral(beta: float, count: int) -> np.ndarray:
-    """Coefficients of (1 - t)^(-beta), w_k = w_{k-1} (k - 1 + beta) / k."""
+def gl_weights(p: float, count: int) -> np.ndarray:
+    """Coefficients of (1 - t)^p, w_k = w_{k-1} (k - 1 - p) / k."""
     w = np.empty(count)
     w[0] = 1.0
     for k in range(1, count):
-        w[k] = w[k - 1] * (k - 1 + beta) / k
-    return w
-
-
-def gl_weights_derivative(beta: float, count: int) -> np.ndarray:
-    """Coefficients of (1 - t)^beta, w_k = w_{k-1} (k - 1 - beta) / k."""
-    w = np.empty(count)
-    w[0] = 1.0
-    for k in range(1, count):
-        w[k] = w[k - 1] * (k - 1 - beta) / k
+        w[k] = w[k - 1] * (k - 1 - p) / k
     return w
 
 
 def _gl_sum(f, a: float, x: float, beta: float, steps: int, derivative: bool) -> float:
+    # the derivative sums against (1 - t)^beta, the integral against (1 - t)^(-beta)
+    p = beta if derivative else -beta
     h = (x - a) / steps
     nodes = x - h * np.arange(steps + 1)
     vals = np.array([float(f(t)) for t in nodes])
-    if derivative:
-        w = gl_weights_derivative(beta, steps + 1)
-        return float(h ** (-beta) * (w @ vals))
-    w = gl_weights_integral(beta, steps + 1)
-    return float(h ** beta * (w @ vals))
+    return float(h ** (-p) * (gl_weights(p, steps + 1) @ vals))
 
 
 def _richardson_gl(f, a: float, x: float, beta: float, steps: int, derivative: bool) -> float:

@@ -53,7 +53,6 @@ _DEFAULT_GRIDS = {
     "rl-der": (0.1, 1.0, 10),
     "caputo": (0.1, 1.0, 10),
     "laplace": (1.0, 5.0, 9),
-    "solve": None,
 }
 
 
@@ -66,10 +65,7 @@ def _staircase_for(args: argparse.Namespace):
 
 
 def _grid_points(args: argparse.Namespace) -> np.ndarray:
-    grid = args.grid or _DEFAULT_GRIDS.get(args.command)
-    if grid is None:
-        raise DomainError("this command needs an explicit --grid")
-    return np.linspace(*grid)
+    return np.linspace(*(args.grid or _DEFAULT_GRIDS[args.command]))
 
 
 def _parsed_function(args: argparse.Namespace, default: str | None = None):

@@ -19,7 +19,6 @@ from .svg import Series, render_svg
 @dataclass(frozen=True)
 class FigureData:
     name: str
-    title: str
     csv_files: tuple[tuple[str, str], ...]
     svg_text: str
 
@@ -49,7 +48,7 @@ def _fig1(depth: int) -> FigureData:
         series.append(Series(tuple(xs), tuple(ys), label=f"depth {d}", width=4.0))
     svg = render_svg(series, title="Prefractal construction", xlabel="x")
     csv = format_csv(("x", "value", "value2"), rows)
-    return FigureData("fig1", "Prefractal construction", (("fig1.csv", csv),), svg)
+    return FigureData("fig1", (("fig1.csv", csv),), svg)
 
 
 def _fig2() -> FigureData:
@@ -63,7 +62,7 @@ def _fig2() -> FigureData:
         xlabel="x",
         ylabel="S(x)",
     )
-    return FigureData("fig2", "Cantor staircase", (("fig2.csv", csv),), svg)
+    return FigureData("fig2", (("fig2.csv", csv),), svg)
 
 
 def _fig3() -> FigureData:
@@ -80,7 +79,7 @@ def _fig3() -> FigureData:
         title="Staircase-composed vs classical Gamma",
         xlabel="x",
     )
-    return FigureData("fig3", "Gamma comparison", (("fig3.csv", csv),), svg)
+    return FigureData("fig3", (("fig3.csv", csv),), svg)
 
 
 def _fig45(integral: bool) -> FigureData:
@@ -108,7 +107,6 @@ def _fig45(integral: bool) -> FigureData:
     )
     return FigureData(
         name,
-        f"Order-1/2 {word}s",
         ((f"{name}_classical.csv", csv_c), (f"{name}_fractal.csv", csv_f)),
         svg,
     )
@@ -138,7 +136,7 @@ def _fig67(cantor: bool) -> FigureData:
         xlabel="x",
         ylabel="y(x)",
     )
-    return FigureData(name, f"Example solutions ({setting})", tuple(csv_files), svg)
+    return FigureData(name, tuple(csv_files), svg)
 
 
 def build_figures(depth: int = 4) -> list[FigureData]:

@@ -15,10 +15,11 @@ met by subtracting a fitted power (see `quadrature`).
 
 Every operator works on an integrand g of u under the protocol of
 `quadrature`: g takes a 1-D float ndarray of u, never a bare float, and
-returns the same shape. The points of one grid keep their own meshes but
-share one S of the terminal, one call of g (the terminal, then each mesh
-past it) and one product-rule pass (`_rl_values`): residual loops,
-compositions and CLI grids sample g once.
+returns the same shape. The points of one grid keep their own meshes
+(`quadrature._graded_nodes`) but share one S of the terminal, one call of g
+(the terminal, then each mesh past it) and one product-rule pass
+(`_rl_values`): residual loops, compositions and CLI grids sample g once,
+after every point is checked.
 `evaluate_u` applies an operator to such a g at one point; the x-space
 entries (`evaluate`, `rl_integral`, `rl_derivative`, `caputo_derivative`)
 wrap f as `ConjugatedFn(f, sf)`, which takes the quantiles of the nodes in
@@ -54,7 +55,6 @@ from .special import rgamma
 
 DELTA_BOUNDARY = 1e-9  # offset for one-sided limits at a terminal
 _TAYLOR_STEP = 1e-5  # difference step for Taylor coefficients at a terminal
-_NODES_PER_UNIT = 256  # product-rule mesh density, clamped to 32-4,096 nodes
 # Derivative orders closer than this to an integer are refused: the kernel
 # exponent -beta - 1 keeps only their first digits, and the finite part's
 # pole term, of size 1/(n - beta), loses about 1e-16 / |n - beta| relative.
@@ -99,25 +99,18 @@ class OperatorSpec:
         return math.ceil(self.beta)
 
 
-def _node_count(span: float) -> int:
-    return min(4096, max(32, int(math.ceil(_NODES_PER_UNIT * span))))
-
-
 def _left_sided(spec: OperatorSpec, g, sf, us):
     """(g, ua, vs) of the left-sided problem equal to spec's problem at the
     points us: ua = S(spec.terminal), taken once, and a right-sided spec is
-    reflected, t -> g(-t), -ua and each -u. vs yields the points in order and
-    raises DomainError at the first one on the wrong side of the terminal."""
-    ua, sign = sf.eval(spec.terminal), (-1.0 if spec.side is Side.RIGHT else 1.0)
-    side = "follows the right" if sign < 0.0 else "precedes the left"
-
-    def points():
-        for u in us:
-            if sign * u < sign * ua:
-                raise DomainError(f"evaluation point {side} terminal")
-            yield sign * u
-
-    return (g if sign > 0.0 else lambda t: g(-t)), sign * ua, points()
+    reflected, t -> g(-t), -ua and each -u. vs is the list of the points in
+    order; a point on the wrong side of the terminal raises DomainError, and
+    g is not called."""
+    sign = -1.0 if spec.side is Side.RIGHT else 1.0
+    ua, vs = sign * sf.eval(spec.terminal), [sign * u for u in us]
+    if any(v < ua for v in vs):
+        side = "follows the right" if sign < 0.0 else "precedes the left"
+        raise DomainError(f"evaluation point {side} terminal")
+    return (g if sign > 0.0 else lambda t: g(-t)), ua, vs
 
 
 def _rl_values(g, ua: float, order: float, us) -> list[float]:
@@ -133,8 +126,7 @@ def _rl_values(g, ua: float, order: float, us) -> list[float]:
     """
     if not us:
         return []
-    cells = [4 * (_node_count(u - ua) // 4) for u in us]
-    nodes, ends = quadrature._graded_nodes(ua, tuple(us), tuple(cells))
+    nodes, ends = quadrature._graded_nodes(ua, tuple(us))
     try:
         vals = np.asarray(g(nodes), dtype=float)
     except (ArithmeticError, ValueError):
@@ -166,32 +158,23 @@ def _values_u(spec: OperatorSpec, g, sf, us) -> list[float]:
     """The operator of spec applied to the u-space integrand g at each u of
     us, in order, all points sharing one call of g (see `_rl_values`).
 
-    The points are checked in order (see `_left_sided`): an integral at the
-    terminal is 0 and a derivative there raises DomainError, after the
-    points before it are evaluated. A Caputo derivative is the RL derivative
-    of the Taylor remainder g - c0 - c1 (v - ua), its head taken once: the
-    rule then sees a bounded remainder, not a derivative singular at ua.
+    An integral at the terminal is 0. A Caputo derivative is the RL
+    derivative of the Taylor remainder g - c0 - c1 (v - ua), its head taken
+    once: the rule then sees a bounded remainder, not a derivative singular
+    at ua. Before g is sampled on the grid, DomainError refuses, in this
+    order, a point on the wrong side of the terminal (see `_left_sided`), a
+    Caputo head that is not finite, and a derivative at the terminal.
     """
     order = spec.beta if spec.kind is OperatorKind.RL_INTEGRAL else -spec.beta
     h, ua, vs = _left_sided(spec, g, sf, us)
-    points, failure = [], None
-    try:
-        for v in vs:
-            if spec.kind is OperatorKind.CAPUTO and not points:
-                c0, c1 = _taylor_head(h, spec, ua)
-            if v == ua and order < 0.0:
-                raise DomainError("derivative is not defined at the terminal itself")
-            points.append(v)
-    except DomainError as exc:
-        failure = exc
     r = h
-    if spec.kind is OperatorKind.CAPUTO and points:
+    if spec.kind is OperatorKind.CAPUTO and vs:
+        c0, c1 = _taylor_head(h, spec, ua)
         r = lambda v: h(v) - c0 - c1 * (v - ua)
-    values = iter(_rl_values(r, ua, order, [v for v in points if v != ua]))
-    out = [next(values) if v != ua else 0.0 for v in points]
-    if failure is not None:
-        raise failure
-    return out
+    if order < 0.0 and any(v == ua for v in vs):
+        raise DomainError("derivative is not defined at the terminal itself")
+    values = iter(_rl_values(r, ua, order, [v for v in vs if v != ua]))
+    return [next(values) if v != ua else 0.0 for v in vs]
 
 
 def evaluate_u(spec: OperatorSpec, g, sf, u: float) -> float:
@@ -287,8 +270,7 @@ def composition_residual(spec: OperatorSpec, f, sf, end) -> float:
     if spec.kind is OperatorKind.RL_INTEGRAL:
         raise DomainError("composition identities take a derivative spec, got rl-integral")
     beta = spec.beta
-    g, ua, points = _left_sided(spec, ConjugatedFn(f, sf), sf, [sf.eval(end)])
-    ub = next(points)
+    g, ua, (ub,) = _left_sided(spec, ConjugatedFn(f, sf), sf, [sf.eval(end)])
     if not ub > ua:
         raise DomainError("interval has empty staircase measure")
     c0, c1 = _taylor_head(g, spec, ua)

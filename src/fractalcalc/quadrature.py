@@ -10,10 +10,11 @@ kernel moments against each interpolant are taken exactly. For mu in
 dropping the divergent power at the anchor; that is how `nonlocal_ops`
 evaluates fractional derivatives. Moments are in closed form on pairs close
 to the anchor and by an 8-point Gauss rule on pairs far from it, where the
-closed form's differences of nearly equal powers would cancel. A graded
-mesh is an affine image of a reference mesh that depends only on its cell
-count, so its weights are cached reference weights times span^(mu + 1); the
-meshes of a grid share the terminal and make one pass of the rule. An
+closed form's differences of nearly equal powers would cancel.
+`_graded_nodes` sizes a grid's meshes by their spans; each is an affine
+image of a reference mesh that depends only on its cell count, so
+`product_integrate` weights it by cached reference weights times
+span^(mu + 1), in one pass for the whole grid. An
 integrand that blows up at the terminal, the lower end, is met by
 subtracting a fitted power whose integral is exact, and raises when no such
 power fits. The product rule has a single kernel anchor, each mesh's last
@@ -84,8 +85,10 @@ def gauss_composite(g, lo: float, hi: float, nodes: int = 64) -> float:
 
 
 _TS_FIRST_LEVEL = 3
+_TS_LAST_LEVEL = 13
+_TS_TOL = 1e-12  # relative agreement of two levels
 # Each level about squares the error of the one before, so a relative gap of
-# at most tol^(2/3) and the previous gap^1.5 leaves an error of about gap^2.
+# at most _TS_TOL^(2/3) and the previous gap^1.5 leaves an error of about gap^2.
 _TS_GAP_POWER, _TS_GAP_DECAY = 2.0 / 3.0, 1.5
 
 
@@ -153,7 +156,7 @@ def _ts_values(g, head: list, x_hi: np.ndarray, x_lo: np.ndarray):
         return out
 
 
-def tanh_sinh(g, lo: float, hi: float, tol: float = 1e-12, max_level: int = 13) -> float:
+def tanh_sinh(g, lo: float, hi: float) -> float:
     """Double-exponential quadrature on [lo, hi].
 
     Handles integrable endpoint singularities. The levels nest: level 3
@@ -167,11 +170,11 @@ def tanh_sinh(g, lo: float, hi: float, tol: float = 1e-12, max_level: int = 13) 
     increment is below 1e-18 of the sum, and no later level looks beyond
     it. A side stops early at its first node that rounds onto the endpoint
     (about 1e-16 from 1.0) or where g overflows; if its last resolved
-    increment exceeds `tol` of the sum, the mass past that node cannot be
+    increment exceeds 1e-12 of the sum, the mass past that node cannot be
     neglected and ConvergenceError is raised. The iteration stops once two
-    levels agree to `tol` (relative), or a level sooner: once their relative
-    gap is at most tol^(2/3) and the gap before it^1.5 (double-exponential
-    error-squaring); when `max_level` is reached first, ConvergenceError is
+    levels agree to 1e-12 (relative), or a level sooner: once their relative
+    gap is at most 1e-8 and the gap before it^1.5 (double-exponential
+    error-squaring); when level 13 is reached first, ConvergenceError is
     raised, after the per-side checks.
     """
     c = 0.5 * (hi - lo)
@@ -186,7 +189,7 @@ def tanh_sinh(g, lo: float, hi: float, tol: float = 1e-12, max_level: int = 13) 
     limit = [math.inf, math.inf]
     overflow = [False, False]
     edge = [(0.0, 0.0), (0.0, 0.0)]  # per side: (t, increment) of the farthest resolved node
-    for level in range(_TS_FIRST_LEVEL, max_level + 1):
+    for level in range(_TS_FIRST_LEVEL, _TS_LAST_LEVEL + 1):
         t, w, d = _ts_nodes(level)
         n = t.searchsorted(cut, "right")
         t, w, dist = t[:n], w[:n], c * d[:n]
@@ -222,26 +225,27 @@ def tanh_sinh(g, lo: float, hi: float, tol: float = 1e-12, max_level: int = 13) 
         s = float(run[keep - 1])
         val = c * (4.0 / (1 << level)) * s
         last, gap = gap, abs(val - best) / (abs(val) or math.nan)
-        converging = tol**_TS_GAP_POWER >= gap <= last**_TS_GAP_DECAY
-        agreed = abs(val - best) <= tol * max(1.0, abs(val)) or converging
+        converging = _TS_TOL**_TS_GAP_POWER >= gap <= last**_TS_GAP_DECAY
+        agreed = abs(val - best) <= _TS_TOL * max(1.0, abs(val)) or converging
         if agreed:
             break
         best = val
     for side in (0, 1):
-        if limit[side] < math.inf and abs(edge[side][1]) > tol * abs(s):
+        if limit[side] < math.inf and abs(edge[side][1]) > _TS_TOL * abs(s):
             cause = "integrand overflows" if overflow[side] else "nodes run out of float resolution"
             raise ConvergenceError(
                 f"{cause} at the {('upper', 'lower')[side]} endpoint "
                 "before the quadrature resolves it"
             )
     if not agreed:
-        raise ConvergenceError(f"no two levels agree to tol={tol!r} by level {max_level}")
+        raise ConvergenceError(f"no two levels agree to tol={_TS_TOL!r} by level {_TS_LAST_LEVEL}")
     return float(val)
 
 
 # -- product integration against weakly singular kernels ---------------------
 
 
+_NODES_PER_UNIT = 256  # graded-mesh cells per unit span
 _TERMINAL_GRADE = 3.5
 _ANCHOR_GRADE = 3.0
 _ANCHOR_FLOOR = 1e-4
@@ -268,14 +272,16 @@ def _reference_mesh(cells: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=1)
-def _graded_nodes(lo: float, his: tuple, cells: tuple) -> tuple[np.ndarray, tuple]:
+def _graded_nodes(lo: float, his: tuple) -> tuple[np.ndarray, tuple]:
     """A grid's graded meshes, lo + (hi - lo) ref ending at hi for each hi, as
     one read-only array (lo, then each mesh past it) and their ends; the last
-    grid is kept, so `product_integrate` knows it. ref has cells // 4 pairs a
-    half, split at their midpoints, graded as (k/P)^3.5 toward lo, the
-    terminal, where g is often singular, and as (k/P)^3 toward hi, the kernel
-    anchor, no anchor pair under 1e-4 of the half span: finite-part weights
-    grow like that width^-beta."""
+    grid is cached, as the residuals of a solve share it. ref has 256 cells
+    per unit span, rounded down to a multiple of 4, from 32 to 4,096, in
+    cells // 4 pairs a half, split at their midpoints, graded as (k/P)^3.5
+    toward lo, the terminal, where g is often singular, and as (k/P)^3 toward
+    hi, the kernel anchor, no anchor pair under 1e-4 of the half span:
+    finite-part weights grow like that width^-beta."""
+    cells = [4 * (min(4096, max(32, math.ceil(_NODES_PER_UNIT * (hi - lo)))) // 4) for hi in his]
     ends = tuple(itertools.accumulate(cells, initial=1))[1:]
     meshes = [lo + (hi - lo) * _reference_mesh(c)[1:] for hi, c in zip(his, cells)]
     nodes = np.concatenate([[lo + 0.0]] + meshes)
@@ -397,28 +403,24 @@ def _terminal_power(z: np.ndarray, g: np.ndarray) -> tuple[float, float, float] 
 
 def product_integrate(vals: np.ndarray, nodes: np.ndarray, mu: float, ends) -> list[float]:
     """f.p.∫ g(v) (X - v)^mu dv over each mesh of a grid, from vals = g(nodes),
-    the anchor X being the mesh's last node. Mesh i is the terminal nodes[0]
-    then nodes[ends[i - 1]:ends[i]] (from 1 for i = 0), so [len(nodes)] makes
-    nodes one mesh. g is interpolated quadratically on each pair of cells (see
-    `product_weights`); graded meshes (one test per grid) take the cached
-    weights; each value is one sum over its own mesh. A non-finite vals[0] is
-    met by subtracting c z^gamma + d, z = v - nodes[0], fitted to g at three
-    nodes next to the terminal and integrated exactly (a Beta function); when
-    no such model fits, ConvergenceError is raised."""
+    the anchor X being the mesh's last node. nodes and ends are a grid of
+    `_graded_nodes`: mesh i, the terminal nodes[0] then nodes[ends[i - 1]:
+    ends[i]] (from 1 for i = 0), is an affine image of a reference mesh, so
+    its weights are span^(mu + 1) times the cached reference weights (see
+    `product_weights`); each value is one sum over its own mesh. A non-finite
+    vals[0] is met by subtracting c z^gamma + d, z = v - nodes[0], fitted to
+    g at three nodes next to the terminal and integrated exactly (a Beta
+    function); when no such model fits, ConvergenceError is raised."""
     ends = list(ends)
     firsts = [1] + ends[:-1]
-    cells = tuple(end - first for first, end in zip(firsts, ends))
-    lo, his = nodes[0], tuple(nodes[end - 1] for end in ends)
+    lo = nodes[0]
     # the meshes laid one after another, each with the terminal: mesh i at places[i]
     places = [(first + i - 1, end + i) for i, (first, end) in enumerate(zip(firsts, ends))]
     full = np.concatenate([v for f, e in zip(firsts, ends) for v in (vals[:1], vals[f:e])])
-    built = _graded_nodes(lo, his, cells)[0] if all(c > 0 and c % 4 == 0 for c in cells) else None
-    if built is not None and (nodes is built or np.array_equal(nodes, built)):
-        scale = np.array([(hi - lo) ** (mu + 1.0) for hi in his]).repeat([c + 1 for c in cells])
-        weights = scale * np.concatenate([_reference_weights(c, mu) for c in cells])
-    else:
-        meshes = [np.concatenate((nodes[:1], nodes[first:end])) for first, end in zip(firsts, ends)]
-        weights = np.concatenate([product_weights(mesh, mu) for mesh in meshes])
+    weights = np.concatenate([
+        (nodes[end - 1] - lo) ** (mu + 1.0) * _reference_weights(end - first, mu)
+        for first, end in zip(firsts, ends)
+    ])
     heads = [0.0] * len(ends)
     for i, (a, b) in enumerate(places if not np.isfinite(vals).all() else ()):
         if not math.isfinite(full[a]):

@@ -7,26 +7,26 @@ import pytest
 from fractalcalc import DomainError
 from fractalcalc.classical import (
     caputo_classical,
-    gl_weights_derivative,
-    gl_weights_integral,
+    gl_weights,
     rl_derivative_classical,
     rl_integral_classical,
 )
 
 
 class TestWeights:
-    def test_integral_weights_are_binomial_series(self):
+    def test_negative_power_weights_are_the_geometric_series(self):
         # (1 - t)^(-1) = 1 + t + t^2 + ...
-        w = gl_weights_integral(1.0, 5)
+        w = gl_weights(-1.0, 5)
         assert w == pytest.approx([1.0, 1.0, 1.0, 1.0, 1.0])
 
-    def test_derivative_weights_alternate(self):
+    def test_first_power_weights_end_after_two_terms(self):
         # (1 - t)^1 = 1 - t
-        w = gl_weights_derivative(1.0, 4)
+        w = gl_weights(1.0, 4)
         assert w == pytest.approx([1.0, -1.0, 0.0, 0.0])
 
-    def test_half_order_head(self):
-        w = gl_weights_derivative(0.5, 3)
+    def test_half_power_weights_head(self):
+        # (1 - t)^(1/2) = 1 - t/2 - t^2/8 - ...
+        w = gl_weights(0.5, 3)
         assert w == pytest.approx([1.0, -0.5, -0.125])
 
 

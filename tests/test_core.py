@@ -384,16 +384,11 @@ class _Counted:
 
 
 def _levels_used(g, lo, hi):
-    # the level tanh-sinh stops at is the least max_level that gives its
-    # value; below it no two levels agree, which raises
-    want = quadrature.tanh_sinh(g, lo, hi)
-    for m in range(3, 14):
-        try:
-            if quadrature.tanh_sinh(g, lo, hi, max_level=m) == want:
-                return m - 2
-        except ConvergenceError:
-            pass
-    raise AssertionError("no max_level gives the default's value")
+    # tanh-sinh calls g once per level, and on one-node arrays only where it
+    # redoes an overflowing level node by node
+    counted = _Counted(g)
+    quadrature.tanh_sinh(counted, lo, hi)
+    return sum(shape != (1,) for shape in counted.shapes)
 
 
 class TestKernels:
@@ -564,19 +559,18 @@ def _bisection_power(z, g):
 class TestProductRule:
     @pytest.mark.parametrize("mu", [-2.5, -1.5, -1.2, -0.5, 0.5])
     def test_exact_on_quadratics(self, mu):
-        # any mesh with an even cell count, graded or not, and the finite part for mu < -1
+        # a graded mesh through the grid rule and any mesh with an even cell
+        # count through its own weights, and the finite part for mu < -1
         rng = np.random.default_rng(7)
-        meshes = [
-            _graded_mesh(0.3, 1.1, 64),
-            np.concatenate([[0.3], np.sort(rng.uniform(0.3, 1.1, 19)), [1.1]]),
-        ]
-        for mesh in meshes:
-            X, S = mesh[-1], mesh[-1] - mesh[0]
-            for k in range(3):
-                got = _one_mesh(mesh**k, mesh, mu)
-                want = _fp_power_moment(k, mu, X, S)
-                # rounding, amplified by the anchor pair's width^(mu + 1)
-                assert got == pytest.approx(want, rel=1e-8), (k, len(mesh))
+        graded = _graded_mesh(0.3, 1.1, 64)
+        mesh = np.concatenate([[0.3], np.sort(rng.uniform(0.3, 1.1, 19)), [1.1]])
+        X, S = 1.1, 1.1 - 0.3
+        for k in range(3):
+            want = _fp_power_moment(k, mu, X, S)
+            # rounding, amplified by the anchor pair's width^(mu + 1)
+            assert _one_mesh(graded**k, graded, mu) == pytest.approx(want, rel=1e-8), k
+            got = float((quadrature.product_weights(mesh, mu) * mesh**k).sum())
+            assert got == pytest.approx(want, rel=1e-8), k
 
     @pytest.mark.parametrize("mu", [-2.5, -1.5, -0.5, 0.5])
     def test_cosine_against_mpmath(self, mu):
@@ -636,9 +630,9 @@ class TestProductRule:
 
     def test_graded_meshes_use_the_scaled_reference_weights(self):
         vals = lambda mesh: np.cos(3.0 * mesh) + mesh
-        for lo, hi, n in ((0.0, 1.0, 256), (-2.0, -0.3, 100), (0.0, 1e-9, 32)):
-            mesh = _graded_mesh(lo, hi, n)
-            nodes, ends = quadrature._graded_nodes(lo, (hi,), (4 * (n // 4),))
+        for lo, hi in ((0.0, 1.0), (-2.0, -0.3), (0.0, 1e-9)):
+            nodes, ends = quadrature._graded_nodes(lo, (hi,))
+            mesh = _graded_mesh(lo, hi, len(nodes) - 1)
             assert np.array_equal(nodes, mesh) and list(ends) == [len(mesh)]
             for mu in (-1.7, -0.5, 0.3):
                 direct = quadrature.product_weights(mesh, mu)
@@ -646,31 +640,27 @@ class TestProductRule:
                 assert np.allclose(scaled, direct, rtol=1e-9, atol=1e-12 * np.abs(direct).max())
                 got = _one_mesh(vals(mesh), mesh, mu)
                 assert _same_bits(got, float((scaled * vals(mesh)).sum()))
-        # a mesh that is not graded gets its own weights
-        mesh = np.linspace(0.0, 1.0, 9)
-        got = _one_mesh(vals(mesh), mesh, -0.5)
-        assert _same_bits(got, float((quadrature.product_weights(mesh, -0.5) * vals(mesh)).sum()))
+
+    def test_graded_nodes_take_256_cells_per_unit_span_from_32_to_4096(self):
+        # whole pairs of pairs: 256 span rounded up, then down to a multiple of 4
+        his = (1e-9, 0.05, 0.125, 0.3, 1.0, 10.0, 16.0, 100.0)
+        _, ends = quadrature._graded_nodes(0.0, his)
+        assert list(np.diff((1,) + ends)) == [32, 32, 32, 76, 256, 2560, 4096, 4096]
+        spans = np.random.default_rng(3).uniform(0.125, 16.0, 200)
+        _, ends = quadrature._graded_nodes(0.0, tuple(spans))
+        cells = np.diff((1,) + ends)
+        assert (cells % 4 == 0).all() and (np.abs(cells - 256.0 * spans) < 4.0).all()
 
     def test_a_grid_is_its_meshes_past_the_shared_terminal(self):
-        his, cells = (0.35, 1.0, 0.6), (40, 256, 156)
-        nodes, ends = quadrature._graded_nodes(0.1, his, cells)
+        # spans 0.25, 0.9 and 0.5: 64, 228 and 128 cells
+        his, cells = (0.35, 1.0, 0.6), (64, 228, 128)
+        nodes, ends = quadrature._graded_nodes(0.1, his)
         meshes = [_graded_mesh(0.1, hi, n) for hi, n in zip(his, cells)]
         assert np.array_equal(nodes, np.concatenate([meshes[0]] + [mesh[1:] for mesh in meshes[1:]]))
         assert list(ends) == list(np.cumsum([len(mesh) - 1 for mesh in meshes]) + 1)
         # each value has the bits of its mesh alone
         got = quadrature.product_integrate(np.exp(nodes), nodes, -0.5, ends)
         assert got == [_one_mesh(np.exp(mesh), mesh, -0.5) for mesh in meshes]
-
-    def test_a_grid_with_one_mesh_not_graded_gives_every_mesh_its_own_weights(self):
-        # two graded meshes from 0.1 share the terminal; moving one interior
-        # node of the second fails the grid's one test of the graded nodes
-        meshes = [_graded_mesh(0.1, hi, 64) for hi in (0.5, 0.9)]
-        meshes[1][7] += 1e-3
-        nodes = np.concatenate([meshes[0], meshes[1][1:]])
-        ends = [len(meshes[0]), len(nodes)]
-        got = quadrature.product_integrate(np.exp(nodes), nodes, -0.5, ends)
-        for value, mesh in zip(got, meshes):
-            assert _same_bits(value, float((quadrature.product_weights(mesh, -0.5) * np.exp(mesh)).sum()))
 
     def test_rejects_odd_cell_counts_and_log_exponents(self):
         with pytest.raises(ValueError):
