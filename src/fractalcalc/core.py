@@ -52,9 +52,9 @@ class ConjugatedFn:
     A float array of u, its only argument, takes its quantiles in one batch
     (``sf.quantiles_exact``), and f, being opaque, is called once per
     element on that element's exact quantile.  An integrand built on S(x),
-    such as ``lambda x: sf.eval(x) ** eta``, reads no staircase digits: the
-    staircase of the quantile's own result is known without them (see
-    :mod:`fractalcalc.staircase`).
+    such as ``lambda x: sf.eval(x) ** eta``, reads no staircase digits: each
+    quantile carries its own staircase value, and ``sf.eval`` of it is one
+    field read (see :mod:`fractalcalc.staircase`).
     """
 
     underlying: object

@@ -140,13 +140,17 @@ def _rl_values(g, ua: float, order: float, us) -> list[float]:
 
 def _taylor_head(g, spec: OperatorSpec, ua: float) -> tuple[float, float]:
     """(g(ua), c1) of the Taylor head at the terminal; c1 != 0 only for a Caputo order above 1.
-    A non-finite g(ua) has no Taylor head and raises DomainError."""
-    c0 = float(g(np.array([ua]))[0])
+    A non-finite g(ua) has no Taylor head and raises DomainError, and so does
+    g raising there, chained from g's exception, as in `_rl_values`."""
+    try:
+        c0 = float(g(np.array([ua]))[0])
+        slope = spec.kind is OperatorKind.CAPUTO and spec.n == 2 and math.isfinite(c0)
+        c1 = difference(g, ua, _TAYLOR_STEP, 1.0) if slope else 0.0
+    except (ArithmeticError, ValueError) as exc:
+        raise DomainError(f"integrand raised at the terminal: {exc}") from exc
     if not math.isfinite(c0):
         raise DomainError(f"integrand is {c0!r} at the terminal u = {ua!r}")
-    if spec.kind is OperatorKind.CAPUTO and spec.n == 2:
-        return c0, difference(g, ua, _TAYLOR_STEP, 1.0)
-    return c0, 0.0
+    return c0, c1
 
 
 def _require_kind(spec: OperatorSpec, kind: OperatorKind) -> None:

@@ -26,24 +26,25 @@ the quantile is whole + sum_i 2 b_i 3**-i over the binary digits b_i of
 ``bits = (num << depth) // den``: it has ternary digits 0 and 2 only, up to
 ``depth``, and none after.  So its staircase value is exactly
 ``(whole * 2**depth + bits) / 2**depth``, with the sign of u -- the round trip
-S(Q(u)) is u truncated to ``depth`` binary digits.  ``quantile_exact``
-remembers its last result together with that signed scaled value in one
-per-instance slot, one tuple written at once; ``eval_exact`` and ``eval``
-read the slot once and, when their argument *is* that result object, return
-the value without reading a digit.  Identity, not equality, decides: the slot
-holds a reference, so the object cannot have been replaced by another with
-the same id.  Any other argument, equal or not, goes through the kernel, and
-both paths give the same bits.
+S(Q(u)) is u truncated to ``depth`` binary digits.  So ``quantile_exact``
+returns a private ``Fraction`` subclass that carries that value: its digit
+depth, the signed scaled value ``s`` and the float ``s / 2**depth``, set
+once when it is built.  ``eval_exact`` and ``eval`` of a staircase of the
+same digit depth read the carried value and no digit; any other argument,
+equal or not, goes through the kernel, and both paths give the same bits.
+No staircase instance holds state, so any quantile, not only the latest,
+reads no digits, and instances and threads share nothing.  A copy, a deep
+copy or an unpickled quantile is a plain ``Fraction``.
 
 ``quantiles_exact`` takes the quantiles of a whole float64 array in one
 batch, for digit depths up to 62: ``whole = floor(|u|)`` and
 ``bits = floor(frac * 2**depth)`` are exact in float64 and fit int64, and the
 byte table, as an int64 array, transcribes the bytes of every element at
 once, summed per 32-bit half (each half's ternary value stays below 3**32).
-Only the assembly of each result stays per element; it writes the slot
-before yielding the result, so an opaque f that reads S of its argument
-reads no digits.  Deeper digits, and other dtypes, go through the scalar
-call.
+The carried floats, u truncated to ``depth`` binary digits, are exact in
+float64 too and are taken for the whole array at once.  Only the assembly
+of each result stays per element.  Deeper digits, and other dtypes, go
+through the scalar call.
 
 No result is reduced by a gcd.  The quantile's scaled value
 ``whole * 3**depth + Q(bits)`` is divisible by exactly 3**t, where t is the
@@ -142,6 +143,31 @@ def _coprime_fraction(n: int, d: int) -> Fraction:
     return x
 
 
+class _Quantile(Fraction):
+    """A ``quantile_exact`` result carrying its own staircase value.
+
+    ``_depth`` is the digit depth it was taken at, ``_s`` its staircase value
+    times ``2**_depth`` (a signed int) and ``_value`` the float
+    ``_s / 2**_depth``, all set once, as ``_coprime_fraction`` sets the
+    Fraction's slots.  Fraction's arithmetic returns plain Fractions, and so
+    do a copy, a deep copy and pickling, which would otherwise build this
+    class with no value set; its repr is a Fraction's.
+    """
+
+    __slots__ = ("_depth", "_s", "_value")
+
+    def __repr__(self) -> str:
+        return f"Fraction({self._numerator}, {self._denominator})"
+
+    def __reduce__(self):
+        return (Fraction, (self._numerator, self._denominator))
+
+    def __copy__(self, memo=None) -> Fraction:
+        return _coprime_fraction(self._numerator, self._denominator)
+
+    __deepcopy__ = __copy__
+
+
 def _twos(n: int, cap: int) -> int:
     """The exponent of the largest power of 2 dividing n, at most cap."""
     n |= 1 << cap
@@ -230,27 +256,20 @@ def _unit_quantile_scaled(bits: int, depth: int) -> int:
     return acc
 
 
-#: Initial value of the quantile slot: a key no caller can pass.
-_NO_QUANTILE = (object(), 0)
-
-
 @dataclass(frozen=True)
 class StaircaseFn:
     """The Cantor staircase together with its quantile and membership tests."""
 
     spec: CantorSpec = field(default_factory=CantorSpec)
-    #: (last quantile_exact result, its staircase value times 2**depth).
-    _last_quantile: tuple = field(default=_NO_QUANTILE, init=False, repr=False, compare=False)
 
     # -- staircase ---------------------------------------------------------
 
     def _scaled(self, x) -> int:
-        """S(x) * 2**depth, an integer: the last quantile's, or by digits."""
-        key, scaled = self._last_quantile
-        if x is key:
-            return scaled
-        negative, whole, num, den = _parts(x)
+        """S(x) * 2**depth, an integer: a quantile's own, or by digits."""
         depth = self.spec.digit_depth
+        if type(x) is _Quantile and x._depth == depth:
+            return x._s
+        negative, whole, num, den = _parts(x)
         scaled = (whole << depth) + _unit_staircase_scaled(num, den, depth)
         return -scaled if negative else scaled
 
@@ -260,6 +279,8 @@ class StaircaseFn:
         return _coprime_fraction(scaled >> t, 1 << (depth - t))
 
     def eval(self, x) -> float:
+        if type(x) is _Quantile and x._depth == self.spec.digit_depth:
+            return x._value
         # int true division rounds correctly, as Fraction.__float__ does
         return self._scaled(x) / (1 << self.spec.digit_depth)
 
@@ -268,6 +289,8 @@ class StaircaseFn:
     # -- quantile ----------------------------------------------------------
 
     def quantile_exact(self, u) -> Fraction:
+        """The quantile of u, exact; it carries its staircase value, so
+        ``eval`` and ``eval_exact`` of it read no digits."""
         negative, whole, num, den = _parts(u)
         depth = self.spec.digit_depth
         bits = (num << depth) // den
@@ -276,22 +299,24 @@ class StaircaseFn:
         t = _twos(bits, depth)
         scale = _pow3(depth - t)
         scaled = whole * scale + _unit_quantile_scaled(bits >> t, depth - t)
-        x = _coprime_fraction(-scaled if negative else scaled, scale)
         s = (whole << depth) + bits
-        object.__setattr__(self, "_last_quantile", (x, -s if negative else s))
+        if negative:
+            scaled, s = -scaled, -s
+        x = object.__new__(_Quantile)
+        x._numerator, x._denominator = scaled, scale
+        x._depth, x._s, x._value = depth, s, s / (1 << depth)
         return x
 
     def quantiles_exact(self, u):
         """Yield ``quantile_exact(v)`` for each v of the 1-D array u, in order.
 
         A float64 array at digit depth up to 62 is transcribed in one batch:
-        whole parts and ``bits`` are exact in float64 and int64, and every
-        byte of the array goes through the byte table at once.  Each
-        result's slot is written just before it is yielded, as a scalar call
-        would, so the staircase of the element being consumed reads no
-        digits.  An element the scalar call refuses raises the scalar call's
-        error once the elements before it are consumed.  Any other dtype or
-        depth goes through the scalar call.
+        whole parts and ``bits`` are exact in float64 and int64, every byte
+        of the array goes through the byte table at once, and the carried
+        floats are taken for the whole array, with the scalar call's bits.  An
+        element the scalar call refuses raises the scalar call's error once
+        the elements before it are consumed.  Any other dtype or depth goes
+        through the scalar call.
         """
         depth = self.spec.digit_depth
         if u.dtype != np.float64 or depth > _BATCH_DEPTH:
@@ -301,23 +326,28 @@ class StaircaseFn:
         n = len(u) if ok.all() else int(ok.argmin())
         a = np.abs(u[:n])
         whole = np.floor(a)
-        bits = np.ldexp(a - whole, depth).astype(np.int64)
+        fbits = np.trunc(np.ldexp(a - whole, depth))
+        bits = fbits.astype(np.int64)
         low = bits | (1 << depth)
         t = np.frexp(low & -low)[1] - 1
         # the little-endian bytes of bits >> t, as two 32-bit halves of four
         octets = (bits >> t).astype("<i8", copy=False).view(np.uint8).reshape(-1, 2, 4)
         lows, highs = (_BYTE_TRITS_INT64[octets] @ _BYTE_PLACES).T.tolist()
-        pow3, slot = _POW3_BATCH, object.__setattr__
-        signs = (u[:n] < 0).tolist()
-        for w, lo, hi, e, b, negative in zip(
-            whole.tolist(), lows, highs, (depth - t).tolist(), bits.tolist(), signs
+        # |u| truncated to depth binary digits is a float: this sum is exact
+        values = whole + np.ldexp(fbits, -depth)
+        pow3, new = _POW3_BATCH, object.__new__
+        for w, lo, hi, e, b, v, negative in zip(
+            whole.tolist(), lows, highs, (depth - t).tolist(), bits.tolist(),
+            values.tolist(), (u[:n] < 0).tolist(),
         ):
             w, scale = int(w), pow3[e]
             scaled, s = w * scale + hi * pow3[32] + lo, (w << depth) + b
             if negative:
-                scaled, s = -scaled, -s
-            x = _coprime_fraction(scaled, scale)
-            slot(self, "_last_quantile", (x, s))
+                # 0.0 - v, not -v: S of -5e-324 is +0.0, as s = 0 gives
+                scaled, s, v = -scaled, -s, 0.0 - v
+            x = new(_Quantile)
+            x._numerator, x._denominator = scaled, scale
+            x._depth, x._s, x._value = depth, s, v
             yield x
         if n < len(u):
             self.quantile_exact(u[n].item())  # raises the scalar call's error

@@ -196,6 +196,13 @@ class TestExitCodes:
         else:
             assert err == "error: integrand raised on the mesh past the terminal: float division by zero\n"
 
+    def test_an_integrand_raising_at_the_terminal_exits_1(self):
+        # 1/S(x) divides by zero at the Caputo head, before the mesh
+        code, out, err = run_cli(["caputo", "--f", "1/S(x)", "--grid", "0", "1", "3"])
+        assert code == 1
+        assert out == ""
+        assert err == "error: integrand raised at the terminal: float division by zero\n"
+
     @pytest.mark.parametrize(
         "argv, message",
         [(["solve", "--example", "1", "--grid", "-0.5", "0.5", "2"],

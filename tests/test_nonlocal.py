@@ -248,6 +248,14 @@ class TestOperatorBasics:
             with pytest.raises(DomainError, match="at the terminal"):
                 evaluate_u(spec, lambda u: 1.0 / np.sqrt(u), sf, 0.5)
 
+    @pytest.mark.parametrize("beta", [0.5, 1.5])
+    def test_caputo_refuses_an_integrand_raising_at_the_terminal(self, sf, beta):
+        # 1/S(x) divides by zero at the terminal 0, before the mesh is sampled
+        spec = OperatorSpec(OperatorKind.CAPUTO, beta, 0.0)
+        with pytest.raises(DomainError, match="^integrand raised at the terminal: float division by zero$") as info:
+            caputo_derivative(spec, lambda x: 1 / sf.eval(x), sf, 0.5)
+        assert isinstance(info.value.__cause__, ZeroDivisionError)
+
     def test_smooth_paths_do_not_warn(self, sf, ident):
         # no warning of any kind, on both maps, for every kind and both n
         with warnings.catch_warnings():
@@ -635,6 +643,13 @@ class TestCompositions:
         spec = OperatorSpec(RL, 0.5, 0.5, side)
         with pytest.raises(DomainError, match="terminal"):
             composition_residual(spec, lambda t: sf.eval(t) ** 2, sf, end)
+
+    @pytest.mark.parametrize("kind", [RL, CAPUTO])
+    def test_refuses_an_integrand_raising_at_the_terminal(self, sf, kind):
+        spec = OperatorSpec(kind, 0.5, 0.0)
+        with pytest.raises(DomainError, match="^integrand raised at the terminal: float division by zero$") as info:
+            composition_residual(spec, lambda x: 1 / sf.eval(x), sf, 1.0)
+        assert isinstance(info.value.__cause__, ZeroDivisionError)
 
     @pytest.mark.parametrize("side", [Side.LEFT, Side.RIGHT])
     def test_refuses_an_interval_of_zero_staircase_measure(self, sf, side):

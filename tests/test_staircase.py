@@ -1,7 +1,9 @@
 """Staircase digit algorithms: exactness, properties, extensions."""
 
 import contextlib
+import copy
 import math
+import pickle
 import sys
 import threading
 from fractions import Fraction
@@ -290,8 +292,6 @@ class TestQuantileRoundTrip:
         with _kernel_calls() as calls:
             assert sf.eval_exact(a) == _truncated(Fraction(1, 3), 53)
             assert sf.eval(a) == float(_truncated(Fraction(1, 3), 53))
-        assert len(calls) == 2
-        with _kernel_calls() as calls:
             assert sf.eval_exact(b) == Fraction(0.7)
         assert not calls
 
@@ -306,7 +306,14 @@ class TestQuantileRoundTrip:
         assert len(calls) == 4
         assert deep.eval_exact(x_deep) == _truncated(u, 60)
         assert shallow.eval_exact(x_shallow) == _truncated(u, 5)
-        assert StaircaseFn(CantorSpec(60))._last_quantile is not deep._last_quantile
+
+    def test_a_quantile_of_another_depth_reads_digits(self):
+        deep, shallow = StaircaseFn(CantorSpec(60)), StaircaseFn(CantorSpec(5))
+        x_deep, x_shallow = deep.quantile_exact(Fraction(5, 7)), shallow.quantile_exact(Fraction(5, 7))
+        with _kernel_calls() as calls:
+            assert _same_bits(shallow.eval(x_deep), float(_truncated(Fraction(5, 7), 5)))
+            assert _same_bits(deep.eval(x_shallow), deep.eval(Fraction(x_shallow)))
+        assert len(calls) == 3
 
     def test_threads_sharing_one_instance(self):
         sf = StaircaseFn(CantorSpec())
@@ -350,6 +357,14 @@ class TestQuantileRoundTrip:
         copy = Fraction(x)
         assert _same_bits(sf.eval(copy), float(sf.eval_exact(copy)))
 
+    def test_copies_and_pickles_are_plain_fractions(self, sf):
+        x = sf.quantile_exact(Fraction(5, 7))
+        for y in (copy.copy(x), copy.deepcopy(x), copy.deepcopy([x])[0], pickle.loads(pickle.dumps(x))):
+            assert type(y) is Fraction and y == x and hash(y) == hash(x)
+            assert _same_bits(sf.eval(y), sf.eval(x))
+            assert sf.eval_exact(y) == sf.eval_exact(x)
+        assert repr(x) == repr(Fraction(x))
+
 
 def _oracle_parts(x) -> tuple[bool, int, int, int]:
     """x as (negative, whole, num, den) with |x| = whole + num/den, num < den."""
@@ -358,9 +373,9 @@ def _oracle_parts(x) -> tuple[bool, int, int, int]:
     return num < 0, whole, rest, den
 
 
-def _same_parts(got: Fraction, want: Fraction) -> bool:
+def _same_parts(got: Fraction, want: Fraction, cls: type = staircase._Quantile) -> bool:
     return (
-        type(got) is Fraction
+        type(got) is cls
         and type(got.numerator) is int
         and type(got.denominator) is int
         and (got.numerator, got.denominator, hash(got)) == (want.numerator, want.denominator, hash(want))
@@ -384,7 +399,7 @@ class TestCoprimeConstruction:
         negative, whole, num, den = _oracle_parts(x)
         scaled = (whole << depth) + _reference_staircase_scaled(num, den, depth)
         want = Fraction(-scaled if negative else scaled, 2**depth)
-        assert _same_parts(StaircaseFn(CantorSpec(depth)).eval_exact(x), want)
+        assert _same_parts(StaircaseFn(CantorSpec(depth)).eval_exact(x), want, Fraction)
 
     @given(u=exact_arguments, depth=depths)
     @settings(max_examples=500, deadline=None)
@@ -409,7 +424,7 @@ batch_depths = st.sampled_from([1, 10, 53, 62, 63, 80])
 
 
 class TestBatchQuantile:
-    """``quantiles_exact`` is the scalar loop, result for result and slot for slot."""
+    """``quantiles_exact`` is the scalar loop, result for result and carried value for carried value."""
 
     @given(
         values=st.lists(batch_floats, max_size=40),
@@ -423,10 +438,32 @@ class TestBatchQuantile:
         for x, v in zip(sf.quantiles_exact(np.array(values, dtype=np.float64)), values, strict=True):
             want = scalar.quantile_exact(v)
             assert _same_parts(x, want)
-            key, scaled = sf._last_quantile
-            assert key is x and type(scaled) is int and scaled == scalar._last_quantile[1]
+            assert x._depth == want._depth == depth
+            assert type(x._s) is int and x._s == want._s
+            assert _same_bits(x._value, want._value)
             count += 1
         assert count == len(values)
+
+    @given(
+        values=st.lists(batch_floats, max_size=40),
+        depth=batch_depths,
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_carried_value_has_the_kernel_bits(self, values, depth):
+        # S of a quantile, batch or scalar, is read from it with no digit,
+        # and has the bits the kernel gives for the same value
+        sf = StaircaseFn(CantorSpec(depth))
+        batch = list(sf.quantiles_exact(np.array(values, dtype=np.float64)))
+        for x in batch + [sf.quantile_exact(v) for v in values]:
+            with _kernel_calls() as calls:
+                fast, fast_exact = sf.eval(x), sf.eval_exact(x)
+            assert not calls
+            plain = Fraction(x)
+            with _kernel_calls() as calls:
+                slow, slow_exact = sf.eval(plain), sf.eval_exact(plain)
+            assert len(calls) == 2
+            assert _same_bits(fast, slow)
+            assert _same_parts(fast_exact, slow_exact, Fraction)
 
     @pytest.mark.parametrize("dtype", [np.int64, np.float32, np.float16])
     def test_other_dtypes_take_the_scalar_call(self, sf, dtype):
