@@ -16,6 +16,11 @@ import numpy as np
 
 from .exceptions import DomainError
 
+# the coarse sum's step count; Richardson's fine sum takes twice as many
+_STEPS = 2048
+# step of the central difference for f'(a) in the Caputo head
+_H_DERIV = 1e-5
+
 
 def gl_weights(p: float, count: int) -> np.ndarray:
     """Coefficients of (1 - t)^p, w_k = w_{k-1} (k - 1 - p) / k."""
@@ -35,13 +40,13 @@ def _gl_sum(f, a: float, x: float, beta: float, steps: int, derivative: bool) ->
     return float(h ** (-p) * (gl_weights(p, steps + 1) @ vals))
 
 
-def _richardson_gl(f, a: float, x: float, beta: float, steps: int, derivative: bool) -> float:
-    coarse = _gl_sum(f, a, x, beta, steps, derivative)
-    fine = _gl_sum(f, a, x, beta, 2 * steps, derivative)
+def _richardson_gl(f, a: float, x: float, beta: float, derivative: bool) -> float:
+    coarse = _gl_sum(f, a, x, beta, _STEPS, derivative)
+    fine = _gl_sum(f, a, x, beta, 2 * _STEPS, derivative)
     return 2.0 * fine - coarse
 
 
-def rl_integral_classical(f, a: float, x: float, beta: float, steps: int = 2048) -> float:
+def rl_integral_classical(f, a: float, x: float, beta: float) -> float:
     """Left Riemann-Liouville integral of order beta on the real line."""
     if not beta > 0.0:
         raise DomainError(f"order must be positive, got {beta!r}")
@@ -49,21 +54,19 @@ def rl_integral_classical(f, a: float, x: float, beta: float, steps: int = 2048)
         return 0.0
     if x < a:
         raise DomainError("evaluation point precedes the base point")
-    return _richardson_gl(f, a, x, beta, steps, derivative=False)
+    return _richardson_gl(f, a, x, beta, derivative=False)
 
 
-def rl_derivative_classical(f, a: float, x: float, beta: float, steps: int = 2048) -> float:
+def rl_derivative_classical(f, a: float, x: float, beta: float) -> float:
     """Left Riemann-Liouville derivative of order beta on the real line."""
     if not beta > 0.0:
         raise DomainError(f"order must be positive, got {beta!r}")
     if x <= a:
         raise DomainError("evaluation point must follow the base point")
-    return _richardson_gl(f, a, x, beta, steps, derivative=True)
+    return _richardson_gl(f, a, x, beta, derivative=True)
 
 
-def caputo_classical(
-    f, a: float, x: float, beta: float, steps: int = 2048, h_deriv: float = 1e-5
-) -> float:
+def caputo_classical(f, a: float, x: float, beta: float) -> float:
     """Left Caputo derivative, obtained by stripping the Taylor head.
 
     Subtracts the order-n Taylor polynomial of f at the base point and
@@ -77,7 +80,7 @@ def caputo_classical(
         raise DomainError("integer orders are ordinary derivatives, not handled here")
     derivs = [float(f(a))]
     if n >= 2:
-        derivs.append((float(f(a + h_deriv)) - float(f(a - h_deriv))) / (2.0 * h_deriv))
+        derivs.append((float(f(a + _H_DERIV)) - float(f(a - _H_DERIV))) / (2.0 * _H_DERIV))
 
     def remainder(t: float) -> float:
         head = sum(derivs[j] * (t - a) ** j / math.factorial(j) for j in range(n))
@@ -85,4 +88,4 @@ def caputo_classical(
 
     # The head stops at degree n - 1: those terms are exactly the ones the
     # Caputo construction ignores, so RL of the remainder is Caputo of f.
-    return _richardson_gl(remainder, a, x, beta, steps, derivative=True)
+    return _richardson_gl(remainder, a, x, beta, derivative=True)

@@ -68,11 +68,8 @@ def _grid_points(args: argparse.Namespace) -> np.ndarray:
     return np.linspace(*(args.grid or _DEFAULT_GRIDS[args.command]))
 
 
-def _parsed_function(args: argparse.Namespace, default: str | None = None):
-    text = args.f_expr or default
-    if text is None:
-        raise ExprError(f"command {args.command!r} needs --f EXPRESSION")
-    expr = parse_expression(text)
+def _parsed_function(args: argparse.Namespace, default: str):
+    expr = parse_expression(args.f_expr or default)
     sf = _staircase_for(args)
 
     def fn(x):
@@ -208,14 +205,12 @@ def run(args: argparse.Namespace) -> int:
         _emit(args, ("x", "value"), rows, title)
         return 0
 
-    if args.command == "laplace":
-        default = "x" if args.alpha_mode == "identity" else "S(x)"
-        fn, sf, _ = _parsed_function(args, default)
-        rows = [(s, laplace_numeric(fn, sf, s, **tol)) for s in xs]
-        _emit(args, ("x", "value"), rows, "transform (x = sigma)")
-        return 0
-
-    raise DomainError(f"unknown command {args.command!r}")
+    # laplace: every other command has returned above
+    default = "x" if args.alpha_mode == "identity" else "S(x)"
+    fn, sf, _ = _parsed_function(args, default)
+    rows = [(s, laplace_numeric(fn, sf, s, **tol)) for s in xs]
+    _emit(args, ("x", "value"), rows, "transform (x = sigma)")
+    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -81,16 +81,20 @@ def difference(g, v: float, h: float, s: float) -> float:
     return (-3.0 * s * g0 + 4.0 * s * g1 - s * g2) / (2.0 * h)
 
 
-def f_alpha_derivative(f, sf, x, h: float = 1e-6) -> float:
-    """Staircase derivative of f at x: dg/du at u = S(x), zero off the set."""
-    if not h > 0:
-        raise DomainError(f"step h must be positive, got {h!r}")
+_DERIVATIVE_STEP = 1e-6
+
+
+def f_alpha_derivative(f, sf, x) -> float:
+    """Staircase derivative of f at x: dg/du at u = S(x), zero off the set.
+
+    dg/du is a second-order difference of step 1e-6 in u.
+    """
     if not sf.membership(x):
         return 0.0
     u = sf.eval(x)
-    # the staircase's u-range starts at 0: within h of it, reach forward only
-    s = 1.0 if u - h < 0.0 and not isinstance(sf, IdentityMap) else 0.0
-    val = difference(ConjugatedFn(f, sf), u, h, s)
+    # the staircase's u-range starts at 0: within one step of it, reach forward only
+    s = 1.0 if u - _DERIVATIVE_STEP < 0.0 and not isinstance(sf, IdentityMap) else 0.0
+    val = difference(ConjugatedFn(f, sf), u, _DERIVATIVE_STEP, s)
     if not math.isfinite(val):
         raise DomainError(f"non-finite function values near x={x!r}")
     return val
@@ -99,10 +103,12 @@ def f_alpha_derivative(f, sf, x, h: float = 1e-6) -> float:
 # Two-point rule offset: nodes 1/2 +- 1/(2 sqrt 2) with equal weights match the
 # zeroth through third moments of the staircase measure on every panel.
 _MEASURE_NODE = 0.5 / math.sqrt(2.0)
+# dyadic depth at which a whole panel takes the two-point rule
+_MEASURE_DEPTH = 12
 _MEASURE_DEPTH_CAP = 40
 
 
-def _measure_unit(f, x_off: float, v0: float, v1: float, depth: int) -> float:
+def _measure_unit(f, x_off: float, v0: float, v1: float) -> float:
     # integral over u in [v0, v1] within one unit cell of f(x_off + quantile(u))
     total = 0.0
     stack = [(0, 0.0, 0.0, 1.0)]
@@ -112,7 +118,7 @@ def _measure_unit(f, x_off: float, v0: float, v1: float, depth: int) -> float:
             continue
         width = 3.0**-d
         mass = 2.0**-d
-        if v0 <= u_lo and u_hi <= v1 and d >= depth:
+        if v0 <= u_lo and u_hi <= v1 and d >= _MEASURE_DEPTH:
             lo = f(x_off + x_lo + width * (0.5 - _MEASURE_NODE))
             hi = f(x_off + x_lo + width * (0.5 + _MEASURE_NODE))
             total += mass * 0.5 * (float(lo) + float(hi))
@@ -127,7 +133,7 @@ def _measure_unit(f, x_off: float, v0: float, v1: float, depth: int) -> float:
     return total
 
 
-def _measure_integral(f, sf, ua: float, ub: float, depth: int) -> float:
+def _measure_integral(f, sf, ua: float, ub: float) -> float:
     # unit-cell reduction: S(x + k) = S(x) + k for integer k under tiling
     total = 0.0
     cell = math.floor(ua)
@@ -135,21 +141,22 @@ def _measure_integral(f, sf, ua: float, ub: float, depth: int) -> float:
         v0 = max(ua - cell, 0.0)
         v1 = min(ub - cell, 1.0)
         if v1 > v0:
-            total += _measure_unit(f, float(cell), v0, v1, depth)
+            total += _measure_unit(f, float(cell), v0, v1)
         cell += 1
     return total
 
 
-def f_alpha_integral(f, sf, a, b, n: int = 64, method: str = "auto") -> float:
+def f_alpha_integral(f, sf, a, b, method: str = "auto") -> float:
     """Staircase integral of f over [a, b].
 
     method "measure" applies a self-similar two-point rule per dyadic panel
-    in the staircase coordinate, evaluating f at real-line nodes; it is the
-    right tool when f is smooth in x (the conjugated integrand then has a
-    jump at every dyadic level and u-space panels converge only linearly).
-    "gauss" integrates the conjugated function in u with Gauss-Legendre
-    panels and is exact for integrands that are smooth functions of S(x).
-    "auto" picks "measure" for a fractal staircase and "gauss" otherwise.
+    of depth 12 in the staircase coordinate, evaluating f at real-line
+    nodes; it is the right tool when f is smooth in x (the conjugated
+    integrand then has a jump at every dyadic level and u-space panels
+    converge only linearly). "gauss" integrates the conjugated function in
+    u with 64-node Gauss-Legendre panels and is exact for integrands that
+    are smooth functions of S(x). "auto" picks "measure" for a fractal
+    staircase and "gauss" otherwise.
     """
     ua = sf.eval(a)
     ub = sf.eval(b)
@@ -162,9 +169,8 @@ def f_alpha_integral(f, sf, a, b, n: int = 64, method: str = "auto") -> float:
     if method == "measure":
         if isinstance(sf, IdentityMap):
             raise DomainError("measure quadrature requires a fractal staircase")
-        depth = max(8, min(15, n.bit_length() + 5))
-        return _measure_integral(f, sf, ua, ub, depth)
+        return _measure_integral(f, sf, ua, ub)
     if method == "gauss":
-        return quadrature.gauss_composite(ConjugatedFn(f, sf), ua, ub, n)
+        return quadrature.gauss_composite(ConjugatedFn(f, sf), ua, ub)
     raise DomainError(f"unknown quadrature method {method!r}")
 

@@ -425,7 +425,7 @@ def product_integrate(vals: np.ndarray, nodes: np.ndarray, mu: float, ends) -> l
     for i, (a, b) in enumerate(places if not np.isfinite(vals).all() else ()):
         if not math.isfinite(full[a]):
             z = np.concatenate(([0.0], nodes[firsts[i] : ends[i]] - lo))
-            fit = _terminal_power(z, full[a:b]) if b - a > 4 else None
+            fit = _terminal_power(z, full[a:b])
             if fit is None:
                 raise ConvergenceError(
                     "no integrable power c z^gamma + d fits the blow-up at the terminal"

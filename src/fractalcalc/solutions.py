@@ -223,11 +223,12 @@ def _variant_terms(problem: ExampleProblem) -> tuple[tuple[InverseTerm, ...], st
     )
 
 
-def default_grid(example_id: int, sf, count: int = 25):
-    """Grid with S(x) in [t + 1/10, t + 1], t the terminal (0, or 1 = S(1) for example 2)."""
+def default_grid(example_id: int, sf):
+    """25 points with S(x) evenly spaced over [t + 1/10, t + 1], t the terminal
+    (0, or 1 = S(1) for example 2)."""
     base = Fraction(example_problem(example_id).operator.terminal)
     lo, hi = base + Fraction(1, 10), base + 1
-    us = [lo + (hi - lo) * Fraction(i, count - 1) for i in range(count)]
+    us = [lo + (hi - lo) * Fraction(i, 24) for i in range(25)]
     return [sf.quantile_exact(u) for u in us]
 
 
@@ -306,17 +307,15 @@ def solve_example(
     )
 
 
-def gap_plateau_spread(report: SolutionReport, gap=None, samples: int = 5) -> float:
-    """Spread of the solution over a deleted-gap interval; 0 when constant.
+def gap_plateau_spread(report: SolutionReport) -> float:
+    """Spread of the solution over the central deleted gap; 0 when constant.
 
-    Defaults to the central gap (1/3, 2/3), shifted past the terminal: into
-    (4/3, 5/3) for the problem whose domain starts at S = 1.
+    The gap (1/3, 2/3) is shifted past the terminal: into (4/3, 5/3) for the
+    problem whose domain starts at S = 1. Five points sample it, at
+    lo + (k + 1)/18 for k = 0..4.
     """
-    if gap is None:
-        shift = Fraction(report.problem.operator.terminal)
-        gap = (Fraction(1, 3) + shift, Fraction(2, 3) + shift)
-    lo, hi = Fraction(gap[0]), Fraction(gap[1])
-    pts = [lo + (hi - lo) * Fraction(k + 1, samples + 1) for k in range(samples)]
+    lo = Fraction(1, 3) + Fraction(report.problem.operator.terminal)
+    pts = [lo + Fraction(k + 1, 18) for k in range(5)]
     vals = [report.solution_fn(p) for p in pts]
     return max(vals) - min(vals)
 
@@ -352,11 +351,11 @@ def _classical_oracle(example_id: int, xs, lam: float):
     raise DomainError(f"example id must be 1..4, got {example_id!r}")
 
 
-def alpha_one_degeneration(example_id: int, grid=None, lam: float = -0.5) -> float:
-    """Max deviation from the classical solution when the map is identity."""
+def alpha_one_degeneration(example_id: int) -> float:
+    """Max deviation from the classical solution when the map is identity,
+    on the default grid (example 4 at lam = -0.5)."""
     from .staircase import IdentityMap
 
-    sf = IdentityMap()
-    report = solve_example(example_id, sf=sf, lam=lam, grid=grid)
-    oracle = _classical_oracle(example_id, report.solution.xs, lam)
+    report = solve_example(example_id, sf=IdentityMap())
+    oracle = _classical_oracle(example_id, report.solution.xs, report.problem.lam)
     return float(np.max(np.abs(report.solution.values - np.asarray(oracle))))

@@ -34,10 +34,11 @@ def _fmt(v: float) -> str:
     return f"{v:.2f}"
 
 
-def _tick_values(lo: float, hi: float, count: int = 5) -> list[float]:
+def _tick_values(lo: float, hi: float) -> list[float]:
+    # at most five ticks, a step of 1, 2, 2.5, 5 or 10 times a power of ten
     if hi <= lo:
         hi = lo + 1.0
-    raw = (hi - lo) / (count - 1)
+    raw = (hi - lo) / 4
     mag = 10.0 ** math.floor(math.log10(raw))
     for mult in (1.0, 2.0, 2.5, 5.0, 10.0):
         step = mult * mag
@@ -54,6 +55,17 @@ def _tick_values(lo: float, hi: float, count: int = 5) -> list[float]:
 
 def _label(v: float) -> str:
     return f"{v:.4g}"
+
+
+def _text(
+    x: str, y: str, size: int, body: str, anchor: str = "", fill: str = "#333333", transform: str = ""
+) -> str:
+    anchor = f' text-anchor="{anchor}"' if anchor else ""
+    transform = f' transform="{transform}"' if transform else ""
+    return (
+        f'<text x="{x}" y="{y}" font-family="sans-serif" font-size="{size}"'
+        f'{anchor} fill="{fill}"{transform}>{body}</text>'
+    )
 
 
 def render_svg(
@@ -105,11 +117,7 @@ def render_svg(
             f'x2="{_fmt(x)}" y2="{_fmt(_MARGIN_T + plot_h + 5)}" '
             'stroke="#333333" stroke-width="1"/>'
         )
-        parts.append(
-            f'<text x="{_fmt(x)}" y="{_fmt(_MARGIN_T + plot_h + 18)}" '
-            'font-family="sans-serif" font-size="11" text-anchor="middle" '
-            f'fill="#333333">{_label(t)}</text>'
-        )
+        parts.append(_text(_fmt(x), _fmt(_MARGIN_T + plot_h + 18), 11, _label(t), "middle"))
     for t in _tick_values(ylo, yhi):
         if t < ylo - 1e-12 or t > yhi + 1e-12:
             continue
@@ -119,11 +127,7 @@ def render_svg(
             f'x2="{_fmt(_MARGIN_L)}" y2="{_fmt(y)}" '
             'stroke="#333333" stroke-width="1"/>'
         )
-        parts.append(
-            f'<text x="{_fmt(_MARGIN_L - 8)}" y="{_fmt(y + 4)}" '
-            'font-family="sans-serif" font-size="11" text-anchor="end" '
-            f'fill="#333333">{_label(t)}</text>'
-        )
+        parts.append(_text(_fmt(_MARGIN_L - 8), _fmt(y + 4), 11, _label(t), "end"))
 
     for idx, s in enumerate(series):
         color = _PALETTE[idx % len(_PALETTE)]
@@ -161,32 +165,16 @@ def render_svg(
             f'x2="{_fmt(_MARGIN_L + 34)}" y2="{_fmt(legend_y - 4)}" '
             f'stroke="{color}" stroke-width="2"{dash}/>'
         )
-        parts.append(
-            f'<text x="{_fmt(_MARGIN_L + 40)}" y="{_fmt(legend_y)}" '
-            'font-family="sans-serif" font-size="12" '
-            f'fill="#333333">{s.label}</text>'
-        )
+        parts.append(_text(_fmt(_MARGIN_L + 40), _fmt(legend_y), 12, s.label))
         legend_y += 16.0
 
     if title:
-        parts.append(
-            f'<text x="{_fmt(_WIDTH / 2)}" y="{_fmt(_MARGIN_T - 12)}" '
-            'font-family="sans-serif" font-size="14" text-anchor="middle" '
-            f'fill="#111111">{title}</text>'
-        )
+        parts.append(_text(_fmt(_WIDTH / 2), _fmt(_MARGIN_T - 12), 14, title, "middle", "#111111"))
     if xlabel:
-        parts.append(
-            f'<text x="{_fmt(_MARGIN_L + plot_w / 2)}" '
-            f'y="{_fmt(_HEIGHT - 10)}" font-family="sans-serif" '
-            f'font-size="12" text-anchor="middle" fill="#333333">{xlabel}</text>'
-        )
+        parts.append(_text(_fmt(_MARGIN_L + plot_w / 2), _fmt(_HEIGHT - 10), 12, xlabel, "middle"))
     if ylabel:
-        parts.append(
-            f'<text x="16" y="{_fmt(_MARGIN_T + plot_h / 2)}" '
-            'font-family="sans-serif" font-size="12" text-anchor="middle" '
-            f'fill="#333333" transform="rotate(-90 16 '
-            f'{_fmt(_MARGIN_T + plot_h / 2)})">{ylabel}</text>'
-        )
+        mid = _fmt(_MARGIN_T + plot_h / 2)
+        parts.append(_text("16", mid, 12, ylabel, "middle", transform=f"rotate(-90 16 {mid})"))
 
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

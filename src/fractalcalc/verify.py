@@ -267,7 +267,7 @@ _CHECKS = (
 )
 
 
-def run_all(writer=print) -> bool:
+def run_all() -> bool:
     """Run every check; print one line per check; True when all pass."""
     all_pass = True
     t0 = time.time()
@@ -276,12 +276,12 @@ def run_all(writer=print) -> bool:
         result = check()
         elapsed = time.time() - t
         status = "PASS" if result.passed else "FAIL"
-        writer(
+        print(
             f"{status} {result.name}: measured {result.measured:.3e} "
             f"(tolerance {result.tolerance:.3e}) [{elapsed:.1f}s]"
         )
         for line in result.details:
-            writer(f"     {line}")
+            print(f"     {line}")
         all_pass = all_pass and result.passed
-    writer(f"{'PASS' if all_pass else 'FAIL'} overall [{time.time() - t0:.1f}s]")
+    print(f"{'PASS' if all_pass else 'FAIL'} overall [{time.time() - t0:.1f}s]")
     return all_pass
