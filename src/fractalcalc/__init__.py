@@ -59,7 +59,6 @@ from .laplace import (
     transform_power,
     transform_rl_derivative,
     transform_rl_integral,
-    unknown_transform,
 )
 from .solutions import (
     ExampleProblem,
@@ -128,5 +127,4 @@ __all__ = [
     "transform_power",
     "transform_rl_derivative",
     "transform_rl_integral",
-    "unknown_transform",
 ]

@@ -10,6 +10,7 @@ with one Richardson step.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -22,12 +23,14 @@ _STEPS = 2048
 _H_DERIV = 1e-5
 
 
+@functools.lru_cache(maxsize=64)
 def gl_weights(p: float, count: int) -> np.ndarray:
-    """Coefficients of (1 - t)^p, w_k = w_{k-1} (k - 1 - p) / k."""
+    """Coefficients of (1 - t)^p, w_k = w_{k-1} (k - 1 - p) / k; cached, so read-only."""
     w = np.empty(count)
     w[0] = 1.0
     for k in range(1, count):
         w[k] = w[k - 1] * (k - 1 - p) / k
+    w.flags.writeable = False
     return w
 
 

@@ -133,7 +133,7 @@ def _measure_unit(f, x_off: float, v0: float, v1: float) -> float:
     return total
 
 
-def _measure_integral(f, sf, ua: float, ub: float) -> float:
+def _measure_integral(f, ua: float, ub: float) -> float:
     # unit-cell reduction: S(x + k) = S(x) + k for integer k under tiling
     total = 0.0
     cell = math.floor(ua)
@@ -169,7 +169,7 @@ def f_alpha_integral(f, sf, a, b, method: str = "auto") -> float:
     if method == "measure":
         if isinstance(sf, IdentityMap):
             raise DomainError("measure quadrature requires a fractal staircase")
-        return _measure_integral(f, sf, ua, ub)
+        return _measure_integral(f, ua, ub)
     if method == "gauss":
         return quadrature.gauss_composite(ConjugatedFn(f, sf), ua, ub)
     raise DomainError(f"unknown quadrature method {method!r}")

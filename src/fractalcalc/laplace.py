@@ -4,10 +4,11 @@ The transform pairs f with its integral against exp(-sigma S(x)) dS(x),
 which in the staircase coordinate is the classical Laplace integral of the
 conjugated function. Transforms of the algebra generated by staircase powers
 and resolvent fractions are carried symbolically: every expression is a sum
-of terms coeff sigma^p / (sigma^q - lam), powers kept as exact Fractions so
-that rule applications never leak float noise into the exponents. Inversion
-maps resolvent terms to staircase-power Mittag-Leffler terms and pure powers
-to plain staircase powers. The numeric transform is one tanh-sinh rule.
+of terms coeff sigma^p / (sigma^q - lam) in the order given, like terms not
+merged, powers kept as exact Fractions so that rule applications never leak
+float noise into the exponents. Inversion maps resolvent terms to
+staircase-power Mittag-Leffler terms and pure powers to plain staircase
+powers. The numeric transform is one tanh-sinh rule.
 """
 
 from __future__ import annotations
@@ -45,7 +46,6 @@ class LaplaceTerm:
     p: Fraction
     q: Fraction = _ZERO
     lam: float = 0.0
-    unknown: bool = False
 
     def __post_init__(self) -> None:
         # the rule algebra passes Fractions; converting only the others
@@ -62,8 +62,6 @@ class LaplaceTerm:
         return self.q == 0 and self.lam == 0.0
 
     def value(self, sigma: float) -> float:
-        if self.unknown:
-            raise DomainError("cannot evaluate a term containing the unknown transform")
         sigma = float(sigma)
         if sigma <= 0.0:
             raise DomainError(f"transform evaluated at nonpositive sigma {sigma!r}")
@@ -75,7 +73,7 @@ class LaplaceTerm:
 
 @dataclass(frozen=True)
 class LaplaceExpr:
-    """A finite sum of LaplaceTerm values."""
+    """A finite sum of LaplaceTerm values in the order given; like terms stay apart."""
 
     terms: tuple[LaplaceTerm, ...]
 
@@ -92,35 +90,14 @@ class LaplaceExpr:
 
     def shifted(self, dp) -> "LaplaceExpr":
         dp = _as_power(dp)
-        return LaplaceExpr(
-            tuple(LaplaceTerm(t.coeff, t.p + dp, t.q, t.lam, t.unknown) for t in self.terms)
-        )
+        return LaplaceExpr(tuple(LaplaceTerm(t.coeff, t.p + dp, t.q, t.lam) for t in self.terms))
 
     def scaled(self, c: float) -> "LaplaceExpr":
         c = float(c)
-        return LaplaceExpr(
-            tuple(LaplaceTerm(t.coeff * c, t.p, t.q, t.lam, t.unknown) for t in self.terms)
-        )
+        return LaplaceExpr(tuple(LaplaceTerm(t.coeff * c, t.p, t.q, t.lam) for t in self.terms))
 
     def __add__(self, other: "LaplaceExpr") -> "LaplaceExpr":
-        # merge like terms (same power, resolvent and unknown flag) by
-        # summing coefficients; explicit zero coefficients are kept so that
-        # structural term lists stay visible to the caller. The key holds the
-        # powers as integer pairs: a Fraction's hash is far slower.
-        merged: list[LaplaceTerm] = []
-        index: dict[tuple, int] = {}
-        for t in self.terms + other.terms:
-            p, q = t.p, t.q
-            key = (p.numerator, p.denominator, q.numerator, q.denominator, t.lam, t.unknown)
-            if key in index:
-                old = merged[index[key]]
-                merged[index[key]] = LaplaceTerm(
-                    old.coeff + t.coeff, old.p, old.q, old.lam, old.unknown
-                )
-            else:
-                index[key] = len(merged)
-                merged.append(t)
-        return LaplaceExpr(tuple(merged))
+        return LaplaceExpr(self.terms + other.terms)
 
     def __sub__(self, other: "LaplaceExpr") -> "LaplaceExpr":
         return self + other.scaled(-1.0)
@@ -132,11 +109,6 @@ def transform_power(eta) -> LaplaceExpr:
     if eta_f <= -1:
         raise DomainError(f"power transform needs exponent > -1, got {eta_f}")
     return LaplaceExpr.of(LaplaceTerm(gamma_classical(float(eta_f) + 1.0), -eta_f - 1))
-
-
-def unknown_transform() -> LaplaceExpr:
-    """The symbol standing for the transform of the unknown function."""
-    return LaplaceExpr.of(LaplaceTerm(1.0, _ZERO, unknown=True))
 
 
 def transform_rl_integral(expr: LaplaceExpr, beta) -> LaplaceExpr:
@@ -194,8 +166,6 @@ def solve_resolvent(numerator: LaplaceExpr, q, lam: float) -> LaplaceExpr:
         raise DomainError(f"resolvent power must be positive, got {q_f}")
     out = []
     for t in numerator.terms:
-        if t.unknown:
-            raise DomainError("numerator still contains the unknown transform")
         if not t.is_pure_power:
             raise DomainError("nested resolvent fractions are not representable")
         out.append(LaplaceTerm(t.coeff, t.p, q_f, float(lam)))
@@ -245,8 +215,6 @@ def invert_terms(expr: LaplaceExpr) -> tuple[InverseTerm, ...]:
     """Rule-based inversion of a sum of powers and resolvent fractions."""
     out = []
     for t in expr.terms:
-        if t.unknown:
-            raise DomainError("cannot invert an expression containing the unknown")
         if t.is_pure_power:
             if t.p >= 0:
                 raise DomainError(

@@ -1,15 +1,15 @@
 """The four staircase differential equations and their verified solutions.
 
 Each problem is solved through the transform rule of its operator
-(`transform_caputo` or `transform_rl_derivative`): apply the rule to the
-unknown image with the data that fit its slots, subtract lam times the
-unknown, move the known terms to the right-hand side, divide by the symbol
-of the operator (a resolvent when a zero-order term is present), and invert
-term by term into staircase powers and Mittag-Leffler factors. The result
-is then checked the hard way, by applying the governing operator
-numerically and measuring the residual against the right-hand side.
-Variant closed forms in circulation for these problems are evaluated
-alongside and measured by the same residual, never assumed.
+(`transform_caputo` or `transform_rl_derivative`): the rule applied to an
+empty image gives the terms of the data that fit its slots, negated; they
+move to the right-hand side, the sum is divided by sigma^beta - lam (a
+resolvent when lam is not 0), and the image is inverted term by term into
+staircase powers and Mittag-Leffler factors. The result is then checked the
+hard way, by applying the governing operator numerically and measuring the
+residual against the right-hand side. Variant closed forms in circulation
+for these problems are evaluated alongside and measured by the same
+residual, never assumed.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ from .laplace import (
     transform_caputo,
     transform_power,
     transform_rl_derivative,
-    unknown_transform,
 )
 from .nonlocal_ops import OperatorKind, OperatorSpec, _values_u
 from .special import mittag_leffler, ml_half_half_closed, rgamma
@@ -150,13 +149,14 @@ _DERIVATION_NOTES = {
 def _derive_transform(problem: ExampleProblem) -> tuple[LaplaceExpr, tuple[str, ...]]:
     """Transform the equation by the operator's rule and solve for the image.
 
-    Works in the coordinate w = S(x) - S(terminal), so the standard
-    terminal-zero transform rules apply to every problem, including the one
-    based at S = 1. A datum fits when its order is one of the rule's slot
-    orders, and an empty slot before a filled one takes 0. When no datum of
-    a Caputo problem fits, the first one's value is taken as the terminal
-    value of y, the rule's first slot. A datum that fits no slot otherwise
-    is left out, and a zero-coefficient term keeps its place at
+    The image is Y = (rhs + D) / (sigma^beta - lam), -D the rule applied to
+    the empty image. Works in the coordinate w = S(x) - S(terminal), so the
+    standard terminal-zero transform rules apply to every problem, including
+    the one based at S = 1. A datum fits when its order is one of the rule's
+    slot orders, and an empty slot before a filled one takes 0. When no
+    datum of a Caputo problem fits, the first one's value is taken as the
+    terminal value of y, the rule's first slot. A datum that fits no slot
+    otherwise is left out, and a zero-coefficient term keeps its place at
     sigma^(beta - 1 - order). The exact order beta is the operator's, read
     through the algebra's own float-to-Fraction rule.
     """
@@ -171,14 +171,10 @@ def _derive_transform(problem: ExampleProblem) -> tuple[LaplaceExpr, tuple[str, 
     filled = max((slots.index(o) + 1 for o in values), default=0)
     data = [values.get(o, 0.0) for o in slots[:filled]]
 
-    unknown = unknown_transform()
-    equation = rule(unknown, beta, data) + unknown.scaled(-problem.lam)
     rhs = LaplaceExpr.zero()
     for coeff, eta in problem.rhs_terms:
         rhs = rhs + transform_power(eta).scaled(coeff)
-    # the unknown terms of the equation are the symbol sigma^beta - lam,
-    # divided out below; the known terms move to the right-hand side
-    known = LaplaceExpr(tuple(t for t in equation.terms if not t.unknown))
+    known = rule(LaplaceExpr.zero(), beta, data)
     zeros = LaplaceExpr(tuple(LaplaceTerm(0.0, beta - 1 - o) for o in left_out))
     numerator = rhs - known + zeros
     if problem.lam == 0.0:

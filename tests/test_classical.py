@@ -29,6 +29,13 @@ class TestWeights:
         w = gl_weights(0.5, 3)
         assert w == pytest.approx([1.0, -0.5, -0.125])
 
+    def test_weights_are_built_once_and_read_only(self):
+        w = gl_weights(0.3, 6)
+        assert gl_weights(0.3, 6) is w
+        with pytest.raises(ValueError):
+            w[1] = 0.0
+        assert w[1] == -0.3
+
 
 class TestIntegral:
     def test_power_function(self):

@@ -234,12 +234,14 @@ def _digest(data: bytes) -> str:
 # 1.731e-4); they may move at rounding level only. Examples 3 and 4 carry
 # Mittag-Leffler factors; their values and residuals were re-recorded when
 # the series became a Horner sum over a fixed term count (residuals before:
-# 2.386635767050136e-06 and 1.8787547146070782e-06).
+# 2.386635767050136e-06 and 1.8787547146070782e-06). The derivation digests
+# were re-recorded when terms lost their unknown flag; each equals the digest
+# of the earlier repr with ", unknown=False" removed.
 _RECORDED = {
-    1: (5.7143159537531574e-08, "4362bb1fb038429c", "cc736fc1541ed38f"),
-    2: (1.0826768775951123e-07, "1ae75374aabf0fdc", "65507bfa9a3be9df"),
-    3: (2.3866358653477957e-06, "c02cb42f37b9603d", "38af0ea928b5e25c"),
-    4: (1.8788036705019717e-06, "1ad89e173cf44d78", "835dc223779550fb"),
+    1: (5.7143159537531574e-08, "4362bb1fb038429c", "2b46a00b631a1113"),
+    2: (1.0826768775951123e-07, "1ae75374aabf0fdc", "dab5021c9cb69c97"),
+    3: (2.3866358653477957e-06, "c02cb42f37b9603d", "f0c7c972f74876f8"),
+    4: (1.8788036705019717e-06, "1ad89e173cf44d78", "b709e60f5abd1831"),
 }
 
 
