@@ -34,18 +34,22 @@ def gl_weights(p: float, count: int) -> np.ndarray:
     return w
 
 
-def _gl_sum(f, a: float, x: float, beta: float, steps: int, derivative: bool) -> float:
-    # the derivative sums against (1 - t)^beta, the integral against (1 - t)^(-beta)
+def _gl_sum(f, a: float, x: float, beta: float, steps: int, derivative: bool, head=()) -> float:
+    # the derivative sums against (1 - t)^beta, the integral against (1 - t)^(-beta);
+    # f is called per node, and the polynomial in (t - a) with coefficients
+    # `head` is subtracted from those values on the whole node array
     p = beta if derivative else -beta
     h = (x - a) / steps
     nodes = x - h * np.arange(steps + 1)
     vals = np.array([float(f(t)) for t in nodes])
+    if head:
+        vals = vals - np.polynomial.polynomial.polyval(nodes - a, head)
     return float(h ** (-p) * (gl_weights(p, steps + 1) @ vals))
 
 
-def _richardson_gl(f, a: float, x: float, beta: float, derivative: bool) -> float:
-    coarse = _gl_sum(f, a, x, beta, _STEPS, derivative)
-    fine = _gl_sum(f, a, x, beta, 2 * _STEPS, derivative)
+def _richardson_gl(f, a: float, x: float, beta: float, derivative: bool, head=()) -> float:
+    coarse = _gl_sum(f, a, x, beta, _STEPS, derivative, head)
+    fine = _gl_sum(f, a, x, beta, 2 * _STEPS, derivative, head)
     return 2.0 * fine - coarse
 
 
@@ -70,25 +74,25 @@ def rl_derivative_classical(f, a: float, x: float, beta: float) -> float:
 
 
 def caputo_classical(f, a: float, x: float, beta: float) -> float:
-    """Left Caputo derivative, obtained by stripping the Taylor head.
+    """Left Caputo derivative of order beta < 2, obtained by stripping the Taylor head.
 
     Subtracts the order-n Taylor polynomial of f at the base point and
     applies the Riemann-Liouville derivative to the remainder, which is the
-    standard equivalence for smooth functions.
+    standard equivalence for smooth functions. The head takes f(a) and, above
+    order 1, a central difference for f'(a); above order 2 it would need f''(a)
+    too, so those orders are refused.
     """
     if not beta > 0.0:
         raise DomainError(f"order must be positive, got {beta!r}")
     n = math.ceil(beta)
     if n == beta:
         raise DomainError("integer orders are ordinary derivatives, not handled here")
-    derivs = [float(f(a))]
-    if n >= 2:
-        derivs.append((float(f(a + _H_DERIV)) - float(f(a - _H_DERIV))) / (2.0 * _H_DERIV))
-
-    def remainder(t: float) -> float:
-        head = sum(derivs[j] * (t - a) ** j / math.factorial(j) for j in range(n))
-        return float(f(t)) - head
-
+    if n > 2:
+        raise DomainError(f"Caputo orders above 2 are not handled here, got {beta!r}")
+    # Taylor coefficients: f(a), then f'(a) / 1!
+    head = [float(f(a))]
+    if n == 2:
+        head.append((float(f(a + _H_DERIV)) - float(f(a - _H_DERIV))) / (2.0 * _H_DERIV))
     # The head stops at degree n - 1: those terms are exactly the ones the
     # Caputo construction ignores, so RL of the remainder is Caputo of f.
-    return _richardson_gl(remainder, a, x, beta, derivative=True)
+    return _richardson_gl(f, a, x, beta, derivative=True, head=head)

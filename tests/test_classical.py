@@ -108,3 +108,21 @@ class TestCaputo:
         base = caputo_classical(lambda t: t * t, 0.0, 0.7, 1.4)
         shifted = caputo_classical(lambda t: 3.0 - 2.0 * t + t * t, 0.0, 0.7, 1.4)
         assert shifted == pytest.approx(base, rel=1e-3, abs=1e-4)
+
+    @pytest.mark.parametrize("beta", [0.4, 1.4])
+    def test_head_on_the_node_array_keeps_the_scalar_loop_bits(self, beta):
+        # reference: RL of the remainder, its Taylor head summed per node
+        f, a, h = math.exp, 0.1, 1e-5
+        n = math.ceil(beta)
+        derivs = [f(a), (f(a + h) - f(a - h)) / (2.0 * h)][:n]
+
+        def remainder(t):
+            return f(t) - sum(derivs[j] * (t - a) ** j / math.factorial(j) for j in range(n))
+
+        want = rl_derivative_classical(remainder, a, 0.9, beta)
+        assert caputo_classical(f, a, 0.9, beta).hex() == want.hex()
+
+    def test_orders_above_two_refused(self):
+        # the head holds f(a) and f'(a) only, which order 2.5 would silently miss
+        with pytest.raises(DomainError):
+            caputo_classical(lambda t: t * t, 0.0, 0.8, 2.5)

@@ -22,7 +22,7 @@ from fractalcalc import (
     f_alpha_integral,
     rgamma,
 )
-from fractalcalc import quadrature, staircase
+from fractalcalc import core, quadrature, staircase
 from fractalcalc.core import difference
 
 
@@ -104,6 +104,75 @@ class TestIntegral:
     def test_bad_method(self, sf):
         with pytest.raises(DomainError):
             f_alpha_integral(lambda x: 1.0, sf, 0, 1, method="simpson")
+
+
+def cantor_moments(k_max: int) -> list[Fraction]:
+    # self-similarity: 2 3^k m_k = 2 m_k + sum_{j<k} C(k, j) 2^(k-j) m_j
+    m = [Fraction(1)]
+    for k in range(1, k_max + 1):
+        m.append(sum(math.comb(k, j) * 2 ** (k - j) * m[j] for j in range(k)) / (2 * 3**k - 2))
+    return m
+
+
+def _ulps(got: float, want: float) -> float:
+    return abs(got - want) / np.spacing(want)
+
+
+class TestMeasureRule:
+    def test_two_node_rule_is_the_variance_rule(self):
+        # nodes m1 -+ sqrt(m2 - m1^2) = 1/2 -+ 1/(2 sqrt 2), weights 1/2
+        m = cantor_moments(2)
+        spread = math.sqrt(m[2] - m[1] ** 2)
+        (lo, w_lo), (hi, w_hi) = core._cantor_gauss_rule(2)
+        assert _ulps(lo, float(m[1]) - spread) <= 4 and _ulps(hi, float(m[1]) + spread) <= 4
+        assert _ulps(w_lo, 0.5) <= 4 and _ulps(w_hi, 0.5) <= 4
+
+    def test_four_node_rule_is_symmetric_with_unit_mass(self):
+        rule = core._cantor_gauss_rule(4)
+        nodes = [t for t, _ in rule]
+        weights = [w for _, w in rule]
+        assert nodes == sorted(nodes) and 0.0 < nodes[0] and nodes[-1] < 1.0
+        for (t, w), (t_mirror, w_mirror) in zip(rule, reversed(rule)):
+            assert t + t_mirror == pytest.approx(1.0, abs=1e-15)
+            assert w == pytest.approx(w_mirror, abs=1e-15)
+        assert math.fsum(weights) == pytest.approx(1.0, abs=1e-15)
+
+    @pytest.mark.parametrize("k", range(8))
+    def test_moments_through_degree_seven(self, sf, k):
+        # over [1, 2] the measure is the unit cell shifted: integral of (1 + t)^k
+        m = cantor_moments(k)
+        shifted = sum(math.comb(k, j) * m[j] for j in range(k + 1))
+        for a, want in ((0, m[k]), (1, shifted)):
+            got = f_alpha_integral(lambda x: x**k, sf, a, a + 1)
+            assert abs(got - float(want)) <= 1e-15 * max(1.0, float(want))
+
+    @pytest.mark.parametrize(
+        "f, recorded",
+        [
+            (math.exp, 1.7532792046002361),
+            (lambda x: math.cos(20.0 * x), 0.3363253669084547),
+            (lambda x: 1.0 / (1.05 - x), 4.1289435637228715),
+            (lambda x: math.sqrt(x + 0.01), 0.6522777834903599),
+        ],
+        ids=["exp", "cos20x", "pole-near-1", "sqrt-near-0"],
+    )
+    def test_smooth_f_keeps_the_depth_twelve_two_node_values(self, sf, f, recorded):
+        # recorded from the two-node rule on every whole panel of depth 12
+        assert f_alpha_integral(f, sf, 0, 1) == pytest.approx(recorded, abs=1e-14)
+
+    def test_a_cubic_stops_at_depth_seven(self, sf):
+        # 4 nodes on the 64 panels of depth 6 and the 128 of depth 7, which agree
+        calls = []
+
+        def cubic(x):
+            calls.append(x)
+            return ((0.5 * x - 1.25) * x + 2.0) * x + 0.75
+
+        got = f_alpha_integral(cubic, sf, 0, 1)
+        assert len(calls) == 768
+        m = cantor_moments(3)
+        want = float(Fraction(1, 2) * m[3] - Fraction(5, 4) * m[2] + 2 * m[1] + Fraction(3, 4))
+        assert abs(got - want) <= 1e-15 * max(1.0, want)
 
 
 class TestStieltjesSum:
