@@ -56,7 +56,8 @@ class ConjugatedFn:
     element on that element's exact quantile.  An integrand built on S(x),
     such as ``lambda x: sf.eval(x) ** eta``, reads no staircase digits: each
     quantile carries its own staircase value, and ``sf.eval`` of it is one
-    field read (see :mod:`fractalcalc.staircase`).
+    field read; nor does it build the exact numerator, which a batch
+    quantile builds on its first read (see :mod:`fractalcalc.staircase`).
     """
 
     underlying: object

@@ -33,26 +33,25 @@ once when it is built.  ``eval_exact`` and ``eval`` of a staircase of the
 same digit depth read the carried value and no digit; any other argument,
 equal or not, goes through the kernel, and both paths give the same bits.
 No staircase instance holds state, so any quantile, not only the latest,
-reads no digits, and instances and threads share nothing.  A copy, a deep
-copy or an unpickled quantile is a plain ``Fraction``.
+reads no digits, and instances share nothing.  A copy, a deep copy or an
+unpickled quantile is a plain ``Fraction``.
 
 ``quantiles_exact`` takes the quantiles of a whole float64 array in one
-batch, for digit depths up to 62: ``whole = floor(|u|)`` and
-``bits = floor(frac * 2**depth)`` are exact in float64 and fit int64, and the
-byte table, as an int64 array, transcribes the bytes of every element at
-once, summed per 32-bit half (each half's ternary value stays below 3**32).
-The carried floats, u truncated to ``depth`` binary digits, are exact in
-float64 too and are taken for the whole array at once.  Only the assembly
-of each result stays per element.  Deeper digits, and other dtypes, go
-through the scalar call.
+batch, for digit depths up to 62: ``whole = floor(|u|)``, ``bits =
+floor(frac * 2**depth)``, which fits int64, and the carried floats, u
+truncated to ``depth`` binary digits, are all exact in float64.  A result
+carries only its staircase value; the first read of its numerator or
+denominator builds both, by the scalar call's helper, and writes them to
+its own slots: threads racing on it write the same values.  Deeper digits,
+and other dtypes, go through the scalar call.
 
 No result is reduced by a gcd.  The quantile's scaled value
 ``whole * 3**depth + Q(bits)`` is divisible by exactly 3**t, where t is the
 number of trailing zero bits of ``bits`` (``depth`` when it is 0), because
 the lowest ternary digit of Q(bits) is a 2 at that place; and the scaled
 staircase value is divisible by exactly 2**t for its own trailing zero
-bits, capped at ``depth``.  So the coprime numerator and denominator are
-known beforehand, and ``_coprime_fraction`` sets them directly.
+bits, capped at ``depth``.  So ``_quantile_parts`` and ``eval_exact`` know
+the coprime numerator and denominator beforehand.
 
 Outside the unit interval the staircase is extended through the
 self-similar tiling ``S(x + 1) = S(x) + 1`` for ``x >= 0`` and the odd
@@ -119,14 +118,9 @@ _TRIT_BLOCKS = _trit_block_table()
 
 #: Byte b read as eight binary digits, written as the ternary digits 2*bit.
 _BYTE_TRITS = [2 * int(f"{b:08b}", 3) for b in range(1 << _BLOCK)]
-_BYTE_TRITS_INT64 = np.array(_BYTE_TRITS, dtype=np.int64)
-#: Place values of the four bytes of a 32-bit half, least significant first;
-#: a half's ternary value stays below 3**32 < 2**63.
-_BYTE_PLACES = np.array([_BLOCK_POW3**k for k in range(4)], dtype=np.int64)
 
 #: Deepest digit depth of the batch quantile: its bits fit an int64.
 _BATCH_DEPTH = 62
-_POW3_BATCH = [3**k for k in range(_BATCH_DEPTH + 1)]
 
 
 def _coprime_fraction(n: int, d: int) -> Fraction:
@@ -135,7 +129,7 @@ def _coprime_fraction(n: int, d: int) -> Fraction:
     ``Fraction(n, d)`` spends about a microsecond on a gcd that is known to
     be 1 here; this sets the two slots directly, as Python 3.12's
     ``Fraction._from_coprime_ints`` does.  The slots are the same on 3.10
-    and 3.11.
+    to 3.13.
     """
     x = object.__new__(Fraction)
     x._numerator = n
@@ -143,18 +137,32 @@ def _coprime_fraction(n: int, d: int) -> Fraction:
     return x
 
 
-class _Quantile(Fraction):
-    """A ``quantile_exact`` result carrying its own staircase value.
+def _filled_on_read(slot) -> property:
+    """Fraction's slot ``slot``; the first read of an unset one fills both."""
 
-    ``_depth`` is the digit depth it was taken at, ``_s`` its staircase value
-    times ``2**_depth`` (a signed int) and ``_value`` the float
-    ``_s / 2**_depth``, all set once, as ``_coprime_fraction`` sets the
-    Fraction's slots.  Fraction's arithmetic returns plain Fractions, and so
-    do a copy, a deep copy and pickling, which would otherwise build this
-    class with no value set; its repr is a Fraction's.
-    """
+    def read(x):
+        try:
+            return slot.__get__(x)
+        except AttributeError:
+            whole, bits = divmod(abs(x._s), 1 << x._depth)
+            n, d = _quantile_parts(whole, bits, x._depth)
+            x._numerator, x._denominator = (-n if x._s < 0 else n), d
+            return slot.__get__(x)
+
+    return property(read, slot.__set__)
+
+
+class _Quantile(Fraction):
+    """A quantile carrying its staircase value, set once: ``_depth``, the
+    digit depth it was taken at, ``_s``, that value times ``2**_depth`` (a
+    signed int), and the float ``_value = _s / 2**_depth``; the Fraction's
+    slots are set at once or, in a batch, on their first read.  Fraction's
+    arithmetic, a copy, a deep copy and pickling return plain Fractions (the
+    last three would otherwise build this class with no value set)."""
 
     __slots__ = ("_depth", "_s", "_value")
+    _numerator = _filled_on_read(Fraction._numerator)
+    _denominator = _filled_on_read(Fraction._denominator)
 
     def __repr__(self) -> str:
         return f"Fraction({self._numerator}, {self._denominator})"
@@ -256,6 +264,14 @@ def _unit_quantile_scaled(bits: int, depth: int) -> int:
     return acc
 
 
+def _quantile_parts(whole: int, bits: int, depth: int) -> tuple[int, int]:
+    """The coprime (numerator, denominator) of the quantile of
+    whole + bits / 2**depth, found without a gcd as the module docstring says."""
+    t = _twos(bits, depth)
+    scale = _pow3(depth - t)
+    return whole * scale + _unit_quantile_scaled(bits >> t, depth - t), scale
+
+
 @dataclass(frozen=True)
 class StaircaseFn:
     """The Cantor staircase together with its quantile and membership tests."""
@@ -294,11 +310,7 @@ class StaircaseFn:
         negative, whole, num, den = _parts(u)
         depth = self.spec.digit_depth
         bits = (num << depth) // den
-        # 3**t divides whole * 3**depth + Q(bits) exactly for the t trailing
-        # zero bits of bits (t = depth when bits == 0), and no higher power
-        t = _twos(bits, depth)
-        scale = _pow3(depth - t)
-        scaled = whole * scale + _unit_quantile_scaled(bits >> t, depth - t)
+        scaled, scale = _quantile_parts(whole, bits, depth)
         s = (whole << depth) + bits
         if negative:
             scaled, s = -scaled, -s
@@ -310,10 +322,9 @@ class StaircaseFn:
     def quantiles_exact(self, u):
         """Yield ``quantile_exact(v)`` for each v of the 1-D array u, in order.
 
-        A float64 array at digit depth up to 62 is transcribed in one batch:
-        whole parts and ``bits`` are exact in float64 and int64, every byte
-        of the array goes through the byte table at once, and the carried
-        floats are taken for the whole array, with the scalar call's bits.  An
+        A float64 array at digit depth up to 62 is split in one batch, with
+        the scalar call's bits; each result builds its numerator and
+        denominator when first read, so ``sf.eval(x)`` alone never does.  An
         element the scalar call refuses raises the scalar call's error once
         the elements before it are consumed.  Any other dtype or depth goes
         through the scalar call.
@@ -327,27 +338,15 @@ class StaircaseFn:
         a = np.abs(u[:n])
         whole = np.floor(a)
         fbits = np.trunc(np.ldexp(a - whole, depth))
-        bits = fbits.astype(np.int64)
-        low = bits | (1 << depth)
-        t = np.frexp(low & -low)[1] - 1
-        # the little-endian bytes of bits >> t, as two 32-bit halves of four
-        octets = (bits >> t).astype("<i8", copy=False).view(np.uint8).reshape(-1, 2, 4)
-        lows, highs = (_BYTE_TRITS_INT64[octets] @ _BYTE_PLACES).T.tolist()
-        # |u| truncated to depth binary digits is a float: this sum is exact
+        # |u| truncated to depth binary digits is a float: this sum is exact;
+        # 0.0 - v, not -v: S of -5e-324 is +0.0, as s = 0 gives
         values = whole + np.ldexp(fbits, -depth)
-        pow3, new = _POW3_BATCH, object.__new__
-        for w, lo, hi, e, b, v, negative in zip(
-            whole.tolist(), lows, highs, (depth - t).tolist(), bits.tolist(),
-            values.tolist(), (u[:n] < 0).tolist(),
-        ):
-            w, scale = int(w), pow3[e]
-            scaled, s = w * scale + hi * pow3[32] + lo, (w << depth) + b
-            if negative:
-                # 0.0 - v, not -v: S of -5e-324 is +0.0, as s = 0 gives
-                scaled, s, v = -scaled, -s, 0.0 - v
+        values = np.where(u[:n] < 0, 0.0 - values, values)
+        new = object.__new__
+        for w, b, v in zip(whole.tolist(), fbits.astype(np.int64).tolist(), values.tolist()):
+            s = (int(w) << depth) + b
             x = new(_Quantile)
-            x._numerator, x._denominator = scaled, scale
-            x._depth, x._s, x._value = depth, s, v
+            x._depth, x._s, x._value = depth, -s if v < 0.0 else s, v
             yield x
         if n < len(u):
             self.quantile_exact(u[n].item())  # raises the scalar call's error

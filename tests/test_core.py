@@ -246,6 +246,23 @@ class TestConjugate:
         assert len(digits) == len(quantiles) == u.size
         assert all(_same_bits(a, b) for a, b in zip(got.flat, want))
 
+    def test_exact_parts_are_built_only_when_read(self, sf, monkeypatch):
+        # a batch quantile builds its numerator and denominator on the first
+        # read, once; the scalar quantile builds them when it is made
+        calls = []
+        parts = staircase._quantile_parts
+        monkeypatch.setattr(staircase, "_quantile_parts", lambda *a: calls.append(a) or parts(*a))
+        u = np.linspace(0.0, 1.9, 37)
+        ConjugatedFn(lambda x: sf.eval(x) ** 1.5, sf)(u)
+        assert len(calls) == 0
+        ConjugatedFn(lambda x: float(x), sf)(u)
+        assert len(calls) == u.size
+        calls.clear()
+        x = sf.quantile_exact(0.37)
+        assert len(calls) == 1
+        float(x), hash(x), x * 2
+        assert len(calls) == 1
+
     @pytest.mark.parametrize("depth, dtype", [(80, np.float64), (53, np.float32)])
     def test_array_elements_reach_the_quantile_as_floats(self, monkeypatch, depth, dtype):
         # past the batch depth, and for other dtypes, each element reaches the

@@ -342,6 +342,27 @@ class TestQuantileRoundTrip:
         assert not any(t.is_alive() for t in threads)
         assert errors == []
 
+    def test_threads_racing_on_a_first_read(self, sf):
+        # threads reading the same unread batch elements each fill them with
+        # the scalar call's parts, whichever writes first
+        u = np.linspace(0.01, 1.9, 64)
+        want = [(x.numerator, x.denominator) for x in map(sf.quantile_exact, u.tolist())]
+        seen = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(20):
+                batch = list(sf.quantiles_exact(u))
+                work = lambda: seen.append([(x.numerator, x.denominator) for x in batch])
+                threads = [threading.Thread(target=work) for _ in range(4)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(seen) == 80 and all(parts == want for parts in seen)
+
     def test_slot_is_not_part_of_the_value(self, sf):
         fresh = StaircaseFn(CantorSpec())
         sf.quantile_exact(Fraction(2, 9))
@@ -358,12 +379,48 @@ class TestQuantileRoundTrip:
         assert _same_bits(sf.eval(copy), float(sf.eval_exact(copy)))
 
     def test_copies_and_pickles_are_plain_fractions(self, sf):
-        x = sf.quantile_exact(Fraction(5, 7))
-        for y in (copy.copy(x), copy.deepcopy(x), copy.deepcopy([x])[0], pickle.loads(pickle.dumps(x))):
-            assert type(y) is Fraction and y == x and hash(y) == hash(x)
-            assert _same_bits(sf.eval(y), sf.eval(x))
-            assert sf.eval_exact(y) == sf.eval_exact(x)
-        assert repr(x) == repr(Fraction(x))
+        # the batch element is copied before anything has read its numerator
+        scalar = lambda: sf.quantile_exact(Fraction(5, 7))
+        batch = lambda: next(sf.quantiles_exact(np.array([5 / 7])))
+        makers = (copy.copy, copy.deepcopy, lambda x: copy.deepcopy([x])[0], lambda x: pickle.loads(pickle.dumps(x)))
+        for fresh, want in ((scalar, scalar()), (batch, sf.quantile_exact(5 / 7))):
+            for make in makers:
+                y = make(fresh())
+                assert type(y) is Fraction and y == want and hash(y) == hash(want)
+                assert _same_bits(sf.eval(y), sf.eval(want))
+                assert sf.eval_exact(y) == sf.eval_exact(want)
+            assert repr(fresh()) == repr(Fraction(want))
+
+    @pytest.mark.parametrize(
+        "read",
+        [
+            float,
+            hash,
+            repr,
+            lambda x: x == Fraction(2, 3),
+            lambda x: x < 0.5,
+            lambda x: 0.5 < x,
+            lambda x: x + 1,
+            lambda x: 3 * x,
+            lambda x: x / Fraction(7, 2),
+            lambda x: x**2,
+            lambda x: (x.numerator, x.denominator),
+        ],
+        ids=["float", "hash", "repr", "eq", "lt", "gt", "add", "mul", "div", "pow", "parts"],
+    )
+    @pytest.mark.parametrize("u", [0.37, -2.6, 0.0, 1.5, 2.0**-30])
+    def test_an_unread_batch_element_is_the_scalar_fraction(self, sf, read, u):
+        # each read meets a batch element that nothing has read before
+        x = next(sf.quantiles_exact(np.array([u])))
+        got, want = read(x), read(sf.quantile_exact(u))
+        assert got == want and type(got) is type(want)
+
+    def test_an_unread_batch_element_has_no_other_attribute(self, sf):
+        x = next(sf.quantiles_exact(np.array([0.37])))
+        assert hasattr(x, "missing") is False
+        with pytest.raises(AttributeError):
+            x.missing
+        assert hasattr(x, "_numerator") and x == sf.quantile_exact(0.37)
 
 
 def _oracle_parts(x) -> tuple[bool, int, int, int]:
