@@ -108,8 +108,8 @@ def f_alpha_derivative(f, sf, x) -> float:
 # by 3^-d, carrying mass 2^-d).  A unit cell is summed with whole panels at
 # depth 6, then 7, and so on, and the finer of the first two consecutive sums
 # that agree to _MEASURE_AGREE relative to max(|sum|, 1) is returned; if none
-# agree, the depth-12 sum is.  An f smooth in x stops at depth 7; a power of
-# S(x), which is not, runs to depth 12.
+# agree by depth 12, the rule gives up.  An f smooth in x stops at depth 7; a
+# power of S(x), which is not, gives up and is integrated in u instead.
 _MEASURE_NODES = 4
 _MEASURE_DEPTH_START = 6
 _MEASURE_DEPTH = 12
@@ -176,41 +176,45 @@ def _measure_sum(f, x_off: float, v0: float, v1: float, depth: int) -> float:
     return total
 
 
-def _measure_unit(f, x_off: float, v0: float, v1: float) -> float:
+def _measure_unit(f, x_off: float, v0: float, v1: float) -> float | None:
     coarse = _measure_sum(f, x_off, v0, v1, _MEASURE_DEPTH_START)
     for depth in range(_MEASURE_DEPTH_START + 1, _MEASURE_DEPTH + 1):
         fine = _measure_sum(f, x_off, v0, v1, depth)
         if abs(fine - coarse) <= _MEASURE_AGREE * max(abs(fine), 1.0):
-            break
+            return fine
         coarse = fine
-    return fine
+    return None
 
 
-def _measure_integral(f, ua: float, ub: float) -> float:
-    # unit-cell reduction: S(x + k) = S(x) + k for integer k under tiling
+def _measure_integral(f, ua: float, ub: float) -> float | None:
+    # unit-cell reduction: S(x + k) = S(x) + k for integer k under tiling;
+    # None when some cell's sums never agree
     total = 0.0
     cell = math.floor(ua)
     while cell < ub:
         v0 = max(ua - cell, 0.0)
         v1 = min(ub - cell, 1.0)
         if v1 > v0:
-            total += _measure_unit(f, float(cell), v0, v1)
+            part = _measure_unit(f, float(cell), v0, v1)
+            if part is None:
+                return None
+            total += part
         cell += 1
     return total
 
 
-def f_alpha_integral(f, sf, a, b, method: str = "auto") -> float:
+def f_alpha_integral(f, sf, a, b) -> float:
     """Staircase integral of f over [a, b].
 
-    method "measure" applies the 4-node Gauss rule of the Cantor measure to
-    every whole dyadic panel, evaluating f at real-line nodes; each unit cell
-    is summed at depth 6, 7, ... until two depths agree to 1e-13 relative,
-    and at most to depth 12. It is the right tool when f is smooth in x (the
-    conjugated integrand then has a jump at every dyadic level and u-space
-    panels converge only linearly). "gauss" integrates the conjugated
-    function in u with 64-node Gauss-Legendre panels and is exact for
-    integrands that are smooth functions of S(x). "auto" picks "measure" for
-    a fractal staircase and "gauss" otherwise.
+    On a fractal staircase the measure rule runs first: the 4-node Gauss
+    rule of the Cantor measure on every whole dyadic panel, evaluating f at
+    real-line nodes, each unit cell summed at depth 6, 7, ... until two
+    depths agree to 1e-13 relative. It is the right tool when f is smooth in
+    x, whose conjugated integrand jumps at every dyadic level. When no two
+    depths up to 12 agree, and always on the identity map, the conjugated
+    function is integrated in u over [S(a), S(b)] by tanh-sinh, which is
+    exact for f smooth in S(x). When that does not settle either, its
+    ConvergenceError propagates.
     """
     ua = sf.eval(a)
     ub = sf.eval(b)
@@ -218,13 +222,8 @@ def f_alpha_integral(f, sf, a, b, method: str = "auto") -> float:
         raise DomainError(f"integration bounds reversed: S({a!r}) > S({b!r})")
     if ub == ua:
         return 0.0
-    if method == "auto":
-        method = "gauss" if isinstance(sf, IdentityMap) else "measure"
-    if method == "measure":
-        if isinstance(sf, IdentityMap):
-            raise DomainError("measure quadrature requires a fractal staircase")
-        return _measure_integral(f, ua, ub)
-    if method == "gauss":
-        return quadrature.gauss_composite(ConjugatedFn(f, sf), ua, ub)
-    raise DomainError(f"unknown quadrature method {method!r}")
-
+    if not isinstance(sf, IdentityMap):
+        total = _measure_integral(f, ua, ub)
+        if total is not None:
+            return total
+    return quadrature.tanh_sinh(ConjugatedFn(f, sf), ua, ub)

@@ -1,16 +1,16 @@
 """Quadrature kernels used by the conjugated integrals.
 
-Smooth integrands go through composite Gauss-Legendre panels aligned to unit
-intervals. Endpoint-singular and exponentially decaying integrands go
-through tanh-sinh, whose nodes never touch the endpoints. Convolution
-kernels (X - v)^mu are integrated by a product rule: the integrand is
-interpolated quadratically on each pair of cells of a graded mesh and the
-kernel moments against each interpolant are taken exactly. For mu in
-(-3, -1) the integral is a Hadamard finite part, which the rule takes by
-dropping the divergent power at the anchor; that is how `nonlocal_ops`
-evaluates fractional derivatives. Moments are in closed form on pairs close
-to the anchor and by an 8-point Gauss rule on pairs far from it, where the
-closed form's differences of nearly equal powers would cancel.
+Composite Gauss-Legendre panels aligned to unit intervals serve only the
+classical oracle of `solutions`. Smooth, endpoint-singular and exponentially
+decaying integrands go through tanh-sinh, whose nodes never touch the
+endpoints. Convolution kernels (X - v)^mu are integrated by a product rule:
+the integrand is interpolated quadratically on each pair of cells of a
+graded mesh and the kernel moments against each interpolant are taken
+exactly. For mu in (-3, -1) the integral is a Hadamard finite part, which
+the rule takes by dropping the divergent power at the anchor; that is how
+`nonlocal_ops` evaluates fractional derivatives. Moments are in closed form
+on pairs close to the anchor and by an 8-point Gauss rule on pairs far from
+it, where the closed form's differences of nearly equal powers would cancel.
 `_graded_nodes` sizes a grid's meshes by their spans; each is an affine
 image of a reference mesh that depends only on its cell count, so
 `product_integrate` weights it by cached reference weights times
@@ -56,8 +56,7 @@ def _panel_edges(lo: float, hi: float) -> list[float]:
     edges = [lo]
     k = math.floor(lo) + 1
     while k < hi:
-        if k > lo:
-            edges.append(float(k))
+        edges.append(float(k))
         k += 1
     edges.append(hi)
     return edges

@@ -102,6 +102,7 @@ def test_readme_quick_tour_values():
     got = f_alpha_derivative(lambda x: float(sf.eval_exact(x)) ** 2, sf, Fraction(2, 3))
     assert got == pytest.approx(1.0, abs=1e-9)
     assert f_alpha_integral(lambda x: float(x) ** 2, sf, 0, 1) == pytest.approx(0.375, abs=1e-15)
+    assert f_alpha_integral(lambda x: sf.eval(x) ** 0.5, sf, 0, 1) == pytest.approx(2 / 3, abs=1e-15)
     assert gamma_fractal(0.5) == pytest.approx(math.sqrt(math.pi), rel=1e-15)
     assert gamma_fractal(Fraction(1, 3), sf) == pytest.approx(math.sqrt(math.pi), rel=1e-15)
     assert mittag_leffler(0.5, 0.5, 0.7) == pytest.approx(2.48128105534, abs=1e-11)

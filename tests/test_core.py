@@ -63,12 +63,9 @@ class TestIntegral:
 
     def test_polynomial_in_staircase_coordinate(self, sf):
         # integral of S(x)^2 dS(x) over [0,1] is integral of u^2 du = 1/3;
-        # the conjugated integrand is exactly u^2 so u-space panels nail it
-        f = lambda x: float(sf.eval_exact(x)) ** 2
-        got = f_alpha_integral(f, sf, 0, 1, method="gauss")
+        # the measure rule never settles on it, and tanh-sinh in u nails it
+        got = f_alpha_integral(lambda x: sf.eval(x) ** 2, sf, 0, 1)
         assert got == pytest.approx(1.0 / 3.0, abs=1e-14)
-        got_default = f_alpha_integral(lambda x: sf.eval(x) ** 2, sf, 0, 1)
-        assert got_default == pytest.approx(1.0 / 3.0, abs=1e-7)
 
     def test_additivity_and_reversed_bounds(self, sf):
         f = lambda x: float(x) ** 2
@@ -93,17 +90,6 @@ class TestIntegral:
         ident = IdentityMap()
         got = f_alpha_integral(lambda x: float(x) ** 2, ident, 0, 2)
         assert got == pytest.approx(8.0 / 3.0, rel=1e-12)
-        with pytest.raises(DomainError):
-            f_alpha_integral(lambda x: 1.0, ident, 0, 1, method="measure")
-
-    def test_u_space_methods_agree(self, sf):
-        f = lambda x: math.sin(float(x))
-        ref = 0.44989550021787822
-        assert f_alpha_integral(f, sf, 0, 1, method="gauss") == pytest.approx(ref, abs=1e-4)
-
-    def test_bad_method(self, sf):
-        with pytest.raises(DomainError):
-            f_alpha_integral(lambda x: 1.0, sf, 0, 1, method="simpson")
 
 
 def cantor_moments(k_max: int) -> list[Fraction]:
@@ -172,6 +158,17 @@ class TestMeasureRule:
         assert len(calls) == 768
         m = cantor_moments(3)
         want = float(Fraction(1, 2) * m[3] - Fraction(5, 4) * m[2] + 2 * m[1] + Fraction(3, 4))
+        assert abs(got - want) <= 1e-15 * max(1.0, want)
+
+    def test_a_polynomial_never_reaches_tanh_sinh(self, sf, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("tanh_sinh called")
+
+        monkeypatch.setattr(quadrature, "tanh_sinh", refuse)
+        got = f_alpha_integral(lambda x: (2.0 * x - 1.0) * x + 0.5, sf, 0, 2)
+        # the two unit cells add p(t) + p(1 + t) = 4 t^2 + 2 t + 2
+        m = cantor_moments(2)
+        want = float(4 * m[2] + 2 * m[1] + 2)
         assert abs(got - want) <= 1e-15 * max(1.0, want)
 
 

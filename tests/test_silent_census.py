@@ -7,9 +7,11 @@ and says nothing, so each is a strict xfail naming the ROADMAP item that
 should mend it: the row turns red the day it starts to pass, and the mend
 removes its mark. `raises=AssertionError` keeps a crash from counting as the
 known miss, so a row that wants an exception fails through a plain assert.
+The unmarked rows are mended cases, kept so that they stay mended.
 
-The truths never come from the code under test: the closed power rules, an
-80-digit `mpmath` series, and a bracket of the quantile on dyadic cells.
+The truths never come from the code under test: the closed power rules,
+closed integrals, an 80-digit `mpmath` series, and a bracket of the quantile
+on dyadic cells.
 """
 
 import contextlib
@@ -24,6 +26,7 @@ import pytest
 from fractalcalc import (
     ConvergenceError,
     DomainError,
+    IdentityMap,
     OperatorKind,
     OperatorSpec,
     PoleError,
@@ -31,6 +34,7 @@ from fractalcalc import (
     TailBoundError,
     caputo_derivative,
     cli,
+    f_alpha_integral,
     mittag_leffler,
     power_rule_derivative,
     rl_derivative,
@@ -41,6 +45,8 @@ _REFUSALS = (DomainError, PoleError, ConvergenceError, TailBoundError)
 _OPERATOR_GATE = 2e-5
 # the ml-special-cases gate of `verify`, relative past |E| = 1
 _ML_GATE = 5e-10
+# the level agreement of tanh-sinh, relative past 1
+_INTEGRAL_GATE = 1e-12
 
 
 def _census(item):
@@ -85,6 +91,38 @@ def test_caputo_above_order_one_of_a_power_with_no_slope(sf):
     spec = OperatorSpec(OperatorKind.CAPUTO, 1.5, 0.0)
     x = sf.quantile_exact(Fraction(1, 2))
     _refused(lambda: caputo_derivative(spec, lambda t: sf.eval(t) ** 0.7, sf, x))
+
+
+def _integral_right_or_refused(f, sf, b, truth):
+    call = lambda: f_alpha_integral(f, sf, 0, b)
+    _right_or_refused(call, truth, _INTEGRAL_GATE * max(1.0, abs(truth)))
+
+
+@pytest.mark.parametrize(
+    "eta, b", [(0.1, 1), (0.5, 1), (0.5, Fraction(5, 2))], ids=["0.1-to-1", "0.5-to-1", "0.5-to-2.5"]
+)
+def test_staircase_integral_of_a_power_of_s(sf, eta, b):
+    # int_0^b S^eta dS = S(b)^(eta + 1) / (eta + 1), and S(5/2) = 2 + S(1/2) = 5/2
+    truth = float(b) ** (eta + 1) / (eta + 1)
+    _integral_right_or_refused(lambda x: sf.eval(x) ** eta, sf, b, truth)
+
+
+def test_staircase_integral_of_exp_s(sf):
+    _integral_right_or_refused(lambda x: math.exp(sf.eval(x)), sf, 3, math.expm1(3.0))
+
+
+def test_staircase_integral_of_x_times_s(sf):
+    # with U uniform and X = Q(U), U = sum b_k 2^-k and X = sum 2 b_k 3^-k
+    # over fair bits b_k, so E[XU] = 2 (1/4) (1/2)(1) + 2 (1/4)(1/5) = 7/20
+    _integral_right_or_refused(lambda x: float(x) * sf.eval(x), sf, 1, 7 / 20)
+
+
+@pytest.mark.parametrize(
+    "f, truth", [(lambda x: math.sqrt(float(x)), 2 / 3), (lambda x: abs(float(x) - 0.5), 1 / 4)],
+    ids=["sqrt", "kink"],
+)
+def test_identity_integral(f, truth):
+    _integral_right_or_refused(f, IdentityMap(), 1, truth)
 
 
 def _ml_truth(eta, nu, z):
