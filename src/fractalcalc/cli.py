@@ -3,7 +3,8 @@
 One flat argument set shared by all commands; each command evaluates a
 function or operator on a grid and emits CSV (header ``x,value[,value2]``,
 line-feed terminated) or a minimal SVG plot. Exit status: 0 on success,
-1 on computational failure (including a failed verify), 2 on usage errors.
+1 on computational failure (including a failed verify) or an output that
+cannot be written, 2 on usage errors.
 """
 
 from __future__ import annotations
@@ -286,6 +287,7 @@ def main(argv=None) -> int:
         TailBoundError,
         ZeroDivisionError,
         OverflowError,
+        OSError,  # an --output that cannot be written
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

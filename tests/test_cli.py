@@ -112,6 +112,23 @@ class TestBasicCommands:
         assert data.endswith(b"\n")
         assert b"0.33333333333333326" in data  # repr of S(0.25) as a float
 
+    def test_laplace_of_the_staircase_converges_at_a_large_sigma(self):
+        # L{S}(sigma) -> 1/sigma^2 as sigma grows; S(x) = x near 0
+        code, out, _ = run_cli(["laplace", "--f", "S(x)", "--grid", "10", "10", "1"])
+        assert code == 0
+        assert abs(float(out.splitlines()[1].split(",")[1]) - 0.01) <= 1e-13
+
+    def test_depth_reaches_a_grid_command(self):
+        argv = ["--depth", "80", "--f", "S(x)^2", "rl-int", "--grid", "0.2", "0.9", "3"]
+        code, out, _ = run_cli(argv)
+        assert code == 0 and len(out.splitlines()) == 4
+
+    def test_verify_passes_every_check(self):
+        code, out, _ = run_cli(["verify"])
+        assert code == 0
+        # nine checks plus the overall line
+        assert sum(line.startswith("PASS ") for line in out.splitlines()) == 10
+
 
 class TestExitCodes:
     def test_unknown_command_exits_two(self):
@@ -239,6 +256,23 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    def test_output_in_a_missing_directory_exits_1(self, tmp_path):
+        target = tmp_path / "missing" / "x.csv"
+        code, out, err = run_cli(["staircase", "--grid", "0", "1", "3", "--output", str(target)])
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(target) in err
+
+    def test_figures_into_a_file_exits_1(self, tmp_path):
+        target = tmp_path / "README.md"
+        target.write_text("kept\n")
+        code, out, err = run_cli(["figures", "--output", str(target)])
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert target.read_text() == "kept\n"
+
 
 class TestFigures:
     def test_svg_output(self, tmp_path):
@@ -258,6 +292,22 @@ class TestFigures:
         assert files_a == files_b and files_a
         for name in files_a:
             assert (a / name).read_bytes() == (b / name).read_bytes()
+
+
+class TestSvgOutput:
+    @pytest.mark.parametrize(
+        "argv", [["rl-int"], ["solve", "--example", "3"]], ids=["rl-int", "solve"]
+    )
+    def test_a_command_prints_one_svg_document(self, argv):
+        code, out, _ = run_cli(argv + ["--format", "svg"])
+        assert code == 0
+        assert out.startswith("<svg") and out.endswith("</svg>\n")
+        assert out.count("<svg") == 1
+
+    def test_a_one_point_series_is_a_circle(self):
+        code, out, _ = run_cli(["staircase", "--format", "svg", "--grid", "0.5", "0.5", "1"])
+        assert code == 0
+        assert out.count("<circle") == 1 and "<polyline" not in out
 
 
 class TestConfig:

@@ -85,6 +85,11 @@ class TestTermAlgebra:
         assert t.p == Fraction(-5, 2)
         assert t.coeff == pytest.approx(-2.0 * gamma_classical(3.0))
 
+    def test_float_exponents_become_fractions(self):
+        t = LaplaceTerm(1.0, 0.5, 1.5)
+        assert type(t.p) is Fraction and t.p == Fraction(1, 2)
+        assert type(t.q) is Fraction and t.q == Fraction(3, 2)
+
     def test_denominator_validation(self):
         with pytest.raises(DomainError):
             LaplaceTerm(1.0, Fraction(0), Fraction(-1), 1.0)
