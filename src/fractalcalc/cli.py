@@ -2,9 +2,11 @@
 
 One flat argument set shared by all commands; each command evaluates a
 function or operator on a grid and emits CSV (header ``x,value[,value2]``,
-line-feed terminated) or a minimal SVG plot. Exit status: 0 on success,
-1 on computational failure (including a failed verify) or an output that
-cannot be written, 2 on usage errors.
+line-feed terminated) or a minimal SVG plot. One table maps each grid
+command to its default grid and the function that computes its rows; only
+solve, figures and verify stand outside it. Exit status: 0 on success, 1 on
+computational failure (including a failed verify) or an output that cannot
+be written, 2 on usage errors.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from functools import partial
 
 import numpy as np
 
@@ -31,31 +34,6 @@ from .special import (
 from .staircase import CantorSpec, IdentityMap, StaircaseFn
 from .svg import Series, render_svg
 
-_COMMANDS = (
-    "staircase",
-    "gamma",
-    "beta",
-    "ml",
-    "rl-int",
-    "rl-der",
-    "caputo",
-    "laplace",
-    "solve",
-    "figures",
-    "verify",
-)
-
-_DEFAULT_GRIDS = {
-    "staircase": (0.0, 1.0, 201),
-    "gamma": (0.1, 4.0, 157),
-    "beta": (0.5, 2.0, 7),
-    "ml": (0.0, 3.0, 64),
-    "rl-int": (0.1, 1.0, 10),
-    "rl-der": (0.1, 1.0, 10),
-    "caputo": (0.1, 1.0, 10),
-    "laplace": (1.0, 5.0, 9),
-}
-
 
 def _staircase_for(args: argparse.Namespace):
     if args.alpha_mode == "identity":
@@ -65,8 +43,8 @@ def _staircase_for(args: argparse.Namespace):
     return StaircaseFn(CantorSpec())
 
 
-def _grid_points(args: argparse.Namespace) -> np.ndarray:
-    return np.linspace(*(args.grid or _DEFAULT_GRIDS[args.command]))
+def _tol(args: argparse.Namespace) -> dict:
+    return {} if args.tol is None else {"tol": args.tol}  # else the library's default
 
 
 def _parsed_function(args: argparse.Namespace, default: str):
@@ -97,12 +75,29 @@ def _emit(args: argparse.Namespace, header, rows, title: str) -> None:
         sys.stdout.write(text)
 
 
-def _operator_rows(args: argparse.Namespace, xs):
-    kind = {
-        "rl-int": OperatorKind.RL_INTEGRAL,
-        "rl-der": OperatorKind.RL_DERIVATIVE,
-        "caputo": OperatorKind.CAPUTO,
-    }[args.command]
+def _staircase_rows(args: argparse.Namespace, xs):
+    sf = _staircase_for(args)
+    return ("x", "value"), [(x, sf.eval(x)) for x in xs], "staircase"
+
+
+def _gamma_rows(args: argparse.Namespace, xs):
+    sf = _staircase_for(args)
+    rows = [(x, gamma_fractal(x, sf), gamma_classical(x)) for x in xs]
+    return ("x", "value", "value2"), rows, "Gamma (value2 = classical)"
+
+
+def _beta_rows(args: argparse.Namespace, xs):
+    w = args.beta
+    rows = [(r, beta_fractal(r, w), beta_fractal_quadrature(r, w)) for r in xs]
+    return ("x", "value", "value2"), rows, f"Beta(r, {w:g}) (value2 = quadrature)"
+
+
+def _ml_rows(args: argparse.Namespace, xs):
+    rows = zip(xs, mittag_leffler(args.eta, args.nu, xs, **_tol(args)))
+    return ("x", "value"), rows, f"Mittag-Leffler E_({args.eta:g},{args.nu:g})"
+
+
+def _operator_rows(kind: OperatorKind, args: argparse.Namespace, xs):
     default = "x^2" if args.alpha_mode == "identity" else "S(x)^2"
     fn, sf, expr = _parsed_function(args, default)
     if kind is not OperatorKind.RL_INTEGRAL and not isinstance(sf, IdentityMap):
@@ -120,7 +115,31 @@ def _operator_rows(args: argparse.Namespace, xs):
             )
     spec = OperatorSpec(kind, args.beta, terminal=args.terminal)
     # the whole grid samples its meshes in one call, so in one quantile batch
-    return list(zip(xs, _values_u(spec, ConjugatedFn(fn, sf), sf, (sf.eval(x) for x in xs))))
+    rows = list(zip(xs, _values_u(spec, ConjugatedFn(fn, sf), sf, (sf.eval(x) for x in xs))))
+    return ("x", "value"), rows, f"{args.command} order {args.beta:g}"
+
+
+def _laplace_rows(args: argparse.Namespace, xs):
+    default = "x" if args.alpha_mode == "identity" else "S(x)"
+    fn, sf, _ = _parsed_function(args, default)
+    rows = [(s, laplace_numeric(fn, sf, s, **_tol(args))) for s in xs]
+    return ("x", "value"), rows, "transform (x = sigma)"
+
+
+# command -> (default (START, STOP, COUNT), (args, xs) -> (header, rows, title));
+# argparse lists the choices in this order
+_GRID_COMMANDS = {
+    "staircase": ((0.0, 1.0, 201), _staircase_rows),
+    "gamma": ((0.1, 4.0, 157), _gamma_rows),
+    "beta": ((0.5, 2.0, 7), _beta_rows),
+    "ml": ((0.0, 3.0, 64), _ml_rows),
+    "rl-int": ((0.1, 1.0, 10), partial(_operator_rows, OperatorKind.RL_INTEGRAL)),
+    "rl-der": ((0.1, 1.0, 10), partial(_operator_rows, OperatorKind.RL_DERIVATIVE)),
+    "caputo": ((0.1, 1.0, 10), partial(_operator_rows, OperatorKind.CAPUTO)),
+    "laplace": ((1.0, 5.0, 9), _laplace_rows),
+}
+
+_COMMANDS = (*_GRID_COMMANDS, "solve", "figures", "verify")
 
 
 def run(args: argparse.Namespace) -> int:
@@ -145,7 +164,7 @@ def run(args: argparse.Namespace) -> int:
         sf = _staircase_for(args)
         grid = None
         if args.grid is not None:
-            grid = [float(x) for x in _grid_points(args)]
+            grid = [float(x) for x in np.linspace(*args.grid)]
         report = solve_example(args.example, sf=sf, lam=args.lam, grid=grid)
         header = ("x", "solution", "residual")
         rows = list(
@@ -162,55 +181,8 @@ def run(args: argparse.Namespace) -> int:
             print(f"note: {note}", file=sys.stderr)
         return 0
 
-    xs = _grid_points(args)
-    tol = {} if args.tol is None else {"tol": args.tol}  # else the library's default
-
-    if args.command == "staircase":
-        sf = _staircase_for(args)
-        rows = [(x, sf.eval(x)) for x in xs]
-        _emit(args, ("x", "value"), rows, "staircase")
-        return 0
-
-    if args.command == "gamma":
-        sf = _staircase_for(args)
-        rows = [(x, gamma_fractal(x, sf), gamma_classical(x)) for x in xs]
-        _emit(args, ("x", "value", "value2"), rows, "Gamma (value2 = classical)")
-        return 0
-
-    if args.command == "beta":
-        w = args.beta
-        rows = [
-            (r, beta_fractal(r, w), beta_fractal_quadrature(r, w)) for r in xs
-        ]
-        _emit(
-            args,
-            ("x", "value", "value2"),
-            rows,
-            f"Beta(r, {w:g}) (value2 = quadrature)",
-        )
-        return 0
-
-    if args.command == "ml":
-        rows = zip(xs, mittag_leffler(args.eta, args.nu, xs, **tol))
-        _emit(
-            args,
-            ("x", "value"),
-            rows,
-            f"Mittag-Leffler E_({args.eta:g},{args.nu:g})",
-        )
-        return 0
-
-    if args.command in ("rl-int", "rl-der", "caputo"):
-        rows = _operator_rows(args, xs)
-        title = f"{args.command} order {args.beta:g}"
-        _emit(args, ("x", "value"), rows, title)
-        return 0
-
-    # laplace: every other command has returned above
-    default = "x" if args.alpha_mode == "identity" else "S(x)"
-    fn, sf, _ = _parsed_function(args, default)
-    rows = [(s, laplace_numeric(fn, sf, s, **tol)) for s in xs]
-    _emit(args, ("x", "value"), rows, "transform (x = sigma)")
+    default, rows_for = _GRID_COMMANDS[args.command]
+    _emit(args, *rows_for(args, np.linspace(*(args.grid or default))))
     return 0
 
 

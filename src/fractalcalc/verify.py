@@ -11,7 +11,6 @@ byte-level determinism of the figure datasets.
 from __future__ import annotations
 
 import random
-import tempfile
 import time
 
 from dataclasses import dataclass, field
@@ -232,25 +231,16 @@ def check_examples() -> CheckResult:
 
 
 def check_determinism() -> CheckResult:
-    from .figures import write_figures
+    from .figures import build_figures
 
-    outputs = []
-    for _ in range(2):
-        with tempfile.TemporaryDirectory() as tmp:
-            paths = write_figures(tmp, fmt="csv")
-            run = {}
-            for path in paths:
-                with open(path, "rb") as fh:
-                    run[path.rsplit("/", 1)[-1]] = fh.read()
-            outputs.append(run)
-    same = outputs[0] == outputs[1]
-    n = len(outputs[0])
+    runs = [[f for fig in build_figures() for f in fig.csv_files] for _ in range(2)]
+    same = runs[0] == runs[1]
     return CheckResult(
         "figure-determinism",
         same,
         0.0 if same else 1.0,
         0.0,
-        (f"{n} csv datasets compared byte for byte",),
+        (f"{len(runs[0])} csv datasets compared byte for byte",),
     )
 
 
