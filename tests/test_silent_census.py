@@ -30,6 +30,7 @@ from fractalcalc import (
     OperatorKind,
     OperatorSpec,
     PoleError,
+    Side,
     StaircaseFn,
     TailBoundError,
     caputo_derivative,
@@ -37,7 +38,9 @@ from fractalcalc import (
     f_alpha_integral,
     mittag_leffler,
     power_rule_derivative,
+    power_rule_integral,
     rl_derivative,
+    rl_integral,
 )
 
 _REFUSALS = (DomainError, PoleError, ConvergenceError, TailBoundError)
@@ -139,7 +142,9 @@ def _ml_truth(eta, nu, z):
 
 @_census(6)
 @pytest.mark.parametrize(
-    "eta, nu, z", [(1.0, 1.0, -20.0), (1.0, 1.0, -30.0), (0.5, 0.5, -6.0), (4 / 3, 4 / 3, -40.0)]
+    "eta, nu, z",
+    [(1.0, 1.0, -20.0), (1.0, 1.0, -30.0), (0.5, 0.5, -6.0), (4 / 3, 4 / 3, -40.0)]
+    + [(0.5, nu, -5.0) for nu in (0.5, 1.0, 4 / 3, 2.5)],
 )
 def test_mittag_leffler_at_negative_z(eta, nu, z):
     truth = _ml_truth(eta, nu, z)
@@ -153,6 +158,32 @@ def test_rl_derivative_near_order_two(sf, beta):
     x = sf.quantile_exact(Fraction(1, 5))
     truth = power_rule_derivative(beta, 0.25, sf, 0.0, x)
     call = lambda: rl_derivative(spec, lambda t: sf.eval(t) ** 0.25, sf, x)
+    _right_or_refused(call, truth, _OPERATOR_GATE * abs(truth))
+
+
+@_census(5)
+@pytest.mark.parametrize(
+    "beta, p, u",
+    [(1.5, 0.3, Fraction(1, 50)), (1.5, 0.3, Fraction(1, 10)), (0.5, 7.0, Fraction(1, 10)),
+     (3.7, 2.5, Fraction(1, 10)), (8.0, 7.0, Fraction(1, 10))],
+)
+def test_rl_integral_over_a_short_span(sf, beta, p, u):
+    # every span under 1/8 gets the mesh's floor of 32 cells, however short it is
+    spec = OperatorSpec(OperatorKind.RL_INTEGRAL, beta, 0.0)
+    x = sf.quantile_exact(u)
+    truth = power_rule_integral(beta, p, sf, 0.0, x)
+    call = lambda: rl_integral(spec, lambda t: sf.eval(t) ** p, sf, x)
+    _right_or_refused(call, truth, _OPERATOR_GATE * abs(truth))
+
+
+@_census(5)
+def test_right_sided_rl_integral_over_a_short_span(sf):
+    # (S(b) - S)^0.3 from the right terminal b = Q(9/10), at u = 4/5: the power rule reflected
+    b, x = sf.quantile_exact(Fraction(9, 10)), sf.quantile_exact(Fraction(4, 5))
+    ub = sf.eval(b)
+    spec = OperatorSpec(OperatorKind.RL_INTEGRAL, 1.5, b, Side.RIGHT)
+    truth = power_rule_integral(1.5, 0.3, IdentityMap(), sf.eval(x), ub)
+    call = lambda: rl_integral(spec, lambda t: (ub - sf.eval(t)) ** 0.3, sf, x)
     _right_or_refused(call, truth, _OPERATOR_GATE * abs(truth))
 
 
@@ -220,3 +251,12 @@ def test_cli_rl_integral_of_a_function_smooth_in_x(sf):
     lo, hi = _half_integral_of_x2_bracket(sf.eval(0.9), 16)
     assert hi - lo < 1e-7
     _cli_right_or_refused(["rl-int", "--f", "x^2", "--grid", "0.9", "0.9", "1"], (lo + hi) / 2)
+
+
+@_census(5)
+def test_cli_rl_integral_over_a_short_span(sf):
+    # S(0.02) = 1/16, a span of the mesh's 32-cell floor
+    truth = power_rule_integral(1.5, 0.3, sf, 0.0, 0.02)
+    _cli_right_or_refused(
+        ["rl-int", "--beta", "1.5", "--f", "S(x)^0.3", "--grid", "0.02", "0.02", "1"], truth
+    )

@@ -6,7 +6,7 @@ import io
 
 import pytest
 
-from fractalcalc import cli, figures
+from fractalcalc import cli, figures, svg
 
 
 def _sha256(text):
@@ -54,3 +54,25 @@ class TestPinnedBytes:
             code = cli.main(args.split() + ["--format", "svg"])
         assert code == 0
         assert _sha256(out.getvalue()) == _CLI_DIGESTS[args]
+
+
+class TestTicks:
+    def test_a_step_under_the_float_spacing_ends_the_loop(self):
+        # at 1e16 the float spacing is 2, so t += 1 leaves t where it is
+        ticks = svg._tick_values(1e16, 1e16 + 4)
+        assert ticks and len(ticks) == len(set(ticks))
+
+    def test_the_cli_plots_a_grid_finer_than_its_ticks(self):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = cli.main(
+                ["staircase", "--grid", "1e16", "1.0000000000000004e16", "3", "--format", "svg"]
+            )
+        assert code == 0
+        assert out.getvalue().count("<svg") == 1
+
+    def test_ticks_stay_in_the_range_and_zero_is_zero(self):
+        # the first and last multiples of the step lie within 1e-9 steps of the range, yet outside it
+        assert svg._tick_values(1e-10, 1 - 1e-10) == [0.25, 0.5, 0.75]
+        # three steps of 0.1 from -0.3 leave -2.8e-17
+        assert svg._tick_values(-0.3, 0.1)[3] == 0.0
