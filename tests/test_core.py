@@ -745,6 +745,34 @@ class TestProductRule:
         got = quadrature.product_integrate(np.exp(nodes), nodes, -0.5, ends)
         assert got == [_one_mesh(np.exp(mesh), mesh, -0.5) for mesh in meshes]
 
+    def test_a_terminal_blow_up_is_fitted_on_every_mesh_of_a_grid(self):
+        nodes, ends = quadrature._graded_nodes(0.1, (0.35, 1.0, 0.6))
+        meshes = [np.concatenate(([nodes[0]], nodes[first:end])) for first, end in zip((1,) + ends, ends)]
+
+        def g(v):
+            with np.errstate(divide="ignore"):
+                return (v - 0.1) ** -0.4 + np.cos(v)
+
+        for mu in (-1.5, -0.5, 0.5):
+            got = quadrature.product_integrate(g(nodes), nodes, mu, ends)
+            assert got == [_one_mesh(g(mesh), mesh, mu) for mesh in meshes], mu
+
+    def test_a_nan_inside_a_later_mesh_raises_domain_error(self):
+        nodes, ends = quadrature._graded_nodes(0.1, (0.35, 1.0, 0.6))
+        vals = np.exp(nodes)
+        vals[ends[0] + 5] = math.nan
+        with pytest.raises(DomainError, match="^integrand returned a non-finite value on the mesh$"):
+            quadrature.product_integrate(vals, nodes, -0.5, ends)
+
+    def test_a_blow_up_that_fits_no_power_raises_before_a_later_nan(self):
+        # the fit fails on the first mesh before the third mesh's nan is seen
+        nodes, ends = quadrature._graded_nodes(0.1, (0.35, 1.0, 0.6))
+        with np.errstate(divide="ignore"):
+            vals = (nodes - 0.1) ** -2.0
+        vals[ends[1] + 5] = math.nan
+        with pytest.raises(ConvergenceError, match="fits the blow-up at the terminal"):
+            quadrature.product_integrate(vals, nodes, -0.5, ends)
+
     def test_rejects_odd_cell_counts_and_log_exponents(self):
         with pytest.raises(ValueError):
             quadrature.product_weights(np.linspace(0.0, 1.0, 4), -0.5)
