@@ -14,7 +14,7 @@ it, where the closed form's differences of nearly equal powers would cancel.
 `_graded_nodes` sizes a grid's meshes by their spans; each is an affine
 image of a reference mesh that depends only on its cell count, so
 `product_integrate` weights it by cached reference weights times
-span^(mu + 1), in one pass for the whole grid. An
+span^(mu + 1), one mesh at a time. An
 integrand that blows up at the terminal, the lower end, is met by
 subtracting a fitted power whose integral is exact, and raises when no such
 power fits. The product rule has a single kernel anchor, each mesh's last
@@ -405,41 +405,32 @@ def product_integrate(vals: np.ndarray, nodes: np.ndarray, mu: float, ends) -> l
     the anchor X being the mesh's last node. nodes and ends are a grid of
     `_graded_nodes`: mesh i, the terminal nodes[0] then nodes[ends[i - 1]:
     ends[i]] (from 1 for i = 0), is an affine image of a reference mesh, so
-    its weights are span^(mu + 1) times the cached reference weights (see
-    `product_weights`); each value is one sum over its own mesh. A non-finite
-    vals[0] is met by subtracting c z^gamma + d, z = v - nodes[0], fitted to
-    g at three nodes next to the terminal and integrated exactly (a Beta
-    function); when no such model fits, ConvergenceError is raised."""
-    ends = list(ends)
-    firsts = [1] + ends[:-1]
+    it is weighted by span^(mu + 1) times the cached reference weights (see
+    `product_weights`) and summed alone. A non-finite vals[0] is met on each
+    mesh by subtracting c z^gamma + d, z = v - nodes[0], fitted to g at three
+    nodes next to the terminal and integrated exactly (a Beta function), or
+    ConvergenceError if none fits; a non-finite sum raises DomainError."""
     lo = nodes[0]
-    # the meshes laid one after another, each with the terminal: mesh i at places[i]
-    places = [(first + i - 1, end + i) for i, (first, end) in enumerate(zip(firsts, ends))]
-    full = np.concatenate([v for f, e in zip(firsts, ends) for v in (vals[:1], vals[f:e])])
-    weights = np.concatenate([
-        (nodes[end - 1] - lo) ** (mu + 1.0) * _reference_weights(end - first, mu)
-        for first, end in zip(firsts, ends)
-    ])
-    heads = [0.0] * len(ends)
-    for i, (a, b) in enumerate(places if not np.isfinite(vals).all() else ()):
-        if not math.isfinite(full[a]):
-            z = np.concatenate(([0.0], nodes[firsts[i] : ends[i]] - lo))
-            fit = _terminal_power(z, full[a:b])
+    totals = []
+    for first, end in zip((1, *ends), ends):
+        g = np.concatenate((vals[:1], vals[first:end]))
+        head = 0.0
+        if not math.isfinite(g[0]):
+            z = np.concatenate(([0.0], nodes[first:end] - lo))
+            fit = _terminal_power(z, g)
             if fit is None:
                 raise ConvergenceError(
                     "no integrable power c z^gamma + d fits the blow-up at the terminal"
                 )
-            c, gamma, full[a] = fit
-            full[a + 1 : b] -= c * z[1:] ** gamma
+            c, gamma, g[0] = fit
+            g[1:] -= c * z[1:] ** gamma
             # f.p.∫_0^span z^gamma (span - z)^mu dz = span^(s - 1) B(gamma + 1, mu + 1)
             s = gamma + mu + 2.0
             if s > 0.0 or s != math.floor(s):
                 beta_fn = math.gamma(gamma + 1.0) * math.gamma(mu + 1.0) / math.gamma(s)
-                heads[i] = c * z[-1] ** (s - 1.0) * beta_fn
-        if not np.isfinite(full[a:b]).all():
+                head = c * z[-1] ** (s - 1.0) * beta_fn
+        weights = (nodes[end - 1] - lo) ** (mu + 1.0) * _reference_weights(end - first, mu)
+        totals.append(float((weights * g).sum()) + head)
+        if not math.isfinite(totals[-1]):
             raise DomainError("integrand returned a non-finite value on the mesh")
-    products = weights * full
-    totals = [float(products[a:b].sum()) + head for (a, b), head in zip(places, heads)]
-    if not all(map(math.isfinite, totals)):
-        raise DomainError("integrand returned a non-finite value on the mesh")
     return totals
