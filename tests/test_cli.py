@@ -309,6 +309,12 @@ class TestSvgOutput:
         assert code == 0
         assert out.count("<circle") == 1 and "<polyline" not in out
 
+    def test_a_one_point_series_far_from_zero_is_a_circle(self):
+        # the float spacing at 1e16 is 2, so a widening of 0.5 would round away
+        code, out, _ = run_cli(["staircase", "--format", "svg", "--grid", "1e16", "1e16", "1"])
+        assert code == 0
+        assert out.count("<svg") == 1 and out.count("<circle") == 1
+
 
 class TestConfig:
     def test_tolerance_env_fallback(self, monkeypatch):
