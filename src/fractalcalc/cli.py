@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
 from functools import partial
 
@@ -192,6 +193,11 @@ def build_parser() -> argparse.ArgumentParser:
         description="Calculus on the triadic Cantor set: staircase, "
         "nonlocal operators, transforms, example solvers, figures.",
     )
+    # argparse reads an argument as a negative number, not an option, only
+    # when it matches ^-\d+$|^-\d*\.\d+$, which has no exponent: widen it to
+    # negative decimals with an optional exponent, so that --grid -1e1 0 2
+    # and --lam -4e1 parse
+    parser._negative_number_matcher = re.compile(r"^-(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?$")
     parser.add_argument("command", choices=_COMMANDS)
     parser.add_argument(
         "--alpha-mode",

@@ -136,6 +136,24 @@ class TestExitCodes:
             run_cli(["frobnicate"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize(
+        "argv, plain",
+        [
+            (["ml", "--grid", "-1e1", "0", "2"], ["ml", "--grid", "-10", "0", "2"]),
+            (["solve", "--example", "4", "--lam", "-4e1"], ["solve", "--example", "4", "--lam", "-40"]),
+        ],
+        ids=["grid", "lam"],
+    )
+    def test_a_negative_number_with_an_exponent_is_a_value(self, argv, plain):
+        code, out, err = run_cli(argv)
+        assert code == 0
+        assert (out, err) == run_cli(plain)[1:]
+
+    def test_an_unknown_dash_option_still_exits_two(self):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["ml", "-x"])
+        assert exc.value.code == 2
+
     def test_bad_expression(self):
         code, _, err = run_cli(["rl-der", "--f", "x^)2", "--grid", "1", "1", "1"])
         assert code == 2
