@@ -17,7 +17,7 @@ Every operator works on an integrand g of u under the protocol of
 `quadrature`: g takes a 1-D float ndarray of u, never a bare float, and
 returns the same shape. The points of one grid keep their own meshes
 (`quadrature._graded_nodes`) but share one S of the terminal, one call of g
-(the terminal, then each mesh past it) and one product-rule pass
+(the terminal, then each mesh past it) and one product-rule call
 (`_rl_values`): residual loops, compositions and CLI grids sample g once,
 after every point is checked.
 `evaluate_u` applies an operator to such a g at one point; the x-space
@@ -117,7 +117,7 @@ def _rl_values(g, ua: float, order: float, us) -> list[float]:
     """Left RL operator of g at each u of us, all past the terminal ua: an
     integral for order > 0, a derivative of order -order (a Hadamard finite
     part) for order < 0, each one product integral on its own graded mesh
-    against (u - v)^(order - 1) / Gamma(order), all in one pass of the rule.
+    against (u - v)^(order - 1) / Gamma(order), all in one call of the rule.
 
     g is called once, on the terminal and then every mesh's nodes past it.
     When that raises (a terminal blow-up may raise, not return inf), g is
