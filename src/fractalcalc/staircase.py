@@ -9,10 +9,12 @@ ternary.  Floats are taken at their exact binary value; pass
 :class:`fractions.Fraction` for points such as 1/3 that binary floats cannot
 represent.
 
-The kernels read digits in blocks of eight.  For the staircase and the
-membership test, ``divmod(num * 3**8, den)`` yields the next eight ternary
-digits as one integer ``q < 3**8`` together with the exact remainder; a table
-built once at import maps ``q`` to the position of its first ternary ``1``,
+The kernels read digits in blocks of eight.  One walk over the ternary
+digits serves both the staircase and the membership test: it returns the
+scaled staircase value and whether the point lies in the prefractal.  Each
+``divmod(num * 3**8, den)`` yields the next eight ternary digits as one
+integer ``q < 3**8`` together with the exact remainder; a table built once
+at import maps ``q`` to the position of its first ternary ``1``,
 the binary digits transcribed from the ``0``/``2`` digits before it, and
 whether the digits after that ``1`` are all zero.  For the quantile, one
 ``(num << depth) // den`` yields all ``depth`` binary digits, and a 256-entry
@@ -210,43 +212,29 @@ def _parts(x) -> tuple[bool, int, int, int]:
     return num < 0, whole, num_frac, den
 
 
-def _unit_staircase_scaled(num: int, den: int, depth: int) -> int:
-    """floor(S(num/den) * 2**depth) for 0 <= num < den.
+def _unit_digits(num: int, den: int, depth: int) -> tuple[int, bool]:
+    """(floor(S(num/den) * 2**depth), membership of num/den in the depth-digit
+    prefractal) for 0 <= num < den.
 
     Transcribes ternary digits to binary ones, eight per step; the first
     ternary 1 is emitted and terminates the expansion, matching the staircase
-    being constant on the removed middle-third gaps.  A zero remainder means
-    every later digit is 0, so the rest of the value is zero bits.
+    being constant on the removed middle-third gaps.  That 1 disqualifies the
+    point unless the expansion terminates right there, in which case the
+    standard rewrite ...1 = ...0222... applies and the point is a gap endpoint
+    belonging to the set.  A zero remainder means every later digit is 0, so
+    the rest of the value is zero bits and the point is in the set.
     """
     acc = 0
     for left in range(depth, 0, -_BLOCK):
         q, num = divmod(num * _BLOCK_POW3, den)
-        first, bits, _ = _TRIT_BLOCKS[q]
+        first, bits, tail_zero = _TRIT_BLOCKS[q]
         n = left if left < _BLOCK else _BLOCK
         if first < n:
-            return ((((acc << first) | bits) << 1) | 1) << (left - first - 1)
+            return ((((acc << first) | bits) << 1) | 1) << (left - first - 1), tail_zero and not num
         acc = (acc << n) | (bits >> (first - n))
         if not num:
-            return acc << (left - n)
-    return acc
-
-
-def _unit_membership(num: int, den: int, depth: int) -> bool:
-    """Membership in the depth-digit prefractal of num/den in [0, 1).
-
-    A ternary 1 among the first ``depth`` digits disqualifies unless the
-    expansion terminates right there, in which case the standard rewrite
-    ...1 = ...0222... applies and the point is a gap endpoint belonging to
-    the set.  Digits are read eight per step as in the staircase kernel.
-    """
-    for left in range(depth, 0, -_BLOCK):
-        q, num = divmod(num * _BLOCK_POW3, den)
-        first, _, tail_zero = _TRIT_BLOCKS[q]
-        if first < left and first < _BLOCK:
-            return tail_zero and not num
-        if not num:
-            return True
-    return True
+            return acc << (left - n), True
+    return acc, True
 
 
 def _unit_quantile_scaled(bits: int, depth: int) -> int:
@@ -286,7 +274,7 @@ class StaircaseFn:
         if type(x) is _Quantile and x._depth == depth:
             return x._s
         negative, whole, num, den = _parts(x)
-        scaled = (whole << depth) + _unit_staircase_scaled(num, den, depth)
+        scaled = (whole << depth) + _unit_digits(num, den, depth)[0]
         return -scaled if negative else scaled
 
     def eval_exact(self, x) -> Fraction:
@@ -355,7 +343,7 @@ class StaircaseFn:
 
     def membership(self, x) -> bool:
         _, _, num, den = _parts(x)
-        return _unit_membership(num, den, self.spec.digit_depth)
+        return _unit_digits(num, den, self.spec.digit_depth)[1]
 
 
 @dataclass(frozen=True)

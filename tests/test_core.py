@@ -226,10 +226,8 @@ class TestConjugate:
 
     def test_staircase_integrand_reads_no_digits(self, sf, monkeypatch):
         digits, quantiles = [], []
-        kernel, quantile = staircase._unit_staircase_scaled, StaircaseFn.quantile_exact
-        monkeypatch.setattr(
-            staircase, "_unit_staircase_scaled", lambda *a: digits.append(a) or kernel(*a)
-        )
+        kernel, quantile = staircase._unit_digits, StaircaseFn.quantile_exact
+        monkeypatch.setattr(staircase, "_unit_digits", lambda *a: digits.append(a) or kernel(*a))
         monkeypatch.setattr(
             StaircaseFn, "quantile_exact", lambda self, v: quantiles.append(v) or quantile(self, v)
         )

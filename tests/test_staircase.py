@@ -21,12 +21,7 @@ from fractalcalc import (
     prefractal_intervals,
 )
 from fractalcalc import staircase
-from fractalcalc.staircase import (
-    _pow3,
-    _unit_membership,
-    _unit_quantile_scaled,
-    _unit_staircase_scaled,
-)
+from fractalcalc.staircase import _pow3, _unit_digits, _unit_quantile_scaled
 
 
 @pytest.fixture(scope="module")
@@ -137,8 +132,9 @@ class TestBlockKernels:
     @settings(max_examples=1000, deadline=None)
     def test_match_one_digit_reference(self, ratio, depth):
         num, den = ratio
-        assert _unit_staircase_scaled(num, den, depth) == _reference_staircase_scaled(num, den, depth)
-        assert _unit_membership(num, den, depth) is _reference_membership(num, den, depth)
+        scaled, member = _unit_digits(num, den, depth)
+        assert scaled == _reference_staircase_scaled(num, den, depth)
+        assert member is _reference_membership(num, den, depth)
         assert _unit_quantile_scaled((num << depth) // den, depth) == _reference_quantile_scaled(num, den, depth)
 
     @given(
@@ -231,19 +227,19 @@ class TestQuantile:
 
 @contextlib.contextmanager
 def _kernel_calls():
-    """Record every call of the staircase digit kernel made inside the block."""
+    """Record every call of the ternary digit walker made inside the block."""
     calls = []
-    kernel = staircase._unit_staircase_scaled
+    kernel = staircase._unit_digits
 
     def counted(*args):
         calls.append(args)
         return kernel(*args)
 
-    staircase._unit_staircase_scaled = counted
+    staircase._unit_digits = counted
     try:
         yield calls
     finally:
-        staircase._unit_staircase_scaled = kernel
+        staircase._unit_digits = kernel
 
 
 def _same_bits(a: float, b: float) -> bool:
