@@ -187,6 +187,17 @@ def test_right_sided_rl_integral_over_a_short_span(sf):
     _right_or_refused(call, truth, _OPERATOR_GATE * abs(truth))
 
 
+@_census(10)
+@pytest.mark.parametrize("beta", [1e-14, 1e-12])
+def test_rl_integral_of_an_order_near_zero(sf, beta):
+    # the kernel exponent beta - 1 keeps only the first digits of such an order
+    spec = lambda: OperatorSpec(OperatorKind.RL_INTEGRAL, beta, 0.0)
+    x = sf.quantile_exact(Fraction(1, 2))
+    truth = power_rule_integral(beta, 0.5, sf, 0.0, x)
+    call = lambda: rl_integral(spec(), lambda t: sf.eval(t) ** 0.5, sf, x)
+    _right_or_refused(call, truth, _OPERATOR_GATE * abs(truth))
+
+
 @_census(3)
 def test_rl_derivative_of_a_function_smooth_in_x(sf):
     # x^2 conjugated jumps at every dyadic u; past order log2(3) the finite part does not exist
