@@ -58,6 +58,7 @@ _TAYLOR_STEP = 1e-5  # difference step for Taylor coefficients at a terminal
 # Derivative orders closer than this to an integer are refused: the kernel
 # exponent -beta - 1 keeps only their first digits, and the finite part's
 # pole term, of size 1/(n - beta), loses about 1e-16 / |n - beta| relative.
+# Integral orders below it are refused for the same loss in beta - 1.
 _INTEGER_GAP = 1e-9
 
 
@@ -82,8 +83,10 @@ class OperatorSpec:
     side: Side = Side.LEFT
 
     def __post_init__(self) -> None:
-        if not self.beta > 0.0:
-            raise DomainError(f"order must be positive, got {self.beta!r}")
+        if not (self.beta > 0.0 and math.isfinite(self.beta)):
+            raise DomainError(f"order must be positive and finite, got {self.beta!r}")
+        if self.kind is OperatorKind.RL_INTEGRAL and self.beta < _INTEGER_GAP:
+            raise DomainError(f"integral orders below {_INTEGER_GAP} are not supported, got {self.beta!r}")
         if self.kind is not OperatorKind.RL_INTEGRAL and abs(self.beta - round(self.beta)) < _INTEGER_GAP:
             raise DomainError(
                 "integer-order differentiation is the iterated staircase "

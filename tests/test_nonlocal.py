@@ -49,6 +49,24 @@ class TestSpecValidation:
         with pytest.raises(DomainError):
             OperatorSpec(OperatorKind.RL_DERIVATIVE, -0.5, 0.0)
 
+    @pytest.mark.parametrize("kind", list(OperatorKind))
+    @pytest.mark.parametrize("beta", [math.inf, math.nan])
+    def test_order_must_be_finite(self, kind, beta):
+        with pytest.raises(DomainError):
+            OperatorSpec(kind, beta, 0.0)
+
+    @pytest.mark.parametrize("beta", [1e-300, 1e-14, 0.999e-9])
+    def test_integral_orders_near_zero_rejected(self, beta):
+        # beta - 1 keeps too few of beta's digits, or rounds to -1
+        with pytest.raises(DomainError):
+            OperatorSpec(OperatorKind.RL_INTEGRAL, beta, 0.0)
+
+    def test_integral_order_at_the_gap_keeps_its_accuracy(self, sf):
+        x = sf.quantile_exact(Fraction(1, 2))
+        spec = OperatorSpec(OperatorKind.RL_INTEGRAL, 1e-9, 0.0)
+        got = rl_integral(spec, lambda t: sf.eval(t) ** 0.5, sf, x)
+        assert got == pytest.approx(power_rule_integral(1e-9, 0.5, sf, 0.0, x), rel=1e-7)
+
     def test_integer_order_differentiation_rejected(self):
         with pytest.raises(DomainError):
             OperatorSpec(OperatorKind.RL_DERIVATIVE, 1.0, 0.0)

@@ -187,10 +187,10 @@ def test_right_sided_rl_integral_over_a_short_span(sf):
     _right_or_refused(call, truth, _OPERATOR_GATE * abs(truth))
 
 
-@_census(10)
 @pytest.mark.parametrize("beta", [1e-14, 1e-12])
 def test_rl_integral_of_an_order_near_zero(sf, beta):
-    # the kernel exponent beta - 1 keeps only the first digits of such an order
+    # the kernel exponent beta - 1 keeps only the first digits of such an
+    # order, so an integral order below 1e-9 is refused
     spec = lambda: OperatorSpec(OperatorKind.RL_INTEGRAL, beta, 0.0)
     x = sf.quantile_exact(Fraction(1, 2))
     truth = power_rule_integral(beta, 0.5, sf, 0.0, x)
