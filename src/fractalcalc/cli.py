@@ -12,6 +12,7 @@ be written, 2 on usage errors.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import re
 import sys
@@ -234,7 +235,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _normalise(args: argparse.Namespace) -> None:
-    """Fill tol from FRACTAL_CALC_TOL when unset; check and round the grid COUNT."""
+    """Fill tol from FRACTAL_CALC_TOL when unset; check the grid's bounds,
+    whose difference must be finite for ``np.linspace``, and round its COUNT."""
     if args.tol is None:
         env = os.environ.get("FRACTAL_CALC_TOL")
         if env is not None:
@@ -246,6 +248,8 @@ def _normalise(args: argparse.Namespace) -> None:
         start, stop, count = args.grid
         if not (count >= 1 and count.is_integer()):
             raise ExprError(f"grid COUNT must be a positive integer, got {count!r}")
+        if not math.isfinite(stop - start):
+            raise ExprError(f"grid bounds and their difference must be finite, got {start!r} and {stop!r}")
         args.grid = (start, stop, int(count))
 
 

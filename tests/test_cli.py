@@ -274,6 +274,21 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["staircase", "--grid", "0", "inf", "3"], ["staircase", "--grid", "-1e308", "1e308", "3"],
+         ["laplace", "--grid", "inf", "inf", "1"], ["staircase", "--grid", "nan", "1", "3"]],
+        ids=["inf-stop", "overflowing-span", "inf-point", "nan-start"],
+    )
+    def test_grid_bounds_that_are_not_finite_are_a_usage_error(self, argv):
+        # np.linspace would spread a nan over the grid, with a warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_output_in_a_missing_directory_exits_1(self, tmp_path):
         target = tmp_path / "missing" / "x.csv"
         code, out, err = run_cli(["staircase", "--grid", "0", "1", "3", "--output", str(target)])
