@@ -261,7 +261,8 @@ def laplace_numeric(f, sf, sigma: float, tol: float = 1e-9) -> float:
     g = ConjugatedFn(f, sf)
     upper = 36.0 / sigma + 4.0
     probe = upper * _TAIL_PROBE
-    bound = 2.0 * math.exp(-sigma * upper) * np.abs(g(probe)).max() / sigma
+    # a Python float, so that an overflow to inf raises no numpy warning
+    bound = 2.0 * math.exp(-sigma * upper) * float(np.abs(g(probe)).max()) / sigma
 
     def integrand(u):
         return np.exp(-sigma * u) * g(u)

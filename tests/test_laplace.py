@@ -271,6 +271,13 @@ class TestNumericTransform:
         with pytest.raises(TailBoundError):
             laplace_numeric(lambda x: math.exp(2.0 * sf.eval(x)), sf, 1.0)
 
+    def test_a_tail_bound_past_the_largest_float_raises_no_numpy_warning(self, sf):
+        # at sigma = 1e-300 the bound's division by sigma overflows to inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(TailBoundError, match="^tail bound inf "):
+                laplace_numeric(sf.eval, sf, 1e-300)
+
     @pytest.mark.parametrize("eta", [2.2, 3.0])
     def test_a_tail_above_tol_but_small_beside_a_large_transform_is_kept(self, sf, eta):
         # at sigma = 0.1 the tail bound exceeds tol = 1e-9 (1.3e-9 at eta = 2.2)
