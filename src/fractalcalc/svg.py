@@ -13,6 +13,7 @@ the loop stops once a step no longer moves t.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from itertools import groupby
 
@@ -46,7 +47,8 @@ def _fmt(v: float) -> str:
 def _range(values: list[float]) -> tuple[float, float]:
     lo, hi = (min(values), max(values)) if values else (0.0, 1.0)
     pad = max(0.5, math.ulp(max(abs(lo), abs(hi))))
-    return (lo - pad, hi + pad) if hi - lo < 1e-12 else (lo, hi)
+    top = sys.float_info.max
+    return (max(lo - pad, -top), min(hi + pad, top)) if hi - lo < 1e-12 else (lo, hi)
 
 
 def _tick_values(lo: float, hi: float) -> list[float]:

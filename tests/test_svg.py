@@ -71,6 +71,15 @@ class TestTicks:
         assert code == 0
         assert out.getvalue().count("<svg") == 1
 
+    @pytest.mark.parametrize("x", ["1.7976931348623157e308", "-1.7976931348623157e308"])
+    def test_the_cli_plots_one_point_at_the_largest_float(self, x):
+        # widening the empty range by the float spacing there would reach inf
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(["staircase", "--grid", x, x, "1", "--format", "svg"])
+        assert (code, err.getvalue()) == (0, "")
+        assert out.getvalue().count("<svg") == out.getvalue().count("<circle") == 1
+
     def test_ticks_stay_in_the_range_and_zero_is_zero(self):
         # the first and last multiples of the step lie within 1e-9 steps of the range, yet outside it
         assert svg._tick_values(1e-10, 1 - 1e-10) == [0.25, 0.5, 0.75]
