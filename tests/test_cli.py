@@ -171,6 +171,17 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "command, beta", [("rl-int", "inf"), ("rl-der", "inf"), ("caputo", "inf"), ("rl-int", "1e-300")]
+    )
+    def test_order_not_finite_or_integral_order_near_zero(self, command, beta):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli([command, "--beta", beta, "--grid", "0.5", "1", "2"])
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     @pytest.mark.parametrize("command", ["rl-der", "caputo"])
     @pytest.mark.parametrize("expr", ["x^2", "exp(-S(x)) * (1 + x^2)", "S(x) + x"])
     def test_derivative_of_f_smooth_in_x_is_refused(self, command, expr):
