@@ -3,11 +3,12 @@
 Coordinates are formatted with fixed precision so identical inputs always
 produce byte-identical files. An axis range under 1e-12 wide is widened by
 0.5 each way, or by the float spacing at its bounds where that is larger
-(from 2**52 on), so that the widening survives rounding. Ticks step by the
-least of 1, 2, 2.5, 5 or 10 times a power of ten that covers a quarter of
-the range, added from its first multiple in the range; a tick within 1e-12
-steps of 0 is drawn as 0, one past the range by over 1e-12 is dropped, and
-the loop stops once a step no longer moves t.
+(from 2**52 on), so that the widening survives rounding; a widened bound
+stops at the largest finite float. Ticks step by the least of 1, 2, 2.5, 5
+or 10 times a power of ten that covers a quarter of the range, added from
+its first multiple in the range; a tick within 1e-12 steps of 0 is drawn
+as 0, one past the range by over 1e-12 is dropped, and the loop stops once
+a step no longer moves t.
 """
 
 from __future__ import annotations
