@@ -1,4 +1,8 @@
-"""SVG plots: pinned bytes of every figure and of the CLI's `--format svg`."""
+"""Pinned bytes of every figure's SVG plot and CSV files, and of the CLI's `--format svg`.
+
+The CSV digests pin every value to its last bit, which the SVGs' 2-decimal
+pixel coordinates can hide.
+"""
 
 import contextlib
 import hashlib
@@ -27,6 +31,26 @@ _FIGURE_DIGESTS = {
     ("fig1", 6): "ec369b0f14ce08fbf0bafe73c2ff0eedf31230ae857638745e8be3f0191031f0",
 }
 
+# SHA-256 of each figure CSV file's text, keyed by (file name, depth of the prefractal)
+_CSV_DIGESTS = {
+    ("fig1.csv", 4): "05695226b358f750b0f508bae5a5e6a5b1b6bbb8b0385cc4107ad969c2f0bdb7",
+    ("fig2.csv", 4): "883726c749e9ef877a8644de2fae91e1dbc07706c575349a920bd133a0eb6e03",
+    ("fig3.csv", 4): "81a7052e5dd940ee7e21a6e471dc34a411b9756b07f424c716659b6edcfbde82",
+    ("fig4_classical.csv", 4): "711d9fe6e74f97c533267777259a685b6edf990024577f3672c28dde64a11137",
+    ("fig4_fractal.csv", 4): "0831ac7ff0deded825d6d95f282a909d11493e6ef8143bebb1be1685f4406167",
+    ("fig5_classical.csv", 4): "24bdcb588e1e015050f3ff86c374e8a7b7a054428b0ea3084539c5ad9c1bcbcd",
+    ("fig5_fractal.csv", 4): "ec7b4dc73a2ace76c7ff33b86f96eee42fc7077397c592eee9b5c64c4b4241fc",
+    ("fig6_example1.csv", 4): "c155dfe7c52558e7e12c7c9d08526d160fb3c5535b2c0596e27a5a2eccbc4d4a",
+    ("fig6_example2.csv", 4): "144f8c3ede81009a62af2663c2afae2da7438537fe485201f729482af13747d0",
+    ("fig6_example3.csv", 4): "fa01e1666b301fa8bdc2404279ff5dfc20e22cc3e485c083794bf90c4197406d",
+    ("fig7_example1.csv", 4): "3577344fe8d868c7962f15297777d6d52cc684c8e74ce2eb8d15d914f3d9d9fb",
+    ("fig7_example2.csv", 4): "04d06a54159a9f1cecbf02def6c91f922a368e89997b762de128f2a4b63227ed",
+    ("fig7_example3.csv", 4): "91e30c2f33f2840160333508310427f9e1eefbc71f971bc8663b6b3c0125695e",
+    ("fig1.csv", 0): "630c06215ecf4a9223bce730c7e38d5da085fe8fad9dc5d462514d8eed289b31",
+    ("fig1.csv", 1): "90d2870741abf1536864ec93b06a1318d23b070452f0acd00b9fa543b512463d",
+    ("fig1.csv", 6): "a978367468acdeecd73a935499bf75ae7cfbdbcb6fed4ca8e1f7933fcd1fd3a3",
+}
+
 # SHA-256 of the stdout of `fractal-calc <args> --format svg`
 _CLI_DIGESTS = {
     "staircase": "5ee4bf2a651677467519021afaabfb3214e3bc1b70104aa9f1553f770ca5044b",
@@ -45,6 +69,16 @@ class TestPinnedBytes:
     def test_figures(self, depth):
         got = {(fig.name, depth): _sha256(fig.svg_text) for fig in figures.build_figures(depth)}
         want = {key: digest for key, digest in _FIGURE_DIGESTS.items() if key[1] == depth}
+        assert {key: got[key] for key in want} == want
+
+    @pytest.mark.parametrize("depth", [4, 0, 1, 6])
+    def test_figure_csvs(self, depth):
+        got = {
+            (fname, depth): _sha256(text)
+            for fig in figures.build_figures(depth)
+            for fname, text in fig.csv_files
+        }
+        want = {key: digest for key, digest in _CSV_DIGESTS.items() if key[1] == depth}
         assert {key: got[key] for key in want} == want
 
     @pytest.mark.parametrize("args", list(_CLI_DIGESTS))
