@@ -1,7 +1,10 @@
 """The seven standard figure datasets, as CSV text and SVG plots.
 
 Everything here is computed from closed forms or digit-exact staircase
-evaluation, so repeated runs are byte-identical.
+evaluation, so repeated runs are byte-identical. One builder, `_figure`,
+writes each figure's CSV columns from the series it plots, so the two
+cannot drift apart. fig1 is the exception: its CSV rows are the prefractal
+interval ends, not plotted series.
 """
 
 from __future__ import annotations
@@ -30,9 +33,9 @@ def format_csv(header: tuple[str, ...], rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _linspace(lo: float, hi: float, count: int) -> list[float]:
+def _linspace(lo: float, hi: float, count: int) -> tuple[float, ...]:
     step = (hi - lo) / (count - 1)
-    return [lo + step * i for i in range(count)]
+    return tuple(lo + step * i for i in range(count))
 
 
 def _fig1(depth: int) -> FigureData:
@@ -51,35 +54,37 @@ def _fig1(depth: int) -> FigureData:
     return FigureData("fig1", (("fig1.csv", csv),), svg)
 
 
+def _figure(name: str, title: str, files, ylabel: str = "") -> FigureData:
+    """A figure whose CSV columns are its plotted series.
+
+    Each file is (csv name, [Series on one shared x grid]); its CSV holds
+    the grid and each series' values, and the plot draws every series in
+    file order.
+    """
+    csv_files = []
+    for fname, series in files:
+        header = ("x", "value", "value2")[: 1 + len(series)]
+        csv_files.append((fname, format_csv(header, zip(series[0].xs, *(s.ys for s in series)))))
+    plotted = [s for _, series in files for s in series]
+    svg = render_svg(plotted, title=title, xlabel="x", ylabel=ylabel)
+    return FigureData(name, tuple(csv_files), svg)
+
+
 def _fig2() -> FigureData:
     sf = StaircaseFn(CantorSpec())
     xs = _linspace(0.0, 1.0, 729)
-    ys = [sf.eval(x) for x in xs]
-    csv = format_csv(("x", "value"), zip(xs, ys))
-    svg = render_svg(
-        [Series(tuple(xs), tuple(ys), label="S(x)")],
-        title="Cantor staircase",
-        xlabel="x",
-        ylabel="S(x)",
-    )
-    return FigureData("fig2", (("fig2.csv", csv),), svg)
+    series = [Series(xs, tuple(sf.eval(x) for x in xs), label="S(x)")]
+    return _figure("fig2", "Cantor staircase", [("fig2.csv", series)], ylabel="S(x)")
 
 
 def _fig3() -> FigureData:
     sf = StaircaseFn(CantorSpec())
     xs = _linspace(0.1, 4.0, 157)
-    frac = [gamma_fractal(x, sf) for x in xs]
-    classical = [gamma_classical(x) for x in xs]
-    csv = format_csv(("x", "value", "value2"), zip(xs, frac, classical))
-    svg = render_svg(
-        [
-            Series(tuple(xs), tuple(frac), label="Gamma(S(x))"),
-            Series(tuple(xs), tuple(classical), label="Gamma(x)", dashed=True),
-        ],
-        title="Staircase-composed vs classical Gamma",
-        xlabel="x",
-    )
-    return FigureData("fig3", (("fig3.csv", csv),), svg)
+    series = [
+        Series(xs, tuple(gamma_fractal(x, sf) for x in xs), label="Gamma(S(x))"),
+        Series(xs, tuple(gamma_classical(x) for x in xs), label="Gamma(x)", dashed=True),
+    ]
+    return _figure("fig3", "Staircase-composed vs classical Gamma", [("fig3.csv", series)])
 
 
 def _fig45(integral: bool) -> FigureData:
@@ -87,56 +92,35 @@ def _fig45(integral: bool) -> FigureData:
     word = "integral" if integral else "derivative"
     name = "fig5" if integral else "fig4"
     sf = StaircaseFn(CantorSpec())
-    ident = IdentityMap()
     xs = _linspace(0.0, 1.0, 201)
-    f_classical = [x * x for x in xs]
-    f_fractal = [sf.eval(x) ** 2 for x in xs]
-    op_classical = [rule(0.5, 2.0, ident, 0.0, x) for x in xs]
-    op_fractal = [rule(0.5, 2.0, sf, 0.0, x) for x in xs]
-    csv_c = format_csv(("x", "value", "value2"), zip(xs, f_classical, op_classical))
-    csv_f = format_csv(("x", "value", "value2"), zip(xs, f_fractal, op_fractal))
-    svg = render_svg(
-        [
-            Series(tuple(xs), tuple(f_classical), label="x^2"),
-            Series(tuple(xs), tuple(op_classical), label=f"order-1/2 {word} of x^2"),
-            Series(tuple(xs), tuple(f_fractal), label="S(x)^2"),
-            Series(tuple(xs), tuple(op_fractal), label=f"order-1/2 {word} of S(x)^2"),
-        ],
-        title=f"Order-1/2 nonlocal {word}",
-        xlabel="x",
-    )
-    return FigureData(
-        name,
-        ((f"{name}_classical.csv", csv_c), (f"{name}_fractal.csv", csv_f)),
-        svg,
-    )
+
+    def file(setting, fmap, ys, label):
+        op = tuple(rule(0.5, 2.0, fmap, 0.0, x) for x in xs)
+        of = Series(xs, op, label=f"order-1/2 {word} of {label}")
+        return f"{name}_{setting}.csv", [Series(xs, ys, label=label), of]
+
+    files = [
+        file("classical", IdentityMap(), tuple(x * x for x in xs), "x^2"),
+        file("fractal", sf, tuple(sf.eval(x) ** 2 for x in xs), "S(x)^2"),
+    ]
+    return _figure(name, f"Order-1/2 nonlocal {word}", files)
+
+
+# (lo, hi, count) of each example's grid in fig6 and fig7
+_EXAMPLE_GRIDS = {1: (0.0, 1.0, 241), 2: (1.0, 2.0, 241), 3: (0.05, 1.0, 229)}
 
 
 def _fig67(cantor: bool) -> FigureData:
     name = "fig7" if cantor else "fig6"
     sf = StaircaseFn(CantorSpec()) if cantor else IdentityMap()
     setting = "Cantor set" if cantor else "real line"
-    grids = {
-        1: _linspace(0.0, 1.0, 241),
-        2: _linspace(1.0, 2.0, 241),
-        3: _linspace(0.05, 1.0, 229),
-    }
-    csv_files = []
-    series = []
-    for example_id, xs in grids.items():
-        fn = example_solution_fn(example_id, sf)
-        ys = [fn(x) for x in xs]
-        csv_files.append(
-            (f"{name}_example{example_id}.csv", format_csv(("x", "value"), zip(xs, ys)))
-        )
-        series.append(Series(tuple(xs), tuple(ys), label=f"example {example_id}"))
-    svg = render_svg(
-        series,
-        title=f"Example solutions on the {setting}",
-        xlabel="x",
-        ylabel="y(x)",
-    )
-    return FigureData(name, tuple(csv_files), svg)
+    files = []
+    for example_id, grid in _EXAMPLE_GRIDS.items():
+        xs = _linspace(*grid)
+        ys = tuple(map(example_solution_fn(example_id, sf), xs))
+        series = [Series(xs, ys, label=f"example {example_id}")]
+        files.append((f"{name}_example{example_id}.csv", series))
+    return _figure(name, f"Example solutions on the {setting}", files, ylabel="y(x)")
 
 
 def build_figures(depth: int = 4) -> list[FigureData]:
