@@ -57,13 +57,24 @@ def gamma_fractal(t: float, sf=None) -> float:
     return gamma_classical(t)
 
 
-def beta_fractal(r: float, s: float) -> float:
-    """Staircase Beta function, Gamma(r) Gamma(s) / Gamma(r + s)."""
+def _beta_args(r: float, s: float) -> tuple[float, float]:
     r = float(r)
     s = float(s)
-    if r <= 0.0 or s <= 0.0:
-        raise DomainError(f"beta needs positive arguments, got ({r!r}, {s!r})")
-    return math.exp(math.lgamma(r) + math.lgamma(s) - math.lgamma(r + s))
+    if not (0.0 < r < math.inf and 0.0 < s < math.inf):
+        raise DomainError(f"beta needs positive finite arguments, got ({r!r}, {s!r})")
+    return r, s
+
+
+def beta_fractal(r: float, s: float) -> float:
+    """Staircase Beta function, Gamma(r) Gamma(s) / Gamma(r + s).
+
+    Raises DomainError where the value or a log-Gamma term overflows.
+    """
+    r, s = _beta_args(r, s)
+    try:
+        return math.exp(math.lgamma(r) + math.lgamma(s) - math.lgamma(r + s))
+    except OverflowError as exc:
+        raise DomainError(f"beta({r!r}, {s!r}) overflows") from exc
 
 
 def beta_fractal_quadrature(r: float, s: float) -> float:
@@ -72,10 +83,7 @@ def beta_fractal_quadrature(r: float, s: float) -> float:
     Split at 1/2 and folded so each half is singular only at 0.0, where
     tanh-sinh offsets resolve all the way into denormals.
     """
-    r = float(r)
-    s = float(s)
-    if r <= 0.0 or s <= 0.0:
-        raise DomainError(f"beta needs positive arguments, got ({r!r}, {s!r})")
+    r, s = _beta_args(r, s)
 
     def half(p: float, q: float) -> float:
         return quadrature.tanh_sinh(
@@ -141,11 +149,11 @@ def mittag_leffler(eta: float, nu: float, z, tol: float = 1e-15):
     first k >= 17 where the bounds |z|^k / |Gamma(eta k + nu)| of terms k - 1
     and k are both at most tol and term k is past the largest term. The
     terms are summed by Horner's rule on a cached table of 1/Gamma(eta k +
-    nu), zero at the poles. Raises DomainError past |z| = 50 and for nu
-    outside [-170, 171], where 1/Gamma(nu) is not a normal float, and
-    ConvergenceError when a term would overflow or the stopping point lies
-    beyond 512 terms or beyond the table, so small eta with large |z|
-    raises: E_{1/2,1/2}(z) needs |z| <= 7.16.
+    nu), zero at the poles. Raises DomainError past |z| = 50, for eta not
+    positive and finite, and for nu outside [-170, 171], where 1/Gamma(nu)
+    is not a normal float, and ConvergenceError when a term would overflow
+    or the stopping point lies beyond 512 terms or beyond the table, so
+    small eta with large |z| raises: E_{1/2,1/2}(z) needs |z| <= 7.16.
 
     tol bounds each dropped term, not the error of the value. For negative
     z the terms can be far larger than the sum, which then loses about
@@ -156,8 +164,8 @@ def mittag_leffler(eta: float, nu: float, z, tol: float = 1e-15):
     shape, each element bit-identical to its scalar call, and raises what
     its first element that cannot be summed raises on its own.
     """
-    if not (eta > 0.0 and -170.0 <= nu <= 171.0):
-        raise DomainError(f"need eta > 0 and -170 <= nu <= 171, got eta={eta!r}, nu={nu!r}")
+    if not (0.0 < eta < math.inf and -170.0 <= nu <= 171.0):
+        raise DomainError(f"need finite eta > 0 and -170 <= nu <= 171, got eta={eta!r}, nu={nu!r}")
     if not tol > 0.0:
         raise DomainError("invalid series controls")
     series = _series(float(eta), float(nu), float(tol))

@@ -182,6 +182,22 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            ("beta --beta inf --grid 1 2 2", "positive finite arguments"),
+            ("beta --beta 1e-320 --grid 1 1 1", "overflows"),
+            ("ml --eta inf --grid 0 1 2", "eta=inf"),
+        ],
+        ids=["beta-inf", "beta-1e-320", "ml-eta-inf"],
+    )
+    def test_beta_or_ml_parameter_not_finite_or_overflowing(self, args, message):
+        code, out, err = run_cli(args.split())
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert message in err
+
     @pytest.mark.parametrize("command", ["rl-der", "caputo"])
     @pytest.mark.parametrize("expr", ["x^2", "exp(-S(x)) * (1 + x^2)", "S(x) + x"])
     def test_derivative_of_f_smooth_in_x_is_refused(self, command, expr):

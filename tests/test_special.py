@@ -106,6 +106,20 @@ class TestBeta:
         with pytest.raises(DomainError):
             beta_fractal(1.0, -0.5)
 
+    @pytest.mark.parametrize("beta", [beta_fractal, beta_fractal_quadrature], ids=["closed", "quadrature"])
+    @pytest.mark.parametrize("r, s", [(1.0, math.inf), (math.inf, 1.0), (1.0, math.nan), (math.nan, 2.0)])
+    def test_rejects_non_finite(self, beta, r, s):
+        # B(1, inf) gave nan in closed form and 1.4e-17 by quadrature
+        with pytest.raises(DomainError, match="positive finite arguments"):
+            beta(r, s)
+
+    @pytest.mark.parametrize("r, s", [(1.0, 1e-320), (1e-320, 1e-320), (1.7e308, 1.7e308)])
+    def test_overflow_raises_domain_error(self, r, s):
+        # 1/s overflows below s = 5.6e-309; lgamma overflows near the largest float
+        with pytest.raises(DomainError, match=r"^beta\(.*\) overflows$") as exc:
+            beta_fractal(r, s)
+        assert isinstance(exc.value.__cause__, OverflowError)
+
 
 class TestMittagLeffler:
     def test_frozen_oracles(self):
@@ -159,6 +173,13 @@ class TestMittagLeffler:
             mittag_leffler(0.5, 0.5, 100.0)
         with pytest.raises(DomainError):
             mittag_leffler(1.0, -180.5, 0.5)  # 1/Gamma(nu) overflows
+
+    @pytest.mark.parametrize("z", [0.0, 0.5, np.array([0.0, 0.5])], ids=["zero", "half", "array"])
+    def test_eta_must_be_finite(self, z):
+        # an infinite eta gave 0.0 at z = 0, not 1/Gamma(nu), and elsewhere
+        # "series did not settle in 0 terms"
+        with pytest.raises(DomainError, match="eta=inf"):
+            mittag_leffler(math.inf, 1.0, z)
 
     def test_convergence_guard(self):
         with pytest.raises(ConvergenceError):
