@@ -33,6 +33,8 @@ from fractalcalc import (
     Side,
     StaircaseFn,
     TailBoundError,
+    beta_fractal,
+    beta_fractal_quadrature,
     caputo_derivative,
     cli,
     f_alpha_integral,
@@ -50,6 +52,8 @@ _OPERATOR_GATE = 2e-5
 _ML_GATE = 5e-10
 # the level agreement of tanh-sinh, relative past 1
 _INTEGRAL_GATE = 1e-12
+# relative, a hundred times the beta-identities gate of `verify`
+_BETA_GATE = 1e-12
 
 
 def _census(item):
@@ -149,6 +153,14 @@ def _ml_truth(eta, nu, z):
 def test_mittag_leffler_at_negative_z(eta, nu, z):
     truth = _ml_truth(eta, nu, z)
     _right_or_refused(lambda: mittag_leffler(eta, nu, z), truth, _ML_GATE * max(1.0, abs(truth)))
+
+
+@_census(11)
+@pytest.mark.parametrize("beta", [beta_fractal, beta_fractal_quadrature], ids=["closed", "quadrature"])
+def test_beta_at_a_large_argument(beta):
+    # B(1, s) = 1/s exactly; in closed form lgamma(s) - lgamma(1 + s) cancels
+    s = 1e12
+    _right_or_refused(lambda: beta(1.0, s), 1.0 / s, _BETA_GATE / s)
 
 
 @_census(5)
