@@ -117,8 +117,8 @@ def _fig67(cantor: bool) -> FigureData:
     files = []
     for example_id, grid in _EXAMPLE_GRIDS.items():
         xs = _linspace(*grid)
-        ys = tuple(map(example_solution_fn(example_id, sf), xs))
-        series = [Series(xs, ys, label=f"example {example_id}")]
+        fn = example_solution_fn(example_id, sf)
+        series = [Series(xs, tuple(fn(x) for x in xs), label=f"example {example_id}")]
         files.append((f"{name}_example{example_id}.csv", series))
     return _figure(name, f"Example solutions on the {setting}", files, ylabel="y(x)")
 

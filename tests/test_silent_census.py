@@ -156,7 +156,9 @@ def test_mittag_leffler_at_negative_z(eta, nu, z):
 
 
 @_census(11)
-@pytest.mark.parametrize("beta", [beta_fractal, beta_fractal_quadrature], ids=["closed", "quadrature"])
+@pytest.mark.parametrize(
+    "beta", [beta_fractal, beta_fractal_quadrature], ids=["closed", "quadrature"]
+)
 def test_beta_at_a_large_argument(beta):
     # B(1, s) = 1/s exactly; in closed form lgamma(s) - lgamma(1 + s) cancels
     s = 1e12

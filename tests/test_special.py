@@ -106,8 +106,12 @@ class TestBeta:
         with pytest.raises(DomainError):
             beta_fractal(1.0, -0.5)
 
-    @pytest.mark.parametrize("beta", [beta_fractal, beta_fractal_quadrature], ids=["closed", "quadrature"])
-    @pytest.mark.parametrize("r, s", [(1.0, math.inf), (math.inf, 1.0), (1.0, math.nan), (math.nan, 2.0)])
+    @pytest.mark.parametrize(
+        "beta", [beta_fractal, beta_fractal_quadrature], ids=["closed", "quadrature"]
+    )
+    @pytest.mark.parametrize(
+        "r, s", [(1.0, math.inf), (math.inf, 1.0), (1.0, math.nan), (math.nan, 2.0)]
+    )
     def test_rejects_non_finite(self, beta, r, s):
         # B(1, inf) gave nan in closed form and 1.4e-17 by quadrature
         with pytest.raises(DomainError, match="positive finite arguments"):
