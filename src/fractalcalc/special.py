@@ -110,9 +110,10 @@ def _series(eta: float, nu: float, tol: float) -> _Series:
     + nu). Only terms of positive argument (lgamma convex: no later term
     exceeds tol past the peak) stop the series. Each bound is monotone in
     |z|, so one searchsorted in their prefix maximum finds every stopping
-    point. The table ends where 1/Gamma leaves the normal floats (171).
+    point. The table ends where 1/Gamma leaves the normal floats (171), but
+    keeps the 18 terms the rule needs, as 0 where each true term is < 2e-278.
     """
-    args = [a for a in (eta * k + nu for k in range(_ML_MAX_TERMS)) if a <= 171.0]
+    args = [a for k, a in enumerate(eta * k + nu for k in range(_ML_MAX_TERMS)) if a <= 171.0 or k < 18]
     coeffs = [rgamma(a) for a in args]
     lg = np.array([math.lgamma(a) if c else math.inf for a, c in zip(args, coeffs)])
     k = np.arange(1, len(args))

@@ -308,6 +308,20 @@ class TestMittagLefflerArray:
             _ml_mpmath(0.8, 1.0, 20.0), rel=1e-13
         )
 
+    @pytest.mark.parametrize(
+        "eta, nu, z",
+        [(20.0, 1.0, 1.0), (20.0, 1.0, 50.0), (20.0, 1.0, -50.0), (11.0, 1.0, 0.5),
+         (11.0, 1.0, -30.0), (15.0, 0.5, 10.0), (30.0, 2.0, -50.0)],
+    )
+    def test_a_large_eta_sums_the_terms_the_rule_needs(self, eta, nu, z):
+        # the stopping rule needs 18 terms, and at a large eta the later ones
+        # pass Gamma(171); the table keeps them, each 0 where its true value
+        # is below 50^17 / Gamma(171) ~ 2e-278
+        want = _ml_mpmath(eta, nu, z)
+        assert abs(mittag_leffler(eta, nu, z) - want) <= 1e-15 * abs(want)
+        got = mittag_leffler(eta, nu, np.array([z, 0.0, -z]))
+        assert got.tolist() == [mittag_leffler(eta, nu, v) for v in (z, 0.0, -z)]
+
     def test_shape_is_kept(self):
         z = np.array([[0.0, -0.5], [0.25, 1.5]])
         got = mittag_leffler(4 / 3, 4 / 3, z)
