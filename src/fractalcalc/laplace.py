@@ -16,7 +16,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 
 import numpy as np
 
@@ -182,33 +181,27 @@ class InverseTerm:
     ml_nu: Fraction | None = None
     lam: float = 0.0
 
-    @cached_property
-    def _float_exponents(self) -> tuple:
-        """(power, ml_eta, ml_nu) as floats, converted once per term."""
-        if self.ml_eta is None:
-            return float(self.power), None, None
-        return float(self.power), float(self.ml_eta), float(self.ml_nu)
-
     def evaluate_u(self, u):
         """The term at u: a float array (an integrand, see `quadrature`), +-inf
         (nan for a zero coeff) where a negative power meets 0; or a list, one
         float at a time with Python's ** (numpy's can differ in the last bit)
         and the scalar Mittag-Leffler, raising DomainError there."""
-        pw, eta, nu = self._float_exponents
+        pw = float(self.power)
         if isinstance(u, list):
             if 0.0 in u and pw < 0.0:
                 raise DomainError("inverse term diverges at the terminal")
             power = lambda p: np.array([w**p for w in u])
-            ml = lambda z: np.array([mittag_leffler(eta, nu, v) for v in z.tolist()])
+            ml = lambda eta, nu, z: np.array([mittag_leffler(eta, nu, v) for v in z.tolist()])
         else:
             power = np.asarray(u, dtype=float).__pow__
-            ml = lambda z: mittag_leffler(eta, nu, z)
+            ml = mittag_leffler
         # example 4's 0 * S^(-1/6) is nan at 0: that nan alone sends its residuals through the terminal fit
         with np.errstate(divide="ignore", invalid="ignore"):
             base = self.coeff * power(pw)
         if self.ml_eta is None:
             return base
-        return base * ml(self.lam * power(eta))
+        eta = float(self.ml_eta)
+        return base * ml(eta, float(self.ml_nu), self.lam * power(eta))
 
 
 def invert_terms(expr: LaplaceExpr) -> tuple[InverseTerm, ...]:

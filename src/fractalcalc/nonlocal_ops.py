@@ -299,8 +299,6 @@ def composition_residual(spec: OperatorSpec, f, sf, end) -> float:
     mesh[80::6] = us  # the outer points, exactly
     inner = _rl_values(r, ua, -beta, mesh[1:].tolist())
     inner = np.array(inner[:1] + inner)  # the terminal holds the first sample
-    if not np.isfinite(inner).all():
-        raise DomainError("inner operator produced non-finite samples")
 
     # [D^(beta - 1) r] / Gamma(beta) one probe past the terminal
     limit = 0.0
