@@ -26,11 +26,6 @@ from fractalcalc import core, quadrature, staircase
 from fractalcalc.core import difference
 
 
-@pytest.fixture(scope="module")
-def sf():
-    return StaircaseFn(CantorSpec())
-
-
 def stieltjes_sum(f, sf, a, b, n: int = 4096) -> float:
     """Direct Riemann-Stieltjes midpoint sum of f against S on an x-partition.
 

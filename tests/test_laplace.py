@@ -11,7 +11,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fractalcalc import (
-    CantorSpec,
     ConvergenceError,
     DomainError,
     IdentityMap,
@@ -19,7 +18,6 @@ from fractalcalc import (
     LaplaceTerm,
     OperatorKind,
     OperatorSpec,
-    StaircaseFn,
     TailBoundError,
     evaluate_inverse,
     gamma_classical,
@@ -34,11 +32,6 @@ from fractalcalc import (
     transform_rl_integral,
 )
 from fractalcalc import laplace, quadrature
-
-
-@pytest.fixture(scope="module")
-def sf():
-    return StaircaseFn(CantorSpec())
 
 
 # orders in (0, 1], (1, 2) and at 2, where the rules have one or two slots

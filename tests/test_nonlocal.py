@@ -11,14 +11,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fractalcalc import (
-    CantorSpec,
     ConjugatedFn,
     DomainError,
     IdentityMap,
     OperatorKind,
     OperatorSpec,
     Side,
-    StaircaseFn,
     caputo_derivative,
     composition_residual,
     evaluate,
@@ -30,11 +28,6 @@ from fractalcalc import (
     rl_integral,
 )
 from fractalcalc import nonlocal_ops, quadrature
-
-
-@pytest.fixture(scope="module")
-def sf():
-    return StaircaseFn(CantorSpec())
 
 
 @pytest.fixture(scope="module")

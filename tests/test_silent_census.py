@@ -31,7 +31,6 @@ from fractalcalc import (
     OperatorSpec,
     PoleError,
     Side,
-    StaircaseFn,
     TailBoundError,
     beta_fractal,
     beta_fractal_quadrature,
@@ -58,11 +57,6 @@ _BETA_GATE = 1e-12
 
 def _census(item):
     return pytest.mark.xfail(strict=True, raises=AssertionError, reason=f"ROADMAP item {item}")
-
-
-@pytest.fixture(scope="module")
-def sf():
-    return StaircaseFn()
 
 
 def _right_or_refused(call, truth, bound):

@@ -10,11 +10,9 @@ from fractions import Fraction
 import pytest
 
 from fractalcalc import (
-    CantorSpec,
     DomainError,
     InitialDatum,
     OperatorKind,
-    StaircaseFn,
     alpha_one_degeneration,
     example_problem,
     example_solution_fn,
@@ -25,11 +23,6 @@ from fractalcalc import (
 from fractalcalc.laplace import _as_power, _slot_orders, transform_caputo, transform_rl_derivative
 from fractalcalc import solutions
 from fractalcalc.solutions import _derive_transform, default_grid
-
-
-@pytest.fixture(scope="module")
-def sf():
-    return StaircaseFn(CantorSpec())
 
 
 @pytest.fixture(scope="module")
@@ -191,8 +184,10 @@ class TestResiduals:
 
 class TestDegeneration:
     def test_alpha_one_matches_classical_solutions(self):
-        for k in (1, 2, 3, 4):
-            assert alpha_one_degeneration(k) < 1e-3, f"example {k}"
+        # examples 1-3 read 0, 1.1e-16 and 8.9e-16; example 4's 6.0e-7 is its
+        # classical oracle's own error, Gauss panels at an (x - t)^(1/3) end
+        for k, bound in ((1, 1e-13), (2, 1e-13), (3, 1e-13), (4, 2e-6)):
+            assert alpha_one_degeneration(k) < bound, f"example {k}"
 
 
 class TestParameterPassthrough:

@@ -24,11 +24,6 @@ from fractalcalc import staircase
 from fractalcalc.staircase import _pow3, _unit_digits, _unit_quantile_scaled
 
 
-@pytest.fixture(scope="module")
-def sf():
-    return StaircaseFn(CantorSpec())
-
-
 rationals_01 = st.fractions(min_value=0, max_value=1)
 
 
