@@ -322,6 +322,15 @@ class TestMittagLefflerArray:
         got = mittag_leffler(eta, nu, np.array([z, 0.0, -z]))
         assert got.tolist() == [mittag_leffler(eta, nu, v) for v in (z, 0.0, -z)]
 
+    @pytest.mark.parametrize("eta, nu, z", [(0.5, 165.0, 50.0), (0.5, 165.0, 30.0), (0.5, 171.0, -50.0)])
+    def test_terms_past_the_float_range_still_bound_the_stop(self, eta, nu, z):
+        # the terms past Gamma(171) are summed as 0, but at a small eta they
+        # keep growing past k = 17, so their true lgamma must stop the rule
+        with pytest.raises(ConvergenceError, match="did not settle in 18 terms"):
+            mittag_leffler(eta, nu, z)
+        with pytest.raises(ConvergenceError, match="did not settle in 18 terms"):
+            mittag_leffler(eta, nu, np.array([1.0, z]))
+
     def test_shape_is_kept(self):
         z = np.array([[0.0, -0.5], [0.25, 1.5]])
         got = mittag_leffler(4 / 3, 4 / 3, z)
