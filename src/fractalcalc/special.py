@@ -20,7 +20,7 @@ from .exceptions import ConvergenceError, DomainError, PoleError
 
 _LOG_HUGE = 700.0  # just under log(float max); larger series terms overflow
 _ML_MAX_TERMS = 512  # Mittag-Leffler series terms at most
-_ML_MIN_TERMS = 18  # the stopping rule's first stop sums terms 0..17
+_ML_MIN_TERMS = 18  # terms in the first stop, which checks terms 16 and 17
 _ML_Z_MAX = 50.0  # Mittag-Leffler series cap on |z|
 
 
@@ -112,9 +112,8 @@ def _series(eta: float, nu: float, tol: float) -> _Series:
     exceeds tol past the peak) stop the series. Each bound is monotone in
     |z|, so one searchsorted in their prefix maximum finds every stopping
     point. The table ends where 1/Gamma leaves the normal floats (171), but
-    keeps the terms the rule needs: each past 171 is summed as 0, its true
-    value below 50^17 / Gamma(171) ~ 2e-278, and bounded by its true lgamma
-    (inf from 1e305, where lgamma leaves the floats).
+    not before term 17; terms past 171 sum as 0 (each < 2e-278), bounded by
+    their true lgamma (inf from 1e305, where lgamma leaves the floats).
     """
     args = [a for k, a in enumerate(eta * k + nu for k in range(_ML_MAX_TERMS)) if a <= 171.0 or k < _ML_MIN_TERMS]
     coeffs = [rgamma(a) for a in args]
@@ -124,8 +123,7 @@ def _series(eta: float, nu: float, tol: float) -> _Series:
         small = np.where(np.array(args[1:]) > 0.0, np.exp((math.log(tol) + lg[1:]) / k), 0.0)
         past_peak = np.exp(lg[1:] - lg[:-1])
         over = np.exp((_LOG_HUGE + lg[1:]) / k)
-    first = _ML_MIN_TERMS - 1  # the first stopping term; small[k - 1] bounds term k
-    pair = np.fmin(np.fmin(small[first - 2 : -1], small[first - 1 :]), past_peak[first - 1 :])
+    pair = np.fmin(np.fmin(small[_ML_MIN_TERMS - 3 : -1], small[_ML_MIN_TERMS - 2 :]), past_peak[_ML_MIN_TERMS - 2 :])
     stop = np.concatenate(([0.0], np.fmax.accumulate(pair)))
     n_terms = np.concatenate(([1], np.arange(_ML_MIN_TERMS, len(args) + 1), [len(args)]))[: len(stop) + 1]
     guard = np.minimum.accumulate(np.concatenate(([math.inf], over)))
@@ -151,15 +149,14 @@ def mittag_leffler(eta: float, nu: float, z, tol: float = 1e-15):
     """Two-parameter Mittag-Leffler series, sum of z^k / Gamma(eta k + nu).
 
     The truncation is fixed from |z| before summing: the series stops at the
-    first k >= 17 (_ML_MIN_TERMS - 1) where the bounds |z|^k / |Gamma(eta k +
-    nu)| of terms k - 1 and k are both at most tol and term k is past the
-    largest term. The terms are summed by Horner's rule on a cached table
-    of 1/Gamma(eta k + nu), zero at the poles. Raises DomainError past |z| =
-    50, for eta not positive and finite, and for nu outside [-170, 171],
-    where 1/Gamma(nu) is not a normal float, and ConvergenceError when a
-    term would overflow or the stopping point lies beyond 512 terms or
-    beyond the table, so small eta with large |z| raises: E_{1/2,1/2}(z)
-    needs |z| <= 7.16.
+    first k >= 17 where the bounds |z|^k / |Gamma(eta k + nu)| of terms k - 1
+    and k are both at most tol and term k is past the largest term. The
+    terms are summed by Horner's rule on a cached table of 1/Gamma(eta k +
+    nu), zero at the poles. Raises DomainError past |z| = 50, for eta not
+    positive and finite, and for nu outside [-170, 171], where 1/Gamma(nu)
+    is not a normal float, and ConvergenceError when a term would overflow
+    or the stopping point lies beyond 512 terms or beyond the table, so
+    small eta with large |z| raises: E_{1/2,1/2}(z) needs |z| <= 7.16.
 
     tol bounds each dropped term, not the error of the value. For negative
     z the terms can be far larger than the sum, which then loses about
