@@ -43,7 +43,7 @@ _BINARY = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul,
 
 @dataclass(frozen=True)
 class ParsedExpr:
-    """Callable expression; needs a staircase only when it references S.
+    """Callable expression of x and a staircase sf, which only S(...) reads.
 
     ``x_outside_staircase``: x appears outside ``S(...)``, so the expression
     can be smooth in x but not in S(x). ``x_in_staircase_expression``: some
@@ -53,13 +53,10 @@ class ParsedExpr:
 
     source: str
     _eval: object
-    uses_staircase: bool
     x_outside_staircase: bool
     x_in_staircase_expression: bool
 
-    def __call__(self, x, sf=None) -> float:
-        if self.uses_staircase and sf is None:
-            raise ExprError("expression references S(x) but no staircase given")
+    def __call__(self, x, sf) -> float:
         return self._eval(x, sf)
 
 
@@ -84,7 +81,7 @@ def parse_expression(text: str) -> ParsedExpr:
         if depth > _MAX_DEPTH:
             raise ExprError(f"expression nests deeper than {_MAX_DEPTH} levels")
         stack.extend((child, depth + 1) for child in ast.iter_child_nodes(node))
-    seen = set()  # "S"; "x" outside S; "x in S": x in an argument of S other than x
+    seen = set()  # "x" outside S; "x in S": x in an argument of S other than x
 
     def walk(node, in_s):
         if isinstance(node, ast.BinOp) and type(node.op) in _BINARY:
@@ -105,7 +102,6 @@ def parse_expression(text: str) -> ParsedExpr:
         if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and len(node.args) == 1
                 and not node.keywords and node.func.col_offset == node.col_offset):
             if node.func.id == "S":
-                seen.add("S")
                 inner = walk(node.args[0], True)
                 if inner is _variable:
                     return lambda x, sf: sf.eval(x)
@@ -118,4 +114,4 @@ def parse_expression(text: str) -> ParsedExpr:
         raise ExprError(f"unsupported {literal.replace('**', '^')!r} in {text!r}")
 
     evaluator = walk(tree.body, False)
-    return ParsedExpr(text, evaluator, "S" in seen, "x" in seen, "x in S" in seen)
+    return ParsedExpr(text, evaluator, "x" in seen, "x in S" in seen)

@@ -129,7 +129,7 @@ def _rl_values(g, ua: float, order: float, us) -> list[float]:
     """
     if not us:
         return []
-    nodes, ends = quadrature._graded_nodes(ua, tuple(us))
+    nodes, ends = quadrature._graded_nodes(ua, us)
     try:
         vals = np.asarray(g(nodes), dtype=float)
     except (ArithmeticError, ValueError):

@@ -270,11 +270,9 @@ def _reference_mesh(cells: int) -> np.ndarray:
     return mesh
 
 
-@lru_cache(maxsize=1)
-def _graded_nodes(lo: float, his: tuple) -> tuple[np.ndarray, tuple]:
+def _graded_nodes(lo: float, his) -> tuple[np.ndarray, tuple]:
     """A grid's graded meshes, lo + (hi - lo) ref ending at hi for each hi, as
-    one read-only array (lo, then each mesh past it) and their ends; the last
-    grid is cached, as the residuals of a solve share it. ref has 256 cells
+    one array (lo, then each mesh past it) and their ends. ref has 256 cells
     per unit span, rounded down to a multiple of 4, from 32 to 4,096, in
     cells // 4 pairs a half, split at their midpoints, graded as (k/P)^3.5
     toward lo, the terminal, where g is often singular, and as (k/P)^3 toward
@@ -286,7 +284,6 @@ def _graded_nodes(lo: float, his: tuple) -> tuple[np.ndarray, tuple]:
     nodes = np.concatenate([[lo + 0.0]] + meshes)
     for end, hi in zip(ends, his):
         nodes[end - 1] = hi
-    nodes.flags.writeable = False
     return nodes, ends
 
 

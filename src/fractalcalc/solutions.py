@@ -7,9 +7,10 @@ move to the right-hand side, the sum is divided by sigma^beta - lam (a
 resolvent when lam is not 0), and the image is inverted term by term into
 staircase powers and Mittag-Leffler factors. The result is then checked the
 hard way, by applying the governing operator numerically and measuring the
-residual against the right-hand side. Variant closed forms in circulation
-for these problems are evaluated alongside and measured by the same
-residual, never assumed.
+residual against the right-hand side. A solve derives, evaluates and checks
+that solution only. The variant closed forms in circulation for these
+problems are audited on demand by `variant_audit`, on the solve's grid and
+by the same residual, never assumed.
 """
 
 from __future__ import annotations
@@ -69,14 +70,13 @@ class ExampleProblem:
 
 @dataclass
 class SolutionReport:
-    """Derived solution, its operator residual, and the variant comparison."""
+    """Derived solution on a grid, its operator residual there, and the
+    derivation: the image, its inverted terms and what it found about the data."""
 
     problem: ExampleProblem
     solution: GridFunction
     residual: GridFunction
     max_residual: float
-    variant_discrepancy: float
-    variant_max_residual: float
     transform: LaplaceExpr
     derived_terms: tuple[InverseTerm, ...]
     notes: tuple[str, ...]
@@ -248,59 +248,66 @@ def example_solution_fn(example_id: int, sf=None, lam: float = -0.5):
     return _terms_fn(terms, sf, ua)
 
 
-def _residuals(problem: ExampleProblem, terms, sf, ua: float, us, vals) -> np.ndarray:
-    """|operator(y) - lam y - rhs| / max(1, |lam y + rhs|) at each u, for y = the
-    terms with values vals on us; the operator acts on y in u, with no quantile,
-    and samples y on the meshes of all points in one call."""
-    y = lambda u: evaluate_inverse(terms, u - ua)
-    out = np.empty(len(us))
-    for i, op in enumerate(_values_u(problem.operator, y, sf, us)):
-        w = us[i] - ua
-        rhs = problem.lam * vals[i] + sum(c * w ** float(eta) for c, eta in problem.rhs_terms)
-        out[i] = abs(op - rhs) / max(1.0, abs(rhs))
-    return out
+def _on_grid(problem: ExampleProblem, terms, sf, xs, refused_reads_inf: bool = False):
+    """One term set y on the points xs, exact or float: (its values, its residuals).
+
+    The values are a GridFunction, one call on the list of u - S(terminal)
+    with the bits of the per-point calls, so a grid that is not ascending or
+    values that are not finite are refused first. The residual at each u is
+    |operator(y) - lam y - rhs| / max(1, |lam y + rhs|); the operator acts on
+    y in u, with no quantile, and samples y on the meshes of all points in one
+    call. When refused_reads_inf, a residual pass that raises (an operator
+    image that diverges) reads as one inf residual.
+    """
+    xs_float = np.array([float(x) for x in xs])
+    ua = sf.eval(problem.operator.terminal)
+    us = [sf.eval(x) for x in xs]
+    y = GridFunction(xs_float, evaluate_inverse(terms, [u - ua for u in us]))
+    residuals = np.empty(len(us))
+    try:
+        ops = _values_u(problem.operator, lambda u: evaluate_inverse(terms, u - ua), sf, us)
+        for i, op in enumerate(ops):
+            w = us[i] - ua
+            rhs = problem.lam * y.values[i] + sum(c * w ** float(eta) for c, eta in problem.rhs_terms)
+            residuals[i] = abs(op - rhs) / max(1.0, abs(rhs))
+    except (ArithmeticError, ValueError, RuntimeError):
+        if not refused_reads_inf:
+            raise
+        residuals = np.array([math.inf])
+    return y, residuals
 
 
-def solve_example(
-    example_id: int,
-    sf=None,
-    lam: float = -0.5,
-    grid=None,
-) -> SolutionReport:
-    """Derive, evaluate, and residual-check one example problem."""
+def solve_example(example_id: int, sf=None, lam: float = -0.5, grid=None) -> SolutionReport:
+    """Derive, evaluate, and residual-check one example problem on grid (the
+    default grid when None)."""
     if sf is None:
         sf = StaircaseFn()
     problem, image, notes, terms, ua = _derived(example_id, sf, lam)
     xs = list(grid if grid is not None else default_grid(example_id, sf))
-    # The grid values of each term set are one call on a list, with the bits
-    # of the per-point calls.
-    xs_float = np.array([float(x) for x in xs])
-    us = [sf.eval(x) for x in xs]
-    ws = [u - ua for u in us]
-    sol_vals = evaluate_inverse(terms, ws)
-    solution = GridFunction(xs_float, sol_vals)
-    res_vals = _residuals(problem, terms, sf, ua, us, sol_vals)
-
-    variant_terms, variant_note = _variant_terms(problem)
-    var_vals = evaluate_inverse(variant_terms, ws)
-    try:
-        variant_residuals = _residuals(problem, variant_terms, sf, ua, us, var_vals)
-        variant_max_residual = float(np.max(variant_residuals))
-    except (ArithmeticError, ValueError, RuntimeError):
-        variant_max_residual = math.inf
-
+    solution, res_vals = _on_grid(problem, terms, sf, xs)
     return SolutionReport(
         problem=problem,
         solution=solution,
-        residual=GridFunction(xs_float, res_vals),
+        residual=GridFunction(solution.xs, res_vals),
         max_residual=float(np.max(res_vals)),
-        variant_discrepancy=float(np.max(np.abs(var_vals - sol_vals))),
-        variant_max_residual=variant_max_residual,
         transform=image,
         derived_terms=terms,
-        notes=notes + (variant_note,),
+        notes=notes,
         solution_fn=_terms_fn(terms, sf, ua),
     )
+
+
+def variant_audit(report: SolutionReport, sf, grid=None) -> tuple[float, float, str]:
+    """(largest deviation from the derived solution, largest residual, note) of
+    the variant closed form of the report's problem; the residual is inf when
+    its pass raises. sf and grid must be those of the solve (None: the default
+    grid): the floats of report.solution.xs are not the exact points, and S of
+    a rounded quantile is not the u the solve took."""
+    terms, note = _variant_terms(report.problem)
+    xs = grid if grid is not None else default_grid(report.problem.example_id, sf)
+    variant, residuals = _on_grid(report.problem, terms, sf, xs, refused_reads_inf=True)
+    deviation = float(np.max(np.abs(variant.values - report.solution.values)))
+    return deviation, float(np.max(residuals)), note
 
 
 def gap_plateau_spread(report: SolutionReport) -> float:

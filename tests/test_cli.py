@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, CSV bytes, SVG output, env config."""
 
 import contextlib
+import hashlib
 import io
 import math
 import shlex
@@ -11,6 +12,7 @@ import pytest
 
 from fractalcalc import DomainError, StaircaseFn, cli, mittag_leffler
 from fractalcalc.exprgrammar import ExprError, parse_expression
+from fractalcalc.verify import check_examples
 
 
 def run_cli(argv):
@@ -109,6 +111,37 @@ class TestBasicCommands:
         assert out.splitlines()[0] == "x,solution,residual"
         assert len(out.splitlines()) == 5
         assert "max residual" in err
+
+    # SHA-256 of stdout and then stderr, recorded before the variant audit
+    # moved out of the solve, with the residual column cut from the CSV: its
+    # trailing digits follow numpy's SIMD kernels (example 4's 5.865e-8 reads
+    # 6.072e-8 with the AVX-512 kernels off), and TestRecordedReports in
+    # test_solutions pins the residuals
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [(["solve", "--example", "1"], "a0be4ceecfcc216f8ec447e8e9e09670b16448f3c7da161a737fe89b553f5c64"),
+         (["solve", "--example", "2"], "0431a5c357b075401437292d4061654ae7721767a8fbad944ee7f3b9e64d273f"),
+         (["solve", "--example", "3"], "6c4f9fd5ef2f8e0d4e944ce1e8f3311a1e1e31705e7ea66f1144f98a8443029b"),
+         (["solve", "--example", "4"], "0f6acfc0214286af898fbb19c3757e9ea3b7034f28dff78b5d92d75b03bc4880"),
+         (["solve", "--example", "4", "--lam", "-40"],
+          "de5bc6e21ae1a7f85e1e7cf1b6de6f8f7e5dea24ae704ae22388bd5f154c0e80")],
+        ids=["1", "2", "3", "4", "4-lam-40"],
+    )
+    def test_solve_prints_its_pinned_variant_audit(self, argv, digest):
+        code, out, err = run_cli(argv)
+        kept = "".join(line.rsplit(",", 1)[0] + "\n" for line in out.splitlines())
+        assert code == 0 and hashlib.sha256((kept + err).encode()).hexdigest() == digest
+
+    def test_verify_prints_its_pinned_variant_audit(self):
+        assert check_examples().details == (
+            "example 1: residual 5.714e-08, variant deviation 1.967e+00, variant residual inf",
+            "example 2: residual 1.083e-07, variant deviation 0.000e+00, variant residual 1.083e-07",
+            "example 3: residual 2.387e-06, variant deviation 5.437e+00, variant residual 2.000e+00",
+            "example 4: residual 1.879e-06, variant deviation 2.077e+00, variant residual 1.287e+01",
+            "example 4 basis: coeff 2 * S^(10/3) * E_(4/3,13/3), coeff 1 * S^(1/3) * E_(4/3,4/3), "
+            "coeff 0 * S^(-1/6) * E_(4/3,5/6)",
+            "gap plateau spread: 0.000e+00",
+        )
 
     def test_csv_uses_lf_and_repr(self, tmp_path):
         target = tmp_path / "out.csv"
@@ -397,5 +430,5 @@ class TestGrammar:
     def test_complex_power_is_a_domain_error(self):
         expr = parse_expression("(x - 2)^0.5")
         with pytest.raises(DomainError, match="negative base"):
-            expr(0.5)
-        assert parse_expression("(x - 2)^2")(0.5) == 2.25
+            expr(0.5, StaircaseFn())
+        assert parse_expression("(x - 2)^2")(0.5, StaircaseFn()) == 2.25

@@ -10,8 +10,8 @@ known miss, so a row that wants an exception fails through a plain assert.
 The unmarked rows are mended cases, kept so that they stay mended.
 
 The truths never come from the code under test: the closed power rules,
-closed integrals, an 80-digit `mpmath` series, and a bracket of the quantile
-on dyadic cells.
+closed integrals, an 80-digit `mpmath` series, a bracket of the quantile on
+dyadic cells, and the F-derivative 0 of a function differentiable in x.
 """
 
 import contextlib
@@ -36,6 +36,7 @@ from fractalcalc import (
     beta_fractal_quadrature,
     caputo_derivative,
     cli,
+    f_alpha_derivative,
     f_alpha_integral,
     mittag_leffler,
     power_rule_derivative,
@@ -149,6 +150,15 @@ def test_mittag_leffler_at_negative_z(eta, nu, z):
     _right_or_refused(lambda: mittag_leffler(eta, nu, z), truth, _ML_GATE * max(1.0, abs(truth)))
 
 
+@_census(15)
+@pytest.mark.parametrize("eta, nu, z", [(1.0, 30.0, 50.0), (1.0, 20.0, 30.0), (0.5, 20.0, 5.0)])
+def test_mittag_leffler_at_a_large_nu(eta, nu, z):
+    # relative to the value: every term here lies far below 1, where the
+    # ml gate times max(1, |truth|) is absolute and would pass any of them
+    truth = _ml_truth(eta, nu, z)
+    _right_or_refused(lambda: mittag_leffler(eta, nu, z), truth, 1e-12 * abs(truth))
+
+
 @_census(11)
 @pytest.mark.parametrize(
     "beta", [beta_fractal, beta_fractal_quadrature], ids=["closed", "quadrature"]
@@ -211,6 +221,20 @@ def test_rl_derivative_of_a_function_smooth_in_x(sf):
     # x^2 conjugated jumps at every dyadic u; past order log2(3) the finite part does not exist
     spec = OperatorSpec(OperatorKind.RL_DERIVATIVE, 1.7, 0.0)
     _refused(lambda: rl_derivative(spec, lambda t: float(t) ** 2, sf, 0.9))
+
+
+@_census(12)
+@pytest.mark.parametrize(
+    "f, x",
+    [(lambda x: float(x), Fraction(1, 3)), (lambda x: float(x), Fraction(1, 4)),
+     (lambda x: float(x) ** 2, Fraction(3, 4))],
+    ids=["x-at-1/3", "x-at-1/4", "x2-at-3/4"],
+)
+def test_f_alpha_derivative_of_a_function_smooth_in_x(sf, f, x):
+    # along the set |y - x| falls like |S(y) - S(x)|^(log2(3)), so the
+    # F-limit of the quotient is 0; at the gap's left end 1/3, y comes from
+    # the left alone
+    _right_or_refused(lambda: f_alpha_derivative(f, sf, x), 0.0, 1e-8)
 
 
 def _half_integral_of_x2_bracket(u, n):

@@ -1,4 +1,4 @@
-"""Worked equation reproductions: transforms, residuals, variants."""
+"""Worked equation reproductions: transforms, residuals, the variant audit."""
 
 import dataclasses
 import hashlib
@@ -22,7 +22,7 @@ from fractalcalc import (
 )
 from fractalcalc.laplace import _as_power, _slot_orders, transform_caputo, transform_rl_derivative
 from fractalcalc import solutions
-from fractalcalc.solutions import _derive_transform, default_grid
+from fractalcalc.solutions import _derive_transform, default_grid, variant_audit
 
 
 @pytest.fixture(scope="module")
@@ -128,21 +128,25 @@ class TestResiduals:
         for rep in reports.values():
             assert len(rep.residual) == len(rep.solution)
 
-    def test_notes_present(self, reports):
-        for k in (1, 3, 4):
-            assert reports[k].notes, f"example {k} should report discrepancies"
+    def test_notes_present(self, sf, reports):
+        # the derivation notes its data in examples 1, 2 and 4; each variant
+        # audit notes what the printed form gets wrong or right
+        assert [k for k, rep in reports.items() if rep.notes] == [1, 2, 4]
+        for k, rep in reports.items():
+            assert variant_audit(rep, sf)[2], f"example {k} should report on its variant"
 
-    def test_variant_behavior(self, reports):
-        # example 2: the printed form matches the derivation exactly
-        assert reports[2].variant_discrepancy == 0.0
-        assert reports[2].variant_max_residual == reports[2].max_residual
+    def test_variant_behavior(self, sf, reports):
+        audits = {k: variant_audit(rep, sf) for k, rep in reports.items()}
+        # example 2: the printed form matches the derivation exactly, on the
+        # exact grid points the solve took S of
+        assert audits[2][:2] == (0.0, reports[2].max_residual)
         # example 1: printed form carries a divergent S^(-1/2) term
-        assert reports[1].variant_discrepancy > 1.0
-        assert math.isinf(reports[1].variant_max_residual)
+        assert audits[1][0] > 1.0
+        assert math.isinf(audits[1][1])
         # example 3: printed sign flips the resolvent argument
-        assert reports[3].variant_max_residual > 1.0
+        assert audits[3][1] > 1.0
         # example 4: printed coefficient and power do not satisfy the equation
-        assert reports[4].variant_max_residual > 1.0
+        assert audits[4][1] > 1.0
 
     def test_derived_term_structure_example4(self, reports):
         triples = sorted(
@@ -161,9 +165,10 @@ class TestResiduals:
         assert coeffs[Fraction(10, 3)] == pytest.approx(2.0)
 
     def test_each_term_set_is_sampled_once_for_its_residuals(self, sf, monkeypatch):
-        # example 3 is an RL derivative, with no Taylor head: its 25 residuals
-        # and the variant's 25 sample their terms in one array call each; the
-        # grid values are one list call each
+        # example 3 is an RL derivative, with no Taylor head: a solve samples
+        # only the derived terms, its 25 residuals in one array call and the
+        # grid values in one list call; the variant's audit does the same for
+        # its own terms
         calls = []
         evaluate_inverse = solutions.evaluate_inverse
 
@@ -174,8 +179,11 @@ class TestResiduals:
         monkeypatch.setattr(solutions, "evaluate_inverse", counted)
         rep = solve_example(3, sf)
         assert len(rep.residual) == 25
-        derived, variant = rep.derived_terms, solutions._variant_terms(rep.problem)[0]
-        assert calls == [(derived, "list"), (derived, "ndarray"), (variant, "list"), (variant, "ndarray")]
+        assert calls == [(rep.derived_terms, "list"), (rep.derived_terms, "ndarray")]
+        calls.clear()
+        variant_audit(rep, sf)
+        variant = solutions._variant_terms(rep.problem)[0]
+        assert calls == [(variant, "list"), (variant, "ndarray")]
 
     def test_gap_plateau_is_flat(self, reports):
         for rep in reports.values():
@@ -250,7 +258,7 @@ class TestRecordedReports:
         assert _digest(packed) == values_digest
         derivation = _derive_transform(example_problem(example_id))
         assert _digest(repr(derivation).encode()) == derivation_digest
-        assert derivation == (rep.transform, rep.notes[:-1])
+        assert derivation == (rep.transform, rep.notes)
 
-    def test_example1_variant_stays_rejected(self, reports):
-        assert reports[1].variant_max_residual == math.inf
+    def test_example1_variant_stays_rejected(self, sf, reports):
+        assert variant_audit(reports[1], sf)[1] == math.inf
