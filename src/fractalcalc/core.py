@@ -52,7 +52,8 @@ class ConjugatedFn:
     """f seen in the staircase coordinate: evaluates f(quantile(u)).
 
     A float array of u, its only argument, takes its quantiles in one batch
-    (``sf.quantiles_exact``), and f, being opaque, is called once per
+    (``sf.quantiles_exact``), all built from a few whole-array operations
+    before f is first called; f, being opaque, is then called once per
     element on that element's exact quantile.  An integrand built on S(x),
     such as ``lambda x: sf.eval(x) ** eta``, reads no staircase digits: each
     quantile carries its own staircase value, and ``sf.eval`` of it is one

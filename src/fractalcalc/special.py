@@ -153,10 +153,11 @@ def mittag_leffler(eta: float, nu: float, z, tol: float = 1e-15):
     and k are both at most tol and term k is past the largest term. The
     terms are summed by Horner's rule on a cached table of 1/Gamma(eta k +
     nu), zero at the poles. Raises DomainError past |z| = 50, for eta not
-    positive and finite, and for nu outside [-170, 171], where 1/Gamma(nu)
-    is not a normal float, and ConvergenceError when a term would overflow
-    or the stopping point lies beyond 512 terms or beyond the table, so
-    small eta with large |z| raises: E_{1/2,1/2}(z) needs |z| <= 7.16.
+    positive and finite, for tol not positive, and for nu outside [-170,
+    171], where 1/Gamma(nu) is not a normal float, and ConvergenceError when
+    a term would overflow or the stopping point lies beyond 512 terms or
+    beyond the table, so small eta with large |z| raises: E_{1/2,1/2}(z)
+    needs |z| <= 7.16.
 
     tol bounds each dropped term, not the error of the value. For negative
     z the terms can be far larger than the sum, which then loses about
@@ -170,7 +171,7 @@ def mittag_leffler(eta: float, nu: float, z, tol: float = 1e-15):
     if not (0.0 < eta < math.inf and -170.0 <= nu <= 171.0):
         raise DomainError(f"need finite eta > 0 and -170 <= nu <= 171, got eta={eta!r}, nu={nu!r}")
     if not tol > 0.0:
-        raise DomainError("invalid series controls")
+        raise DomainError(f"tol must be positive, got {tol!r}")
     series = _series(float(eta), float(nu), float(tol))
     if np.ndim(z) == 0:
         z = float(z)

@@ -39,13 +39,18 @@ reads no digits, and instances share nothing.  A copy, a deep copy or an
 unpickled quantile is a plain ``Fraction``.
 
 ``quantiles_exact`` takes the quantiles of a whole float64 array in one
-batch, for digit depths up to 62: ``whole = floor(|u|)``, ``bits =
-floor(frac * 2**depth)``, which fits int64, and the carried floats, u
-truncated to ``depth`` binary digits, are all exact in float64.  A result
-carries only its staircase value; the first read of its numerator or
-denominator builds both, by the scalar call's helper, and writes them to
-its own slots: threads racing on it write the same values.  Deeper digits,
-and other dtypes, go through the scalar call.
+batch, for digit depths up to 62, and builds every result before it
+returns.  The signed scaled value is ``s = trunc(u * 2**depth)``: scaling by
+a power of two is exact, and so is its integer part, which an int64 holds
+while |u| < 2**(63 - depth).  An array with a larger element, or a
+non-finite one, joins each ``s`` from the whole part of u and the ``depth``
+bits of the rest as Python ints, so no finite element takes the scalar
+call.  The carried floats ``s / 2**depth``, u truncated to ``depth`` binary
+digits, are exact in float64.  A result carries only its staircase value;
+the first read of its numerator or denominator builds both, by the scalar
+call's helper, and writes them to its own slots: threads racing on it write
+the same values.  Deeper digits, and other dtypes, go through the scalar
+call.
 
 No result is reduced by a gcd.  The quantile's scaled value
 ``whole * 3**depth + Q(bits)`` is divisible by exactly 3**t, where t is the
@@ -68,6 +73,7 @@ import numbers
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -308,36 +314,37 @@ class StaircaseFn:
         return x
 
     def quantiles_exact(self, u):
-        """Yield ``quantile_exact(v)`` for each v of the 1-D array u, in order.
+        """An iterator of ``quantile_exact(v)`` for each v of the 1-D array u, in order.
 
-        A float64 array at digit depth up to 62 is split in one batch, with
-        the scalar call's bits; each result builds its numerator and
-        denominator when first read, so ``sf.eval(x)`` alone never does.  An
-        element the scalar call refuses raises the scalar call's error once
-        the elements before it are consumed.  Any other dtype or depth goes
-        through the scalar call.
+        A float64 array at digit depth up to 62 is built in one batch before
+        the call returns, with the scalar call's bits; each result builds its
+        numerator and denominator when first read, so ``sf.eval(x)`` alone
+        never does.  An element the scalar call refuses raises the scalar
+        call's error once the elements before it are consumed.  Any other
+        dtype or depth goes through the scalar call.
         """
-        depth = self.spec.digit_depth
+        depth, scale = self.spec.digit_depth, 2.0**-self.spec.digit_depth
         if u.dtype != np.float64 or depth > _BATCH_DEPTH:
-            yield from map(self.quantile_exact, u.tolist())
-            return
-        ok = np.isfinite(u)
-        n = len(u) if ok.all() else int(ok.argmin())
-        a = np.abs(u[:n])
-        whole = np.floor(a)
-        fbits = np.trunc(np.ldexp(a - whole, depth))
-        # |u| truncated to depth binary digits is a float: this sum is exact;
-        # 0.0 - v, not -v: S of -5e-324 is +0.0, as s = 0 gives
-        values = whole + np.ldexp(fbits, -depth)
-        values = np.where(u[:n] < 0, 0.0 - values, values)
-        new = object.__new__
-        for w, b, v in zip(whole.tolist(), fbits.astype(np.int64).tolist(), values.tolist()):
-            s = (int(w) << depth) + b
-            x = new(_Quantile)
-            x._depth, x._s, x._value = depth, -s if v < 0.0 else s, v
-            yield x
-        if n < len(u):
-            self.quantile_exact(u[n].item())  # raises the scalar call's error
+            return map(self.quantile_exact, u.tolist())
+        n = len(u)
+        # s = trunc(u * 2**depth) fits an int64 (the cast truncates); a nan fails this test
+        if n and abs(u).max() < 2.0 ** (63 - depth):
+            bits = (u * 2.0**depth).astype(np.int64)
+            # floats of the int bits: s = 0 gives +0.0, as the scalar call does for -5e-324
+            ss, values = bits.tolist(), (bits * scale).tolist()
+        else:  # the batch stops at the first non-finite u, which the scalar call refuses
+            ok = np.isfinite(u)
+            n = n if ok.all() else int(ok.argmin())
+            whole = np.trunc(u[:n])
+            bits = ((u[:n] - whole) * 2.0**depth).astype(np.int64)
+            ss = [(int(w) << depth) + b for w, b in zip(whole.tolist(), bits.tolist())]
+            values = (whole + bits * scale).tolist()
+        xs = list(map(object.__new__, repeat(_Quantile, n)))
+        for x, s, v in zip(xs, ss, values):
+            x._depth, x._s, x._value = depth, s, v
+        if n == len(u):
+            return iter(xs)
+        return chain(xs, map(self.quantile_exact, u[n : n + 1].tolist()))
 
     # -- membership --------------------------------------------------------
 
@@ -366,7 +373,7 @@ class IdentityMap:
         return float(u)
 
     def quantiles_exact(self, u):
-        yield from map(float, u.tolist())
+        return map(float, u.tolist())
 
     def membership(self, x) -> bool:
         return True

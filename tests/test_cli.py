@@ -206,6 +206,9 @@ _REFUSALS = {
                                 f"error: integrand raised at the terminal: {_DIVIDES_BY_ZERO}\n"),
     "solution-before-terminal": ("solve --example 1 --grid -0.5 0.5 2", 1,
                                  "error: evaluation point precedes the left terminal\n"),
+    # a tol that is not positive is named as such, not as a tail bound past it
+    **{f"{c}-tol-{t}": (f"{c} --tol {t}", 1, f"error: tol must be positive, got {float(t)!r}\n")
+       for c, t in [("laplace", "-1"), ("laplace", "nan"), ("ml", "0")]},
     "tail-past-truncation": ("laplace --f sin(pi*S(x)/40)^2*exp(0.99*S(x)) --grid 1 1 1", 1,
                              "error: tail bound 4.374e-03 at truncation u=40.0 exceeds tol=1e-09\n"),
     # 990 links passed the walk and overflowed Python's stack in evaluation,

@@ -471,6 +471,14 @@ batch_floats = st.one_of(
 batch_depths = st.sampled_from([1, 10, 53, 62, 63, 80])
 
 
+def _batch_edges(depth: int) -> list[float]:
+    """Floats on either side of where the scaled value leaves an int64 and
+    where scaling by 2**depth would overflow, the extremes, and signed zeros."""
+    edges = [2.0 ** (62 - depth), 2.0 ** (63 - depth)]
+    mags = [v for e in edges for v in (math.nextafter(e, 0.0), e)] + [2.0 ** (1023 - depth), 1.7e308, 5e-324]
+    return [v for m in mags for v in (m, -m)] + [0.0, -0.0]
+
+
 class TestBatchQuantile:
     """``quantiles_exact`` is the scalar loop, result for result and carried value for carried value."""
 
@@ -512,6 +520,36 @@ class TestBatchQuantile:
             assert len(calls) == 2
             assert _same_bits(fast, slow)
             assert _same_parts(fast_exact, slow_exact, Fraction)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("depth", [1, 53, 62])
+    def test_edges_match_the_scalar_loop(self, depth):
+        # all in one batch, which takes the largest value's way, and each alone
+        sf = StaircaseFn(CantorSpec(depth))
+        values = _batch_edges(depth)
+        for batch in [values] + [[v] for v in values]:
+            for x, v in zip(sf.quantiles_exact(np.array(batch)), batch, strict=True):
+                want = sf.quantile_exact(v)
+                assert _same_parts(x, want)
+                assert type(x._s) is int and x._s == want._s
+                assert _same_bits(x._value, want._value)
+
+    @pytest.mark.parametrize("depth", [1, 53, 62])
+    def test_a_finite_batch_never_takes_the_scalar_call(self, monkeypatch, depth):
+        calls = []
+        scalar = StaircaseFn.quantile_exact
+
+        def counted(self, u):
+            calls.append(u)
+            return scalar(self, u)
+
+        monkeypatch.setattr(StaircaseFn, "quantile_exact", counted)
+        sf = StaircaseFn(CantorSpec(depth))
+        mags = np.geomspace(5e-324, 1.7e308, 400)
+        values = np.concatenate([mags, -mags, _batch_edges(depth)])
+        assert len(list(sf.quantiles_exact(values))) == len(values)
+        assert all(len(list(sf.quantiles_exact(values[i : i + 1]))) == 1 for i in range(len(values)))
+        assert not calls
 
     @pytest.mark.parametrize("dtype", [np.int64, np.float32, np.float16])
     def test_other_dtypes_take_the_scalar_call(self, sf, dtype):
