@@ -64,7 +64,6 @@ from .solutions import (
     ExampleProblem,
     InitialDatum,
     SolutionReport,
-    alpha_one_degeneration,
     example_problem,
     example_solution_fn,
     gap_plateau_spread,
@@ -94,7 +93,6 @@ __all__ = [
     "SolutionReport",
     "StaircaseFn",
     "TailBoundError",
-    "alpha_one_degeneration",
     "beta_fractal",
     "beta_fractal_quadrature",
     "caputo_derivative",

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from .special import gamma_classical, gamma_fractal
 from .nonlocal_ops import power_rule_derivative, power_rule_integral
 from .solutions import example_solution_fn
-from .staircase import CantorSpec, IdentityMap, StaircaseFn, prefractal_intervals
+from .staircase import CantorSpec, IdentityMap, StaircaseFn, _check_prefractal_depth, prefractal_intervals
 from .svg import Series, render_svg
 
 
@@ -124,6 +124,9 @@ def _fig67(cantor: bool) -> FigureData:
 
 
 def build_figures(depth: int = 4) -> list[FigureData]:
+    """The seven figures, fig1 drawn to prefractal depth `depth`; a depth
+    outside 0..20 is refused before any figure is built."""
+    _check_prefractal_depth(depth)
     return [
         _fig1(depth),
         _fig2(),
@@ -137,12 +140,14 @@ def build_figures(depth: int = 4) -> list[FigureData]:
 
 def write_figures(outdir, fmt: str = "csv", depth: int = 4) -> list[str]:
     """Write the figures' CSV files, or with fmt "svg" their plots, into
-    outdir; returns the written paths."""
+    outdir; returns the written paths. The figures are built before outdir
+    is made, so a refused depth writes nothing."""
     import os
 
+    figures = build_figures(depth)
     os.makedirs(outdir, exist_ok=True)
     written: list[str] = []
-    for fig in build_figures(depth):
+    for fig in figures:
         if fmt == "svg":
             files = ((f"{fig.name}.svg", fig.svg_text),)
         else:

@@ -247,10 +247,10 @@ def laplace_numeric(f, sf, sigma: float, tol: float = 1e-9) -> float:
     nodes on [0.9 upper, upper] (one call of g), so a g that vanishes at
     upper but not before it is still seen; if that heuristic bound exceeds tol
     and tol times |the integral over [0, upper]|, the transform refuses.
-    A sigma or tol that is not positive raises DomainError.
+    A sigma or tol that is not positive (nan included) raises DomainError.
     """
     sigma = float(sigma)
-    if sigma <= 0.0:
+    if not sigma > 0.0:
         raise DomainError(f"transform needs sigma > 0, got {sigma!r}")
     if not tol > 0.0:
         raise DomainError(f"tol must be positive, got {tol!r}")

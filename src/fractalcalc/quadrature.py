@@ -1,25 +1,25 @@
 """Quadrature kernels used by the conjugated integrals.
 
-Composite Gauss-Legendre panels aligned to unit intervals serve only the
-classical oracle of `solutions`. Smooth, endpoint-singular and exponentially
-decaying integrands go through tanh-sinh, whose nodes never touch the
-endpoints. Convolution kernels (X - v)^mu are integrated by a product rule:
-the integrand is interpolated quadratically on each pair of cells of a
-graded mesh and the kernel moments against each interpolant are taken
-exactly. For mu in (-3, -1) the integral is a Hadamard finite part, which
-the rule takes by dropping the divergent power at the anchor; that is how
-`nonlocal_ops` evaluates fractional derivatives. Moments are in closed form
-on pairs close to the anchor and by an 8-point Gauss rule on pairs far from
-it, where the closed form's differences of nearly equal powers would cancel.
+Composite Gauss-Legendre panels aligned to unit intervals have no caller in
+the library; they stay because perfbench's tracer looks `gauss_composite` up
+by name. Smooth, endpoint-singular and exponentially decaying integrands go
+through tanh-sinh, whose nodes never touch the endpoints. Convolution
+kernels (X - v)^mu are integrated by a product rule: the integrand is
+interpolated quadratically on each pair of cells of a graded mesh and the
+kernel moments against each interpolant are taken exactly. For mu in
+(-3, -1) the integral is a Hadamard finite part, which the rule takes by
+dropping the divergent power at the anchor; that is how `nonlocal_ops`
+evaluates fractional derivatives. Moments are in closed form on pairs close
+to the anchor and by an 8-point Gauss rule on pairs far from it, where the
+closed form's differences of nearly equal powers would cancel.
 `_graded_nodes` sizes a grid's meshes by their spans; each is an affine
 image of a reference mesh that depends only on its cell count, so
 `product_integrate` weights it by cached reference weights times
-span^(mu + 1), one mesh at a time. An
-integrand that blows up at the terminal, the lower end, is met by
-subtracting a fitted power whose integral is exact, and raises when no such
-power fits. The product rule has a single kernel anchor, each mesh's last
-node; a kernel singular at the lower end is reached by reflecting the
-integrand (see `nonlocal_ops`).
+span^(mu + 1), one mesh at a time. An integrand that blows up at the
+terminal, the lower end, is met by subtracting a fitted power whose integral
+is exact, and raises when no such power fits. The product rule has a single
+kernel anchor, each mesh's last node; a kernel singular at the lower end is
+reached by reflecting the integrand (see `nonlocal_ops`).
 
 Integrand protocol: an integrand g takes a 1-D float ndarray of u and returns
 a float ndarray of the same shape; no kernel calls g on a bare float.
@@ -66,7 +66,8 @@ def gauss_composite(g, lo: float, hi: float, nodes: int = 64) -> float:
     """Composite Gauss-Legendre over unit-aligned panels, `nodes` points each.
 
     The nodes of every panel go to g in one call; the panel sums are then
-    added in panel order.
+    added in panel order. No library code calls it: it stays for perfbench's
+    tracer, which patches it by name.
     """
     if hi == lo:
         return 0.0

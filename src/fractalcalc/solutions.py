@@ -21,7 +21,6 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import quadrature
 from .core import GridFunction
 from .exceptions import DomainError
 from .laplace import (
@@ -38,7 +37,9 @@ from .laplace import (
     transform_rl_derivative,
 )
 from .nonlocal_ops import OperatorKind, OperatorSpec, _values_u
-from .special import mittag_leffler, ml_half_half_closed, rgamma
+# mittag_leffler is not called here; it stays imported because perfbench's
+# tracer looks `solutions.mittag_leffler` up by name
+from .special import mittag_leffler, rgamma  # noqa: F401
 from .staircase import StaircaseFn
 
 
@@ -321,44 +322,3 @@ def gap_plateau_spread(report: SolutionReport) -> float:
     pts = [lo + Fraction(k + 1, 18) for k in range(5)]
     vals = [report.solution_fn(p) for p in pts]
     return max(vals) - min(vals)
-
-
-def _classical_oracle(example_id: int, xs, lam: float):
-    """Classical solutions for the identity-map limit, built independently.
-
-    The first three use textbook closed forms (error function form for the
-    half-order resolvent); the fourth uses variation of parameters, with the
-    forcing convolved against the resolvent kernel by direct quadrature.
-    """
-    xs = [float(x) for x in xs]
-    if example_id == 1:
-        return [1.0 + (4.0 / math.sqrt(math.pi)) * math.sqrt(x) for x in xs]
-    if example_id == 2:
-        return [-(4.0 / (3.0 * math.sqrt(math.pi))) * (x - 1.0) ** 1.5 for x in xs]
-    if example_id == 3:
-        return [ml_half_half_closed(math.sqrt(x)) / math.sqrt(x) for x in xs]
-    if example_id == 4:
-        beta = 4.0 / 3.0
-
-        def kernel(t: float) -> float:
-            return t ** (beta - 1.0) * mittag_leffler(beta, beta, lam * t ** beta)
-
-        out = []
-        for x in xs:
-            homogeneous = kernel(x)
-            forced = quadrature.gauss_composite(
-                lambda t: kernel(x - t) * t * t, 0.0, x, nodes=96
-            )
-            out.append(homogeneous + forced)
-        return out
-    raise DomainError(f"example id must be 1..4, got {example_id!r}")
-
-
-def alpha_one_degeneration(example_id: int) -> float:
-    """Max deviation from the classical solution when the map is identity,
-    on the default grid (example 4 at lam = -0.5)."""
-    from .staircase import IdentityMap
-
-    report = solve_example(example_id, sf=IdentityMap())
-    oracle = _classical_oracle(example_id, report.solution.xs, report.problem.lam)
-    return float(np.max(np.abs(report.solution.values - np.asarray(oracle))))

@@ -379,10 +379,14 @@ class IdentityMap:
         return True
 
 
-def prefractal_intervals(depth: int) -> list[tuple[Fraction, Fraction]]:
-    """Closed intervals of the depth-th prefractal iterate, left to right."""
+def _check_prefractal_depth(depth) -> None:
     if not isinstance(depth, int) or depth < 0 or depth > 20:
         raise DomainError(f"prefractal depth must be an integer in [0, 20], got {depth!r}")
+
+
+def prefractal_intervals(depth: int) -> list[tuple[Fraction, Fraction]]:
+    """Closed intervals of the depth-th prefractal iterate, left to right."""
+    _check_prefractal_depth(depth)
     intervals = [(Fraction(0), Fraction(1))]
     for _ in range(depth):
         nxt = []

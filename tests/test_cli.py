@@ -284,6 +284,14 @@ class TestExitCodes:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert target.read_text() == "kept\n"
 
+    @pytest.mark.parametrize("depth", ["-1", "21"])
+    def test_figures_at_a_depth_outside_0_to_20_writes_nothing(self, tmp_path, depth):
+        target = tmp_path / "figs"
+        code, out, err = run_cli(["figures", "--depth", depth, "--output", str(target)])
+        assert (code, out) == (1, "")
+        assert err == f"error: prefractal depth must be an integer in [0, 20], got {depth}\n"
+        assert not target.exists()
+
 
 class TestFigures:
     def test_svg_output(self, tmp_path):

@@ -257,8 +257,11 @@ class TestNumericTransform:
             assert got == pytest.approx(want, rel=1e-9)
 
     def test_sigma_validation(self, sf):
-        with pytest.raises(DomainError):
-            laplace_numeric(lambda x: 1.0, sf, 0.0)
+        # a nan sigma too, on either map, before any tail bound or node
+        for fmap in (IdentityMap(), sf):
+            for sigma in (0.0, math.nan):
+                with pytest.raises(DomainError, match=rf"^transform needs sigma > 0, got {sigma!r}$"):
+                    laplace_numeric(fmap.eval, fmap, sigma)
 
     def test_tail_bound_guard(self, sf):
         with pytest.raises(TailBoundError):
