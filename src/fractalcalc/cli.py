@@ -163,13 +163,12 @@ def run(args: argparse.Namespace) -> int:
     if args.command == "solve":
         from .solutions import solve_example, variant_audit
 
-        sf = _staircase_for(args)
         grid = None
         if args.grid is not None:
             grid = [float(x) for x in np.linspace(*args.grid)]
-        report = solve_example(args.example, sf=sf, lam=args.lam, grid=grid)
+        report = solve_example(args.example, sf=_staircase_for(args), lam=args.lam, grid=grid)
         # audited before any output, so that a refusal prints nothing else
-        deviation, variant_residual, variant_note = variant_audit(report, sf, grid)
+        deviation, variant_residual, variant_note = variant_audit(report)
         header = ("x", "solution", "residual")
         rows = list(zip(report.solution.xs, report.solution.values, report.residual.values))
         _emit(args, header, rows, f"example {args.example}")
@@ -233,9 +232,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# the most points a --grid may ask for; far past it np.linspace fails with
+# numpy's own error, and each point of an operator command has its own mesh
+_MAX_GRID_COUNT = 10**7
+
+
 def _normalise(args: argparse.Namespace) -> None:
     """Fill tol from FRACTAL_CALC_TOL when unset; check the grid's bounds,
-    whose difference must be finite for ``np.linspace``, and round its COUNT."""
+    whose difference must be finite for ``np.linspace``, and its COUNT, which
+    must be a positive integer of at most _MAX_GRID_COUNT, and round it."""
     if args.tol is None:
         env = os.environ.get("FRACTAL_CALC_TOL")
         if env is not None:
@@ -249,6 +254,8 @@ def _normalise(args: argparse.Namespace) -> None:
             raise ExprError(f"grid COUNT must be a positive integer, got {count!r}")
         if not math.isfinite(stop - start):
             raise ExprError(f"grid bounds and their difference must be finite, got {start!r} and {stop!r}")
+        if count > _MAX_GRID_COUNT:
+            raise ExprError(f"grid COUNT must be at most {_MAX_GRID_COUNT}, got {count!r}")
         args.grid = (start, stop, int(count))
 
 

@@ -32,9 +32,12 @@ def _as_power(x) -> Fraction:
         return x
     if isinstance(x, int):
         return Fraction(x)
+    x = float(x)
+    if not math.isfinite(x):
+        raise DomainError(f"power must be finite, got {x!r}")
     # Floats of simple rationals (0.5, 0.75) convert exactly; anything else
     # snaps to the nearest small fraction, which is what a printed order means.
-    return Fraction(float(x)).limit_denominator(10**6)
+    return Fraction(x).limit_denominator(10**6)
 
 
 @dataclass(frozen=True)

@@ -225,6 +225,8 @@ def _power_span(beta: float, eta: float, sf, a, x) -> float:
         raise DomainError(f"power exponent must exceed -1, got {eta!r}")
     if not beta > 0.0:
         raise DomainError(f"order must be positive, got {beta!r}")
+    if not (math.isfinite(beta) and math.isfinite(eta)):
+        raise DomainError(f"order and power exponent must be finite, got {beta!r} and {eta!r}")
     du = sf.eval(x) - sf.eval(a)
     if du < 0.0:
         raise DomainError("evaluation point precedes the terminal")

@@ -9,8 +9,9 @@ staircase powers and Mittag-Leffler factors. The result is then checked the
 hard way, by applying the governing operator numerically and measuring the
 residual against the right-hand side. A solve derives, evaluates and checks
 that solution only. The variant closed forms in circulation for these
-problems are audited on demand by `variant_audit`, on the solve's grid and
-by the same residual, never assumed.
+problems are audited on demand by `variant_audit`, from the report alone: on
+the exact points and the map the solve took, by the same residual, never
+assumed.
 """
 
 from __future__ import annotations
@@ -72,7 +73,10 @@ class ExampleProblem:
 @dataclass
 class SolutionReport:
     """Derived solution on a grid, its operator residual there, and the
-    derivation: the image, its inverted terms and what it found about the data."""
+    derivation: the image, its inverted terms and what it found about the data.
+
+    grid holds the exact points the solve took, before any rounding to the
+    floats of solution.xs, and sf the map it took S from."""
 
     problem: ExampleProblem
     solution: GridFunction
@@ -82,6 +86,8 @@ class SolutionReport:
     derived_terms: tuple[InverseTerm, ...]
     notes: tuple[str, ...]
     solution_fn: object
+    grid: tuple
+    sf: object
 
 
 def example_problem(example_id: int, lam: float = -0.5) -> ExampleProblem:
@@ -284,7 +290,9 @@ def solve_example(example_id: int, sf=None, lam: float = -0.5, grid=None) -> Sol
     if sf is None:
         sf = StaircaseFn()
     problem, image, notes, terms, ua = _derived(example_id, sf, lam)
-    xs = list(grid if grid is not None else default_grid(example_id, sf))
+    xs = tuple(grid if grid is not None else default_grid(example_id, sf))
+    if not xs:
+        raise DomainError("grid must hold at least one point")
     solution, res_vals = _on_grid(problem, terms, sf, xs)
     return SolutionReport(
         problem=problem,
@@ -295,18 +303,17 @@ def solve_example(example_id: int, sf=None, lam: float = -0.5, grid=None) -> Sol
         derived_terms=terms,
         notes=notes,
         solution_fn=_terms_fn(terms, sf, ua),
+        grid=xs,
+        sf=sf,
     )
 
 
-def variant_audit(report: SolutionReport, sf, grid=None) -> tuple[float, float, str]:
+def variant_audit(report: SolutionReport) -> tuple[float, float, str]:
     """(largest deviation from the derived solution, largest residual, note) of
-    the variant closed form of the report's problem; the residual is inf when
-    its pass raises. sf and grid must be those of the solve (None: the default
-    grid): the floats of report.solution.xs are not the exact points, and S of
-    a rounded quantile is not the u the solve took."""
+    the variant closed form of the report's problem, on the report's grid and
+    map; the residual is inf when its pass raises."""
     terms, note = _variant_terms(report.problem)
-    xs = grid if grid is not None else default_grid(report.problem.example_id, sf)
-    variant, residuals = _on_grid(report.problem, terms, sf, xs, refused_reads_inf=True)
+    variant, residuals = _on_grid(report.problem, terms, report.sf, report.grid, refused_reads_inf=True)
     deviation = float(np.max(np.abs(variant.values - report.solution.values)))
     return deviation, float(np.max(residuals)), note
 

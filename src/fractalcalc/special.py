@@ -50,7 +50,7 @@ def gamma_fractal(t: float, sf=None) -> float:
 
     In the staircase coordinate the weight integral is the classical Euler
     integral, so without a map this is Gamma(t) itself; given a map sf, the
-    argument goes through it first: Gamma(sf(t)), Gamma(S(t)) on the
+    argument goes through it first: Gamma(sf.eval(t)), Gamma(S(t)) on the
     staircase.
     """
     if sf is not None:

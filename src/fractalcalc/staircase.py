@@ -294,8 +294,6 @@ class StaircaseFn:
         # int true division rounds correctly, as Fraction.__float__ does
         return self._scaled(x) / (1 << self.spec.digit_depth)
 
-    __call__ = eval
-
     # -- quantile ----------------------------------------------------------
 
     def quantile_exact(self, u) -> Fraction:
@@ -366,8 +364,6 @@ class IdentityMap:
 
     def eval(self, x) -> float:
         return float(x)
-
-    __call__ = eval
 
     def quantile_exact(self, u) -> float:
         return float(u)

@@ -199,7 +199,7 @@ def check_examples() -> CheckResult:
         report = solve_example(example_id, sf=sf)
         worst = max(worst, report.max_residual)
         plateau_worst = max(plateau_worst, abs(gap_plateau_spread(report)))
-        deviation, variant_residual, _ = variant_audit(report, sf)
+        deviation, variant_residual, _ = variant_audit(report)
         details.append(
             f"example {example_id}: residual {report.max_residual:.3e}, "
             f"variant deviation {deviation:.3e}, variant residual {variant_residual:.3e}"

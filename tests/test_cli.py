@@ -217,6 +217,10 @@ _REFUSALS = {
        for n in (990, 1200, 6000) for link in ("-", "+", "2^")},
     "gamma-pole": ("gamma --grid 0 0 1", 1, ""),
     **{f"grid-count-{n}": (f"staircase --grid 0 1 {n}", 2, "") for n in ("nan", "inf", "2.7", "0", "-3")},
+    # refused before np.linspace tries, and fails, to build such an array
+    **{f"grid-count-{n}": (f"staircase --grid 0 1 {n}", 2,
+                           f"error: grid COUNT must be at most 10000000, got {float(n)!r}\n")
+       for n in ("1e20", "10000001")},
     # np.linspace would spread a nan over the grid, with a warning
     "grid-inf-stop": ("staircase --grid 0 inf 3", 2, ""),
     "grid-overflowing-span": ("staircase --grid -1e308 1e308 3", 2, ""),

@@ -27,6 +27,7 @@ from fractalcalc import (
     ConvergenceError,
     DomainError,
     IdentityMap,
+    LaplaceTerm,
     OperatorKind,
     OperatorSpec,
     PoleError,
@@ -43,6 +44,9 @@ from fractalcalc import (
     power_rule_integral,
     rl_derivative,
     rl_integral,
+    solve_example,
+    transform_power,
+    transform_rl_integral,
 )
 
 _REFUSALS = (DomainError, PoleError, ConvergenceError, TailBoundError)
@@ -214,6 +218,30 @@ def test_rl_integral_of_an_order_near_zero(sf, beta):
     truth = power_rule_integral(beta, 0.5, sf, 0.0, x)
     call = lambda: rl_integral(spec(), lambda t: sf.eval(t) ** 0.5, sf, x)
     _right_or_refused(call, truth, _OPERATOR_GATE * abs(truth))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda sf: power_rule_integral(math.inf, 1.0, sf, 0, 0.5),
+        lambda sf: power_rule_integral(0.5, math.inf, sf, 0, 0.5),
+        lambda sf: power_rule_derivative(0.5, math.inf, sf, 0, 0.5),
+        lambda sf: power_rule_derivative(math.inf, 1.0, sf, 0, 0.5),
+        lambda sf: transform_power(math.inf),
+        lambda sf: transform_rl_integral(transform_power(1), math.inf),
+        lambda sf: transform_power(math.nan),
+        lambda sf: LaplaceTerm(1.0, math.nan),
+        lambda sf: solve_example(1, sf, grid=[]),
+    ],
+    ids=["integral-order-inf", "integral-power-inf", "derivative-power-inf", "derivative-order-inf",
+         "transform-power-inf", "transform-integral-order-inf", "transform-power-nan", "term-power-nan",
+         "solve-empty-grid"],
+)
+def test_an_argument_with_no_value_raises_a_domain_error(sf, call):
+    # each asks for a value that does not exist: a package exception, not a
+    # number, an OverflowError, a bare ValueError or numpy's empty-array error
+    with pytest.raises(DomainError):
+        call(sf)
 
 
 @_census(3)

@@ -26,6 +26,7 @@ from fractalcalc import (
 from fractalcalc.laplace import _as_power, _slot_orders, transform_caputo, transform_rl_derivative
 from fractalcalc import laplace, quadrature, solutions, special
 from fractalcalc.solutions import _derive_transform, default_grid, variant_audit
+from fractalcalc.verify import check_examples
 
 
 @pytest.fixture(scope="module")
@@ -136,10 +137,10 @@ class TestResiduals:
         # audit notes what the printed form gets wrong or right
         assert [k for k, rep in reports.items() if rep.notes] == [1, 2, 4]
         for k, rep in reports.items():
-            assert variant_audit(rep, sf)[2], f"example {k} should report on its variant"
+            assert variant_audit(rep)[2], f"example {k} should report on its variant"
 
     def test_variant_behavior(self, sf, reports):
-        audits = {k: variant_audit(rep, sf) for k, rep in reports.items()}
+        audits = {k: variant_audit(rep) for k, rep in reports.items()}
         # example 2: the printed form matches the derivation exactly, on the
         # exact grid points the solve took S of
         assert audits[2][:2] == (0.0, reports[2].max_residual)
@@ -184,9 +185,30 @@ class TestResiduals:
         assert len(rep.residual) == 25
         assert calls == [(rep.derived_terms, "list"), (rep.derived_terms, "ndarray")]
         calls.clear()
-        variant_audit(rep, sf)
+        variant_audit(rep)
         variant = solutions._variant_terms(rep.problem)[0]
         assert calls == [(variant, "list"), (variant, "ndarray")]
+
+    def test_the_audit_takes_the_points_and_map_of_its_solve(self, sf):
+        # example 2 off the default grid: the printed form still matches the
+        # derivation on the exact points the solve took
+        grid = [sf.quantile_exact(Fraction(3, 2) + Fraction(i, 48)) for i in range(25)]
+        rep = solve_example(2, sf, grid=grid)
+        assert rep.grid == tuple(grid) and rep.sf is sf
+        deviation, residual, _ = variant_audit(rep)
+        assert (deviation, residual) == (0.0, rep.max_residual)
+        assert residual == pytest.approx(1.7938941443418344e-09, rel=1e-12)
+
+    def test_check_examples_builds_each_default_grid_once(self, monkeypatch):
+        calls = []
+
+        def counted(example_id, sf):
+            calls.append(example_id)
+            return default_grid(example_id, sf)
+
+        monkeypatch.setattr(solutions, "default_grid", counted)
+        check_examples()
+        assert calls == [1, 2, 3, 4]
 
     def test_gap_plateau_is_flat(self, reports):
         for rep in reports.values():
@@ -320,4 +342,4 @@ class TestRecordedReports:
         assert derivation == (rep.transform, rep.notes)
 
     def test_example1_variant_stays_rejected(self, sf, reports):
-        assert variant_audit(reports[1], sf)[1] == math.inf
+        assert variant_audit(reports[1])[1] == math.inf
